@@ -2,7 +2,7 @@
 
 Exit codes: 0 all certificates verified, 2 certified negative or inconclusive
 verdict, 1 usage or resource error.  Outputs are written atomically and are
-byte-identical for identical configs regardless of thread count.
+byte-identical for identical configs across runs and hash seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import cps, heis, places, serialize, verify
 from .errors import (
     CoverSearchFailed,
     MeyerlabError,
-    PrecisionExhausted,
     ResourceLimit,
     UnsupportedSubgroup,
     UsageError,
@@ -133,7 +132,7 @@ def parse_elements(path: str, field: NumberField):
 # Run configuration: TOML-style key=value files, CLI flags take precedence.
 # ---------------------------------------------------------------------------
 
-CONFIG_KEYS = ("scheme", "window", "radius", "threads", "out", "json", "field", "ring")
+CONFIG_KEYS = ("scheme", "window", "radius", "out", "json", "field", "ring")
 
 
 @dataclass
@@ -158,11 +157,8 @@ class RunConfig:
 
     def fill(self, args: argparse.Namespace) -> None:
         for key, value in self.values.items():
-            attr = key
-            if getattr(args, attr, None) is None:
-                if attr == "threads":
-                    value = int(value)
-                setattr(args, attr, value)
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
 
 
 def _require(args, *names):
@@ -193,7 +189,7 @@ def cmd_cps_generate(args) -> int:
     _require(args, "scheme", "window", "radius")
     scheme = parse_scheme(args.scheme)
     window = parse_window(scheme, args.window)
-    patch = cps.model_set_patch(scheme, window, str_frac(args.radius), threads=args.threads or 1)
+    patch = cps.model_set_patch(scheme, window, str_frac(args.radius))
     _emit(
         args,
         patch.to_dict(),
@@ -208,9 +204,7 @@ def cmd_cps_certify(args) -> int:
     scheme = parse_scheme(args.scheme)
     window = parse_window(scheme, args.window)
     radius = str_frac(args.radius) if args.radius else Fraction(20)
-    cert = cps.approximate_lattice_certificate(
-        scheme, window, patch_radius=radius, threads=args.threads or 1
-    )
+    cert = cps.approximate_lattice_certificate(scheme, window, patch_radius=radius)
     ok = cert.cover.replay() and cert.delone.is_delone
     _emit(
         args,
@@ -232,7 +226,7 @@ def cmd_cps_intersect(args) -> int:
     scheme = parse_scheme(args.scheme)
     window = parse_window(scheme, args.window)
     data = serialize.intersection_summary(
-        scheme, window, str_frac(args.radius), _parse_axes(args.axes), threads=args.threads or 1
+        scheme, window, str_frac(args.radius), _parse_axes(args.axes)
     )
     _emit(args, data, None, f"intersection: {data['intersection_size']} points, covers "
           f"{data['cover_to_induced']}/{data['cover_from_induced']} translates")
@@ -244,7 +238,7 @@ def cmd_cps_project(args) -> int:
     scheme = parse_scheme(args.scheme)
     window = parse_window(scheme, args.window)
     data = serialize.projection_summary(
-        scheme, window, str_frac(args.radius), _parse_axes(args.axes), threads=args.threads or 1
+        scheme, window, str_frac(args.radius), _parse_axes(args.axes)
     )
     _emit(args, data, None, f"projection: consistent = {data['equivalence_consistent']}")
     return EXIT_OK if data["equivalence_consistent"] else EXIT_NEGATIVE
@@ -263,7 +257,7 @@ def _heis_scheme(args) -> heis.HeisScheme:
 def cmd_heis_generate(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius")
-    patch = heis.heis_model_set(scheme, str_frac(args.radius), threads=args.threads or 1)
+    patch = heis.heis_model_set(scheme, str_frac(args.radius))
     _emit(args, patch.to_dict(), serialize.patch_to_csv(patch), f"patch: {len(patch.points)} points")
     return EXIT_OK
 
@@ -279,7 +273,7 @@ def cmd_heis_certify(args) -> int:
 def cmd_heis_center(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius")
-    data = serialize.center_summary(scheme, str_frac(args.radius), threads=args.threads or 1)
+    data = serialize.center_summary(scheme, str_frac(args.radius))
     if not data["conclusive"]:
         _emit(args, data, None, "center intersection: inconclusive (too few points)")
         return EXIT_NEGATIVE
@@ -297,7 +291,7 @@ def cmd_heis_hull(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius_small", "radius_large")
     data = serialize.hull_summary(
-        scheme, str_frac(args.radius_small), str_frac(args.radius_large), threads=args.threads or 1
+        scheme, str_frac(args.radius_small), str_frac(args.radius_large)
     )
     _emit(args, data, None, f"hull: {data['subgroup'] or 'not aligned'}")
     return EXIT_OK if data["aligned"] else EXIT_NEGATIVE
@@ -307,7 +301,7 @@ def cmd_heis_commensurate(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius")
     radius = str_frac(args.radius)
-    patch = heis.heis_model_set(scheme, radius, threads=args.threads or 1)
+    patch = heis.heis_model_set(scheme, radius)
     sides = {}
     for side, spec in (("a", args.side_a), ("b", args.side_b)):
         sides[side] = serialize._meyer_side_points(patch, spec)
@@ -373,11 +367,11 @@ def cmd_pisot_enumerate(args) -> int:
         if not ring.s_primes:
             raise UsageError("enumerate needs at least one finite prime for rational rings")
         window = cps.Window.balls(*((p, 0) for p in scheme.primes))
-        patch = cps.model_set_patch(scheme, window, radius, threads=args.threads or 1)
+        patch = cps.model_set_patch(scheme, window, radius)
     else:
         scheme = cps.GaloisScheme(ring.field, physical_root_index=ring.s_arch_indices[0])
         window = cps.Window.box(str_frac(args.window) if args.window else Fraction(1))
-        patch = cps.model_set_patch(scheme, window, radius, threads=args.threads or 1)
+        patch = cps.model_set_patch(scheme, window, radius)
     _emit(args, patch.to_dict(), serialize.patch_to_csv(patch), f"{len(patch.points)} ring points")
     return EXIT_OK
 
@@ -495,11 +489,9 @@ def cmd_verify_replay(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--threads", type=int, default=None, help="worker count (output is identical)")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--json", default=None, help="JSON artifact path")
     p.add_argument("--config", default=None, help="key=value config file (CLI flags win)")
-    p.add_argument("--max-precision", type=int, default=None, help="interval precision cap in bits")
 
 
 def build_parser() -> _Parser:
@@ -593,13 +585,11 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             RunConfig.from_file(args.config).fill(args)
-        if getattr(args, "max_precision", None):
-            os.environ["MEYERLAB_MAX_PRECISION"] = str(args.max_precision)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PrecisionExhausted, ResourceLimit, CoverSearchFailed) as exc:
+    except (ResourceLimit, CoverSearchFailed) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnsupportedSubgroup as exc:

@@ -15,7 +15,6 @@ the entire intersection of the model set with the requested ball.
 
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass
@@ -162,11 +161,6 @@ class GaloisScheme:
         roots = field.real_roots()
         if len(roots) != 2:
             raise UsageError("GALOIS schemes need a totally real quadratic field")
-        # lattice check: the 2x2 embedding block of (1, theta) has determinant
-        # theta_2 - theta_1 != 0, i.e. the discriminant is nonzero
-        c0, c1, _ = field.min_poly
-        if c1 * c1 - 4 * c0 == 0:
-            raise UsageError("degenerate quadratic field (zero discriminant)")
         if dim < 1:
             raise UsageError("dimension must be >= 1")
         if physical_root_index is None:
@@ -291,11 +285,6 @@ class Patch:
         return Patch(scheme, window, radius, points)
 
 
-def _chunks(seq, n):
-    size = max(1, math.ceil(len(seq) / n))
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
 def enumerate_window_elements(
     field: NumberField,
     physical_place: RealEmbeddingInterval,
@@ -303,7 +292,6 @@ def enumerate_window_elements(
     physical_radius,
     internal_halfwidth,
     candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
-    threads: int = 1,
 ) -> list[NFElem]:
     """All x in Z[theta] with |sigma_phys(x)| <= R and |sigma_int(x)| <= c.
 
@@ -330,22 +318,12 @@ def enumerate_window_elements(
             f"coefficient box holds {count} candidates, above the limit {candidate_limit}"
         )
 
-    def scan(b_values):
-        hits = []
-        for b in b_values:
-            for a in range(-a_max, a_max + 1):
-                x = field.elem([a, b])
-                if abs_embedding_leq(x, p2, c) and abs_embedding_leq(x, p1, R):
-                    hits.append(x)
-        return hits
-
-    b_range = list(range(-b_max, b_max + 1))
-    if threads > 1 and len(b_range) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, _chunks(b_range, threads * 4)))
-        found = [x for part in parts for x in part]
-    else:
-        found = scan(b_range)
+    found = []
+    for b in range(-b_max, b_max + 1):
+        for a in range(-a_max, a_max + 1):
+            x = field.elem([a, b])
+            if abs_embedding_leq(x, p2, c) and abs_embedding_leq(x, p1, R):
+                found.append(x)
     found.sort(key=lambda x: x.coeffs)
     return found
 
@@ -355,7 +333,6 @@ def model_set_patch(
     window: Window,
     radius,
     candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
-    threads: int = 1,
 ) -> Patch:
     """Complete patch of the model set p_G(Gamma ∩ G x W) inside the R-ball."""
     radius = Fraction(radius)
@@ -373,7 +350,6 @@ def model_set_patch(
                 radius,
                 c,
                 candidate_limit=candidate_limit,
-                threads=threads,
             )
             for c in window.real_halfwidths
         ]
@@ -715,7 +691,7 @@ class ApproximateLatticeCertificate:
 
 
 def approximate_lattice_certificate(
-    scheme, window: Window, patch_radius=20, threads: int = 1
+    scheme, window: Window, patch_radius=20
 ) -> ApproximateLatticeCertificate:
     """Certify the model set of `window` as a uniform approximate lattice.
 
@@ -724,7 +700,7 @@ def approximate_lattice_certificate(
     """
     wsq = window_product(window, window)
     cover = global_covering_certificate(scheme, wsq, window)
-    patch = model_set_patch(scheme, window, patch_radius, threads=threads)
+    patch = model_set_patch(scheme, window, patch_radius)
     inner = Fraction(patch_radius) / 2
     report = verify.delone_certify(
         patch.points, patch.group_ops(), inner, patch_radius=patch.radius
@@ -800,9 +776,7 @@ class IntersectionResult:
     inner_radius: Fraction
 
 
-def intersect_with_subgroup(
-    scheme, subgroup, window: Window, radius, threads: int = 1
-) -> IntersectionResult:
+def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> IntersectionResult:
     """Induced scheme on a coordinate subgroup N plus a patch-level two-way cover.
 
     Verifies on patches that Lambda(W)^2 ∩ N and the induced model set patch
@@ -813,10 +787,10 @@ def intersect_with_subgroup(
     if not axes:
         raise UnsupportedSubgroup("trivial subgroup has no induced scheme; use the patch directly")
     induced = GaloisScheme(scheme.field, dim=len(axes), physical_root_index=scheme.physical_root_index)
-    patch = model_set_patch(scheme, window, radius, threads=threads)
+    patch = model_set_patch(scheme, window, radius)
     inter_points = _square_intersection_points(patch, axes, radius)
     w_axes = Window.box(*(2 * window.real_halfwidths[i] for i in axes))
-    induced_patch = model_set_patch(induced, w_axes, radius, threads=threads)
+    induced_patch = model_set_patch(induced, w_axes, radius)
     ops = induced.group_ops()
     inner = radius / 2
     a_pts = [p for p in inter_points if verify.point_norm_hi(p, ops) <= inner]
@@ -844,7 +818,7 @@ class ProjectionResult:
     equivalence_consistent: bool
 
 
-def project_to_quotient(scheme, subgroup, window: Window, radius, threads: int = 1) -> ProjectionResult:
+def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionResult:
     """Project Lambda(W) to G/N for a coordinate subgroup N.
 
     Reports the projection's minimal separation and the Delone report of
@@ -854,7 +828,7 @@ def project_to_quotient(scheme, subgroup, window: Window, radius, threads: int =
     axes = _subgroup_axes(scheme, subgroup)
     radius = Fraction(radius)
     quotient_axes = tuple(i for i in range(scheme.dim) if i not in axes)
-    patch = model_set_patch(scheme, window, radius, threads=threads)
+    patch = model_set_patch(scheme, window, radius)
     if not quotient_axes:
         return ProjectionResult(None, (), [], None, None, True)
     projected = sorted(

@@ -9,14 +9,6 @@ class UsageError(MeyerlabError):
     """Caller violated a precondition (bad field, shape mismatch, bad flag)."""
 
 
-class PrecisionExhausted(MeyerlabError):
-    """An inequality could not be decided within the precision cap."""
-
-    def __init__(self, message, bits=None):
-        super().__init__(message)
-        self.bits = bits
-
-
 class ResourceLimit(MeyerlabError):
     """An enumeration would exceed the configured candidate budget."""
 

@@ -1,42 +1,24 @@
-"""Exact arithmetic over Q and real number fields.
+"""Exact arithmetic over Q and real quadratic fields.
 
 Everything here is built on arbitrary-precision rationals: polynomial
-arithmetic, Sturm sequences, isolating intervals for real roots, interval
-evaluation of real embeddings, and exact p-adic valuations on Q.  No float
-ever enters a value that feeds a certificate.
+arithmetic, exact signs of p + q*sqrt(D), isolating intervals for real roots,
+interval evaluation of real embeddings, and exact p-adic valuations on Q.  No
+float ever enters a value that feeds a certificate.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import PrecisionExhausted, UsageError
+from .errors import UsageError
 
 # Canonical exact rational type.  fractions.Fraction already maintains
 # gcd(|num|, den) = 1 and den >= 1, which is the full Rational contract.
 Rational = Fraction
-
-_ENV_PRECISION = "MEYERLAB_MAX_PRECISION"
-
-
-def default_max_precision() -> int:
-    """Precision cap in bits, overridable via MEYERLAB_MAX_PRECISION."""
-    raw = os.environ.get(_ENV_PRECISION)
-    if raw is None:
-        return 256
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{_ENV_PRECISION} must be an integer, got {raw!r}") from exc
-    if bits < 8:
-        raise UsageError(f"{_ENV_PRECISION} must be >= 8")
-    return bits
-
 
 def frac_str(q: Fraction) -> str:
     return str(Fraction(q))
@@ -111,44 +93,19 @@ def poly_eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_deriv(cs):
-    return poly_trim([i * cs[i] for i in range(1, len(cs))])
-
-
-def sturm_chain(cs) -> list[tuple[Fraction, ...]]:
-    """Sturm sequence of a squarefree polynomial."""
-    chain = [poly_trim(cs), poly_deriv(cs)]
-    while chain[-1]:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(poly_neg(rem))
-    return [p for p in chain if p]
-
-
-def _sign_variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def sturm_variations_at(chain, x: Fraction) -> int:
-    return _sign_variations(poly_eval(p, x) for p in chain)
-
-
-def sturm_variations_at_infinity(chain, positive: bool) -> int:
-    vals = []
-    for p in chain:
-        lead = p[-1]
-        if positive:
-            vals.append(lead)
-        else:
-            vals.append(lead if (len(p) - 1) % 2 == 0 else -lead)
-    return _sign_variations(vals)
-
-
-def count_roots_in(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints must not be roots."""
-    return sturm_variations_at(chain, lo) - sturm_variations_at(chain, hi)
+def surd_sign(p, q, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for rationals p, q and an integer d >= 0."""
+    sp = (p > 0) - (p < 0)
+    sq = (q > 0) - (q < 0)
+    if sq == 0 or sp == sq or d == 0:
+        return sp
+    if sp == 0:
+        return sq
+    # opposite signs: compare p^2 with q^2 * d, cleared of denominators
+    p, q = Fraction(p), Fraction(q)
+    lhs = (p.numerator * q.denominator) ** 2
+    rhs = (q.numerator * p.denominator) ** 2 * d
+    return sp if lhs > rhs else sq if lhs < rhs else 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +152,6 @@ def iv_contains(outer, inner) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _integer_roots(poly: Sequence[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial (all rational roots)."""
-    c0 = poly[0]
-    if c0 == 0:
-        return [0]
-    roots = []
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            for cand in {d, -d, c0 // d, -(c0 // d)}:
-                if sum(c * cand**i for i, c in enumerate(poly)) == 0:
-                    roots.append(cand)
-        d += 1
-    return sorted(set(roots))
-
-
 def _is_perfect_square(n: int) -> bool:
     if n < 0:
         return False
@@ -218,63 +159,28 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def _quartic_has_quadratic_factor(poly: Sequence[int]) -> bool:
-    """Monic integer quartic: test factorization into two monic quadratics."""
-    c0, c1, c2, c3, _ = poly
-    divisors = []
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            divisors.extend({d, -d, c0 // d, -(c0 // d)})
-        d += 1
-    if c0 == 0:
-        return True  # X divides, caught earlier anyway
-    for q in sorted(set(divisors)):
-        if q == 0 or c0 % q != 0:
-            continue
-        s = c0 // q
-        # (X^2+pX+q)(X^2+rX+s): p+r=c3, q+s+pr=c2, ps+qr=c1
-        pr = c2 - q - s
-        disc = c3 * c3 - 4 * pr
-        if not _is_perfect_square(disc):
-            continue
-        root = math.isqrt(disc)
-        for p in {(c3 + root), (c3 - root)}:
-            if p % 2 != 0:
-                continue
-            p //= 2
-            r = c3 - p
-            if p * s + q * r == c1:
-                return True
-    return False
-
-
-def _check_irreducible(poly: Sequence[int]) -> None:
-    d = len(poly) - 1
-    if d == 1:
-        return
-    if _integer_roots(poly):
-        raise UsageError(f"minimal polynomial {list(poly)} has a rational root")
-    if d == 4 and _quartic_has_quadratic_factor(poly):
-        raise UsageError(f"minimal polynomial {list(poly)} splits into quadratics")
-    # d in {2,3}: no rational root suffices; d > 4: rational-root precheck only,
-    # full irreducibility is the caller's precondition.
-
-
 class NumberField:
-    """K = Q(theta) for theta a root of a monic irreducible integer polynomial.
+    """K = Q(theta) for theta a root of a monic irreducible integer polynomial
+    of degree 1 or 2.
 
-    Coordinates are always in the power basis 1, theta, ..., theta^(d-1).
-    The rationals are the degree-1 field with minimal polynomial X.
+    Coordinates are always in the power basis 1, theta.  The rationals are the
+    degree-1 field with minimal polynomial X.  For X^2 + c1*X + c0 the roots
+    are (-c1 -+ sqrt(disc)) / 2 with disc = c1^2 - 4*c0, so every embedding
+    value is p + q*sqrt(disc) and every comparison is decided by `surd_sign`.
     """
 
     def __init__(self, min_poly: Sequence[int], name: str | None = None):
         coeffs = tuple(int(c) for c in min_poly)
-        if len(coeffs) < 2:
-            raise UsageError("minimal polynomial must have degree >= 1")
+        if len(coeffs) not in (2, 3):
+            raise UsageError(
+                "minimal polynomial must have degree 1 or 2 (only Q and quadratic fields)"
+            )
         if coeffs[-1] != 1:
             raise UsageError("minimal polynomial must be monic")
-        _check_irreducible(coeffs)
+        self.disc: int = coeffs[1] ** 2 - 4 * coeffs[0] if len(coeffs) == 3 else 0
+        # a monic quadratic is irreducible iff its discriminant is not a square
+        if len(coeffs) == 3 and _is_perfect_square(self.disc):
+            raise UsageError(f"minimal polynomial {list(coeffs)} has a rational root")
         self.min_poly: tuple[int, ...] = coeffs
         self.degree: int = len(coeffs) - 1
         self.name = name
@@ -382,7 +288,7 @@ class RealEmbeddingInterval:
 
         The result is a pure function of (field, root, level): bisection always
         continues the one deterministic chain from the raw isolating interval,
-        so refinements replay identically in any session and thread order.
+        so refinements replay identically in any session and call order.
         """
         if self.is_exact:
             return self
@@ -432,37 +338,29 @@ def _canonical_level(bits: int) -> int:
 
 
 def _isolate_real_roots(field: NumberField) -> list[RealEmbeddingInterval]:
-    poly = field.min_poly_fractions()
     if field.degree == 1:
-        root = -poly[0]
+        root = Fraction(-field.min_poly[0])
         return [RealEmbeddingInterval(field, 0, root, root, 0)]
-    chain = sturm_chain(poly)
-    total = sturm_variations_at_infinity(chain, positive=False) - sturm_variations_at_infinity(
-        chain, positive=True
-    )
-    if total == 0:
+    if field.disc < 0:
         return []
-    bound = Fraction(2) + max(abs(Fraction(c)) for c in poly[:-1])
-    segments = [(-bound, bound, count_roots_in(chain, -bound, bound))]
-    done = []
-    while segments:
-        lo, hi, count = segments.pop()
-        if count == 0:
-            continue
-        if count == 1:
-            done.append((lo, hi))
-            continue
+    # Bisect (-B, B] until the midpoint separates the roots centre -+ sqrt(disc)/2.
+    # Neither root is rational, so no midpoint is ever a root.
+    c0, c1, _ = field.min_poly
+    centre, half = Fraction(-c1, 2), Fraction(1, 2)
+    hi = Fraction(2 + max(abs(c0), abs(c1)))
+    lo = -hi
+    while True:
         mid = (lo + hi) / 2
-        left = count_roots_in(chain, lo, mid)
-        segments.append((lo, mid, left))
-        segments.append((mid, hi, count - left))
-    done.sort()
+        if surd_sign(centre - mid, half, field.disc) < 0:
+            hi = mid
+        elif surd_sign(centre - mid, -half, field.disc) > 0:
+            lo = mid
+        else:
+            break
     out = []
-    for i, (lo, hi) in enumerate(done):
-        field._root_bases[i] = (lo, hi)
-        out.append(RealEmbeddingInterval(field, i, lo, hi, 0).refined(8))
-    if len(out) != total:
-        raise AssertionError("Sturm isolation lost a root")
+    for i, base in enumerate(((lo, mid), (mid, hi))):
+        field._root_bases[i] = base
+        out.append(RealEmbeddingInterval(field, i, *base, 0).refined(8))
     return out
 
 
@@ -502,8 +400,6 @@ class NFElem:
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise UsageError("element is not rational")
-        if self.field.degree == 1:
-            return self.coeffs[0]
         return self.coeffs[0]
 
     def __add__(self, other):
@@ -619,10 +515,6 @@ def nf_mul(a: NFElem, b: NFElem) -> NFElem:
     return NFElem(a.field, tuple(cs[: a.field.degree]))
 
 
-def nf_add(a: NFElem, b: NFElem) -> NFElem:
-    return a + b
-
-
 def nf_inv(a: NFElem) -> NFElem:
     """Multiplicative inverse; exists iff a != 0 (minimal polynomial irreducible)."""
     if a.is_zero:
@@ -640,10 +532,6 @@ def nf_inv(a: NFElem) -> NFElem:
     inv = tuple(c * scale for c in s1)
     cs = list(inv) + [Fraction(0)] * (a.field.degree - len(inv))
     return NFElem(a.field, tuple(cs[: a.field.degree]))
-
-
-def real_roots(field: NumberField) -> list[RealEmbeddingInterval]:
-    return field.real_roots()
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +557,7 @@ def eval_embedding(
     # start from the requested level only: the result must not depend on how
     # refined the passed place object happens to be
     bits = max(precision_bits, 8)
-    for _ in range(64):
+    while True:
         pl = place.refined(bits)
         iv = (Fraction(0), Fraction(0))
         theta = (pl.lo, pl.hi)
@@ -679,7 +567,6 @@ def eval_embedding(
         if iv_width(iv) <= Fraction(1, 2**precision_bits) * (1 + abs(mid)):
             return iv
         bits *= 2
-    raise PrecisionExhausted("embedding interval did not converge", bits=bits)
 
 
 class Cmp(enum.Enum):
@@ -688,66 +575,41 @@ class Cmp(enum.Enum):
     GREATER = "GREATER"
 
 
-def compare_abs_to_one(
-    x: NFElem, place: RealEmbeddingInterval, max_precision: int | None = None
-) -> Cmp:
-    """Certified comparison of |sigma(x)| against 1.
-
-    |sigma(x)| = 1 forces x = 1 or x = -1 because a real embedding is
-    injective, so the EQUAL case is decided exactly and everything else by
-    interval refinement.
-    """
-    if x == 1 or x == -1:
-        return Cmp.EQUAL
-    cap = max_precision if max_precision is not None else default_max_precision()
-    bits = 8
-    while bits <= cap:
-        lo, hi = iv_abs(eval_embedding(x, place, bits))
-        if hi < 1:
-            return Cmp.LESS
-        if lo > 1:
-            return Cmp.GREATER
-        bits *= 2
-    raise PrecisionExhausted(
-        f"could not separate |sigma(x)| from 1 within {cap} bits", bits=cap
-    )
+def _embedding_surd(x: NFElem, place: RealEmbeddingInterval) -> tuple[Fraction, Fraction]:
+    """(p, q) with sigma(x) = p + q*sqrt(disc) exactly at this place."""
+    if x.field != place.field:
+        raise UsageError("element and place from different fields")
+    if place.is_exact:
+        return x.coeffs[0], Fraction(0)
+    a, b = x.coeffs
+    half_b = b / 2
+    return a - x.field.min_poly[1] * half_b, half_b if place.root_index else -half_b
 
 
-def cmp_embedding(
-    x: NFElem,
-    place: RealEmbeddingInterval,
-    r,
-    max_precision: int | None = None,
-) -> int:
-    """Certified sign of sigma(x) - r for rational r: -1, 0, or +1."""
-    r = Fraction(r)
-    if x == r:
-        return 0
-    cap = max_precision if max_precision is not None else default_max_precision()
-    bits = 8
-    while bits <= cap:
-        lo, hi = eval_embedding(x, place, bits)
-        if hi < r:
-            return -1
-        if lo > r:
-            return 1
-        bits *= 2
-    raise PrecisionExhausted(
-        f"could not separate sigma(x) from {r} within {cap} bits", bits=cap
-    )
+def cmp_embedding(x: NFElem, place: RealEmbeddingInterval, r) -> int:
+    """Exact sign of sigma(x) - r for rational r: -1, 0, or +1."""
+    p, q = _embedding_surd(x, place)
+    return surd_sign(p - Fraction(r), q, place.field.disc)
 
 
-def abs_embedding_leq(
-    x: NFElem, place: RealEmbeddingInterval, bound, max_precision: int | None = None
-) -> bool:
-    """Certified decision of |sigma(x)| <= bound (closed, exact at boundary)."""
+def abs_embedding_leq(x: NFElem, place: RealEmbeddingInterval, bound) -> bool:
+    """Exact decision of |sigma(x)| <= bound (closed at the boundary)."""
     bound = Fraction(bound)
     if bound < 0:
         return False
-    return (
-        cmp_embedding(x, place, bound, max_precision) <= 0
-        and cmp_embedding(x, place, -bound, max_precision) >= 0
-    )
+    p, q = _embedding_surd(x, place)
+    d = place.field.disc
+    return surd_sign(p - bound, q, d) <= 0 and surd_sign(p + bound, q, d) >= 0
+
+
+def compare_abs_to_one(x: NFElem, place: RealEmbeddingInterval) -> Cmp:
+    """Exact comparison of |sigma(x)| against 1.
+
+    A real embedding is injective, so |sigma(x)| = 1 only for x = 1 or x = -1.
+    """
+    if x == 1 or x == -1:
+        return Cmp.EQUAL
+    return Cmp.LESS if abs_embedding_leq(x, place, 1) else Cmp.GREATER
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ class HeisPatch:
         return HeisPatch(scheme, str_frac(data["radius"]), pts)
 
 
-def heis_model_set(scheme: HeisScheme, radius, threads: int = 1) -> HeisPatch:
+def heis_model_set(scheme: HeisScheme, radius) -> HeisPatch:
     """All points of H3(O_K) with physical box-norm <= R and internal in the window.
 
     The constraints are coordinatewise, so the patch is the product of three
@@ -282,7 +282,7 @@ def heis_model_set(scheme: HeisScheme, radius, threads: int = 1) -> HeisPatch:
     cx, cy, cz = scheme.window
     coords = [
         cps.enumerate_window_elements(
-            scheme.field, scheme.physical_place, scheme.internal_place, radius, c, threads=threads
+            scheme.field, scheme.physical_place, scheme.internal_place, radius, c
         )
         for c in (cx, cy, cz)
     ]
@@ -473,7 +473,7 @@ class CenterIntersection:
         return self.report is not None
 
 
-def center_intersection(scheme: HeisScheme, radius, threads: int = 1) -> CenterIntersection:
+def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     """Lambda(W)^2 ∩ centre as exact z-coordinates, with Delone constants.
 
     Central products are exactly the pairs gamma = (u,v,w), delta = (-u,-v,w')
@@ -486,7 +486,7 @@ def center_intersection(scheme: HeisScheme, radius, threads: int = 1) -> CenterI
     field = scheme.field
     phys, internal = scheme.physical_place, scheme.internal_place
     xs, ys, zs = (
-        cps.enumerate_window_elements(field, phys, internal, radius, c, threads=threads)
+        cps.enumerate_window_elements(field, phys, internal, radius, c)
         for c in (cx, cy, cz)
     )
     sums = {w + wp for w in zs for wp in zs}

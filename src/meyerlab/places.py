@@ -234,13 +234,13 @@ def _rational_is_integral(q: Fraction) -> int | None:
     return prime_factors(q.denominator)[0]
 
 
-def s_integer_membership(x, ring: SIntegerRing, max_precision: int | None = None):
+def s_integer_membership(x, ring: SIntegerRing):
     """Certify x in O_{K,S}, or reject with a witness place.
 
     Q: decisive finite places are the primes of the numerator and denominator;
     all others automatically satisfy |x|_p <= 1.  Quadratic K: integrality at
     every finite place is the integer trace/norm test; then each real place
-    outside S is bounded by certified interval comparison.
+    outside S is bounded by exact comparison in Q(sqrt D).
     """
     x = ring.coerce(x)
     field = ring.field
@@ -271,7 +271,7 @@ def s_integer_membership(x, ring: SIntegerRing, max_precision: int | None = None
             )
     bounds = []
     for place in ring.complement_arch_places():
-        decision = compare_abs_to_one(x, place.interval, max_precision)
+        decision = compare_abs_to_one(x, place.interval)
         if decision is Cmp.GREATER:
             return MembershipRejection(
                 x, ring, place, f"|sigma_{place.root_index}(x)| > 1"

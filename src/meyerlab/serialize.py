@@ -272,8 +272,8 @@ def _replay_meyer(data) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def intersection_summary(scheme, window, radius, axes, threads: int = 1) -> dict:
-    res = cps.intersect_with_subgroup(scheme, axes, window, radius, threads=threads)
+def intersection_summary(scheme, window, radius, axes) -> dict:
+    res = cps.intersect_with_subgroup(scheme, axes, window, radius)
     return {
         "type": "intersection",
         "inputs": {
@@ -291,8 +291,8 @@ def intersection_summary(scheme, window, radius, axes, threads: int = 1) -> dict
     }
 
 
-def projection_summary(scheme, window, radius, axes, threads: int = 1) -> dict:
-    res = cps.project_to_quotient(scheme, axes, window, radius, threads=threads)
+def projection_summary(scheme, window, radius, axes) -> dict:
+    res = cps.project_to_quotient(scheme, axes, window, radius)
     return {
         "type": "projection",
         "inputs": {
@@ -313,8 +313,8 @@ def projection_summary(scheme, window, radius, axes, threads: int = 1) -> dict:
     }
 
 
-def center_summary(scheme: heis.HeisScheme, radius, threads: int = 1) -> dict:
-    res = heis.center_intersection(scheme, radius, threads=threads)
+def center_summary(scheme: heis.HeisScheme, radius) -> dict:
+    res = heis.center_intersection(scheme, radius)
     return {
         "type": "center_intersection",
         "inputs": {"scheme": scheme.to_dict(), "radius": frac_str(Fraction(radius))},
@@ -324,9 +324,9 @@ def center_summary(scheme: heis.HeisScheme, radius, threads: int = 1) -> dict:
     }
 
 
-def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large, threads: int = 1) -> dict:
-    small = heis.heis_model_set(scheme, radius_small, threads=threads)
-    large = heis.heis_model_set(scheme, radius_large, threads=threads)
+def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
+    small = heis.heis_model_set(scheme, radius_small)
+    large = heis.heis_model_set(scheme, radius_large)
     report = heis.schreiber_hull(small, large)
     return {
         "type": "schreiber_hull",

@@ -7,11 +7,15 @@ criterion; any assertion failure is the corresponding FAIL line.
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import meyerlab
 from meyerlab import cli, cps, heis, places, serialize, verify
 from meyerlab.errors import UnsupportedSubgroup
 from meyerlab.exactnum import golden_field, sqrt2_field
@@ -287,28 +291,28 @@ def test_criterion_7_intersection_projection_equivalence():
     )
 
 
-def test_criterion_8_determinism_across_thread_counts(tmp_path):
+def test_criterion_8_determinism_across_hash_seeds(tmp_path):
     jobs = (
-        ("zs.json", ["cps", "generate", "--scheme", "zs:2,3", "--window", "1", "--radius", "20"]),
-        ("zs.csv", None),
-        ("fib.json", ["cps", "certify", "--scheme", "galois:golden", "--window", "1", "--radius", "12"]),
-        ("heis.json", ["heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "5"]),
+        ["cps", "generate", "--scheme", "zs:2,3", "--window", "1", "--radius", "20",
+         "--json", "zs.json", "--out", "zs.csv"],
+        ["cps", "certify", "--scheme", "galois:golden", "--window", "1", "--radius", "12",
+         "--json", "fib.json"],
+        ["heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "5",
+         "--json", "heis.json"],
     )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(meyerlab.__file__)))
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     blobs = {}
-    for threads in ("1", "8"):
-        out_zs_json = tmp_path / f"zs-{threads}.json"
-        out_zs_csv = tmp_path / f"zs-{threads}.csv"
-        assert cli.run(jobs[0][1] + ["--threads", threads, "--json", str(out_zs_json),
-                                     "--out", str(out_zs_csv)]) == 0
-        out_fib = tmp_path / f"fib-{threads}.json"
-        assert cli.run(jobs[2][1] + ["--threads", threads, "--json", str(out_fib)]) == 0
-        out_heis = tmp_path / f"heis-{threads}.json"
-        assert cli.run(jobs[3][1] + ["--threads", threads, "--json", str(out_heis)]) == 0
-        blobs[threads] = (
-            out_zs_json.read_bytes(),
-            out_zs_csv.read_bytes(),
-            out_fib.read_bytes(),
-            out_heis.read_bytes(),
-        )
-    assert blobs["1"] == blobs["8"]
-    _passed(8, "four artifacts byte-identical across thread counts 1 and 8")
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+        for argv in jobs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "meyerlab.cli", *argv],
+                cwd=out, env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+        blobs[seed] = [(out / name).read_bytes() for name in ("zs.json", "zs.csv", "fib.json", "heis.json")]
+    assert blobs["0"] == blobs["1"]
+    _passed(8, "four artifacts byte-identical across PYTHONHASHSEED 0 and 1 in fresh processes")

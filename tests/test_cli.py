@@ -156,14 +156,17 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert "-2" not in second
 
 
-def test_threads_byte_identical(tmp_path):
-    outs = []
-    for threads in ("1", "8"):
-        path = tmp_path / f"t{threads}.json"
-        assert run_cli("cps", "generate", "--scheme", "galois:sqrt2", "--window", "1",
-                       "--radius", "10", "--threads", threads, "--json", str(path)) == 0
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
+def test_pisot_certify_cubic_ring_is_usage_error(tmp_path, capsys):
+    # (theta + theta^2)/2 in Q(cbrt 7) is not an algebraic integer; fields of
+    # degree 3 are refused before any membership test can certify it
+    field = tmp_path / "cubic.json"
+    field.write_text(json.dumps({"min_poly": [-7, 0, 0, 1]}))
+    elements = tmp_path / "elements.json"
+    symmetric = [["0", "0", "0"], ["0", "1/2", "1/2"], ["0", "-1/2", "-1/2"]]
+    elements.write_text(json.dumps({"elements": symmetric}))
+    code = run_cli("pisot", "certify", "--ring", f"pvs:{field}:0", "--elements", str(elements))
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_module_entry_point_smoke():

@@ -141,12 +141,6 @@ class TestGaloisPatches:
         singles = {p[0] for p in p1.points}
         assert {(a, b) for a, b in p2.points} == {(a, b) for a in singles for b in singles}
 
-    def test_thread_count_does_not_change_points(self):
-        scheme = cps.GaloisScheme(golden_field())
-        p1 = cps.model_set_patch(scheme, cps.Window.box(1), 20, threads=1)
-        p8 = cps.model_set_patch(scheme, cps.Window.box(1), 20, threads=8)
-        assert p1.points == p8.points
-
     def test_patch_roundtrip_through_dict(self):
         scheme = cps.GaloisScheme(golden_field())
         patch = cps.model_set_patch(scheme, cps.Window.box(1), 6)

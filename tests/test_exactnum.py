@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meyerlab import exactnum as en
-from meyerlab.errors import PrecisionExhausted, UsageError
+from meyerlab.errors import UsageError
 
 # Frozen bracketing constants, verified by squaring (independent of the library):
 #   2.236067977 < sqrt(5) < 2.236067978
@@ -59,9 +61,11 @@ class TestNumberField:
         with pytest.raises(UsageError):
             en.NumberField([6, 0, -5, 0, 1])
 
-    def test_accepts_irreducible_quartic(self):
-        k = en.NumberField([2, 0, 0, 0, 1])  # X^4 + 2, Eisenstein at 2
-        assert k.degree == 4
+    def test_rejects_degree_three_and_four(self):
+        # X^3 - 7 and X^4 + 2 are irreducible, but only Q and quadratic fields exist here
+        for poly in ([-7, 0, 0, 1], [2, 0, 0, 0, 1]):
+            with pytest.raises(UsageError):
+                en.NumberField(poly)
 
     def test_rational_field_degree_one(self):
         q = en.RATIONAL_FIELD
@@ -154,13 +158,16 @@ class TestRealRoots:
         assert roots[0].lo < -SQRT2_LO
         assert roots[0].hi > -SQRT2_HI
 
-    def test_count_matches_sturm_variation_difference(self, golden, sqrt2):
-        for field in (golden, sqrt2, en.NumberField([1, 0, 1]), en.NumberField([2, 0, 0, 0, 1])):
-            chain = en.sturm_chain(field.min_poly_fractions())
-            expected = en.sturm_variations_at_infinity(chain, False) - en.sturm_variations_at_infinity(
-                chain, True
-            )
-            assert field.real_root_count() == expected
+    def test_root_count_follows_discriminant(self, golden, sqrt2):
+        # a quadratic has two real roots iff its discriminant is positive
+        for field, count in (
+            (golden, 2),
+            (sqrt2, 2),
+            (en.NumberField([1, 0, 1]), 0),
+            (en.NumberField([3, 1, 1]), 0),
+            (en.NumberField([-3, 1]), 1),
+        ):
+            assert field.real_root_count() == count
 
     def test_intervals_disjoint_and_ordered(self, golden):
         roots = golden.real_roots()
@@ -209,15 +216,6 @@ class TestEvalEmbedding:
             lo, hi = en.eval_embedding(x, place, bits)
             mid = (lo + hi) / 2
             assert hi - lo <= Fraction(1, 2**bits) * (1 + abs(mid))
-
-    def test_env_overrides_precision_cap(self, golden, monkeypatch):
-        monkeypatch.setenv("MEYERLAB_MAX_PRECISION", "512")
-        assert en.default_max_precision() == 512
-        monkeypatch.setenv("MEYERLAB_MAX_PRECISION", "abc")
-        with pytest.raises(UsageError):
-            en.default_max_precision()
-        monkeypatch.delenv("MEYERLAB_MAX_PRECISION")
-        assert en.default_max_precision() == 256
 
     def test_shrinks_monotonically_and_contains_reference(self, golden):
         place = golden.real_roots()[1]
@@ -269,20 +267,18 @@ class TestCompareAbsToOne:
         place = golden.real_roots()[1]
         assert en.compare_abs_to_one(golden.from_rational(2), place) is en.Cmp.GREATER
 
-    def test_precision_exhaustion_is_finite(self, golden):
-        # theta * F40/F41 is irrational with |sigma(x)| within ~2^-55 of 1;
-        # a 16-bit cap must fail loudly rather than guess
+    def test_near_one_element_is_decided(self, golden):
+        # theta * F40/F41 is irrational with |sigma(x)| within ~2^-55 of 1,
+        # beyond any fixed-width interval test; phi * a/b > 1 iff 5a^2 > (2b - a)^2
         place = golden.real_roots()[1]
         a, b = 1, 1
         for _ in range(39):
             a, b = b, a + b
         x = golden.gen() * Fraction(a, b)
-        with pytest.raises(PrecisionExhausted):
-            en.compare_abs_to_one(x, place, max_precision=16)
-        assert en.compare_abs_to_one(x, place, max_precision=256) in (
-            en.Cmp.LESS,
-            en.Cmp.GREATER,
-        )
+        expected = en.Cmp.GREATER if 5 * a * a > (2 * b - a) ** 2 else en.Cmp.LESS
+        assert en.compare_abs_to_one(x, place) is expected
+        lo, hi = en.eval_embedding(x, place, 512)
+        assert (hi < 1) if expected is en.Cmp.LESS else (lo > 1)
 
     def test_cmp_embedding_boundary_exact(self, golden):
         place = golden.real_roots()[1]
@@ -295,3 +291,50 @@ class TestCompareAbsToOne:
         assert en.abs_embedding_leq(golden.from_rational(-1), place, 1)
         assert en.abs_embedding_leq(golden.gen(), place, 2)
         assert not en.abs_embedding_leq(golden.gen(), place, Fraction(3, 2))
+
+
+class TestSurdSign:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.fractions(min_value=-100, max_value=100, max_denominator=50),
+        q=st.fractions(min_value=-100, max_value=100, max_denominator=50),
+        k=st.integers(0, 30),
+    )
+    def test_matches_perfect_square_roots(self, p, q, k):
+        # for d = k^2 the square root is k, so the sign is known directly
+        value = p + q * k
+        assert en.surd_sign(p, q, k * k) == (value > 0) - (value < 0)
+
+
+PROPERTY_FIELDS = (
+    en.golden_field(),
+    en.sqrt2_field(),
+    en.NumberField([-3, 0, 1]),  # X^2 - 3
+)
+SMALL_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(PROPERTY_FIELDS),
+    root=st.integers(0, 1),
+    a=SMALL_RATIONALS,
+    b=SMALL_RATIONALS,
+    r=SMALL_RATIONALS,
+    offset=st.one_of(st.none(), st.fractions(min_value=-1, max_value=1, max_denominator=2**80)),
+)
+def test_cmp_embedding_agrees_with_every_excluding_interval(field, root, a, b, r, offset):
+    place = field.real_roots()[root]
+    x = field.elem([a, b])
+    if offset is not None:
+        # a comparison point within about 2^-40 of sigma(x)
+        lo, hi = en.eval_embedding(x, place, 40)
+        r = (lo + hi) / 2 + offset / 2**40
+    sign = en.cmp_embedding(x, place, r)
+    for bits in (64, 512):
+        lo, hi = en.eval_embedding(x, place, bits)
+        if hi < r:
+            assert sign == -1
+        elif lo > r:
+            assert sign == 1
+    assert (sign == 0) == (x == r)

@@ -135,13 +135,6 @@ class TestModelSet:
         again = heis.HeisPatch.from_dict(json.loads(json.dumps(patch.to_dict())))
         assert again.points == patch.points
 
-    def test_threads_deterministic(self, f2):
-        scheme = heis.HeisScheme(f2, (1, 1, 2))
-        assert (
-            heis.heis_model_set(scheme, 5, threads=1).points
-            == heis.heis_model_set(scheme, 5, threads=8).points
-        )
-
 
 class TestCoveringCertificate:
     def test_product_window_arithmetic(self, f2):
