@@ -33,6 +33,7 @@ from .exactnum import (
     NumberField,
     RealEmbeddingInterval,
     abs_embedding_leq,
+    embedding_intervals,
     eval_embedding,
     frac_str,
     is_prime,
@@ -222,16 +223,12 @@ def scheme_from_dict(data: dict):
 
 def galois_group_ops(field: NumberField, physical_place: RealEmbeddingInterval, dim: int):
     zero = tuple(field.zero() for _ in range(dim))
-
-    def coord_intervals(point, bits):
-        return [eval_embedding(x, physical_place, bits) for x in point]
-
     return verify.GroupOps(
         mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
         inv=lambda a: tuple(-x for x in a),
         identity=zero,
         sort_key=lambda a: tuple(c for x in a for c in x.coeffs),
-        coord_intervals=coord_intervals,
+        coord_intervals=embedding_intervals(physical_place),
         dim=dim,
         label=f"galois-{dim}d",
     )

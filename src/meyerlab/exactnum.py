@@ -143,10 +143,6 @@ def iv_width(a) -> Fraction:
     return a[1] - a[0]
 
 
-def iv_contains(outer, inner) -> bool:
-    return outer[0] <= inner[0] and inner[1] <= outer[1]
-
-
 # ---------------------------------------------------------------------------
 # Number fields K = Q(theta), power basis coordinates.
 # ---------------------------------------------------------------------------
@@ -567,6 +563,29 @@ def eval_embedding(
         if iv_width(iv) <= Fraction(1, 2**precision_bits) * (1 + abs(mid)):
             return iv
         bits *= 2
+
+
+def embedding_intervals(place: RealEmbeddingInterval):
+    """(elements, bits) -> their eval_embedding intervals at this place.
+
+    Each interval is computed once per (coefficients, bits) and kept in a memo
+    owned by the returned function, so a point set built from a few distinct
+    coordinate values costs a few evaluations.  Elements must lie in the
+    place's field; the memo is keyed by coefficients alone.
+    """
+    memo = {}
+
+    def intervals(elements, bits):
+        out = []
+        for x in elements:
+            key = (x.coeffs, bits)
+            iv = memo.get(key)
+            if iv is None:
+                iv = memo[key] = eval_embedding(x, place, bits)
+            out.append(iv)
+        return out
+
+    return intervals
 
 
 class Cmp(enum.Enum):

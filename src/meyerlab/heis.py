@@ -20,6 +20,7 @@ from .exactnum import (
     NFElem,
     NumberField,
     abs_embedding_leq,
+    embedding_intervals,
     eval_embedding,
     frac_str,
     iv_abs,
@@ -221,19 +222,13 @@ class HeisScheme:
 
 
 def heis_group_ops(field: NumberField, physical_place) -> verify.GroupOps:
-    def coord_intervals(p: HeisPoint, bits):
-        return [
-            eval_embedding(p.x, physical_place, bits),
-            eval_embedding(p.y, physical_place, bits),
-            eval_embedding(p.z, physical_place, bits),
-        ]
-
+    intervals = embedding_intervals(physical_place)
     return verify.GroupOps(
         mul=heis_mul,
         inv=heis_inv,
         identity=heis_identity(field),
         sort_key=lambda p: p.sort_key(),
-        coord_intervals=coord_intervals,
+        coord_intervals=lambda p, bits: intervals((p.x, p.y, p.z), bits),
         dim=3,
         label="heisenberg",
     )
@@ -450,12 +445,13 @@ def heis_covering_certificate(scheme: HeisScheme, grid_mesh=None) -> HeisCoverCe
 
 
 def _central_ops(field: NumberField, physical_place) -> verify.GroupOps:
+    intervals = embedding_intervals(physical_place)
     return verify.GroupOps(
         mul=lambda a, b: a + b,
         inv=lambda a: -a,
         identity=field.zero(),
         sort_key=lambda a: a.coeffs,
-        coord_intervals=lambda a, bits: [eval_embedding(a, physical_place, bits)],
+        coord_intervals=lambda a, bits: intervals((a,), bits),
         dim=1,
         label="heis-centre",
     )
@@ -578,17 +574,15 @@ HULL_CANDIDATES: tuple[tuple[str, tuple[int, ...]], ...] = (
 GROWTH_TOLERANCE = Fraction(11, 10)
 
 
-def _hull_kappa(points, axes, ops: verify.GroupOps, inner: Fraction, mesh: Fraction, bits=64):
+def _hull_kappa(scan: verify.NearestScan, axes, inner: Fraction, mesh: Fraction):
     """Patch bound kappa for one coordinate subgroup: patch->subgroup distance
     plus subgroup-grid->patch distance on the inner ball."""
     off = [i for i in range(3) if i not in axes]
     part1 = Fraction(0)
-    coord_ivs = [ops.coord_intervals(p, bits) for p in points]
-    for ivs in coord_ivs:
+    for ivs in scan.ivs:
         for i in off:
             _, hi = iv_abs(ivs[i])
             part1 = max(part1, hi)
-    scan = verify.NearestScan(coord_ivs)
     part2 = Fraction(0)
     if axes:
         sub_grid = _box_grid(tuple(inner for _ in axes), mesh)
@@ -630,11 +624,15 @@ def schreiber_hull(patch_small: HeisPatch, patch_large: HeisPatch) -> HullReport
     inner_large = patch_large.radius / 2
     # one fixed mesh for both radii so the stabilisation comparison is clean
     mesh = inner_small / 2
+    scan_small, scan_large = (
+        verify.NearestScan([ops.coord_intervals(p, 64) for p in patch.points])
+        for patch in (patch_small, patch_large)
+    )
     table = {}
     chosen = None
     for name, axes in sorted(HULL_CANDIDATES, key=lambda c: (len(c[1]), c[0])):
-        k1 = _hull_kappa(patch_small.points, axes, ops, inner_small, mesh)
-        k2 = _hull_kappa(patch_large.points, axes, ops, inner_large, mesh)
+        k1 = _hull_kappa(scan_small, axes, inner_small, mesh)
+        k2 = _hull_kappa(scan_large, axes, inner_large, mesh)
         table[name] = (k1, k2)
         # grid quantisation can move kappa by up to one mesh cell, so the
         # stabilisation test allows that additive noise on top of the factor

@@ -10,6 +10,7 @@ exactly so every number here can be re-derived.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -90,16 +91,24 @@ def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
     """Certified lower bound on the minimal pairwise sup-distance, with witness.
 
     The bound is tight to the working interval width and exact for rational
-    coordinates.  Distinct points are required.
+    coordinates.  Distinct points are required.  Points are swept in order of
+    the lower end of their first coordinate interval; a point's scan stops at
+    the first later point whose first-coordinate gap alone exceeds the best
+    bound so far, since that gap bounds the pair's distance from below.  The
+    witness is the first minimising pair (i < j) in input order.
     """
     pts = list(points)
     if len(pts) < 2:
         raise UsageError("min_separation needs at least 2 points")
     coord_ivs = [ops.coord_intervals(p, bits) for p in pts]
+    order = sorted(range(len(pts)), key=lambda i: coord_ivs[i][0][0])
     best_lo = None
     witness = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
+    for a, i in enumerate(order):
+        hi_i = coord_ivs[i][0][1]
+        for j in order[a + 1:]:
+            if best_lo is not None and coord_ivs[j][0][0] - hi_i > best_lo:
+                break
             lo, _hi = _dist_interval_from_coords(coord_ivs[i], coord_ivs[j])
             b = bits
             while lo <= 0 and b < 4096:
@@ -109,10 +118,10 @@ def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
                 )
             if lo <= 0:
                 raise UsageError("duplicate points in patch")
-            if best_lo is None or lo < best_lo:
-                best_lo = lo
-                witness = (pts[i], pts[j])
-    return best_lo, witness
+            pair = (min(i, j), max(i, j))
+            if best_lo is None or lo < best_lo or (lo == best_lo and pair < witness):
+                best_lo, witness = lo, pair
+    return best_lo, (pts[witness[0]], pts[witness[1]])
 
 
 def _grid_1d(radius: Fraction, mesh: Fraction) -> list[Fraction]:
@@ -134,7 +143,11 @@ def _grid(radius: Fraction, mesh: Fraction, dim: int):
 class NearestScan:
     """Certified upper bounds on distance-to-point-set with float preselection.
 
-    Floats only pick the candidate point (deterministically); the returned
+    Floats only pick the candidate point: the lowest index among the points
+    at minimal float sup-distance from the target.  The points are sorted by
+    their first float coordinate once; a query bisects to the target and walks
+    outward in both directions, ending a direction once the first-coordinate
+    gap alone is strictly greater than the best distance so far.  The returned
     bound is the exact rational interval bound through that candidate, hence
     always a sound upper bound on the true distance.
     """
@@ -144,18 +157,29 @@ class NearestScan:
         self.mids = [
             tuple(float(lo + hi) / 2.0 for lo, hi in ivs) for ivs in self.ivs
         ]
+        self.order = sorted(range(len(self.mids)), key=lambda i: self.mids[i][0])
+        self.firsts = [self.mids[i][0] for i in self.order]
 
     def __bool__(self):
         return bool(self.ivs)
 
     def nearest_index(self, grid_point) -> int:
         gm = tuple(float(x) for x in grid_point)
+        g0 = gm[0]
+        firsts = self.firsts
+        start = bisect_left(firsts, g0)
         best_i = 0
         best_d = None
-        for i, mid in enumerate(self.mids):
-            d = max(abs(a - b) for a, b in zip(mid, gm))
-            if best_d is None or d < best_d:
-                best_d, best_i = d, i
+        for ks in (range(start, len(firsts)), range(start - 1, -1, -1)):
+            for k in ks:
+                # the gap is the first term of the float distance of every
+                # point further along, and grows monotonically
+                if best_d is not None and abs(firsts[k] - g0) > best_d:
+                    break
+                i = self.order[k]
+                d = max(abs(a - b) for a, b in zip(self.mids[i], gm))
+                if best_d is None or d < best_d or (d == best_d and i < best_i):
+                    best_d, best_i = d, i
         return best_i
 
     def dist_hi(self, grid_point) -> Fraction:
@@ -166,12 +190,6 @@ class NearestScan:
             if dhi > out:
                 out = dhi
         return out
-
-
-def _nearest_distance_hi(grid_point, coord_ivs_list) -> Fraction:
-    if not isinstance(coord_ivs_list, NearestScan):
-        coord_ivs_list = NearestScan(coord_ivs_list)
-    return coord_ivs_list.dist_hi(grid_point)
 
 
 @dataclass(frozen=True)

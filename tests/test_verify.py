@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from meyerlab import cps, verify
+from meyerlab import cps, exactnum, heis, verify
 from meyerlab.errors import UsageError
-from meyerlab.exactnum import golden_field
+from meyerlab.exactnum import golden_field, sqrt2_field
 
 
 def frac_points(values):
@@ -51,6 +53,151 @@ class TestMinSeparation:
     def test_needs_two_points(self):
         with pytest.raises(UsageError):
             verify.min_separation([Fraction(0)], line_ops())
+
+
+def linear_nearest_index(scan, grid_point):
+    """Reference: first index at minimal float sup-distance, by a full scan."""
+    gm = tuple(float(x) for x in grid_point)
+    best_i, best_d = 0, None
+    for i, mid in enumerate(scan.mids):
+        d = max(abs(a - b) for a, b in zip(mid, gm))
+        if best_d is None or d < best_d:
+            best_d, best_i = d, i
+    return best_i
+
+
+def all_pairs_min_separation(points, ops, bits=128):
+    """Reference: every pair in input order, first minimising pair wins."""
+    pts = list(points)
+    ivs = [ops.coord_intervals(p, bits) for p in pts]
+    best, witness = None, None
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            lo = max(exactnum.iv_abs(exactnum.iv_sub(a, b))[0] for a, b in zip(ivs[i], ivs[j]))
+            assert lo > 0
+            if best is None or lo < best:
+                best, witness = lo, (pts[i], pts[j])
+    return best, witness
+
+
+# Half-integer coordinates repeat often; quarter-integer queries fall halfway
+# between them, so equal float distances (ties) are common.
+HALVES = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+QUARTERS = st.integers(-10, 10).map(lambda k: Fraction(k, 4))
+WIDTHS = st.sampled_from([Fraction(0), Fraction(1, 8)])
+
+
+def interval_points(dim):
+    coord = st.tuples(HALVES, WIDTHS).map(lambda vw: (vw[0] - vw[1], vw[0] + vw[1]))
+    return st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=30)
+
+
+class TestNearestScan:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 3]), data=st.data())
+    def test_matches_linear_scan(self, dim, data):
+        scan = verify.NearestScan(data.draw(interval_points(dim)))
+        for g in data.draw(st.lists(st.tuples(*[QUARTERS] * dim), min_size=1, max_size=10)):
+            assert scan.nearest_index(g) == linear_nearest_index(scan, g)
+
+    @pytest.mark.parametrize(
+        "points, query, expected",
+        [
+            # equidistant on both sides: the lower index wins, not the lower coordinate
+            ([(2,), (0,)], (1,), 0),
+            ([(0,), (2,)], (1,), 0),
+            # equal first coordinates, tie decided by the other coordinates
+            ([(0, 1, 0), (0, -1, 0), (0, 1, 0)], (0, 0, 0), 0),
+            ([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], (0, 0, 0), 0),
+            ([(3, 0, 0), (1, 0, 0), (-1, 0, 0)], (0, 0, 0), 1),
+        ],
+    )
+    def test_ties_pick_lowest_index(self, points, query, expected):
+        scan = verify.NearestScan([[(Fraction(v), Fraction(v)) for v in p] for p in points])
+        assert scan.nearest_index(query) == expected == linear_nearest_index(scan, query)
+
+
+class TestMinSeparationSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.sets(st.integers(-20, 20), min_size=2, max_size=25).flatmap(
+            lambda vs: st.permutations(sorted(vs))
+        ),
+        scale=st.sampled_from([Fraction(1), Fraction(1, 3)]),
+    )
+    @example(values=[3, 2, 1, 0], scale=Fraction(1))
+    def test_rational_line_matches_all_pairs(self, values, scale):
+        # consecutive integers give many equal gaps, so the witness tie-break matters
+        pts = [scale * v for v in values]
+        ops = line_ops()
+        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+
+    def test_equal_gaps_witness_is_first_pair_in_input_order(self):
+        pts = frac_points([6, 0, 4, 2, 3])
+        assert verify.min_separation(pts, line_ops()) == (1, (Fraction(4), Fraction(3)))
+        pts = frac_points([9, 5, 3, 1, 7])
+        assert verify.min_separation(pts, line_ops()) == (2, (Fraction(9), Fraction(7)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_golden_patches_match_all_pairs(self, seed):
+        rng = random.Random(seed)
+        golden = golden_field()
+        patches = [
+            fib_patch(10),
+            cps.model_set_patch(cps.GaloisScheme(golden, dim=2), cps.Window.box(1, 1), 3),
+            heis.heis_model_set(heis.HeisScheme(golden, (1, 1, 1)), 2),
+        ]
+        for patch in patches:
+            pts = list(patch.points)
+            rng.shuffle(pts)
+            ops = patch.group_ops()
+            assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+
+    def test_duplicate_points_rejected(self):
+        with pytest.raises(UsageError, match="duplicate"):
+            verify.min_separation(frac_points([3, 0, 7, 0]), line_ops())
+
+
+class TestMemoisedIntervals:
+    def _cases(self):
+        golden, f2 = golden_field(), sqrt2_field()
+        hscheme = heis.HeisScheme(f2, (1, 1, 1))
+        gscheme = cps.GaloisScheme(golden, dim=2)
+        hpoints = heis.heis_model_set(hscheme, 2).points
+        gpoints = cps.model_set_patch(gscheme, cps.Window.box(1, 1), 3).points
+        return [
+            (hscheme.group_ops, hscheme.physical_place, hpoints, lambda p: (p.x, p.y, p.z)),
+            (gscheme.group_ops, gscheme.physical_place, gpoints, tuple),
+        ]
+
+    @pytest.mark.parametrize("bits", [64, 96, 128])
+    def test_equal_eval_embedding(self, bits):
+        for make_ops, place, points, coords in self._cases():
+            ops = make_ops()
+            for _ in range(2):  # second round is served from the memo
+                for p in points:
+                    expected = [exactnum.eval_embedding(x, place, bits) for x in coords(p)]
+                    assert ops.coord_intervals(p, bits) == expected
+
+    def test_separately_built_ops_share_no_memo(self, monkeypatch):
+        calls = []
+        original = exactnum.eval_embedding
+
+        def counting(x, place, bits):
+            calls.append(x)
+            return original(x, place, bits)
+
+        monkeypatch.setattr(exactnum, "eval_embedding", counting)
+        for make_ops, _place, points, coords in self._cases():
+            p = points[-1]
+            distinct = len({x.coeffs for x in coords(p)})
+            first, second = make_ops(), make_ops()
+            del calls[:]
+            first.coord_intervals(p, 64)
+            first.coord_intervals(p, 64)
+            assert len(calls) == distinct
+            second.coord_intervals(p, 64)
+            assert len(calls) == 2 * distinct
 
 
 class TestCoveringRadius:
