@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import Callable
 
 from . import cps, heis, places, serialize, verify
 from .errors import (
@@ -167,16 +168,17 @@ def _require(args, *names):
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _emit(args, data: dict | None, csv_text: str | None, summary: str) -> None:
+def _emit(args, data: dict | None, csv: Callable[[], str] | None, summary: str) -> None:
+    """Write the JSON artifact and the CSV; `csv` is called only if the CSV is written."""
     wrote = False
     if data is not None and getattr(args, "json", None):
         serialize.save_json(args.json, data)
         wrote = True
-    if csv_text is not None and getattr(args, "out", None):
-        serialize.write_text_atomic(args.out, csv_text)
+    if csv is not None and getattr(args, "out", None):
+        serialize.write_text_atomic(args.out, csv())
         wrote = True
-    if not wrote and csv_text is not None:
-        sys.stdout.write(csv_text)
+    if not wrote and csv is not None:
+        sys.stdout.write(csv())
     print(summary)
 
 
@@ -193,7 +195,7 @@ def cmd_cps_generate(args) -> int:
     _emit(
         args,
         patch.to_dict(),
-        serialize.patch_to_csv(patch),
+        lambda: serialize.patch_to_csv(patch),
         f"patch: {len(patch.points)} points",
     )
     return EXIT_OK
@@ -258,7 +260,12 @@ def cmd_heis_generate(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius")
     patch = heis.heis_model_set(scheme, str_frac(args.radius))
-    _emit(args, patch.to_dict(), serialize.patch_to_csv(patch), f"patch: {len(patch.points)} points")
+    _emit(
+        args,
+        patch.to_dict(),
+        lambda: serialize.patch_to_csv(patch),
+        f"patch: {len(patch.points)} points",
+    )
     return EXIT_OK
 
 
@@ -372,7 +379,12 @@ def cmd_pisot_enumerate(args) -> int:
         scheme = cps.GaloisScheme(ring.field, physical_root_index=ring.s_arch_indices[0])
         window = cps.Window.box(str_frac(args.window) if args.window else Fraction(1))
         patch = cps.model_set_patch(scheme, window, radius)
-    _emit(args, patch.to_dict(), serialize.patch_to_csv(patch), f"{len(patch.points)} ring points")
+    _emit(
+        args,
+        patch.to_dict(),
+        lambda: serialize.patch_to_csv(patch),
+        f"{len(patch.points)} ring points",
+    )
     return EXIT_OK
 
 
@@ -460,7 +472,7 @@ def cmd_verify_cover(args) -> int:
     if cover is None:
         print(f"cover infeasible under translate cap; witness = {witness!r}")
         return EXIT_NEGATIVE
-    kind = "heis" if isinstance(pa, heis.HeisPatch) else pa.scheme.kind
+    kind = pa.scheme.kind
     data = {"type": "patch_cover", "kind": kind} | serialize.greedy_cover_to_dict(cover, kind)
     data["patch_a"] = pa.to_dict()
     data["patch_b"] = pb.to_dict()

@@ -293,8 +293,10 @@ def enumerate_window_elements(
     """All x in Z[theta] with |sigma_phys(x)| <= R and |sigma_int(x)| <= c.
 
     The two linear constraints cut an exact parallelogram in (a, b); its
-    bounding box is derived from certified root bounds and every integer point
-    is filtered exactly, so the result is provably complete.
+    bounding box is derived from certified root bounds.  Each row b is then
+    narrowed to the a with a + b*t inside [-bound, bound] for some t in the
+    place's interval, for both constraints, and every integer point of the
+    row is filtered exactly, so the result is provably complete.
     """
     R = Fraction(physical_radius)
     c = Fraction(internal_halfwidth)
@@ -317,7 +319,13 @@ def enumerate_window_elements(
 
     found = []
     for b in range(-b_max, b_max + 1):
-        for a in range(-a_max, a_max + 1):
+        a_lo, a_hi = -a_max, a_max
+        for place, bound in ((p1, R), (p2, c)):
+            # sigma(a + b*theta) = a + b*sigma(theta), and sigma(theta) lies in (lo, hi)
+            m, M = sorted((b * place.lo, b * place.hi))
+            a_lo = max(a_lo, math.ceil(-bound - M))
+            a_hi = min(a_hi, math.floor(bound - m))
+        for a in range(a_lo, a_hi + 1):
             x = field.elem([a, b])
             if abs_embedding_leq(x, p2, c) and abs_embedding_leq(x, p1, R):
                 found.append(x)
@@ -415,6 +423,15 @@ class DimCover:
         return covered >= self.target_hi
 
     def replay(self, internal_place: RealEmbeddingInterval) -> bool:
+        """Check the tiles and their chain; every translate must lie in Z[theta].
+
+        Each claimed tile must belong to one translate, since the chain is
+        built from the claimed tiles alone.
+        """
+        if len(self.claimed) != len(self.elements):
+            return False
+        if any(c.denominator != 1 for elem in self.elements for c in elem.coeffs):
+            return False
         for elem, (clo, chi) in zip(self.elements, self.claimed):
             lo, hi = eval_embedding(elem, internal_place, self.precision_bits)
             if clo < hi - self.tile_halfwidth or chi > lo + self.tile_halfwidth:

@@ -52,7 +52,7 @@ def load_json(path: str):
 
 def patch_to_csv(patch) -> str:
     out = io.StringIO()
-    if isinstance(patch, heis.HeisPatch):
+    if patch.scheme.kind == "heis":
         out.write("x_c0,x_c1,y_c0,y_c1,z_c0,z_c1\n")
         for p in patch.points:
             row = [frac_str(c) for coord in (p.x, p.y, p.z) for c in coord.coeffs]
@@ -226,9 +226,8 @@ def _replay_approximate_lattice(data) -> tuple[bool, str]:
 
 
 def _replay_delone(data) -> tuple[bool, str]:
-    # recompute only when the source patch is embedded
     if "patch" not in data:
-        return True, "standalone report (values carried verbatim)"
+        return False, "no embedded patch: the report cannot be checked"
     src = data["patch"]
     if src.get("type") == "heis_patch":
         patch = heis.HeisPatch.from_dict(src)

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
 
-from meyerlab import cli
+from meyerlab import cli, serialize
 
 
 def run_cli(*argv):
@@ -186,3 +188,88 @@ def test_verify_delone_consumes_csv(tmp_path):
     code = run_cli("verify", "delone", "--patch", str(csv_path), "--scheme", "zs:2",
                    "--window", "0", "--radius", "6", "--inner", "3")
     assert code == 0
+
+
+def test_replay_rejects_translates_off_the_lattice(tmp_path, capsys):
+    json_path = tmp_path / "cert.json"
+    assert run_cli("cps", "certify", "--scheme", "galois:golden", "--window", "1",
+                   "--radius", "12", "--json", str(json_path)) == 0
+    data = json.loads(json_path.read_text())
+    dim = data["cover"]["dim_covers"][0]
+    c = Fraction(dim["tile_halfwidth"])
+    ts = [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+    dim["elements"] = [[str(t), "0"] for t in ts]
+    dim["claimed"] = [[str(t - c), str(t + c)] for t in ts]
+    tampered = tmp_path / "offgrid.json"
+    tampered.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(tampered)) == 2
+    assert "replay FAILED" in capsys.readouterr().out
+
+
+def test_replay_rejects_delone_report_without_data(tmp_path, capsys):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"type": "delone_report", "min_separation": "1000", "delone": True}))
+    assert run_cli("verify", "replay", str(bare)) == 2
+    assert "no embedded patch" in capsys.readouterr().out
+
+
+def test_csv_is_built_only_when_written(tmp_path, monkeypatch):
+    def refuse(patch):
+        raise AssertionError("CSV built but not written")
+
+    monkeypatch.setattr(serialize, "patch_to_csv", refuse)
+    json_path = tmp_path / "patch.json"
+    assert run_cli("cps", "generate", "--scheme", "galois:golden", "--window", "1",
+                   "--radius", "6", "--json", str(json_path)) == 0
+    assert run_cli("heis", "generate", "--field", "golden", "--window", "1,1,1",
+                   "--radius", "3", "--json", str(json_path)) == 0
+    assert run_cli("pisot", "enumerate", "--ring", "pvs:golden", "--radius", "6",
+                   "--json", str(json_path)) == 0
+
+
+# one function per submodule that the traced benchmark child wraps
+LAZY_SUBMODULES = {
+    "exactnum": "abs_embedding_leq",
+    "verify": "min_separation",
+    "cps": "enumerate_window_elements",
+    "heis": "heis_model_set",
+    "places": "s_integer_membership",
+    "serialize": "replay",
+}
+
+
+def _run_python(script, *argv):
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cps_generate_leaves_unused_submodules_unexecuted(tmp_path):
+    script = """
+        import sys, types
+        from meyerlab import cli
+        assert cli.run(sys.argv[1:]) == 0
+        executed = {n for n, m in sys.modules.items() if type(m) is types.ModuleType}
+        print(sorted(n for n in sys.modules if n.startswith("meyerlab.") and n not in executed))
+    """
+    out = _run_python(script, "cps", "generate", "--scheme", "galois:golden", "--window", "1",
+                      "--radius", "6", "--json", str(tmp_path / "patch.json"))
+    assert out.splitlines()[-1] == "['meyerlab.heis', 'meyerlab.places', 'meyerlab.verify']"
+
+
+def test_every_submodule_is_registered_after_importing_cli():
+    # the traced benchmark child imports meyerlab.cli, then reads
+    # sys.modules["meyerlab.<name>"] and wraps functions found through vars()
+    script = f"""
+        import sys, types
+        import meyerlab, meyerlab.cli
+        for name, attr in {LAZY_SUBMODULES!r}.items():
+            module = sys.modules["meyerlab." + name]
+            assert getattr(meyerlab, name) is module, name
+            assert vars(module)[attr].__module__ == module.__name__, name
+            assert type(module) is types.ModuleType, name
+        print("ok")
+    """
+    assert _run_python(script).splitlines()[-1] == "ok"

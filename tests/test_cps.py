@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meyerlab import cps, verify
 from meyerlab.errors import ResourceLimit, UnsupportedSubgroup, UsageError
@@ -55,6 +57,46 @@ def brute_force_quadratic_patch(name, phys_R, int_c, span=400):
             if all(decisions):
                 out.append((a, b))
     return sorted(out)
+
+
+def _surd_sign(u, v, d):
+    """Sign of u + v*sqrt(d) for integers u, v and a non-square d > 0."""
+    if u >= 0 and v >= 0:
+        return int(u > 0 or v > 0)
+    if u <= 0 and v <= 0:
+        return -1
+    return (1 if u > 0 else -1) * (1 if u * u > v * v * d else -1)
+
+
+def full_box_window_elements(field, physical_place, internal_place, R, c):
+    """Reference: every (a, b) of the whole coefficient box, decided in integers.
+
+    The box is the one `enumerate_window_elements` derives from its 96-bit
+    places; returns (sorted (a, b) pairs with |sigma(a + b*theta)| within both
+    bounds, number of candidates in the box)."""
+    R, c = Fraction(R), Fraction(c)
+    p1, p2 = physical_place.refined(96), internal_place.refined(96)
+    gap_lo = max(p2.lo - p1.hi, p1.lo - p2.hi)
+    t1_abs = max(abs(p1.lo), abs(p1.hi))
+    t2_abs = max(abs(p2.lo), abs(p2.hi))
+    b_max = math.floor((R + c) / gap_lo)
+    a_max = math.floor((R * t2_abs + c * t1_abs) / gap_lo)
+    m0, m1, _ = field.min_poly  # theta = (-m1 +- sqrt(disc)) / 2, roots ascending
+    disc = m1 * m1 - 4 * m0
+
+    def inside(a, b, place, bound):
+        # 2d * sigma(a + b*theta) = d*(2a - b*m1) +- d*b*sqrt(disc), bound = n/d
+        n, d = bound.numerator, bound.denominator
+        u, v = d * (2 * a - b * m1), (1 if place.root_index else -1) * d * b
+        return _surd_sign(u - 2 * n, v, disc) <= 0 and _surd_sign(u + 2 * n, v, disc) >= 0
+
+    found = [
+        (a, b)
+        for b in range(-b_max, b_max + 1)
+        for a in range(-a_max, a_max + 1)
+        if inside(a, b, internal_place, c) and inside(a, b, physical_place, R)
+    ]
+    return sorted(found), (2 * a_max + 1) * (2 * b_max + 1)
 
 
 def patch_coeffs(patch):
@@ -147,6 +189,58 @@ class TestGaloisPatches:
         again = cps.Patch.from_dict(json.loads(json.dumps(patch.to_dict())))
         assert again.points == patch.points
         assert again.radius == patch.radius
+
+
+def _small_fraction(top):
+    return st.integers(1, 4).flatmap(
+        lambda d: st.integers(0, top * d).map(lambda n: Fraction(n, d))
+    )
+
+
+class TestRowWiseEnumeration:
+    FIELDS = {"golden": golden_field, "sqrt2": sqrt2_field}
+
+    def _places(self, name, root_index):
+        scheme = cps.GaloisScheme(self.FIELDS[name](), physical_root_index=root_index)
+        return scheme.field, scheme.physical_place, scheme.internal_place
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FIELDS)),
+        root_index=st.sampled_from([0, 1]),
+        R=_small_fraction(400),
+        c=_small_fraction(40),
+    )
+    @example(name="golden", root_index=1, R=Fraction(400), c=Fraction(1))
+    @example(name="sqrt2", root_index=1, R=Fraction(10), c=Fraction(40))
+    @example(name="sqrt2", root_index=0, R=Fraction(7, 2), c=Fraction(3))
+    @example(name="golden", root_index=0, R=Fraction(0), c=Fraction(0))
+    def test_matches_full_box_reference(self, name, root_index, R, c):
+        field, phys, internal = self._places(name, root_index)
+        got = cps.enumerate_window_elements(field, phys, internal, R, c)
+        expected, _ = full_box_window_elements(field, phys, internal, R, c)
+        assert [tuple(int(v) for v in x.coeffs) for x in got] == expected
+
+    @pytest.mark.parametrize("name", ["golden", "sqrt2"])
+    @pytest.mark.parametrize("root_index", [0, 1])
+    def test_boundary_and_negative_rows(self, name, root_index):
+        # integral c puts a = +-c, b = 0 exactly on the window edge, and the
+        # patch is symmetric, so rows with negative b hold half the points
+        field, phys, internal = self._places(name, root_index)
+        got = [tuple(int(v) for v in x.coeffs) for x in
+               cps.enumerate_window_elements(field, phys, internal, 30, 3)]
+        assert (3, 0) in got and (-3, 0) in got
+        assert sum(1 for _, b in got if b < 0) == sum(1 for _, b in got if b > 0) > 0
+        assert got == full_box_window_elements(field, phys, internal, 30, 3)[0]
+
+    @pytest.mark.parametrize("name", ["golden", "sqrt2"])
+    def test_resource_limit_at_the_same_box_count(self, name):
+        field, phys, internal = self._places(name, 1)
+        expected, count = full_box_window_elements(field, phys, internal, 50, 2)
+        got = cps.enumerate_window_elements(field, phys, internal, 50, 2, candidate_limit=count)
+        assert [tuple(int(v) for v in x.coeffs) for x in got] == expected
+        with pytest.raises(ResourceLimit, match=f"holds {count} candidates"):
+            cps.enumerate_window_elements(field, phys, internal, 50, 2, candidate_limit=count - 1)
 
 
 class TestWindowAlgebra:
@@ -246,6 +340,28 @@ class TestGlobalCovering:
         data = cert.to_dict()
         data["dim_covers"][0]["claimed"] = data["dim_covers"][0]["claimed"][:1]
         data["dim_covers"][0]["elements"] = data["dim_covers"][0]["elements"][:1]
+        assert not cps.GlobalCoverCertificate.from_dict(data).replay()
+
+    def test_translates_off_the_lattice_fail_replay(self):
+        # exact tiles around +-1/2, +-3/2 cover [-2, 2], but no such t is in Z[theta]
+        scheme = cps.GaloisScheme(golden_field())
+        cert = cps.global_covering_certificate(scheme, cps.Window.box(2), cps.Window.box(1))
+        data = cert.to_dict()
+        ts = [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+        dim = data["dim_covers"][0]
+        dim["elements"] = [[str(t), "0"] for t in ts]
+        dim["claimed"] = [[str(t - 1), str(t + 1)] for t in ts]
+        tampered = cps.GlobalCoverCertificate.from_dict(data)
+        assert tampered.dim_covers[0].chain_covers()
+        assert not tampered.replay()
+
+    def test_claimed_tile_without_translate_fails_replay(self):
+        scheme = cps.GaloisScheme(golden_field())
+        cert = cps.global_covering_certificate(scheme, cps.Window.box(2), cps.Window.box(1))
+        data = cert.to_dict()
+        dim = data["dim_covers"][0]
+        dim["elements"] = dim["elements"][:1]
+        dim["claimed"] = dim["claimed"][:1] + [["-2", "2"]]
         assert not cps.GlobalCoverCertificate.from_dict(data).replay()
 
     @pytest.mark.parametrize("radius", [5, 10, 20])
