@@ -282,6 +282,12 @@ class Patch:
         return Patch(scheme, window, radius, points)
 
 
+def _floor_surd(p: int, q: int, d: int, s: int) -> int:
+    """floor((p + q*sqrt(d)) / s) for integers, s > 0 and d not a perfect square."""
+    r = math.isqrt(q * q * d)  # floor(|q|*sqrt(d)), which is irrational for q != 0
+    return (p + (r if q >= 0 else -r - 1)) // s
+
+
 def enumerate_window_elements(
     field: NumberField,
     physical_place: RealEmbeddingInterval,
@@ -293,10 +299,10 @@ def enumerate_window_elements(
     """All x in Z[theta] with |sigma_phys(x)| <= R and |sigma_int(x)| <= c.
 
     The two linear constraints cut an exact parallelogram in (a, b); its
-    bounding box is derived from certified root bounds.  Each row b is then
-    narrowed to the a with a + b*t inside [-bound, bound] for some t in the
-    place's interval, for both constraints, and every integer point of the
-    row is filtered exactly, so the result is provably complete.
+    bounding box is derived from certified root bounds and caps the work.
+    Each row b is the integer range of a with |a + b*sigma(theta)| <= bound
+    for both places; sigma(theta) = (-c1 +- sqrt(disc))/2, so the range's end
+    points are exact floors of surds, computed with math.isqrt.
     """
     R = Fraction(physical_radius)
     c = Fraction(internal_halfwidth)
@@ -317,20 +323,19 @@ def enumerate_window_elements(
             f"coefficient box holds {count} candidates, above the limit {candidate_limit}"
         )
 
+    c1, disc = field.min_poly[1], field.disc
     found = []
     for b in range(-b_max, b_max + 1):
         a_lo, a_hi = -a_max, a_max
-        for place, bound in ((p1, R), (p2, c)):
-            # sigma(a + b*theta) = a + b*sigma(theta), and sigma(theta) lies in (lo, hi)
-            m, M = sorted((b * place.lo, b * place.hi))
-            a_lo = max(a_lo, math.ceil(-bound - M))
-            a_hi = min(a_hi, math.floor(bound - m))
-        for a in range(a_lo, a_hi + 1):
-            x = field.elem([a, b])
-            if abs_embedding_leq(x, p2, c) and abs_embedding_leq(x, p1, R):
-                found.append(x)
-    found.sort(key=lambda x: x.coeffs)
-    return found
+        for place, bound in ((physical_place, R), (internal_place, c)):
+            # -n/m <= a + b*(-c1 + sign*sqrt(disc))/2 <= n/m, multiplied by 2m
+            n, m = bound.numerator, bound.denominator
+            q = m * b if place.root_index else -m * b
+            a_lo = max(a_lo, -_floor_surd(2 * n - m * b * c1, q, disc, 2 * m))
+            a_hi = min(a_hi, _floor_surd(2 * n + m * b * c1, -q, disc, 2 * m))
+        found.extend((a, b) for a in range(a_lo, a_hi + 1))
+    found.sort()
+    return [NFElem(field, a, b) for a, b in found]
 
 
 def model_set_patch(

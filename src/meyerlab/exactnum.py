@@ -1,9 +1,11 @@
 """Exact arithmetic over Q and real quadratic fields.
 
-Everything here is built on arbitrary-precision rationals: polynomial
-arithmetic, exact signs of p + q*sqrt(D), isolating intervals for real roots,
-interval evaluation of real embeddings, and exact p-adic valuations on Q.  No
-float ever enters a value that feeds a certificate.
+A field element is stored as integers (a + b*theta)/den, so products,
+inverses, traces and norms are closed forms in integers.  Every real
+embedding value is (u + v*sqrt(disc))/s with integers u, v, s, so comparing
+it with a rational is decided by squaring in integers.  Rational intervals
+enclose embedding values for the metric layer, and p-adic valuations on Q
+are exact.  No float ever enters a value that feeds a certificate.
 """
 
 from __future__ import annotations
@@ -16,77 +18,20 @@ from typing import Sequence
 
 from .errors import UsageError
 
-# Canonical exact rational type.  fractions.Fraction already maintains
-# gcd(|num|, den) = 1 and den >= 1, which is the full Rational contract.
-Rational = Fraction
 
 def frac_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
 def str_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
-# ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q: tuple of Fractions, low degree first.
-# ---------------------------------------------------------------------------
-
-
-def poly_trim(cs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_deg(cs: Sequence[Fraction]) -> int:
-    return len(cs) - 1
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly_trim(out)
-
-
-def poly_divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and poly_trim(a):
-        a = list(poly_trim(a))
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        coeff = a[-1] / lead
-        q[shift] = coeff
-        for i, cb in enumerate(b):
-            a[shift + i] -= coeff * cb
-        a.pop()
-    return poly_trim(q), poly_trim(a)
+    try:
+        return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational number: {s!r}") from exc
 
 
 def poly_eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Value at x of the polynomial with coefficients cs, low degree first."""
     acc = Fraction(0)
     for c in reversed(cs):
         acc = acc * x + c
@@ -94,7 +39,7 @@ def poly_eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
 
 
 def surd_sign(p, q, d: int) -> int:
-    """Exact sign of p + q*sqrt(d) for rationals p, q and an integer d >= 0."""
+    """Exact sign of p + q*sqrt(d) for rationals (or integers) p, q and an integer d >= 0."""
     sp = (p > 0) - (p < 0)
     sq = (q > 0) - (q < 0)
     if sq == 0 or sp == sq or d == 0:
@@ -102,7 +47,6 @@ def surd_sign(p, q, d: int) -> int:
     if sp == 0:
         return sq
     # opposite signs: compare p^2 with q^2 * d, cleared of denominators
-    p, q = Fraction(p), Fraction(q)
     lhs = (p.numerator * q.denominator) ** 2
     rhs = (q.numerator * p.denominator) ** 2 * d
     return sp if lhs > rhs else sq if lhs < rhs else 0
@@ -125,11 +69,6 @@ def iv_sub(a, b):
     return iv_add(a, iv_neg(b))
 
 
-def iv_mul(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(ps), max(ps))
-
-
 def iv_abs(a):
     lo, hi = a
     if lo >= 0:
@@ -137,10 +76,6 @@ def iv_abs(a):
     if hi <= 0:
         return (-hi, -lo)
     return (Fraction(0), max(-lo, hi))
-
-
-def iv_width(a) -> Fraction:
-    return a[1] - a[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +97,8 @@ class NumberField:
     Coordinates are always in the power basis 1, theta.  The rationals are the
     degree-1 field with minimal polynomial X.  For X^2 + c1*X + c0 the roots
     are (-c1 -+ sqrt(disc)) / 2 with disc = c1^2 - 4*c0, so every embedding
-    value is p + q*sqrt(disc) and every comparison is decided by `surd_sign`.
+    value is (u + v*sqrt(disc))/s in integers and every comparison is decided
+    by `surd_sign`.
     """
 
     def __init__(self, min_poly: Sequence[int], name: str | None = None):
@@ -205,25 +141,30 @@ class NumberField:
         return tuple(Fraction(c) for c in self.min_poly)
 
     def elem(self, coeffs) -> "NFElem":
+        """The element with power-basis coordinates `coeffs` (missing ones are 0)."""
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise UsageError("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return NFElem(self, tuple(cs))
+        a, b = cs + [Fraction(0)] * (2 - len(cs))
+        den = math.lcm(a.denominator, b.denominator)
+        return NFElem(
+            self, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        )
 
     def zero(self) -> "NFElem":
-        return self.elem([])
+        return NFElem(self, 0)
 
     def one(self) -> "NFElem":
-        return self.elem([1])
+        return NFElem(self, 1)
 
     def gen(self) -> "NFElem":
         if self.degree == 1:
-            return self.elem([-self.min_poly[0]])
-        return self.elem([0, 1])
+            return NFElem(self, -self.min_poly[0])
+        return NFElem(self, 0, 1)
 
     def from_rational(self, q) -> "NFElem":
-        return self.elem([Fraction(q)])
+        q = Fraction(q)
+        return NFElem(self, q.numerator, 0, q.denominator)
 
     def real_roots(self) -> list["RealEmbeddingInterval"]:
         """Isolating intervals for the real roots, ascending, pairwise disjoint."""
@@ -365,20 +306,43 @@ def _isolate_real_roots(field: NumberField) -> list[RealEmbeddingInterval]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NFElem:
-    """Element of a number field in power-basis coordinates; fully exact."""
+    """Element (a + b*theta)/den of a number field, stored as integers.
 
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    The representation is unique: den >= 1, gcd(a, b, den) = 1, and b = 0 in
+    degree 1.  Elements are immutable and hash like (field, coeffs), where
+    `coeffs` is the power-basis coordinate tuple of Fractions, built once on
+    first use.
+    """
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.degree:
+    __slots__ = ("field", "a", "b", "den", "_coeffs")
+
+    def __init__(self, field: NumberField, a: int, b: int = 0, den: int = 1):
+        if b and field.degree == 1:
             raise UsageError("coefficient vector does not match field degree")
+        if den != 1:
+            if den < 0:
+                a, b, den = -a, -b, -den
+            g = math.gcd(a, b, den)
+            if g != 1:
+                a, b, den = a // g, b // g, den // g
+        self.field = field
+        self.a = a
+        self.b = b
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            cs = (Fraction(self.a, self.den), Fraction(self.b, self.den))[: self.field.degree]
+            self._coeffs = cs
+        return cs
 
     def _coerce(self, other) -> "NFElem":
         if isinstance(other, NFElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise UsageError("elements from different number fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -387,27 +351,30 @@ class NFElem:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.a == 0 and self.b == 0
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.b == 0
 
     def as_rational(self) -> Fraction:
-        if not self.is_rational:
+        if self.b:
             raise UsageError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.a, self.den)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return NFElem(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return NFElem(self.field, self.a + other.a, self.b + other.b, d1)
+        return NFElem(self.field, self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-a for a in self.coeffs))
+        return NFElem(self.field, -self.a, -self.b, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -445,89 +412,67 @@ class NFElem:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, NFElem):
+            return (
+                self.a == other.a
+                and self.b == other.b
+                and self.den == other.den
+                and (self.field is other.field or self.field == other.field)
+            )
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, NFElem):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            return self.b == 0 and self.a == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self):
+        # hash((field, coeffs)) without building coeffs: an integer hashes
+        # like the Fraction of the same value
+        if self.den == 1:
+            return hash((self.field, (self.a, self.b)[: self.field.degree]))
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
         return f"NFElem({[str(c) for c in self.coeffs]})"
 
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (column j = self * theta^j)."""
-        d = self.field.degree
-        cols = []
-        theta = self.field.gen()
-        acc = self
-        for _ in range(d):
-            cols.append(list(acc.coeffs))
-            acc = acc * theta
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
-
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(len(m)))
+        if self.field.degree == 1:
+            return Fraction(self.a, self.den)
+        return Fraction(2 * self.a - self.field.min_poly[1] * self.b, self.den)
 
     def norm(self) -> Fraction:
-        return _det(self.mult_matrix())
+        if self.field.degree == 1:
+            return Fraction(self.a, self.den)
+        c0, c1, _ = self.field.min_poly
+        a, b = self.a, self.b
+        return Fraction(a * a - c1 * a * b + c0 * b * b, self.den * self.den)
 
     def to_list(self) -> list[str]:
         return [frac_str(c) for c in self.coeffs]
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
-
-
-def nf_mul(a: NFElem, b: NFElem) -> NFElem:
-    """Exact product, reduced modulo the minimal polynomial."""
-    if a.field != b.field:
+def nf_mul(x: NFElem, y: NFElem) -> NFElem:
+    """Exact product, reduced by theta^2 = -c1*theta - c0."""
+    field = x.field
+    if y.field is not field and y.field != field:
         raise UsageError("nf_mul: elements from different number fields")
-    prod = poly_mul(poly_trim(a.coeffs), poly_trim(b.coeffs))
-    _, rem = poly_divmod(prod, a.field.min_poly_fractions())
-    cs = list(rem) + [Fraction(0)] * (a.field.degree - len(rem))
-    return NFElem(a.field, tuple(cs[: a.field.degree]))
+    bb = x.b * y.b
+    if not bb:  # also every product in degree 1
+        return NFElem(field, x.a * y.a, x.a * y.b + x.b * y.a, x.den * y.den)
+    c0, c1, _ = field.min_poly
+    return NFElem(
+        field, x.a * y.a - c0 * bb, x.a * y.b + x.b * y.a - c1 * bb, x.den * y.den
+    )
 
 
-def nf_inv(a: NFElem) -> NFElem:
-    """Multiplicative inverse; exists iff a != 0 (minimal polynomial irreducible)."""
-    if a.is_zero:
+def nf_inv(x: NFElem) -> NFElem:
+    """Multiplicative inverse: the conjugate over the norm; exists iff x != 0."""
+    if x.is_zero:
         raise ZeroDivisionError("inverse of zero field element")
-    # extended Euclid in Q[X]: u*a + v*minpoly = 1
-    r0, r1 = a.field.min_poly_fractions(), poly_trim(a.coeffs)
-    s0, s1 = (), (Fraction(1),)
-    while poly_deg(r1) > 0:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_neg(poly_mul(q, s1)))
-    if not r1:
-        raise UsageError("element not invertible (minimal polynomial not irreducible?)")
-    scale = 1 / r1[0]
-    inv = tuple(c * scale for c in s1)
-    cs = list(inv) + [Fraction(0)] * (a.field.degree - len(inv))
-    return NFElem(a.field, tuple(cs[: a.field.degree]))
+    if x.field.degree == 1:
+        return NFElem(x.field, x.den, 0, x.a)
+    c0, c1, _ = x.field.min_poly
+    a, b = x.a, x.b
+    # (a + b*theta)(a - c1*b - b*theta) = a^2 - c1*a*b + c0*b^2, nonzero for x != 0
+    return NFElem(x.field, x.den * (a - c1 * b), -x.den * b, a * a - c1 * a * b + c0 * b * b)
 
 
 # ---------------------------------------------------------------------------
@@ -535,50 +480,57 @@ def nf_inv(a: NFElem) -> NFElem:
 # ---------------------------------------------------------------------------
 
 
+def _check_place(x: NFElem, place: RealEmbeddingInterval) -> None:
+    if x.field is not place.field and x.field != place.field:
+        raise UsageError("element and place from different fields")
+
+
 def eval_embedding(
     x: NFElem, place: RealEmbeddingInterval, precision_bits: int
 ) -> tuple[Fraction, Fraction]:
     """Rational interval provably containing sigma(x).
 
-    Width <= 2^-precision_bits * (1 + |midpoint|).
+    Width <= 2^-precision_bits * (1 + |midpoint|).  The interval is
+    (a + b*lo, a + b*hi)/den, sorted, for the canonical refinement (lo, hi) of
+    sigma(theta) at the first power-of-two level that meets the width.
     """
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
-    if x.field != place.field:
-        raise UsageError("element and place from different fields")
-    if place.is_exact:
-        v = poly_eval(poly_trim(x.coeffs) or (Fraction(0),), place.lo)
+    _check_place(x, place)
+    a, b, den = x.a, x.b, x.den
+    if x.field.degree == 1:
+        v = Fraction(a, den)
         return (v, v)
-    cs = x.coeffs
     # start from the requested level only: the result must not depend on how
     # refined the passed place object happens to be
     bits = max(precision_bits, 8)
     while True:
         pl = place.refined(bits)
-        iv = (Fraction(0), Fraction(0))
-        theta = (pl.lo, pl.hi)
-        for c in reversed(cs):
-            iv = iv_add(iv_mul(iv, theta), (c, c))
-        mid = (iv[0] + iv[1]) / 2
-        if iv_width(iv) <= Fraction(1, 2**precision_bits) * (1 + abs(mid)):
-            return iv
+        lo, hi = pl.lo, pl.hi
+        n1, d1 = a * lo.denominator + b * lo.numerator, den * lo.denominator
+        n2, d2 = a * hi.denominator + b * hi.numerator, den * hi.denominator
+        if b < 0:
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        # width <= 2^-p * (1 + |mid|), multiplied by 2^(p+1) * d1 * d2
+        if (n2 * d1 - n1 * d2) << (precision_bits + 1) <= 2 * d1 * d2 + abs(n1 * d2 + n2 * d1):
+            return (Fraction(n1, d1), Fraction(n2, d2))
         bits *= 2
 
 
 def embedding_intervals(place: RealEmbeddingInterval):
     """(elements, bits) -> their eval_embedding intervals at this place.
 
-    Each interval is computed once per (coefficients, bits) and kept in a memo
+    Each interval is computed once per (element, bits) and kept in a memo
     owned by the returned function, so a point set built from a few distinct
     coordinate values costs a few evaluations.  Elements must lie in the
-    place's field; the memo is keyed by coefficients alone.
+    place's field; the memo is keyed by coordinates alone.
     """
     memo = {}
 
     def intervals(elements, bits):
         out = []
         for x in elements:
-            key = (x.coeffs, bits)
+            key = (x.a, x.b, x.den, bits)
             iv = memo.get(key)
             if iv is None:
                 iv = memo[key] = eval_embedding(x, place, bits)
@@ -594,31 +546,38 @@ class Cmp(enum.Enum):
     GREATER = "GREATER"
 
 
-def _embedding_surd(x: NFElem, place: RealEmbeddingInterval) -> tuple[Fraction, Fraction]:
-    """(p, q) with sigma(x) = p + q*sqrt(disc) exactly at this place."""
-    if x.field != place.field:
-        raise UsageError("element and place from different fields")
-    if place.is_exact:
-        return x.coeffs[0], Fraction(0)
-    a, b = x.coeffs
-    half_b = b / 2
-    return a - x.field.min_poly[1] * half_b, half_b if place.root_index else -half_b
+def _embedding_surd(x: NFElem, place: RealEmbeddingInterval) -> tuple[int, int, int]:
+    """Integers (u, v, s), s > 0, with sigma(x) = (u + v*sqrt(disc))/s at this place.
+
+    The roots of X^2 + c1*X + c0 are (-c1 -+ sqrt(disc))/2, ascending.
+    """
+    _check_place(x, place)
+    if x.field.degree == 1:
+        return x.a, 0, x.den
+    b = x.b
+    return 2 * x.a - x.field.min_poly[1] * b, (b if place.root_index else -b), 2 * x.den
 
 
 def cmp_embedding(x: NFElem, place: RealEmbeddingInterval, r) -> int:
     """Exact sign of sigma(x) - r for rational r: -1, 0, or +1."""
-    p, q = _embedding_surd(x, place)
-    return surd_sign(p - Fraction(r), q, place.field.disc)
+    r = Fraction(r)
+    u, v, s = _embedding_surd(x, place)
+    n, d = r.numerator, r.denominator
+    return surd_sign(d * u - s * n, d * v, place.field.disc)
 
 
 def abs_embedding_leq(x: NFElem, place: RealEmbeddingInterval, bound) -> bool:
     """Exact decision of |sigma(x)| <= bound (closed at the boundary)."""
-    bound = Fraction(bound)
-    if bound < 0:
+    if not isinstance(bound, (int, Fraction)):
+        bound = Fraction(bound)
+    n, d = bound.numerator, bound.denominator
+    if n < 0:
         return False
-    p, q = _embedding_surd(x, place)
-    d = place.field.disc
-    return surd_sign(p - bound, q, d) <= 0 and surd_sign(p + bound, q, d) >= 0
+    u, v, s = _embedding_surd(x, place)
+    # -n/d <= (u + v*sqrt(disc))/s <= n/d, multiplied by s*d
+    u, v, sn = d * u, d * v, s * n
+    disc = place.field.disc
+    return surd_sign(u - sn, v, disc) <= 0 and surd_sign(u + sn, v, disc) >= 0
 
 
 def compare_abs_to_one(x: NFElem, place: RealEmbeddingInterval) -> Cmp:

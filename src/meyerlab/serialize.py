@@ -41,8 +41,13 @@ def save_json(path: str, data) -> None:
 
 
 def load_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path} is not a JSON file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +462,10 @@ REPLAYERS = {
 
 def replay(data: dict) -> tuple[bool, str]:
     """Re-verify a serialized certificate; (ok, human-readable detail)."""
-    tag = data.get("type")
+    tag = data.get("type") if isinstance(data, dict) else None
     if tag not in REPLAYERS:
         raise UsageError(f"no replay handler for certificate type {tag!r}")
-    return REPLAYERS[tag](data)
+    try:
+        return REPLAYERS[tag](data)
+    except KeyError as exc:
+        raise UsageError(f"{tag} artifact lacks the key {exc}") from exc

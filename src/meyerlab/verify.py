@@ -87,27 +87,36 @@ def _dist_interval_from_coords(ip, iq):
     return (lo_max, hi_max)
 
 
+def _widest_axis(coords) -> int:
+    """The coordinate index with the most distinct values, lowest on ties."""
+    if not coords:
+        return 0
+    return max(range(len(coords[0])), key=lambda k: len({c[k] for c in coords}))
+
+
 def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
     """Certified lower bound on the minimal pairwise sup-distance, with witness.
 
     The bound is tight to the working interval width and exact for rational
     coordinates.  Distinct points are required.  Points are swept in order of
-    the lower end of their first coordinate interval; a point's scan stops at
-    the first later point whose first-coordinate gap alone exceeds the best
-    bound so far, since that gap bounds the pair's distance from below.  The
-    witness is the first minimising pair (i < j) in input order.
+    the lower end of their interval on the axis with the most distinct
+    intervals; a point's scan stops at the first later point whose gap on that
+    axis alone exceeds the best bound so far, since a gap on any one axis
+    bounds the pair's sup-distance from below.  The witness is the first
+    minimising pair (i < j) in input order.
     """
     pts = list(points)
     if len(pts) < 2:
         raise UsageError("min_separation needs at least 2 points")
     coord_ivs = [ops.coord_intervals(p, bits) for p in pts]
-    order = sorted(range(len(pts)), key=lambda i: coord_ivs[i][0][0])
+    k = _widest_axis(coord_ivs)
+    order = sorted(range(len(pts)), key=lambda i: coord_ivs[i][k][0])
     best_lo = None
     witness = None
     for a, i in enumerate(order):
-        hi_i = coord_ivs[i][0][1]
+        hi_i = coord_ivs[i][k][1]
         for j in order[a + 1:]:
-            if best_lo is not None and coord_ivs[j][0][0] - hi_i > best_lo:
+            if best_lo is not None and coord_ivs[j][k][0] - hi_i > best_lo:
                 break
             lo, _hi = _dist_interval_from_coords(coord_ivs[i], coord_ivs[j])
             b = bits
@@ -144,12 +153,13 @@ class NearestScan:
     """Certified upper bounds on distance-to-point-set with float preselection.
 
     Floats only pick the candidate point: the lowest index among the points
-    at minimal float sup-distance from the target.  The points are sorted by
-    their first float coordinate once; a query bisects to the target and walks
-    outward in both directions, ending a direction once the first-coordinate
-    gap alone is strictly greater than the best distance so far.  The returned
-    bound is the exact rational interval bound through that candidate, hence
-    always a sound upper bound on the true distance.
+    at minimal float sup-distance from the target.  The points are sorted once
+    by their float coordinate on the axis with the most distinct values; a
+    query bisects to the target and walks outward in both directions, ending a
+    direction once the gap on that axis alone is strictly greater than the
+    best distance so far.  The returned bound is the exact rational interval
+    bound through that candidate, hence always a sound upper bound on the
+    true distance.
     """
 
     def __init__(self, coord_ivs_list):
@@ -157,24 +167,25 @@ class NearestScan:
         self.mids = [
             tuple(float(lo + hi) / 2.0 for lo, hi in ivs) for ivs in self.ivs
         ]
-        self.order = sorted(range(len(self.mids)), key=lambda i: self.mids[i][0])
-        self.firsts = [self.mids[i][0] for i in self.order]
+        self.axis = _widest_axis(self.mids)
+        self.order = sorted(range(len(self.mids)), key=lambda i: self.mids[i][self.axis])
+        self.keys = [self.mids[i][self.axis] for i in self.order]
 
     def __bool__(self):
         return bool(self.ivs)
 
     def nearest_index(self, grid_point) -> int:
         gm = tuple(float(x) for x in grid_point)
-        g0 = gm[0]
-        firsts = self.firsts
-        start = bisect_left(firsts, g0)
+        g0 = gm[self.axis]
+        keys = self.keys
+        start = bisect_left(keys, g0)
         best_i = 0
         best_d = None
-        for ks in (range(start, len(firsts)), range(start - 1, -1, -1)):
+        for ks in (range(start, len(keys)), range(start - 1, -1, -1)):
             for k in ks:
-                # the gap is the first term of the float distance of every
-                # point further along, and grows monotonically
-                if best_d is not None and abs(firsts[k] - g0) > best_d:
+                # the gap is one term of the float distance of every point
+                # further along, and grows monotonically
+                if best_d is not None and abs(keys[k] - g0) > best_d:
                     break
                 i = self.order[k]
                 d = max(abs(a - b) for a, b in zip(self.mids[i], gm))

@@ -1,0 +1,88 @@
+"""Byte-identity of CLI artifacts: each file's sha256 is pinned.
+
+A fixed set of small jobs runs in-process through `cli.run`; every file they
+write must hash to the digest recorded here.  A change to exact arithmetic,
+enumeration order, set iteration or serialisation that moves one output byte
+fails this test.  Refresh the table only for a deliberate format change.
+"""
+
+import hashlib
+import json
+
+from meyerlab import cli
+
+ELEMENTS = [["0", "0"], ["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"]]
+
+# (argv with {d} for the output directory, expected exit code)
+JOBS = (
+    ("cps generate --scheme galois:golden --window 1 --radius 20 "
+     "--json {d}/gen-golden.json --out {d}/gen-golden.csv", 0),
+    ("cps generate --scheme galois:golden --window 3/4 --radius 20 --json {d}/gen-golden-b.json", 0),
+    ("cps generate --scheme galois:sqrt2 --window 15/16 --radius 20 "
+     "--json {d}/gen-sqrt2.json --out {d}/gen-sqrt2.csv", 0),
+    ("cps generate --scheme galois:sqrt2:2 --window 1,7/8 --radius 4 "
+     "--json {d}/gen-sqrt2-2d.json --out {d}/gen-sqrt2-2d.csv", 0),
+    ("cps generate --scheme zs:2,3 --window 1 --radius 8 --json {d}/gen-zs.json --out {d}/gen-zs.csv", 0),
+    ("cps certify --scheme galois:golden --window 1 --radius 10 --json {d}/cert.json", 0),
+    ("cps intersect --scheme galois:golden:2 --window 1,1 --radius 6 --axes 0 --json {d}/intersect.json", 0),
+    ("cps project --scheme galois:sqrt2:2 --window 1,1 --radius 6 --axes 1 --json {d}/project.json", 0),
+    ("heis generate --field sqrt2 --window 1,1,2 --radius 3 --json {d}/heis-gen.json --out {d}/heis-gen.csv", 0),
+    ("heis generate --field golden --window 1,9/8,2 --radius 4 --json {d}/heis-gen-golden.json", 0),
+    ("heis certify --field sqrt2 --window 1,1,2 --json {d}/heis-cert.json", 0),
+    ("heis certify --field golden --window 7/8,9/8,2 --json {d}/heis-cert-golden.json", 0),
+    ("heis center --field sqrt2 --window 1,1,2 --radius 6 --json {d}/heis-center.json", 0),
+    ("heis center --field golden --window 1,9/8,2 --radius 8 --json {d}/heis-center-golden.json", 0),
+    ("heis hull --field sqrt2 --window 1,1,1 --radius-small 1 --radius-large 2 --json {d}/heis-hull.json", 0),
+    ("heis commensurate --field sqrt2 --window 1,1,2 --radius 4 --json {d}/heis-meyer.json", 0),
+    ("pisot certify --ring pvs:golden --elements {d}/elements.json --json {d}/pisot.json", 0),
+    ("pisot polycover --ring pvs:sqrt2 --poly 0,1,1 --json {d}/polycover.json", 0),
+    ("verify delone --patch {d}/gen-golden.json --inner 10 --json {d}/delone.json", 0),
+    ("verify cover --a {d}/gen-golden.json --b {d}/gen-golden-b.json --json {d}/cover.json", 0),
+)
+
+DIGESTS = {
+    "cert.json": "a801a48673ac6596ff7f15bafdde94a50cda95a140a28953e6be3bd3f8cf3b43",
+    "cover.json": "7882b6e79c4b82afa84521b93c97fa67ba998e9167fb81d21eacd3fa05b1281a",
+    "delone.json": "329d1131f201846c5ed8ec4906fafd332e162464dcd05a2cf9d842d550bf9659",
+    "gen-golden-b.json": "6acdff03cd1c1c82e4023cb5e87b272dd2b0eeeeb862318eacd6fac7b9360f42",
+    "gen-golden.csv": "14bdd7808f400ce11e011581a5e3148d37842e3e4d709a2356154e4e457b748c",
+    "gen-golden.json": "e5228ab099ee54f8a2c0fb61b38c9287bf13cdde3a9d36629db63807ba667f12",
+    "gen-sqrt2-2d.csv": "15bf5c7c672c3e4a15a6c7ec152bc1ec869dfbed33ceba9bdcab93b58d62c19c",
+    "gen-sqrt2-2d.json": "dce8476d50f7e68b7726935ebeda20000c31f3b0ae85e5c2b0702dd0c5c53e52",
+    "gen-sqrt2.csv": "ae3873c6bef8ffc870b7cb80abadfc32335579d7529b4861daac85c1fedd8b7d",
+    "gen-sqrt2.json": "146d1c235929b7ac10fd80b9ff4385116d00873877ba0bb1d49fdf113d7c55ac",
+    "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
+    "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
+    "heis-center-golden.json": "f75f4b6ec70a7e6fcbbaa35ddbde3df50e26bbe8947ba497edb8198b4fcb759c",
+    "heis-center.json": "555b7dea79d1cc84dc62818353e28f3d88a402572cb345dee80706fc050c5748",
+    "heis-cert-golden.json": "20f175f1214976cccf5450aab7e73069b602b72ccc6dd8addd2e38a7911eb261",
+    "heis-cert.json": "2545e16ed28cd58d58c47e47b190a97d4ecf61cd1f0763944e21ff0d4ed42f3a",
+    "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
+    "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
+    "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
+    "heis-hull.json": "7634e66fd4f12a0d396e60bfc764086456c99db9c7676be76be66d020b0b1808",
+    "heis-meyer.json": "beddc7d8d563e6eca5a7c5e04663df278869bed0ea949b9fcb40ef12948cb176",
+    "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",
+    "pisot.json": "f84a9b13aa4ed3cd7e2465d24845b6e926e0cdc100bc4ae3f1a87831e30d6f9e",
+    "polycover.json": "aae668f5a656c2d77cad87e2f9f2ade47b893767a9a9be08d2952613b8038ebb",
+    "project.json": "41fc3e96e5215d3f10ed0805044bf0f4a479471fa7d49d8755cb946832c7e4bc",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_jobs(out_dir) -> dict:
+    (out_dir / "elements.json").write_text(json.dumps({"elements": ELEMENTS}))
+    for argv, expect in JOBS:
+        assert cli.run(argv.format(d=out_dir).split()) == expect, argv
+    return {p.name: _sha256(p) for p in sorted(out_dir.iterdir()) if p.name != "elements.json"}
+
+
+def test_artifacts_match_recorded_digests(tmp_path, capsys):
+    got = run_jobs(tmp_path)
+    capsys.readouterr()
+    assert sorted(got) == sorted(DIGESTS)
+    changed = [name for name in DIGESTS if got[name] != DIGESTS[name]]
+    assert changed == []

@@ -4,6 +4,8 @@ import sys
 import textwrap
 from fractions import Fraction
 
+import pytest
+
 from meyerlab import cli, serialize
 
 
@@ -212,6 +214,29 @@ def test_replay_rejects_delone_report_without_data(tmp_path, capsys):
     bare.write_text(json.dumps({"type": "delone_report", "min_separation": "1000", "delone": True}))
     assert run_cli("verify", "replay", str(bare)) == 2
     assert "no embedded patch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cps", "generate", "--scheme", "galois:golden", "--window", "1", "--radius", "abc"],
+         "not a rational number: 'abc'"),
+        (["cps", "generate", "--scheme", "galois:golden", "--window", "x", "--radius", "5"],
+         "not a rational number: 'x'"),
+        (["heis", "certify", "--field", "sqrt2", "--window", "a,b,c"],
+         "not a rational number: 'a'"),
+        (["verify", "replay", "{d}/missing.json"], "cannot read"),
+        (["verify", "replay", "{d}/not-json.json"], "is not a JSON file"),
+        (["verify", "replay", "{d}/bare-patch.json"], "patch artifact lacks the key 'scheme'"),
+    ],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
+    (tmp_path / "not-json.json").write_text("points: 1, 2, 3\n")
+    (tmp_path / "bare-patch.json").write_text(json.dumps({"type": "patch"}))
+    assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_csv_is_built_only_when_written(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from meyerlab import cps, verify
 from meyerlab.errors import ResourceLimit, UnsupportedSubgroup, UsageError
 from meyerlab.exactnum import abs_embedding_leq as _certified_abs_leq
-from meyerlab.exactnum import golden_field, sqrt2_field
+from meyerlab.exactnum import NumberField, golden_field, sqrt2_field
 
 # Frozen bracketing constants (verified by squaring in test_exactnum):
 SQRT5_LO = Fraction(2236067977, 10**9)
@@ -198,7 +199,8 @@ def _small_fraction(top):
 
 
 class TestRowWiseEnumeration:
-    FIELDS = {"golden": golden_field, "sqrt2": sqrt2_field}
+    # X^2 + X - 3 (disc 13) has the other sign of c1 than golden's X^2 - X - 1
+    FIELDS = {"golden": golden_field, "sqrt2": sqrt2_field, "disc13": lambda: NumberField([-3, 1, 1])}
 
     def _places(self, name, root_index):
         scheme = cps.GaloisScheme(self.FIELDS[name](), physical_root_index=root_index)
@@ -221,7 +223,23 @@ class TestRowWiseEnumeration:
         expected, _ = full_box_window_elements(field, phys, internal, R, c)
         assert [tuple(int(v) for v in x.coeffs) for x in got] == expected
 
-    @pytest.mark.parametrize("name", ["golden", "sqrt2"])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.integers(-10**12, 10**12),
+        q=st.integers(-10**12, 10**12),
+        d=st.sampled_from([2, 3, 5, 13]),
+        s=st.integers(1, 10**6),
+    )
+    @example(p=7, q=0, d=5, s=2)
+    @example(p=-7, q=0, d=5, s=2)
+    def test_floor_surd_matches_decimal(self, p, q, d, s):
+        with localcontext() as ctx:
+            ctx.prec = 80
+            value = (p + q * Decimal(d).sqrt()) / s
+            expected = int(value.to_integral_value(rounding=ROUND_FLOOR))
+        assert cps._floor_surd(p, q, d, s) == expected
+
+    @pytest.mark.parametrize("name", ["golden", "sqrt2", "disc13"])
     @pytest.mark.parametrize("root_index", [0, 1])
     def test_boundary_and_negative_rows(self, name, root_index):
         # integral c puts a = +-c, b = 0 exactly on the window edge, and the

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -338,3 +339,202 @@ def test_cmp_embedding_agrees_with_every_excluding_interval(field, root, a, b, r
         elif lo > r:
             assert sign == 1
     assert (sign == 0) == (x == r)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against general-degree references kept here: dense
+# polynomial arithmetic over Q (product, division with remainder, extended
+# Euclid), the matrix of multiplication, and Horner's rule over intervals.
+# ---------------------------------------------------------------------------
+
+
+def poly_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    return poly_trim(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return poly_trim(out)
+
+
+def poly_divmod(a, b):
+    a = list(poly_trim(a))
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        coeff = a[-1] / b[-1]
+        q[shift] = coeff
+        for i, cb in enumerate(b):
+            a[shift + i] -= coeff * cb
+        a = list(poly_trim(a))
+    return poly_trim(q), tuple(a)
+
+
+def ref_coeffs(field, poly):
+    return tuple(poly) + (Fraction(0),) * (field.degree - len(poly))
+
+
+def ref_mul(x, y):
+    _, rem = poly_divmod(poly_mul(poly_trim(x.coeffs), poly_trim(y.coeffs)),
+                         x.field.min_poly_fractions())
+    return ref_coeffs(x.field, rem)
+
+
+def ref_inv(x):
+    # extended Euclid in Q[X]: u*x + v*minpoly = const
+    r0, r1 = x.field.min_poly_fractions(), poly_trim(x.coeffs)
+    s0, s1 = (), (Fraction(1),)
+    while len(r1) > 1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly_add(s0, tuple(-c for c in poly_mul(q, s1)))
+    return ref_coeffs(x.field, tuple(c / r1[0] for c in s1))
+
+
+def ref_trace_norm(x):
+    # columns of the multiplication matrix are x and x*theta
+    field = x.field
+    if field.degree == 1:
+        return x.coeffs[0], x.coeffs[0]
+    (m00, m10), (m01, m11) = x.coeffs, ref_mul(x, field.gen())
+    return m00 + m11, m00 * m11 - m01 * m10
+
+
+def iv_mul(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(ps), max(ps))
+
+
+def ref_eval_embedding(x, place, precision_bits):
+    """Horner's rule over intervals at the canonical refinement levels."""
+    if place.is_exact:
+        v = en.poly_eval(x.coeffs, place.lo)
+        return (v, v)
+    bits = max(precision_bits, 8)
+    while True:
+        pl = place.refined(bits)
+        iv = (Fraction(0), Fraction(0))
+        for c in reversed(x.coeffs):
+            iv = en.iv_add(iv_mul(iv, (pl.lo, pl.hi)), (c, c))
+        mid = (iv[0] + iv[1]) / 2
+        if iv[1] - iv[0] <= Fraction(1, 2**precision_bits) * (1 + abs(mid)):
+            return iv
+        bits *= 2
+
+
+KERNEL_FIELDS = PROPERTY_FIELDS + (en.RATIONAL_FIELD,)
+COEFFS = st.one_of(
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+)
+
+
+@st.composite
+def field_elements(draw, field=None, count=1):
+    field = draw(st.sampled_from(KERNEL_FIELDS)) if field is None else field
+    out = [field.elem(draw(st.lists(COEFFS, min_size=field.degree, max_size=field.degree)))
+           for _ in range(count)]
+    return field, out
+
+
+def decimal_embedding(x, place):
+    """sigma(x) to 80 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        value = Decimal(x.a)
+        if x.field.degree == 2:
+            c1, root = x.field.min_poly[1], Decimal(x.field.disc).sqrt()
+            value += Decimal(x.b) * (-c1 + (root if place.root_index else -root)) / 2
+        return value / x.den
+
+
+def decimal_sign(x, place, r):
+    """Sign of sigma(x) - r; exact for rational x, else decided at 80 digits."""
+    if x.is_rational:
+        diff = x.as_rational() - r
+        return (diff > 0) - (diff < 0)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        diff = decimal_embedding(x, place) - Decimal(r.numerator) / r.denominator
+        assert abs(diff) > Decimal(10) ** -70  # irrational: far from every small rational
+        return 1 if diff > 0 else -1
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: field_elements(f, count=2)))
+    def test_arithmetic_matches_polynomial_reference(self, drawn):
+        field, (x, y) = drawn
+        assert (x * y).coeffs == ref_mul(x, y)
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple(p - q for p, q in zip(x.coeffs, y.coeffs))
+        assert (x.trace(), x.norm()) == ref_trace_norm(x)
+        if not x.is_zero:
+            assert en.nf_inv(x).coeffs == ref_inv(x)
+            assert (y / x) * x == y
+
+    @settings(max_examples=300, deadline=None)
+    @given(field_elements())
+    def test_representation_is_canonical(self, drawn):
+        field, (x,) = drawn
+        assert x.den >= 1 and math.gcd(x.a, x.b, x.den) == 1
+        assert x.coeffs == tuple(Fraction(v, x.den) for v in (x.a, x.b)[: field.degree])
+        assert hash(x) == hash((field, x.coeffs))
+        assert x == field.elem(x.coeffs) and hash(x) == hash(field.elem(x.coeffs))
+        if x.is_rational:
+            assert x == x.as_rational() and hash(x) == hash(field.from_rational(x.as_rational()))
+        else:
+            assert x != x.coeffs[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drawn=field_elements(),
+        root=st.integers(0, 1),
+        r=SMALL_RATIONALS,
+        mode=st.sampled_from(["free", "own-value", "near"]),
+    )
+    def test_comparisons_match_decimal(self, drawn, root, r, mode):
+        field, (x,) = drawn
+        place = field.real_roots()[min(root, field.real_root_count() - 1)]
+        if mode == "own-value":
+            # for rational x the bound |sigma(x)| is met exactly
+            r = abs(x.coeffs[0]) if x.is_rational else r
+        elif mode == "near":
+            lo, hi = en.eval_embedding(x, place, 64)
+            r = abs((lo + hi) / 2)
+        assert en.cmp_embedding(x, place, r) == decimal_sign(x, place, r)
+        inside = r >= 0 and decimal_sign(x, place, r) <= 0 <= decimal_sign(x, place, -r)
+        assert en.abs_embedding_leq(x, place, r) == inside
+        # |sigma(x)| = 1 only for x = +-1, since sigma is injective
+        if x == 1 or x == -1:
+            expected = en.Cmp.EQUAL
+        elif decimal_sign(x, place, Fraction(1)) < 0 < decimal_sign(x, place, Fraction(-1)):
+            expected = en.Cmp.LESS
+        else:
+            expected = en.Cmp.GREATER
+        assert en.compare_abs_to_one(x, place) is expected
+
+    @pytest.mark.parametrize("bits", [64, 96, 128, 256])
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=field_elements(), root=st.integers(0, 1))
+    def test_eval_embedding_matches_interval_horner(self, bits, drawn, root):
+        field, (x,) = drawn
+        place = field.real_roots()[min(root, field.real_root_count() - 1)]
+        got = en.eval_embedding(x, place, bits)
+        assert got == ref_eval_embedding(x, place, bits)
+        assert all(type(v) is Fraction for v in got)

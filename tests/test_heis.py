@@ -162,6 +162,49 @@ class TestCoveringCertificate:
         data["x_cover"]["target"] = ["-1", "1"]  # claims less than the product window needs
         assert not heis.HeisCoverCertificate.from_dict(data).replay()
 
+    def test_too_small_shear_bound_fails_replay(self, f2):
+        cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
+        assert cert.shear_bound > 0
+        data = cert.to_dict()
+        data["shear_bound"] = str(cert.shear_bound / 2)
+        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+
+    def test_too_small_z_target_fails_replay(self, f2):
+        scheme = heis.HeisScheme(f2, (1, 1, 2))
+        cert = heis.heis_covering_certificate(scheme)
+        data = cert.to_dict()
+        # the product window's z half-width without the shear term M * c_y
+        wz = scheme.product_window()[2]
+        data["z_cover"]["target"] = [str(-wz), str(wz)]
+        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+
+    def test_off_lattice_z_translate_fails_replay(self, f2):
+        cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
+        data = cert.to_dict()
+        # shift one z translate by 1/2 and its tile with it, so the tiles still cover
+        z = data["z_cover"]
+        z["elements"][0][0] = str(Fraction(z["elements"][0][0]) + Fraction(1, 2))
+        z["claimed"][0] = [str(Fraction(v) + Fraction(1, 2)) for v in z["claimed"][0]]
+        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+
+    @pytest.mark.parametrize("window", [(1, 1, 2), (1, Fraction(9, 8), 2), (Fraction(7, 8), 1, 1)])
+    def test_every_box_grid_point_has_a_translate(self, f2, window):
+        # the replay's argument, checked pointwise: for w on a grid over the
+        # product box, exact comparisons find t with t^-1 w in W
+        scheme = heis.HeisScheme(f2, window)
+        cert = heis.heis_covering_certificate(scheme)
+        cx, cy, cz = scheme.window
+        place = scheme.internal_place
+        fits = heis.abs_embedding_leq
+        for w1, w2, w3 in heis._box_grid(scheme.product_window(), Fraction(1, 2)):
+            w1, w2, w3 = (f2.from_rational(v) for v in (w1, w2, w3))
+            assert any(
+                fits(w3 - t3 - t1 * (w2 - t2), place, cz)
+                for t1 in cert.x_cover.elements if fits(w1 - t1, place, cx)
+                for t2 in cert.y_cover.elements if fits(w2 - t2, place, cy)
+                for t3 in cert.z_cover.elements
+            )
+
     def test_degenerate_central_window_reduces_to_1d(self, f2):
         scheme = heis.HeisScheme(f2, (0, 0, 1))
         cert = heis.heis_covering_certificate(scheme)

@@ -66,6 +66,18 @@ def linear_nearest_index(scan, grid_point):
     return best_i
 
 
+def rational_box_ops(dim):
+    """Q^dim under addition, points stored as tuples of Fractions."""
+    return verify.GroupOps(
+        mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
+        inv=lambda a: tuple(-x for x in a),
+        identity=(Fraction(0),) * dim,
+        sort_key=lambda a: a,
+        coord_intervals=lambda a, bits: [(x, x) for x in a],
+        dim=dim,
+    )
+
+
 def all_pairs_min_separation(points, ops, bits=128):
     """Reference: every pair in input order, first minimising pair wins."""
     pts = list(points)
@@ -98,6 +110,22 @@ class TestNearestScan:
     def test_matches_linear_scan(self, dim, data):
         scan = verify.NearestScan(data.draw(interval_points(dim)))
         for g in data.draw(st.lists(st.tuples(*[QUARTERS] * dim), min_size=1, max_size=10)):
+            assert scan.nearest_index(g) == linear_nearest_index(scan, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_product_set_with_few_first_coordinates(self, data):
+        # the first coordinate takes at most 3 values, so the sweep runs along
+        # another axis whenever that one has more distinct values
+        firsts = data.draw(st.lists(HALVES, min_size=1, max_size=3, unique=True))
+        others = st.lists(HALVES, min_size=1, max_size=5, unique=True)
+        ys, zs = data.draw(others), data.draw(others)
+        points = [[(x, x), (y, y), (z, z)] for x in firsts for y in ys for z in zs]
+        data.draw(st.randoms()).shuffle(points)
+        scan = verify.NearestScan(points)
+        if max(len(ys), len(zs)) > len(firsts):
+            assert scan.axis != 0
+        for g in data.draw(st.lists(st.tuples(*[QUARTERS] * 3), min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
 
     @pytest.mark.parametrize(
@@ -152,6 +180,22 @@ class TestMinSeparationSweep:
             rng.shuffle(pts)
             ops = patch.group_ops()
             assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        firsts=st.sets(st.integers(-3, 3), min_size=1, max_size=3),
+        ys=st.sets(st.integers(-6, 6), min_size=1, max_size=6),
+        zs=st.sets(st.integers(-6, 6), min_size=1, max_size=6),
+        scale=st.sampled_from([Fraction(1), Fraction(1, 3)]),
+        rnd=st.randoms(),
+    )
+    def test_product_set_with_few_first_coordinates(self, firsts, ys, zs, scale, rnd):
+        pts = [tuple(scale * v for v in p) for p in itertools.product(firsts, ys, zs)]
+        if len(pts) < 2:
+            return
+        rnd.shuffle(pts)
+        ops = rational_box_ops(3)
+        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(UsageError, match="duplicate"):
