@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedSubgroup,
     UsageError,
 )
-from .exactnum import NumberField, frac_str, golden_field, sqrt2_field, str_frac
+from .exactnum import NumberField, frac_str, golden_field, sqrt2_field, str_frac, str_int
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,12 +58,12 @@ def parse_scheme(spec: str):
     if parts[0] == "zs":
         if len(parts) != 2:
             raise UsageError("scheme spec: zs:<p1>[,<p2>...]")
-        return cps.ZSScheme([int(p) for p in parts[1].split(",")])
+        return cps.ZSScheme([str_int(p) for p in parts[1].split(",")])
     if parts[0] == "galois":
         if len(parts) < 2:
             raise UsageError("scheme spec: galois:<field>[:<dim>]")
         field = parse_field(parts[1])
-        dim = int(parts[2]) if len(parts) > 2 else 1
+        dim = str_int(parts[2]) if len(parts) > 2 else 1
         return cps.GaloisScheme(field, dim=dim)
     raise UsageError(f"unknown scheme kind {parts[0]!r}")
 
@@ -77,14 +77,14 @@ def parse_window(scheme, spec: str) -> cps.Window:
         if all(t.startswith("z") and ":" in t for t in tokens):
             by_prime = {}
             for t in tokens:
-                head, level = t.split(":")
-                by_prime[int(head[1:])] = int(level)
+                head, level = t.split(":", 1)
+                by_prime[str_int(head[1:])] = str_int(level)
             try:
                 levels = [by_prime[p] for p in scheme.primes]
             except KeyError as exc:
                 raise UsageError(f"window missing prime {exc}") from exc
         else:
-            levels = [int(t) for t in tokens]
+            levels = [str_int(t) for t in tokens]
             if len(levels) == 1:
                 levels = levels * len(scheme.primes)
         if len(levels) != len(scheme.primes):
@@ -101,10 +101,10 @@ def parse_ring(spec: str) -> places.SIntegerRing:
     if parts[0] == "z":
         return places.ring_of_integers()
     if parts[0] == "zs":
-        return places.ring_zs([int(p) for p in parts[1].split(",")])
+        return places.ring_zs([str_int(p) for p in parts[1].split(",")])
     if parts[0] == "pvs":
         field = parse_field(parts[1])
-        index = int(parts[2]) if len(parts) > 2 else 1
+        index = str_int(parts[2]) if len(parts) > 2 else 1
         return places.ring_pvs(field, index)
     raise UsageError(f"unknown ring spec {spec!r} (z | zs:<primes> | pvs:<field>[:<root>])")
 
@@ -221,7 +221,7 @@ def cmd_cps_certify(args) -> int:
 
 
 def _parse_axes(spec: str):
-    return tuple(int(a) for a in spec.split(",") if a.strip() != "")
+    return tuple(str_int(a) for a in spec.split(",") if a.strip() != "")
 
 
 def cmd_cps_intersect(args) -> int:
@@ -317,7 +317,9 @@ def cmd_heis_commensurate(args) -> int:
     res = heis.meyer_commensurability(
         sides["a"], sides["b"], patch.group_ops(), scope, max_translates=args.max_translates
     )
-    data = serialize.meyer_result_to_dict(res, scheme, radius, args.side_a, args.side_b)
+    data = serialize.meyer_result_to_dict(
+        res, scheme, radius, args.side_a, args.side_b, args.max_translates
+    )
     if res.verdict != "COMMENSURABLE-AT-SCALE":
         _emit(args, data, None, f"verdict: {res.verdict}")
         return EXIT_NEGATIVE
@@ -501,104 +503,92 @@ def cmd_verify_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--json", default=None, help="JSON artifact path")
-    p.add_argument("--config", default=None, help="key=value config file (CLI flags win)")
+COMMANDS = {
+    "cps": {
+        "generate": cmd_cps_generate,
+        "certify": cmd_cps_certify,
+        "intersect": cmd_cps_intersect,
+        "project": cmd_cps_project,
+    },
+    "heis": {
+        "generate": cmd_heis_generate,
+        "certify": cmd_heis_certify,
+        "center": cmd_heis_center,
+        "hull": cmd_heis_hull,
+        "commensurate": cmd_heis_commensurate,
+    },
+    "pisot": {
+        "certify": cmd_pisot_certify,
+        "enumerate": cmd_pisot_enumerate,
+        "polycover": cmd_pisot_polycover,
+    },
+    "verify": {
+        "delone": cmd_verify_delone,
+        "cover": cmd_verify_cover,
+        "cellcover": cmd_verify_cellcover,
+        "replay": cmd_verify_replay,
+    },
+}
+
+# options every command of a group accepts, besides --out, --json and --config;
+# `verify replay` takes a file instead of the verify options (see parse_args)
+GROUP_OPTIONS = {
+    "cps": ("--scheme", "--window", "--radius", "--axes"),
+    "heis": ("--field", "--window", "--radius", "--radius-small", "--radius-large"),
+    "pisot": ("--ring", "--field", "--elements", "--radius", "--window", "--poly", "--scale"),
+    "verify": ("--patch", "--a", "--b", "--inner", "--spec", "--scheme", "--field", "--window",
+               "--radius"),
+}
+SIDES = ("model_set", "symmetrized")
 
 
 def build_parser() -> _Parser:
+    """One parser per command group: a `command` positional and the group's options."""
     parser = _Parser(prog="meyerlab")
     sub = parser.add_subparsers(dest="group", required=True)
-
-    g = sub.add_parser("cps").add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("generate", cmd_cps_generate),
-        ("certify", cmd_cps_certify),
-        ("intersect", cmd_cps_intersect),
-        ("project", cmd_cps_project),
-    ):
-        p = g.add_parser(name)
-        p.add_argument("--scheme", default=None)
-        p.add_argument("--window", default=None)
-        p.add_argument("--radius", default=None)
-        p.add_argument("--axes", default=None)
-        _add_common(p)
-        p.set_defaults(handler=fn)
-
-    g = sub.add_parser("heis").add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("generate", cmd_heis_generate),
-        ("certify", cmd_heis_certify),
-        ("center", cmd_heis_center),
-        ("hull", cmd_heis_hull),
-        ("commensurate", cmd_heis_commensurate),
-    ):
-        p = g.add_parser(name)
-        p.add_argument("--field", default=None)
-        p.add_argument("--window", default=None)
-        p.add_argument("--radius", default=None)
-        p.add_argument("--radius-small", dest="radius_small", default=None)
-        p.add_argument("--radius-large", dest="radius_large", default=None)
-        p.add_argument("--side-a", dest="side_a", default="symmetrized",
-                       choices=("model_set", "symmetrized"))
-        p.add_argument("--side-b", dest="side_b", default="model_set",
-                       choices=("model_set", "symmetrized"))
-        p.add_argument("--max-translates", dest="max_translates", type=int, default=None)
-        _add_common(p)
-        p.set_defaults(handler=fn)
-
-    g = sub.add_parser("pisot").add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("certify", cmd_pisot_certify),
-        ("enumerate", cmd_pisot_enumerate),
-        ("polycover", cmd_pisot_polycover),
-    ):
-        p = g.add_parser(name)
-        p.add_argument("--ring", default=None)
-        p.add_argument("--field", default=None)
-        p.add_argument("--elements", default=None)
-        p.add_argument("--radius", default=None)
-        p.add_argument("--window", default=None)
-        p.add_argument("--poly", default=None)
-        p.add_argument("--scale", default=None)
-        _add_common(p)
-        p.set_defaults(handler=fn)
-
-    g = sub.add_parser("verify").add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("delone", cmd_verify_delone),
-        ("cover", cmd_verify_cover),
-        ("cellcover", cmd_verify_cellcover),
-    ):
-        p = g.add_parser(name)
-        p.add_argument("--patch", default=None)
-        p.add_argument("--a", default=None)
-        p.add_argument("--b", default=None)
-        p.add_argument("--inner", default=None)
-        p.add_argument("--spec", default=None)
-        p.add_argument("--scheme", default=None, help="scheme metadata for CSV patches")
-        p.add_argument("--field", default=None, help="field metadata for heis CSV patches")
-        p.add_argument("--window", default=None)
-        p.add_argument("--radius", default=None)
-        p.add_argument("--max-translates", dest="max_translates", type=int, default=None)
-        _add_common(p)
-        p.set_defaults(handler=fn)
-    p = g.add_parser("replay")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify_replay)
-
+    for group, options in GROUP_OPTIONS.items():
+        p = sub.add_parser(group)
+        if group == "verify":
+            p.epilog = "verify replay FILE takes no option but --out, --json and --config"
+        p.add_argument("command", choices=COMMANDS[group])
+        for option in options:
+            p.add_argument(option)
+        if group == "heis":
+            p.add_argument("--side-a", default="symmetrized", choices=SIDES)
+            p.add_argument("--side-b", default="model_set", choices=SIDES)
+        if group in ("heis", "verify"):
+            p.add_argument("--max-translates", type=int)
+        p.add_argument("--out", help="CSV output path")
+        p.add_argument("--json", help="JSON artifact path")
+        p.add_argument("--config", help="key=value config file (CLI flags win)")
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    args, extra = build_parser().parse_known_args(argv)
+    if args.command == "replay":
+        # replay reads one file and takes none of the verify options
+        files = [a for a in extra if a == "-" or not a.startswith("-")]
+        if not files:
+            raise UsageError("the following arguments are required: file")
+        args.file = files[0]
+        extra.remove(args.file)
+        extra[:0] = [
+            f"--{key.replace('_', '-')} {value}"
+            for key, value in vars(args).items()
+            if key not in ("group", "command", "file", "out", "json", "config") and value is not None
+        ]
+    if extra:
+        raise UsageError("unrecognized arguments: " + " ".join(extra))
+    return args
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
+        args = parse_args(argv)
+        if args.config:
             RunConfig.from_file(args.config).fill(args)
-        return args.handler(args)
+        return COMMANDS[args.group][args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

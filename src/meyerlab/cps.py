@@ -35,6 +35,7 @@ from .exactnum import (
     abs_embedding_leq,
     embedding_intervals,
     eval_embedding,
+    floor_surd,
     frac_str,
     is_prime,
     padic_valuation,
@@ -282,12 +283,6 @@ class Patch:
         return Patch(scheme, window, radius, points)
 
 
-def _floor_surd(p: int, q: int, d: int, s: int) -> int:
-    """floor((p + q*sqrt(d)) / s) for integers, s > 0 and d not a perfect square."""
-    r = math.isqrt(q * q * d)  # floor(|q|*sqrt(d)), which is irrational for q != 0
-    return (p + (r if q >= 0 else -r - 1)) // s
-
-
 def enumerate_window_elements(
     field: NumberField,
     physical_place: RealEmbeddingInterval,
@@ -331,8 +326,8 @@ def enumerate_window_elements(
             # -n/m <= a + b*(-c1 + sign*sqrt(disc))/2 <= n/m, multiplied by 2m
             n, m = bound.numerator, bound.denominator
             q = m * b if place.root_index else -m * b
-            a_lo = max(a_lo, -_floor_surd(2 * n - m * b * c1, q, disc, 2 * m))
-            a_hi = min(a_hi, _floor_surd(2 * n + m * b * c1, -q, disc, 2 * m))
+            a_lo = max(a_lo, -floor_surd(2 * n - m * b * c1, q, disc, 2 * m))
+            a_hi = min(a_hi, floor_surd(2 * n + m * b * c1, -q, disc, 2 * m))
         found.extend((a, b) for a in range(a_lo, a_hi + 1))
     found.sort()
     return [NFElem(field, a, b) for a, b in found]

@@ -30,12 +30,11 @@ def str_frac(s: str) -> Fraction:
         raise UsageError(f"not a rational number: {s!r}") from exc
 
 
-def poly_eval(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Value at x of the polynomial with coefficients cs, low degree first."""
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+def str_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise UsageError(f"not an integer: {s!r}") from exc
 
 
 def surd_sign(p, q, d: int) -> int:
@@ -50,6 +49,12 @@ def surd_sign(p, q, d: int) -> int:
     lhs = (p.numerator * q.denominator) ** 2
     rhs = (q.numerator * p.denominator) ** 2 * d
     return sp if lhs > rhs else sq if lhs < rhs else 0
+
+
+def floor_surd(p: int, q: int, d: int, s: int) -> int:
+    """floor((p + q*sqrt(d)) / s) for integers, s > 0 and d not a perfect square."""
+    r = math.isqrt(q * q * d)  # floor(|q|*sqrt(d)), which is irrational for q != 0
+    return (p + (r if q >= 0 else -r - 1)) // s
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +122,12 @@ class NumberField:
         self.degree: int = len(coeffs) - 1
         self.name = name
         self._real_roots: list[RealEmbeddingInterval] | None = None
-        # canonical refinement chain per root: raw isolating interval plus one
-        # memoised interval per power-of-two level.  Every refinement result is
-        # a pure function of (root, level), never of cache warmth, so values
-        # derived from embeddings are identical across sessions and replays.
+        # raw isolating interval per root: every refinement is the cell of a
+        # dyadic subdivision of it, computed in closed form as a pure function
+        # of (root, level), so values derived from embeddings are identical
+        # across sessions and replays.
         self._root_bases: dict[int, tuple[Fraction, Fraction]] = {}
+        # memo per (root, level): eval_embedding asks for the same level on every call
         self._refine_cache: dict[tuple[int, int], "RealEmbeddingInterval"] = {}
 
     def __repr__(self):
@@ -136,9 +142,6 @@ class NumberField:
     @property
     def is_rational_field(self) -> bool:
         return self.degree == 1
-
-    def min_poly_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.min_poly)
 
     def elem(self, coeffs) -> "NFElem":
         """The element with power-basis coordinates `coeffs` (missing ones are 0)."""
@@ -201,7 +204,7 @@ class RealEmbeddingInterval:
 
     The open interval (lo, hi) contains exactly one root and the polynomial
     changes sign across it; lo == hi encodes an exact rational root (degree-1
-    fields).  Refinement bisects and never loses the root.
+    fields).  Refinement narrows the interval and never loses the root.
     """
 
     field: NumberField
@@ -223,9 +226,13 @@ class RealEmbeddingInterval:
     def refined(self, bits: int) -> "RealEmbeddingInterval":
         """Canonical interval of width <= 2^-level for the next power-of-two level.
 
-        The result is a pure function of (field, root, level): bisection always
-        continues the one deterministic chain from the raw isolating interval,
-        so refinements replay identically in any session and call order.
+        The raw isolating interval (lo, hi) is cut into 2^t cells of width
+        w = (hi - lo)/2^t, for the least t with w <= 2^-level, and the result
+        is the cell holding the root: [lo + k*w, lo + (k+1)*w] with
+        k = floor((root - lo)/w), decided in integers from the closed form
+        root = (-c1 -+ sqrt(disc))/2.  This is the cell that t bisections of
+        (lo, hi) reach, and a pure function of (field, root, level), so
+        refinements replay identically in any session and call order.
         """
         if self.is_exact:
             return self
@@ -235,26 +242,15 @@ class RealEmbeddingInterval:
         if cached is not None:
             return cached
         lo, hi = self.field._root_bases[self.root_index]
-        probe = level
-        while probe > 8:
-            probe //= 2
-            earlier = self.field._refine_cache.get((self.root_index, probe))
-            if earlier is not None:
-                lo, hi = earlier.lo, earlier.hi
-                break
-        target = Fraction(1, 2**level)
-        if hi - lo > target:
-            poly = self.field.min_poly_fractions()
-            flo = poly_eval(poly, lo)
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                fmid = poly_eval(poly, mid)
-                # mid is never a root: irreducible of degree >= 2 has no rational root
-                if (flo > 0) != (fmid > 0):
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-        out = RealEmbeddingInterval(self.field, self.root_index, lo, hi, level)
+        span = hi - lo
+        # least t with span * 2^level <= 2^t
+        t = (-(-(span.numerator << level) // span.denominator) - 1).bit_length()
+        w = span / (1 << t)
+        # (root - lo)/w = (-n*(q*c1 + 2*p) -+ n*q*sqrt(disc)) / (2*q*m), lo = p/q, w = m/n
+        p, q, m, n = lo.numerator, lo.denominator, w.numerator, w.denominator
+        nq = n * q if self.root_index else -n * q
+        k = floor_surd(-n * (q * self.field.min_poly[1] + 2 * p), nq, self.field.disc, 2 * q * m)
+        out = RealEmbeddingInterval(self.field, self.root_index, lo + k * w, lo + (k + 1) * w, level)
         self.field._refine_cache[key] = out
         return out
 

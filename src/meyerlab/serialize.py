@@ -129,10 +129,13 @@ def meyer_result_to_dict(
     radius,
     side_a: str,
     side_b: str,
+    max_translates: int | None,
 ) -> dict:
     """side_a / side_b say how each point set derives from the scheme patch:
-    "model_set" (the patch itself) or "symmetrized" (Lambda ∩ Lambda^-1)."""
-    return {
+    "model_set" (the patch itself) or "symmetrized" (Lambda ∩ Lambda^-1).
+    A negative verdict also records the translate cap and the witness point,
+    so replay can rerun the capped search."""
+    data = {
         "type": "meyer_commensurability",
         "scheme": scheme.to_dict(),
         "radius": frac_str(Fraction(radius)),
@@ -143,6 +146,10 @@ def meyer_result_to_dict(
         "cover_ab": None if res.cover_ab is None else greedy_cover_to_dict(res.cover_ab, "heis"),
         "cover_ba": None if res.cover_ba is None else greedy_cover_to_dict(res.cover_ba, "heis"),
     }
+    if res.verdict != "COMMENSURABLE-AT-SCALE":
+        data["max_translates"] = max_translates
+        data["witness"] = _point_to_json("heis", res.witness)
+    return data
 
 
 def _meyer_side_points(patch: heis.HeisPatch, side: str):
@@ -251,15 +258,24 @@ def _replay_delone(data) -> tuple[bool, str]:
 
 def _replay_meyer(data) -> tuple[bool, str]:
     scheme = heis.HeisScheme.from_dict(data["scheme"])
-    if data["verdict"] != "COMMENSURABLE-AT-SCALE":
-        return True, "negative verdict carried verbatim"
+    negative = data["verdict"] != "COMMENSURABLE-AT-SCALE"
+    if negative and (type(data.get("max_translates")) is not int or "witness" not in data):
+        return False, "negative verdict without the translate cap and witness that reproduce it"
     patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
     a_points = _meyer_side_points(patch, data["side_a"])
     b_points = _meyer_side_points(patch, data["side_b"])
-    field = scheme.field
     ops = scheme.group_ops()
-    cover_ab = greedy_cover_from_dict(data["cover_ab"], field)
-    cover_ba = greedy_cover_from_dict(data["cover_ba"], field)
+    if negative:
+        res = heis.meyer_commensurability(
+            a_points, b_points, ops, str_frac(data["scope_radius"]), data["max_translates"]
+        )
+        again = meyer_result_to_dict(
+            res, scheme, data["radius"], data["side_a"], data["side_b"], data["max_translates"]
+        )
+        ok = canonical_json(again) == canonical_json(data)
+        return ok, "capped search reran" if ok else "capped search gives a different result"
+    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme.field)
+    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme.field)
     scope = str_frac(data["scope_radius"])
     a_in = {p for p in a_points if verify.point_norm_hi(p, ops) <= scope}
     b_in = {p for p in b_points if verify.point_norm_hi(p, ops) <= scope}

@@ -216,6 +216,38 @@ def test_replay_rejects_delone_report_without_data(tmp_path, capsys):
     assert "no embedded patch" in capsys.readouterr().out
 
 
+def _commensurate(path, *extra):
+    return run_cli("heis", "commensurate", "--field", "sqrt2", "--window", "1,1,2",
+                   "--radius", "6", "--json", str(path), *extra)
+
+
+def test_replay_rejects_forged_negative_meyer_verdict(tmp_path, capsys):
+    path = tmp_path / "meyer.json"
+    assert _commensurate(path) == 0
+    data = json.loads(path.read_text())
+    data["verdict"] = "NOT-COMMENSURABLE-AT-SCALE"
+    data["cover_ab"] = None
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 2
+    assert "replay FAILED" in capsys.readouterr().out
+
+
+def test_capped_negative_meyer_verdict_replays(tmp_path, capsys):
+    path = tmp_path / "meyer.json"
+    assert _commensurate(path, "--max-translates", "1") == 2
+    data = json.loads(path.read_text())
+    assert data["verdict"] == "NOT-COMMENSURABLE-AT-SCALE" and data["max_translates"] == 1
+    assert run_cli("verify", "replay", str(path)) == 0
+    for key, value in (("max_translates", 2), ("max_translates", "1"),
+                       ("witness", [["0", "0"], ["0", "0"], ["0", "0"]])):
+        forged = tmp_path / f"forged-{key}.json"
+        forged.write_text(json.dumps(data | {key: value}))
+        capsys.readouterr()
+        assert run_cli("verify", "replay", str(forged)) == 2
+        assert "replay FAILED" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -228,6 +260,15 @@ def test_replay_rejects_delone_report_without_data(tmp_path, capsys):
         (["verify", "replay", "{d}/missing.json"], "cannot read"),
         (["verify", "replay", "{d}/not-json.json"], "is not a JSON file"),
         (["verify", "replay", "{d}/bare-patch.json"], "patch artifact lacks the key 'scheme'"),
+        (["cps", "generate", "--scheme", "zs:x", "--window", "0", "--radius", "1"],
+         "not an integer: 'x'"),
+        (["cps", "generate", "--scheme", "galois:golden:x", "--window", "1", "--radius", "1"],
+         "not an integer: 'x'"),
+        (["cps", "generate", "--scheme", "zs:2", "--window", "x", "--radius", "1"],
+         "not an integer: 'x'"),
+        (["cps", "intersect", "--scheme", "galois:golden:2", "--window", "1,1", "--radius", "4",
+          "--axes", "x"], "not an integer: 'x'"),
+        (["pisot", "enumerate", "--ring", "zs:x", "--radius", "2"], "not an integer: 'x'"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -298,3 +339,104 @@ def test_every_submodule_is_registered_after_importing_cli():
         print("ok")
     """
     assert _run_python(script).splitlines()[-1] == "ok"
+
+
+# Every option of every command, recorded from the per-command parsers that
+# one parser per command group replaced.
+CPS_OPTIONS = ("--scheme", "--window", "--radius", "--axes")
+HEIS_OPTIONS = ("--field", "--window", "--radius", "--radius-small", "--radius-large",
+                "--side-a", "--side-b", "--max-translates")
+PISOT_OPTIONS = ("--ring", "--field", "--elements", "--radius", "--window", "--poly", "--scale")
+VERIFY_OPTIONS = ("--patch", "--a", "--b", "--inner", "--spec", "--scheme", "--field", "--window",
+                  "--radius", "--max-translates")
+COMMON_OPTIONS = ("--out", "--json", "--config")
+SURFACE = {
+    **{("cps", c): CPS_OPTIONS for c in ("generate", "certify", "intersect", "project")},
+    **{("heis", c): HEIS_OPTIONS for c in ("generate", "certify", "center", "hull", "commensurate")},
+    **{("pisot", c): PISOT_OPTIONS for c in ("certify", "enumerate", "polycover")},
+    **{("verify", c): VERIFY_OPTIONS for c in ("delone", "cover", "cellcover")},
+    ("verify", "replay"): (),
+}
+ALL_OPTIONS = sorted(set().union(*SURFACE.values()) | set(COMMON_OPTIONS))
+OPTION_VALUES = {"--side-a": "model_set", "--side-b": "symmetrized", "--max-translates": "3"}
+
+
+def _option_value(option):
+    return OPTION_VALUES.get(option, "v")
+
+
+@pytest.fixture
+def record_args(monkeypatch):
+    """Replace every command handler with one that records its namespace."""
+    seen = []
+    for group, command in SURFACE:
+        monkeypatch.setitem(cli.COMMANDS[group], command, lambda args: seen.append(args) or 0)
+    return seen
+
+
+def test_command_table_matches_recorded_surface():
+    assert {(g, c) for g, commands in cli.COMMANDS.items() for c in commands} == set(SURFACE)
+
+
+@pytest.mark.parametrize("group, command", sorted(SURFACE))
+def test_cli_surface_is_unchanged(group, command, tmp_path, capsys, record_args):
+    head = [group, command] + (["artifact.json"] if command == "replay" else [])
+    config = tmp_path / "empty.conf"
+    config.write_text("")
+    argv = list(head)
+    for option in SURFACE[group, command] + COMMON_OPTIONS:
+        argv += [option, str(config) if option == "--config" else _option_value(option)]
+    assert run_cli(*argv) == 0
+    args = record_args.pop()
+    for option in SURFACE[group, command]:
+        value = getattr(args, option[2:].replace("-", "_"))
+        assert str(value) == _option_value(option)
+    if command == "replay":
+        assert args.file == "artifact.json"
+
+    with pytest.raises(SystemExit) as exc:
+        run_cli(group, command, "--help")
+    assert exc.value.code == 0
+    capsys.readouterr()
+
+    own = set(SURFACE[group, command]) | set(COMMON_OPTIONS)
+    for option in ALL_OPTIONS:
+        # an abbreviation of an own option was accepted by the old parsers too
+        if option in own or any(o.startswith(option) for o in own):
+            continue
+        assert run_cli(*head, option, _option_value(option)) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: unrecognized arguments: {option} {_option_value(option)}\n"
+    assert record_args == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "replay"], "the following arguments are required: file"),
+        (["verify", "replay", "a.json", "--patch", "p"], "unrecognized arguments: --patch p"),
+        (["verify", "replay", "a.json", "b.json"], "unrecognized arguments: b.json"),
+        (["verify", "replay", "--bogus", "a.json"], "unrecognized arguments: --bogus"),
+        (["verify", "replay", "--bogus"], "the following arguments are required: file"),
+        (["verify", "delone", "x"], "unrecognized arguments: x"),
+        (["verify", "cover", "x", "y"], "unrecognized arguments: x y"),
+        (["cps"], "the following arguments are required: command"),
+        (["heis", "commensurate", "--max-translates", "x"],
+         "argument --max-translates: invalid int value: 'x'"),
+    ],
+)
+def test_cli_usage_errors_are_unchanged(argv, message, capsys):
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("group", sorted({g for g, _ in SURFACE}))
+def test_unknown_command_message_is_unchanged(group, capsys):
+    names = [c for g, c in SURFACE if g == group]
+    assert run_cli(group, "nope") == 1
+    err = capsys.readouterr().err
+    # older Python versions quote the choices, newer ones list them bare
+    assert err in {
+        f"usage error: argument command: invalid choice: 'nope' (choose from {choices})\n"
+        for choices in (", ".join(map(repr, names)), ", ".join(names))
+    }

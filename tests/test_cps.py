@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meyerlab import cps, verify
+from meyerlab import cps, exactnum, verify
 from meyerlab.errors import ResourceLimit, UnsupportedSubgroup, UsageError
 from meyerlab.exactnum import abs_embedding_leq as _certified_abs_leq
 from meyerlab.exactnum import NumberField, golden_field, sqrt2_field
@@ -237,7 +237,7 @@ class TestRowWiseEnumeration:
             ctx.prec = 80
             value = (p + q * Decimal(d).sqrt()) / s
             expected = int(value.to_integral_value(rounding=ROUND_FLOOR))
-        assert cps._floor_surd(p, q, d, s) == expected
+        assert exactnum.floor_surd(p, q, d, s) == expected
 
     @pytest.mark.parametrize("name", ["golden", "sqrt2", "disc13"])
     @pytest.mark.parametrize("root_index", [0, 1])

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meyerlab import exactnum as en
@@ -142,9 +142,9 @@ class TestRealRoots:
         assert phi.lo < PHI_HI and phi.hi > PHI_LO
         assert conj.lo < PHI_CONJ_HI and conj.hi > PHI_CONJ_LO
         # bisection oracle: the minimal polynomial changes sign across each interval
-        mp = golden.min_poly_fractions()
+        mp = min_poly_fractions(golden)
         for r in (phi, conj):
-            assert en.poly_eval(mp, r.lo) * en.poly_eval(mp, r.hi) < 0
+            assert poly_eval(mp, r.lo) * poly_eval(mp, r.hi) < 0
 
     def test_no_real_roots(self):
         k = en.NumberField([1, 0, 1])  # X^2 + 1
@@ -178,12 +178,12 @@ class TestRealRoots:
     def test_refinement_halves_and_keeps_root(self, golden):
         r = golden.real_roots()[1]
         prev = r
-        mp = golden.min_poly_fractions()
+        mp = min_poly_fractions(golden)
         for bits in (10, 20, 40, 80):
             cur = prev.refined(bits)
             assert cur.width() <= Fraction(1, 2**bits)
             assert cur.lo >= prev.lo and cur.hi <= prev.hi
-            assert en.poly_eval(mp, cur.lo) * en.poly_eval(mp, cur.hi) < 0
+            assert poly_eval(mp, cur.lo) * poly_eval(mp, cur.hi) < 0
             prev = cur
 
 
@@ -344,8 +344,41 @@ def test_cmp_embedding_agrees_with_every_excluding_interval(field, root, a, b, r
 # ---------------------------------------------------------------------------
 # The integer kernel against general-degree references kept here: dense
 # polynomial arithmetic over Q (product, division with remainder, extended
-# Euclid), the matrix of multiplication, and Horner's rule over intervals.
+# Euclid), the matrix of multiplication, Horner's rule over intervals, and
+# root refinement by bisection.
 # ---------------------------------------------------------------------------
+
+
+def poly_eval(cs, x):
+    """Value at x of the polynomial with coefficients cs, low degree first."""
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def min_poly_fractions(field):
+    return tuple(Fraction(c) for c in field.min_poly)
+
+
+def ref_refined(place, bits):
+    """The canonical level interval by bisecting the root's raw isolating interval."""
+    if place.is_exact:
+        return place
+    level = en._canonical_level(bits)
+    lo, hi = place.field._root_bases[place.root_index]
+    poly = min_poly_fractions(place.field)
+    target = Fraction(1, 2**level)
+    flo = poly_eval(poly, lo)
+    while hi - lo > target:
+        mid = (lo + hi) / 2
+        fmid = poly_eval(poly, mid)
+        # mid is never a root: irreducible of degree >= 2 has no rational root
+        if (flo > 0) != (fmid > 0):
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return en.RealEmbeddingInterval(place.field, place.root_index, lo, hi, level)
 
 
 def poly_trim(cs):
@@ -391,13 +424,13 @@ def ref_coeffs(field, poly):
 
 def ref_mul(x, y):
     _, rem = poly_divmod(poly_mul(poly_trim(x.coeffs), poly_trim(y.coeffs)),
-                         x.field.min_poly_fractions())
+                         min_poly_fractions(x.field))
     return ref_coeffs(x.field, rem)
 
 
 def ref_inv(x):
     # extended Euclid in Q[X]: u*x + v*minpoly = const
-    r0, r1 = x.field.min_poly_fractions(), poly_trim(x.coeffs)
+    r0, r1 = min_poly_fractions(x.field), poly_trim(x.coeffs)
     s0, s1 = (), (Fraction(1),)
     while len(r1) > 1:
         q, r = poly_divmod(r0, r1)
@@ -423,11 +456,11 @@ def iv_mul(a, b):
 def ref_eval_embedding(x, place, precision_bits):
     """Horner's rule over intervals at the canonical refinement levels."""
     if place.is_exact:
-        v = en.poly_eval(x.coeffs, place.lo)
+        v = poly_eval(x.coeffs, place.lo)
         return (v, v)
     bits = max(precision_bits, 8)
     while True:
-        pl = place.refined(bits)
+        pl = ref_refined(place, bits)
         iv = (Fraction(0), Fraction(0))
         for c in reversed(x.coeffs):
             iv = en.iv_add(iv_mul(iv, (pl.lo, pl.hi)), (c, c))
@@ -538,3 +571,42 @@ class TestIntegerKernel:
         got = en.eval_embedding(x, place, bits)
         assert got == ref_eval_embedding(x, place, bits)
         assert all(type(v) is Fraction for v in got)
+
+
+@st.composite
+def real_quadratic_fields(draw):
+    """X^2 + c1*X + c0 with a positive non-square discriminant, c1 of either sign."""
+    c1 = draw(st.integers(-60, 60))
+    c0 = draw(st.integers(-400, 400).filter(lambda c0: c1 * c1 - 4 * c0 > 0))
+    disc = c1 * c1 - 4 * c0
+    assume(math.isqrt(disc) ** 2 != disc)
+    return en.NumberField([c0, c1, 1])
+
+
+LEVELS = [2**k for k in range(3, 13)]  # 8 to 4096
+
+
+class TestClosedFormRefinement:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=real_quadratic_fields(),
+        root=st.integers(0, 1),
+        bits=st.one_of(st.integers(1, 300), st.sampled_from(LEVELS)),
+    )
+    def test_refined_matches_bisection(self, field, root, bits):
+        place = field.real_roots()[root]
+        got = place.refined(bits)
+        assert got == ref_refined(place, bits)
+        assert got.width() <= Fraction(1, 2**bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=real_quadratic_fields(),
+        root=st.integers(0, 1),
+        coeffs=st.lists(COEFFS, min_size=2, max_size=2),
+        bits=st.one_of(st.integers(1, 300), st.sampled_from(LEVELS[:-1])),
+    )
+    def test_eval_embedding_matches_bisection(self, field, root, coeffs, bits):
+        x = field.elem(coeffs)
+        place = field.real_roots()[root]
+        assert en.eval_embedding(x, place, bits) == ref_eval_embedding(x, place, bits)
