@@ -407,45 +407,24 @@ def cmd_pisot_polycover(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_patch(path: str, args=None):
+def _load_patch(path: str, args=None) -> cps.Patch:
     if path.endswith(".csv"):
         if args is None or not (args.scheme or args.field):
             raise UsageError("CSV patches need --scheme (or --field/--window for heis) metadata")
         with open(path) as handle:
             rows = [line.strip() for line in handle if line.strip()]
-        if args.field:  # Heisenberg CSV
-            _require(args, "window", "radius")
-            scheme = heis.HeisScheme(parse_field(args.field), parse_heis_window(args.window))
-            field = scheme.field
-            pts = []
-            for row in rows[1:]:
-                cells = row.split(",")
-                coords = [field.elem([str_frac(c) for c in cells[i : i + 2]]) for i in (0, 2, 4)]
-                pts.append(heis.HeisPoint(*coords))
-            return heis.HeisPatch(scheme, str_frac(args.radius), tuple(pts))
         _require(args, "window", "radius")
-        scheme = parse_scheme(args.scheme)
-        window = parse_window(scheme, args.window)
-        if scheme.kind == "zs":
-            pts = tuple(str_frac(row) for row in rows[1:])
+        if args.field:  # Heisenberg CSV: the window belongs to the scheme
+            scheme, window = _heis_scheme(args), None
         else:
-            pts = []
-            for row in rows[1:]:
-                cells = row.split(",")
-                pts.append(
-                    tuple(
-                        scheme.field.elem([str_frac(c) for c in cells[2 * i : 2 * i + 2]])
-                        for i in range(scheme.dim)
-                    )
-                )
-            pts = tuple(pts)
+            scheme = parse_scheme(args.scheme)
+            window = parse_window(scheme, args.window)
+        pts = tuple(scheme.point_from_csv(row) for row in rows[1:])
         return cps.Patch(scheme, window, str_frac(args.radius), pts)
     data = serialize.load_json(path)
-    if data.get("type") == "heis_patch":
-        return heis.HeisPatch.from_dict(data)
-    if data.get("type") == "patch":
-        return cps.Patch.from_dict(data)
-    raise UsageError(f"{path} is not a patch file")
+    if data.get("type") not in ("patch", "heis_patch"):
+        raise UsageError(f"{path} is not a patch file")
+    return cps.Patch.from_dict(data)
 
 
 def cmd_verify_delone(args) -> int:
@@ -475,8 +454,7 @@ def cmd_verify_cover(args) -> int:
     if cover is None:
         print(f"cover infeasible under translate cap; witness = {witness!r}")
         return EXIT_NEGATIVE
-    kind = pa.scheme.kind
-    data = {"type": "patch_cover", "kind": kind} | serialize.greedy_cover_to_dict(cover, kind)
+    data = {"type": "patch_cover"} | serialize.greedy_cover_to_dict(cover, pa.scheme)
     data["patch_a"] = pa.to_dict()
     data["patch_b"] = pb.to_dict()
     _emit(args, data, None, f"|F| = {len(cover.translates)} covering {cover.scope_points} points")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import verify
+from . import heis, verify
 from .errors import (
     CoverSearchFailed,
     ResourceLimit,
@@ -110,13 +110,22 @@ def window_product(w1: Window, w2: Window) -> Window:
 
 # ---------------------------------------------------------------------------
 # Schemes
+#
+# Each scheme owns the format of its points: `patch_type` tags its patch
+# artifacts, and point_to_json/point_from_json, csv_header/csv_row/
+# point_from_csv and sort_key write, read and order one point.  `model_set`
+# builds the complete patch for a window and radius.
 # ---------------------------------------------------------------------------
 
 
 class ZSScheme:
-    """Physical R, internal prod Q_p, lattice Z[1/(p_1...p_m)] diagonal."""
+    """Physical R, internal prod Q_p, lattice Z[1/(p_1...p_m)] diagonal.
+
+    A point is the Fraction it embeds as.
+    """
 
     kind = "zs"
+    patch_type = "patch"
 
     def __init__(self, primes: Sequence[int]):
         ps = tuple(sorted(set(int(p) for p in primes)))
@@ -133,9 +142,6 @@ class ZSScheme:
     def __eq__(self, other):
         return isinstance(other, ZSScheme) and self.primes == other.primes
 
-    def default_window(self) -> Window:
-        return Window.balls(*((p, 0) for p in self.primes))
-
     def validate_window(self, window: Window):
         if window.real_halfwidths:
             raise UsageError("ZS windows have no real component")
@@ -148,14 +154,77 @@ class ZSScheme:
     def group_ops(self) -> verify.GroupOps:
         return verify.rational_line_ops()
 
+    def model_set(self, window: Window, radius) -> "Patch":
+        return model_set_patch(self, window, radius)
+
     def to_dict(self) -> dict:
         return {"kind": "zs", "primes": list(self.primes)}
 
+    def point_to_json(self, q: Fraction) -> str:
+        return frac_str(q)
 
-class GaloisScheme:
-    """Physical R^n via sigma_1, internal R^n via sigma_2, lattice Z[theta]^n."""
+    def point_from_json(self, data) -> Fraction:
+        return str_frac(data)
+
+    def csv_header(self) -> str:
+        return "x"
+
+    def csv_row(self, q: Fraction) -> str:
+        return frac_str(q)
+
+    def point_from_csv(self, row: str) -> Fraction:
+        return str_frac(row)
+
+    def sort_key(self, q: Fraction):
+        return (q,)
+
+
+class QuadraticScheme:
+    """Places and point format shared by the schemes over a real quadratic field.
+
+    A point is a sequence of field elements, one per name in `coords`, and
+    `point` builds one from its coordinates.  sigma_1 is the physical place.
+    """
+
+    @property
+    def physical_place(self) -> RealEmbeddingInterval:
+        return self.field.real_roots()[self.physical_root_index]
+
+    @property
+    def internal_place(self) -> RealEmbeddingInterval:
+        return self.field.real_roots()[1 - self.physical_root_index]
+
+    def point_to_json(self, p) -> list:
+        return [x.to_list() for x in p]
+
+    def point_from_json(self, data):
+        return self.point(self.field.elem([str_frac(c) for c in x]) for x in data)
+
+    def csv_header(self) -> str:
+        return ",".join(f"{name}_c{i}" for name in self.coords for i in (0, 1))
+
+    def csv_row(self, p) -> str:
+        return ",".join(frac_str(c) for x in p for c in x.coeffs)
+
+    def point_from_csv(self, row: str):
+        cells = row.split(",")
+        return self.point(
+            self.field.elem([str_frac(c) for c in cells[i : i + 2]])
+            for i in range(0, 2 * len(self.coords), 2)
+        )
+
+    def sort_key(self, p):
+        return tuple(c for x in p for c in x.coeffs)
+
+
+class GaloisScheme(QuadraticScheme):
+    """Physical R^n via sigma_1, internal R^n via sigma_2, lattice Z[theta]^n.
+
+    A point is a tuple of n field elements.
+    """
 
     kind = "galois"
+    patch_type = "patch"
 
     def __init__(self, field: NumberField, dim: int = 1, physical_root_index: int | None = None):
         if field.degree != 2:
@@ -185,12 +254,11 @@ class GaloisScheme:
         )
 
     @property
-    def physical_place(self) -> RealEmbeddingInterval:
-        return self.field.real_roots()[self.physical_root_index]
+    def coords(self) -> tuple[str, ...]:
+        return tuple(f"x{i}" for i in range(self.dim))
 
-    @property
-    def internal_place(self) -> RealEmbeddingInterval:
-        return self.field.real_roots()[1 - self.physical_root_index]
+    def point(self, coords) -> tuple:
+        return tuple(coords)
 
     def validate_window(self, window: Window):
         if window.padic_balls:
@@ -199,7 +267,18 @@ class GaloisScheme:
             raise UsageError("window dimension must match the scheme dimension")
 
     def group_ops(self) -> verify.GroupOps:
-        return galois_group_ops(self.field, self.physical_place, self.dim)
+        zero = tuple(self.field.zero() for _ in range(self.dim))
+        return verify.GroupOps(
+            mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
+            inv=lambda a: tuple(-x for x in a),
+            identity=zero,
+            sort_key=self.sort_key,
+            coord_intervals=embedding_intervals(self.physical_place),
+            dim=self.dim,
+        )
+
+    def model_set(self, window: Window, radius) -> "Patch":
+        return model_set_patch(self, window, radius)
 
     def to_dict(self) -> dict:
         return {
@@ -210,7 +289,10 @@ class GaloisScheme:
         }
 
 
-def scheme_from_dict(data: dict):
+def scheme_from_dict(data: dict, kind: str | None = None):
+    """The scheme `to_dict` wrote; `kind`, when given, is the only kind accepted."""
+    if kind not in (None, data["kind"]):
+        raise UsageError(f"expected a {kind} scheme, not {data['kind']!r}")
     if data["kind"] == "zs":
         return ZSScheme(data["primes"])
     if data["kind"] == "galois":
@@ -219,20 +301,13 @@ def scheme_from_dict(data: dict):
             dim=data.get("dim", 1),
             physical_root_index=data.get("physical_root_index", 1),
         )
+    if data["kind"] == "heis":
+        return heis.HeisScheme(
+            NumberField.from_dict(data["field"]),
+            [str_frac(c) for c in data["window"]],
+            physical_root_index=data.get("physical_root_index", 1),
+        )
     raise UsageError(f"unknown scheme kind {data['kind']!r}")
-
-
-def galois_group_ops(field: NumberField, physical_place: RealEmbeddingInterval, dim: int):
-    zero = tuple(field.zero() for _ in range(dim))
-    return verify.GroupOps(
-        mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        inv=lambda a: tuple(-x for x in a),
-        identity=zero,
-        sort_key=lambda a: tuple(c for x in a for c in x.coeffs),
-        coord_intervals=embedding_intervals(physical_place),
-        dim=dim,
-        label=f"galois-{dim}d",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +317,13 @@ def galois_group_ops(field: NumberField, physical_place: RealEmbeddingInterval, 
 
 @dataclass(frozen=True)
 class Patch:
-    """Complete exact fragment of a model set: all points in the R-ball."""
+    """Complete exact fragment of a model set: all points in the R-ball.
+
+    `window` is None for a scheme that carries its own window (Heisenberg).
+    """
 
     scheme: object
-    window: Window
+    window: Window | None
     radius: Fraction
     points: tuple
 
@@ -256,30 +334,24 @@ class Patch:
         return self.scheme.group_ops()
 
     def to_dict(self) -> dict:
-        if self.scheme.kind == "zs":
-            pts = [frac_str(q) for q in self.points]
-        else:
-            pts = [[x.to_list() for x in p] for p in self.points]
-        return {
-            "type": "patch",
+        data = {
+            "type": self.scheme.patch_type,
             "scheme": self.scheme.to_dict(),
-            "window": self.window.to_dict(),
             "radius": frac_str(self.radius),
-            "points": pts,
+            "points": [self.scheme.point_to_json(p) for p in self.points],
         }
+        if self.window is not None:
+            data["window"] = self.window.to_dict()
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "Patch":
         scheme = scheme_from_dict(data["scheme"])
-        window = Window.from_dict(data["window"])
+        if data["type"] != scheme.patch_type:
+            raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
+        window = None if hasattr(scheme, "window") else Window.from_dict(data["window"])
         radius = str_frac(data["radius"])
-        if scheme.kind == "zs":
-            points = tuple(str_frac(s) for s in data["points"])
-        else:
-            points = tuple(
-                tuple(scheme.field.elem([str_frac(c) for c in x]) for x in p)
-                for p in data["points"]
-            )
+        points = tuple(scheme.point_from_json(p) for p in data["points"])
         return Patch(scheme, window, radius, points)
 
 
@@ -347,26 +419,29 @@ def model_set_patch(
     if scheme.kind == "zs":
         points = _zs_patch_points(scheme, window, radius, candidate_limit)
     else:
-        per_dim = [
-            enumerate_window_elements(
-                scheme.field,
-                scheme.physical_place,
-                scheme.internal_place,
-                radius,
-                c,
-                candidate_limit=candidate_limit,
-            )
-            for c in window.real_halfwidths
-        ]
-        total = 1
-        for lst in per_dim:
-            total *= len(lst)
-        if total > candidate_limit:
-            raise ResourceLimit(f"patch would hold {total} points, above the limit")
-        points = sorted(
-            itertools.product(*per_dim), key=lambda p: tuple(c for x in p for c in x.coeffs)
-        )
+        points = box_points(scheme, window.real_halfwidths, radius, candidate_limit)
     return Patch(scheme, window, radius, tuple(points))
+
+
+def box_points(
+    scheme: QuadraticScheme, halfwidths, radius, candidate_limit: int = DEFAULT_CANDIDATE_LIMIT
+) -> list:
+    """Points whose coordinates each lie in their window and the R-ball, in scheme order."""
+    per_dim = [
+        enumerate_window_elements(
+            scheme.field,
+            scheme.physical_place,
+            scheme.internal_place,
+            radius,
+            c,
+            candidate_limit=candidate_limit,
+        )
+        for c in halfwidths
+    ]
+    total = math.prod(len(lst) for lst in per_dim)
+    if total > candidate_limit:
+        raise ResourceLimit(f"patch would hold {total} points, above the limit")
+    return sorted(map(scheme.point, itertools.product(*per_dim)), key=scheme.sort_key)
 
 
 def _zs_patch_points(scheme: ZSScheme, window: Window, radius: Fraction, candidate_limit: int):
@@ -606,9 +681,7 @@ class GlobalCoverCertificate:
         if self.scheme.kind == "zs":
             return list(self.padic_cover.residues)
         pools = [list(dc.elements) for dc in self.dim_covers]
-        return sorted(
-            itertools.product(*pools), key=lambda p: tuple(c for x in p for c in x.coeffs)
-        )
+        return sorted(itertools.product(*pools), key=self.scheme.sort_key)
 
     def replay(self) -> bool:
         if self.scheme.kind == "zs":
@@ -775,7 +848,7 @@ def _square_intersection_points(patch: Patch, axes: tuple[int, ...], inner_radiu
             seen.add(s)
             if all(abs_embedding_leq(x, place, inner_radius) for x in s):
                 out.append(s)
-    out.sort(key=lambda p: tuple(c for x in p for c in x.coeffs))
+    out.sort(key=scheme.sort_key)
     return out
 
 
@@ -846,8 +919,7 @@ def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionR
     if not quotient_axes:
         return ProjectionResult(None, (), [], None, None, True)
     projected = sorted(
-        {tuple(p[i] for i in quotient_axes) for p in patch.points},
-        key=lambda p: tuple(c for x in p for c in x.coeffs),
+        {tuple(p[i] for i in quotient_axes) for p in patch.points}, key=scheme.sort_key
     )
     qscheme = GaloisScheme(
         scheme.field, dim=len(quotient_axes), physical_root_index=scheme.physical_root_index

@@ -139,10 +139,6 @@ class NumberField:
     def __hash__(self):
         return hash(self.min_poly)
 
-    @property
-    def is_rational_field(self) -> bool:
-        return self.degree == 1
-
     def elem(self, coeffs) -> "NFElem":
         """The element with power-basis coordinates `coeffs` (missing ones are 0)."""
         cs = [Fraction(c) for c in coeffs]

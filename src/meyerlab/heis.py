@@ -42,21 +42,14 @@ class HeisPoint:
     def field(self) -> NumberField:
         return self.x.field
 
-    @property
-    def is_central(self) -> bool:
-        return self.x.is_zero and self.y.is_zero
-
     def __mul__(self, other: "HeisPoint") -> "HeisPoint":
         return heis_mul(self, other)
 
-    def inverse(self) -> "HeisPoint":
-        return heis_inv(self)
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
 
     def sort_key(self):
         return self.x.coeffs + self.y.coeffs + self.z.coeffs
-
-    def to_list(self):
-        return [self.x.to_list(), self.y.to_list(), self.z.to_list()]
 
 
 def point(field: NumberField, x, y, z) -> HeisPoint:
@@ -147,14 +140,17 @@ def bch2(u: HeisAlgebraElem, v: HeisAlgebraElem) -> HeisAlgebraElem:
 # ---------------------------------------------------------------------------
 
 
-class HeisScheme:
+class HeisScheme(cps.QuadraticScheme):
     """H3(O_K) cut along (sigma_1, sigma_2) with a coordinate box window.
 
     Window halfwidths (c_x, c_y, c_z); c_z must be positive, c_x and c_y may
-    be zero (degenerate central schemes).
+    be zero (degenerate central schemes).  The window belongs to the scheme,
+    so its patches carry none of their own.  A point is a HeisPoint.
     """
 
     kind = "heis"
+    patch_type = "heis_patch"
+    coords = ("x", "y", "z")
 
     def __init__(
         self,
@@ -176,19 +172,24 @@ class HeisScheme:
     def __repr__(self):
         return f"HeisScheme({self.field!r}, window={tuple(map(str, self.window))})"
 
-    @property
-    def physical_place(self):
-        return self.field.real_roots()[self.physical_root_index]
+    sort_key = staticmethod(HeisPoint.sort_key)
 
-    @property
-    def internal_place(self):
-        return self.field.real_roots()[1 - self.physical_root_index]
-
-    def identity(self) -> HeisPoint:
-        return heis_identity(self.field)
+    def point(self, coords) -> HeisPoint:
+        return HeisPoint(*coords)
 
     def group_ops(self) -> verify.GroupOps:
-        return heis_group_ops(self.field, self.physical_place)
+        return verify.GroupOps(
+            mul=heis_mul,
+            inv=heis_inv,
+            identity=heis_identity(self.field),
+            sort_key=self.sort_key,
+            coord_intervals=embedding_intervals(self.physical_place),
+            dim=3,
+        )
+
+    def model_set(self, window, radius) -> cps.Patch:
+        # the scheme carries the window, so a Heisenberg patch's own is None
+        return heis_model_set(self, radius)
 
     def product_window(self) -> tuple[Fraction, Fraction, Fraction]:
         """Box bound on W * W under the group law: z picks up the shear c_x c_y."""
@@ -212,60 +213,8 @@ class HeisScheme:
             "physical_root_index": self.physical_root_index,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "HeisScheme":
-        return HeisScheme(
-            NumberField.from_dict(data["field"]),
-            [str_frac(c) for c in data["window"]],
-            physical_root_index=data.get("physical_root_index", 1),
-        )
 
-
-def heis_group_ops(field: NumberField, physical_place) -> verify.GroupOps:
-    intervals = embedding_intervals(physical_place)
-    return verify.GroupOps(
-        mul=heis_mul,
-        inv=heis_inv,
-        identity=heis_identity(field),
-        sort_key=lambda p: p.sort_key(),
-        coord_intervals=lambda p, bits: intervals((p.x, p.y, p.z), bits),
-        dim=3,
-        label="heisenberg",
-    )
-
-
-@dataclass(frozen=True)
-class HeisPatch:
-    scheme: HeisScheme
-    radius: Fraction
-    points: tuple[HeisPoint, ...]
-
-    def __len__(self):
-        return len(self.points)
-
-    def group_ops(self) -> verify.GroupOps:
-        return self.scheme.group_ops()
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "heis_patch",
-            "scheme": self.scheme.to_dict(),
-            "radius": frac_str(self.radius),
-            "points": [p.to_list() for p in self.points],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "HeisPatch":
-        scheme = HeisScheme.from_dict(data["scheme"])
-        field = scheme.field
-        pts = tuple(
-            HeisPoint(*(field.elem([str_frac(c) for c in coord]) for coord in p))
-            for p in data["points"]
-        )
-        return HeisPatch(scheme, str_frac(data["radius"]), pts)
-
-
-def heis_model_set(scheme: HeisScheme, radius) -> HeisPatch:
+def heis_model_set(scheme: HeisScheme, radius) -> cps.Patch:
     """All points of H3(O_K) with physical box-norm <= R and internal in the window.
 
     The constraints are coordinatewise, so the patch is the product of three
@@ -274,19 +223,7 @@ def heis_model_set(scheme: HeisScheme, radius) -> HeisPatch:
     radius = Fraction(radius)
     if radius <= 0:
         raise UsageError("radius must be positive")
-    cx, cy, cz = scheme.window
-    coords = [
-        cps.enumerate_window_elements(
-            scheme.field, scheme.physical_place, scheme.internal_place, radius, c
-        )
-        for c in (cx, cy, cz)
-    ]
-    pts = [
-        HeisPoint(x, y, z)
-        for x, y, z in itertools.product(*coords)
-    ]
-    pts.sort(key=lambda p: p.sort_key())
-    return HeisPatch(scheme, radius, tuple(pts))
+    return cps.Patch(scheme, None, radius, tuple(cps.box_points(scheme, scheme.window, radius)))
 
 
 def symmetrize(points: Sequence[HeisPoint]) -> list[HeisPoint]:
@@ -369,7 +306,7 @@ class HeisCoverCertificate:
 
     @staticmethod
     def from_dict(data: dict) -> "HeisCoverCertificate":
-        scheme = HeisScheme.from_dict(data["scheme"])
+        scheme = cps.scheme_from_dict(data["scheme"], "heis")
         field = scheme.field
         return HeisCoverCertificate(
             scheme=scheme,
@@ -433,7 +370,6 @@ def _central_ops(field: NumberField, physical_place) -> verify.GroupOps:
         sort_key=lambda a: a.coeffs,
         coord_intervals=lambda a, bits: intervals((a,), bits),
         dim=1,
-        label="heis-centre",
     )
 
 
@@ -501,7 +437,7 @@ class CommutatorMapResult:
     report: verify.DeloneReport | None
 
 
-def commutator_map(xi: HeisPoint, patch: HeisPatch) -> CommutatorMapResult:
+def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
     """phi_xi(u) = [xi, u] = (0, 0, x_xi y_u - y_xi x_u) over the patch.
 
     The z-component is bilinear, so phi_xi is a homomorphism into the centre;
@@ -587,7 +523,7 @@ class HullReport:
     table: dict
 
 
-def schreiber_hull(patch_small: HeisPatch, patch_large: HeisPatch) -> HullReport:
+def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport:
     """Minimal coordinate subgroup U' with a stable patch bound kappa.
 
     kappa(U') bounds both the distance from every patch point to U' and the

@@ -8,7 +8,6 @@ replayed certificate re-serializes bit-exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
@@ -56,70 +55,27 @@ def load_json(path: str):
 
 
 def patch_to_csv(patch) -> str:
-    out = io.StringIO()
-    if patch.scheme.kind == "heis":
-        out.write("x_c0,x_c1,y_c0,y_c1,z_c0,z_c1\n")
-        for p in patch.points:
-            row = [frac_str(c) for coord in (p.x, p.y, p.z) for c in coord.coeffs]
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
-    if patch.scheme.kind == "zs":
-        out.write("x\n")
-        for q in patch.points:
-            out.write(frac_str(q) + "\n")
-        return out.getvalue()
-    dim = patch.scheme.dim
-    header = []
-    for i in range(dim):
-        header += [f"x{i}_c0", f"x{i}_c1"]
-    out.write(",".join(header) + "\n")
-    for p in patch.points:
-        row = [frac_str(c) for x in p for c in x.coeffs]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    scheme = patch.scheme
+    rows = [scheme.csv_header()] + [scheme.csv_row(p) for p in patch.points]
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Greedy covers with points, serialized per group kind.
+# Greedy covers with points in the scheme's format.
 # ---------------------------------------------------------------------------
 
 
-def _point_to_json(kind: str, point):
-    if kind == "zs":
-        return frac_str(point)
-    if kind == "galois":
-        return [x.to_list() for x in point]
-    if kind == "heis":
-        return point.to_list()
-    raise UsageError(f"unknown point kind {kind!r}")
-
-
-def _point_from_json(kind: str, field, data):
-    if kind == "zs":
-        return str_frac(data)
-    if kind == "galois":
-        return tuple(field.elem([str_frac(c) for c in x]) for x in data)
-    if kind == "heis":
-        return heis.HeisPoint(*(field.elem([str_frac(c) for c in x]) for x in data))
-    raise UsageError(f"unknown point kind {kind!r}")
-
-
-def greedy_cover_to_dict(cover: verify.GreedyCover, kind: str) -> dict:
+def greedy_cover_to_dict(cover: verify.GreedyCover, scheme) -> dict:
     return {
-        "kind": kind,
-        "translates": [_point_to_json(kind, f) for f in cover.translates],
-        "assignments": [
-            [_point_to_json(kind, a), fi] for a, fi in cover.assignments
-        ],
+        "kind": scheme.kind,
+        "translates": [scheme.point_to_json(f) for f in cover.translates],
+        "assignments": [[scheme.point_to_json(a), fi] for a, fi in cover.assignments],
     }
 
 
-def greedy_cover_from_dict(data: dict, field=None) -> verify.GreedyCover:
-    kind = data["kind"]
-    translates = [_point_from_json(kind, field, t) for t in data["translates"]]
-    assignments = [
-        (_point_from_json(kind, field, a), fi) for a, fi in data["assignments"]
-    ]
+def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
+    translates = [scheme.point_from_json(t) for t in data["translates"]]
+    assignments = [(scheme.point_from_json(a), fi) for a, fi in data["assignments"]]
     return verify.GreedyCover(translates, assignments, len(assignments))
 
 
@@ -143,16 +99,16 @@ def meyer_result_to_dict(
         "side_b": side_b,
         "scope_radius": frac_str(res.scope_radius),
         "verdict": res.verdict,
-        "cover_ab": None if res.cover_ab is None else greedy_cover_to_dict(res.cover_ab, "heis"),
-        "cover_ba": None if res.cover_ba is None else greedy_cover_to_dict(res.cover_ba, "heis"),
+        "cover_ab": None if res.cover_ab is None else greedy_cover_to_dict(res.cover_ab, scheme),
+        "cover_ba": None if res.cover_ba is None else greedy_cover_to_dict(res.cover_ba, scheme),
     }
     if res.verdict != "COMMENSURABLE-AT-SCALE":
         data["max_translates"] = max_translates
-        data["witness"] = _point_to_json("heis", res.witness)
+        data["witness"] = scheme.point_to_json(res.witness)
     return data
 
 
-def _meyer_side_points(patch: heis.HeisPatch, side: str):
+def _meyer_side_points(patch: cps.Patch, side: str):
     if side == "model_set":
         return list(patch.points)
     if side == "symmetrized":
@@ -165,18 +121,19 @@ def _meyer_side_points(patch: heis.HeisPatch, side: str):
 # ---------------------------------------------------------------------------
 
 
-def _replay_patch(data) -> tuple[bool, str]:
+def _replayed_patch(data):
+    """(patch, detail): the patch in `data` if its scheme re-enumerates the same
+    points from its window and radius, else (None, why not)."""
     patch = cps.Patch.from_dict(data)
-    again = cps.model_set_patch(patch.scheme, patch.window, patch.radius)
-    ok = again.points == patch.points
-    return ok, f"{len(patch.points)} points re-enumerated" if ok else "point sets differ"
+    again = patch.scheme.model_set(patch.window, patch.radius)
+    if again.points != patch.points:
+        return None, "point sets differ"
+    return patch, f"{len(patch.points)} points re-enumerated"
 
 
-def _replay_heis_patch(data) -> tuple[bool, str]:
-    patch = heis.HeisPatch.from_dict(data)
-    again = heis.heis_model_set(patch.scheme, patch.radius)
-    ok = again.points == patch.points
-    return ok, f"{len(patch.points)} points re-enumerated" if ok else "point sets differ"
+def _replay_patch(data) -> tuple[bool, str]:
+    patch, detail = _replayed_patch(data)
+    return patch is not None, detail
 
 
 def _replay_global_cover(data) -> tuple[bool, str]:
@@ -240,11 +197,9 @@ def _replay_approximate_lattice(data) -> tuple[bool, str]:
 def _replay_delone(data) -> tuple[bool, str]:
     if "patch" not in data:
         return False, "no embedded patch: the report cannot be checked"
-    src = data["patch"]
-    if src.get("type") == "heis_patch":
-        patch = heis.HeisPatch.from_dict(src)
-    else:
-        patch = cps.Patch.from_dict(src)
+    patch, detail = _replayed_patch(data["patch"])
+    if patch is None:
+        return False, "embedded patch: " + detail
     report = verify.delone_certify(
         patch.points,
         patch.group_ops(),
@@ -257,7 +212,7 @@ def _replay_delone(data) -> tuple[bool, str]:
 
 
 def _replay_meyer(data) -> tuple[bool, str]:
-    scheme = heis.HeisScheme.from_dict(data["scheme"])
+    scheme = cps.scheme_from_dict(data["scheme"], "heis")
     negative = data["verdict"] != "COMMENSURABLE-AT-SCALE"
     if negative and (type(data.get("max_translates")) is not int or "witness" not in data):
         return False, "negative verdict without the translate cap and witness that reproduce it"
@@ -274,8 +229,8 @@ def _replay_meyer(data) -> tuple[bool, str]:
         )
         ok = canonical_json(again) == canonical_json(data)
         return ok, "capped search reran" if ok else "capped search gives a different result"
-    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme.field)
-    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme.field)
+    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
+    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
     scope = str_frac(data["scope_radius"])
     a_in = {p for p in a_points if verify.point_norm_hi(p, ops) <= scope}
     b_in = {p for p in b_points if verify.point_norm_hi(p, ops) <= scope}
@@ -408,14 +363,14 @@ def _replay_projection(data) -> tuple[bool, str]:
 
 def _replay_center(data) -> tuple[bool, str]:
     inp = data["inputs"]
-    again = center_summary(heis.HeisScheme.from_dict(inp["scheme"]), str_frac(inp["radius"]))
+    again = center_summary(cps.scheme_from_dict(inp["scheme"], "heis"), str_frac(inp["radius"]))
     return canonical_json(again) == canonical_json(data), "centre intersection recomputed"
 
 
 def _replay_hull(data) -> tuple[bool, str]:
     inp = data["inputs"]
     again = hull_summary(
-        heis.HeisScheme.from_dict(inp["scheme"]),
+        cps.scheme_from_dict(inp["scheme"], "heis"),
         str_frac(inp["radius_small"]),
         str_frac(inp["radius_large"]),
     )
@@ -429,17 +384,19 @@ def _replay_cellcover(data) -> tuple[bool, str]:
 
 
 def _replay_patch_cover(data) -> tuple[bool, str]:
-    kind = data["kind"]
-    if kind == "heis":
-        patch_b = heis.HeisPatch.from_dict(data["patch_b"])
-        ops = patch_b.group_ops()
-        field = patch_b.scheme.field
-    else:
-        patch_b = cps.Patch.from_dict(data["patch_b"])
-        ops = patch_b.group_ops()
-        field = getattr(patch_b.scheme, "field", None)
-    cover = greedy_cover_from_dict(data, field)
-    return cover.replay(patch_b.points, ops), "pointwise assignments re-verified"
+    patch_a, detail = _replayed_patch(data["patch_a"])
+    if patch_a is None:
+        return False, "patch_a: " + detail
+    patch_b, detail = _replayed_patch(data["patch_b"])
+    if patch_b is None:
+        return False, "patch_b: " + detail
+    cover = greedy_cover_from_dict(data, patch_a.scheme)
+    assigned = [a for a, _ in cover.assignments]
+    if len(assigned) != len(patch_a.points) or set(assigned) != set(patch_a.points):
+        return False, "the assignments do not take each point of patch_a exactly once"
+    if not cover.replay(patch_b.points, patch_a.group_ops()):
+        return False, "an assignment does not carry its point into patch_b"
+    return True, "pointwise assignments re-verified"
 
 
 def _replay_rejection(data) -> tuple[bool, str]:
@@ -456,7 +413,7 @@ def _replay_rejection(data) -> tuple[bool, str]:
 
 REPLAYERS = {
     "patch": _replay_patch,
-    "heis_patch": _replay_heis_patch,
+    "heis_patch": _replay_patch,
     "global_cover": _replay_global_cover,
     "heis_cover": _replay_heis_cover,
     "pisot_membership": _replay_pisot,

@@ -31,7 +31,6 @@ class GroupOps:
     sort_key: Callable
     coord_intervals: Callable  # (point, bits) -> list of (Fraction, Fraction)
     dim: int
-    label: str = "group"
 
 
 def rational_line_ops() -> GroupOps:
@@ -43,7 +42,6 @@ def rational_line_ops() -> GroupOps:
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(a, a)],
         dim=1,
-        label="rational-line",
     )
 
 
@@ -58,7 +56,6 @@ def intmod_ops(n: int) -> GroupOps:
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(Fraction(a), Fraction(a))],
         dim=1,
-        label=f"z-mod-{n}",
     )
 
 
@@ -306,10 +303,12 @@ class GreedyCover:
     scope_points: int
 
     def replay(self, b_points, ops: GroupOps) -> bool:
+        """Every assignment names a translate f by its index, and f^-1 a lies in B."""
         bset = set(b_points)
         for a, fi in self.assignments:
-            f = self.translates[fi]
-            if ops.mul(ops.inv(f), a) not in bset:
+            if type(fi) is not int or not 0 <= fi < len(self.translates):
+                return False
+            if ops.mul(ops.inv(self.translates[fi]), a) not in bset:
                 return False
         return True
 

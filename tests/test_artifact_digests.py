@@ -38,11 +38,25 @@ JOBS = (
     ("pisot polycover --ring pvs:sqrt2 --poly 0,1,1 --json {d}/polycover.json", 0),
     ("verify delone --patch {d}/gen-golden.json --inner 10 --json {d}/delone.json", 0),
     ("verify cover --a {d}/gen-golden.json --b {d}/gen-golden-b.json --json {d}/cover.json", 0),
+    # each scheme's point format through the CSV and JSON patch readers
+    ("heis generate --field sqrt2 --window 1,1,2 --radius 2 --out {d}/heis-gen-r2.csv", 0),
+    ("verify cover --a {d}/heis-gen-r2.csv --b {d}/heis-gen.json --field sqrt2 --window 1,1,2 "
+     "--radius 2 --json {d}/cover-heis.json", 0),
+    ("cps generate --scheme zs:2,3 --window 0 --radius 8 --json {d}/gen-zs-b.json", 0),
+    ("verify cover --a {d}/gen-zs.json --b {d}/gen-zs-b.json --json {d}/cover-zs.json", 0),
+    ("verify delone --patch {d}/gen-zs.csv --scheme zs:2,3 --window 1 --radius 8 "
+     "--json {d}/delone-zs.json", 0),
+    ("verify delone --patch {d}/gen-sqrt2-2d.csv --scheme galois:sqrt2:2 --window 1,7/8 "
+     "--radius 4 --inner 2 --json {d}/delone-sqrt2-2d.json", 0),
 )
 
 DIGESTS = {
     "cert.json": "a801a48673ac6596ff7f15bafdde94a50cda95a140a28953e6be3bd3f8cf3b43",
+    "cover-heis.json": "b1ee76c23b93956900b86b999551e91f08df37d07254289d8a9641afedd0708b",
+    "cover-zs.json": "61d83ccb3fb4a5fc208eb14db5b884d3c318af19381958823ea811e9f5684a26",
     "cover.json": "7882b6e79c4b82afa84521b93c97fa67ba998e9167fb81d21eacd3fa05b1281a",
+    "delone-sqrt2-2d.json": "0ecd45a3848cca19331938b32a1bdbe59b395b4b965eb76396912bf91e7662eb",
+    "delone-zs.json": "f796530d0c23efde3b4b996d47d823bf850eb813e543506b668f07c265a2aa35",
     "delone.json": "329d1131f201846c5ed8ec4906fafd332e162464dcd05a2cf9d842d550bf9659",
     "gen-golden-b.json": "6acdff03cd1c1c82e4023cb5e87b272dd2b0eeeeb862318eacd6fac7b9360f42",
     "gen-golden.csv": "14bdd7808f400ce11e011581a5e3148d37842e3e4d709a2356154e4e457b748c",
@@ -51,6 +65,7 @@ DIGESTS = {
     "gen-sqrt2-2d.json": "dce8476d50f7e68b7726935ebeda20000c31f3b0ae85e5c2b0702dd0c5c53e52",
     "gen-sqrt2.csv": "ae3873c6bef8ffc870b7cb80abadfc32335579d7529b4861daac85c1fedd8b7d",
     "gen-sqrt2.json": "146d1c235929b7ac10fd80b9ff4385116d00873877ba0bb1d49fdf113d7c55ac",
+    "gen-zs-b.json": "f5d521f205415d4880f14cfed97fc3a9372a41c37a7ea98204f2bb3699ac7be3",
     "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
     "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
     "heis-center-golden.json": "f75f4b6ec70a7e6fcbbaa35ddbde3df50e26bbe8947ba497edb8198b4fcb759c",
@@ -58,6 +73,7 @@ DIGESTS = {
     "heis-cert-golden.json": "20f175f1214976cccf5450aab7e73069b602b72ccc6dd8addd2e38a7911eb261",
     "heis-cert.json": "2545e16ed28cd58d58c47e47b190a97d4ecf61cd1f0763944e21ff0d4ed42f3a",
     "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
+    "heis-gen-r2.csv": "7a29a193d9adf377c720d6fb6215d73f6d6132dd154ad19ffc09a5eda3637ed2",
     "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
     "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
     "heis-hull.json": "7634e66fd4f12a0d396e60bfc764086456c99db9c7676be76be66d020b0b1808",

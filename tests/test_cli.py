@@ -248,6 +248,67 @@ def test_capped_negative_meyer_verdict_replays(tmp_path, capsys):
         assert "replay FAILED" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def cover_artifacts(tmp_path_factory):
+    """A golden patch_cover (R = 30, windows 1 and 15/16) and a Meyer artifact."""
+    d = tmp_path_factory.mktemp("covers")
+    for name, window in (("a", "1"), ("b", "15/16")):
+        assert run_cli("cps", "generate", "--scheme", "galois:golden", "--window", window,
+                       "--radius", "30", "--json", str(d / f"patch-{name}.json")) == 0
+    assert run_cli("verify", "cover", "--a", str(d / "patch-a.json"), "--b",
+                   str(d / "patch-b.json"), "--json", str(d / "cover.json")) == 0
+    assert run_cli("verify", "delone", "--patch", str(d / "patch-a.json"), "--inner", "15",
+                   "--json", str(d / "delone.json")) == 0
+    assert _commensurate(d / "meyer.json") == 0
+    return {name: json.loads((d / f"{name}.json").read_text())
+            for name in ("cover", "delone", "meyer")}
+
+
+def _replay_data(tmp_path, capsys, data):
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run_cli("verify", "replay", str(path))
+    return code, capsys.readouterr().out
+
+
+def test_patch_cover_replay_checks_every_point_of_patch_a(tmp_path, capsys, cover_artifacts):
+    data = cover_artifacts["cover"]
+    assert len(data["assignments"]) == 53
+    assert _replay_data(tmp_path, capsys, data)[0] == 0
+    code, out = _replay_data(tmp_path, capsys, data | {"assignments": data["assignments"][:1]})
+    assert code == 2 and "replay FAILED" in out
+
+
+@pytest.mark.parametrize("key", ["patch_a", "patch_b"])
+def test_patch_cover_replay_checks_the_embedded_patches(tmp_path, capsys, cover_artifacts, key):
+    data = json.loads(json.dumps(cover_artifacts["cover"]))
+    data[key]["points"].append([["1000", "0"]])
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
+def test_delone_replay_checks_the_embedded_patch(tmp_path, capsys, cover_artifacts):
+    data = json.loads(json.dumps(cover_artifacts["delone"]))
+    data["patch"]["points"].append([["1000", "0"]])
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
+@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab")])
+@pytest.mark.parametrize("index", [99, -1, True])
+def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts, artifact, key,
+                                               index):
+    data = json.loads(json.dumps(cover_artifacts[artifact]))
+    cover = data[key] if key else data
+    # the assignment whose translate a list lookup with `index` would alias
+    n = len(cover["translates"])
+    entry = next(e for e in cover["assignments"] if e[1] == int(index) % n)
+    entry[1] = index
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -132,7 +132,7 @@ class TestModelSet:
     def test_patch_roundtrip(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         patch = heis.heis_model_set(scheme, 3)
-        again = heis.HeisPatch.from_dict(json.loads(json.dumps(patch.to_dict())))
+        again = cps.Patch.from_dict(json.loads(json.dumps(patch.to_dict())))
         assert again.points == patch.points
 
 
@@ -293,7 +293,7 @@ def integer_axis_patch(field, radius, axis=0):
         coords[axis] = field.from_rational(n)
         pts.append(heis.HeisPoint(*coords))
     scheme = heis.HeisScheme(field, (1, 1, 1))
-    return heis.HeisPatch(scheme, Fraction(radius), tuple(sorted(pts, key=lambda p: p.sort_key())))
+    return cps.Patch(scheme, None, Fraction(radius), tuple(sorted(pts, key=lambda p: p.sort_key())))
 
 
 class TestSchreiberHull:
