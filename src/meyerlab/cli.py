@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from . import cps, heis, places, serialize, verify
 from .errors import (
@@ -136,30 +135,23 @@ def parse_elements(path: str, field: NumberField):
 CONFIG_KEYS = ("scheme", "window", "radius", "out", "json", "field", "ring")
 
 
-@dataclass
-class RunConfig:
-    values: dict = dc_field(default_factory=dict)
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
-        values = {}
-        with open(path) as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{line_no}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in CONFIG_KEYS:
-                    raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-                values[key] = value.strip("\"'")
-        return RunConfig(values)
-
-    def fill(self, args: argparse.Namespace) -> None:
-        for key, value in self.values.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
+def apply_config(path: str, args: argparse.Namespace) -> None:
+    """Set each option the command line left unset from a key=value file."""
+    values = {}
+    with open(path) as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise UsageError(f"{path}:{line_no}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+            values[key] = value.strip("\"'")
+    for key, value in values.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
 
 
 def _require(args, *names):
@@ -565,7 +557,7 @@ def run(argv) -> int:
     try:
         args = parse_args(argv)
         if args.config:
-            RunConfig.from_file(args.config).fill(args)
+            apply_config(args.config, args)
         return COMMANDS[args.group][args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import heis, verify
 from .errors import (
@@ -52,22 +51,42 @@ DEFAULT_SEARCH_CAP_DOUBLINGS = 12
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Window:
     """Symmetric compact window: real boxes [-c, c] and p-adic balls p^-k Z_p."""
 
-    real_halfwidths: tuple[Fraction, ...] = ()
-    padic_balls: tuple[tuple[int, int], ...] = ()  # (prime, level k)
+    __slots__ = ("real_halfwidths", "padic_balls")
 
-    def __post_init__(self):
-        if not self.real_halfwidths and not self.padic_balls:
+    def __init__(
+        self,
+        real_halfwidths: tuple[Fraction, ...] = (),
+        padic_balls: tuple[tuple[int, int], ...] = (),  # (prime, level k)
+    ):
+        if not real_halfwidths and not padic_balls:
             raise UsageError("window must have at least one component")
-        for c in self.real_halfwidths:
+        for c in real_halfwidths:
             if c <= 0:
                 raise UsageError("real window halfwidths must be positive")
-        for p, _k in self.padic_balls:
+        for p, _k in padic_balls:
             if not is_prime(p):
                 raise UsageError(f"window prime {p} is not prime")
+        self.real_halfwidths = real_halfwidths
+        self.padic_balls = padic_balls
+
+    def _key(self):
+        return (self.real_halfwidths, self.padic_balls)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Window(real_halfwidths={self.real_halfwidths!r}, padic_balls={self.padic_balls!r})"
+        )
 
     @staticmethod
     def box(*halfwidths) -> "Window":
@@ -164,6 +183,8 @@ class ZSScheme:
         return frac_str(q)
 
     def point_from_json(self, data) -> Fraction:
+        if type(data) not in (str, int):
+            raise UsageError(f"a zs point is a rational string, not {data!r}")
         return str_frac(data)
 
     def csv_header(self) -> str:
@@ -198,6 +219,11 @@ class QuadraticScheme:
         return [x.to_list() for x in p]
 
     def point_from_json(self, data):
+        n = len(self.coords)
+        if not (type(data) is list and len(data) == n and all(type(x) is list for x in data)):
+            raise UsageError(
+                f"a {self.kind} point is one coefficient list per coordinate, not {data!r}"
+            )
         return self.point(self.field.elem([str_frac(c) for c in x]) for x in data)
 
     def csv_header(self) -> str:
@@ -291,6 +317,8 @@ class GaloisScheme(QuadraticScheme):
 
 def scheme_from_dict(data: dict, kind: str | None = None):
     """The scheme `to_dict` wrote; `kind`, when given, is the only kind accepted."""
+    if type(data) is not dict:
+        raise UsageError(f"a scheme is a JSON object, not {data!r}")
     if kind not in (None, data["kind"]):
         raise UsageError(f"expected a {kind} scheme, not {data['kind']!r}")
     if data["kind"] == "zs":
@@ -315,17 +343,19 @@ def scheme_from_dict(data: dict, kind: str | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Patch:
     """Complete exact fragment of a model set: all points in the R-ball.
 
     `window` is None for a scheme that carries its own window (Heisenberg).
     """
 
-    scheme: object
-    window: Window | None
-    radius: Fraction
-    points: tuple
+    __slots__ = ("scheme", "window", "radius", "points")
+
+    def __init__(self, scheme, window: Window | None, radius: Fraction, points: tuple):
+        self.scheme = scheme
+        self.window = window
+        self.radius = radius
+        self.points = points
 
     def __len__(self):
         return len(self.points)
@@ -351,6 +381,8 @@ class Patch:
             raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
         window = None if hasattr(scheme, "window") else Window.from_dict(data["window"])
         radius = str_frac(data["radius"])
+        if type(data["points"]) is not list:
+            raise UsageError("the points of a patch are a JSON list")
         points = tuple(scheme.point_from_json(p) for p in data["points"])
         return Patch(scheme, window, radius, points)
 
@@ -471,7 +503,6 @@ def _zs_patch_points(scheme: ZSScheme, window: Window, radius: Fraction, candida
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DimCover:
     """Translates whose internal tiles [t - c, t + c] cover a target interval.
 
@@ -479,12 +510,25 @@ class DimCover:
     embedding intervals, so coverage replays by pure rational arithmetic.
     """
 
-    elements: tuple[NFElem, ...]
-    claimed: tuple[tuple[Fraction, Fraction], ...]
-    tile_halfwidth: Fraction
-    target_lo: Fraction
-    target_hi: Fraction
-    precision_bits: int
+    __slots__ = (
+        "elements", "claimed", "tile_halfwidth", "target_lo", "target_hi", "precision_bits"
+    )
+
+    def __init__(
+        self,
+        elements: tuple[NFElem, ...],
+        claimed: tuple[tuple[Fraction, Fraction], ...],
+        tile_halfwidth: Fraction,
+        target_lo: Fraction,
+        target_hi: Fraction,
+        precision_bits: int,
+    ):
+        self.elements = elements
+        self.claimed = claimed
+        self.tile_halfwidth = tile_halfwidth
+        self.target_lo = target_lo
+        self.target_hi = target_hi
+        self.precision_bits = precision_bits
 
     def chain_covers(self) -> bool:
         ivs = sorted(self.claimed)
@@ -616,14 +660,22 @@ def cover_dimension(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PadicCosetCover:
     """Residues j * prod p^-k1 representing the cosets of the W2 ball in the W1 ball."""
 
-    primes: tuple[int, ...]
-    k1: tuple[int, ...]
-    k2: tuple[int, ...]
-    residues: tuple[Fraction, ...]
+    __slots__ = ("primes", "k1", "k2", "residues")
+
+    def __init__(
+        self,
+        primes: tuple[int, ...],
+        k1: tuple[int, ...],
+        k2: tuple[int, ...],
+        residues: tuple[Fraction, ...],
+    ):
+        self.primes = primes
+        self.k1 = k1
+        self.k2 = k2
+        self.residues = residues
 
     def replay(self) -> bool:
         expected = 1
@@ -662,7 +714,6 @@ class PadicCosetCover:
         )
 
 
-@dataclass
 class GlobalCoverCertificate:
     """Evidence that Lambda(W1) is inside F + Lambda(W2), globally.
 
@@ -670,11 +721,21 @@ class GlobalCoverCertificate:
     window-covering claim replays from the serialized certificate alone.
     """
 
-    scheme: object
-    w1: Window
-    w2: Window
-    dim_covers: tuple[DimCover, ...] = ()
-    padic_cover: PadicCosetCover | None = None
+    __slots__ = ("scheme", "w1", "w2", "dim_covers", "padic_cover")
+
+    def __init__(
+        self,
+        scheme,
+        w1: Window,
+        w2: Window,
+        dim_covers: tuple[DimCover, ...] = (),
+        padic_cover: PadicCosetCover | None = None,
+    ):
+        self.scheme = scheme
+        self.w1 = w1
+        self.w2 = w2
+        self.dim_covers = dim_covers
+        self.padic_cover = padic_cover
 
     @property
     def translates(self) -> list:
@@ -752,15 +813,24 @@ def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCe
     return cert
 
 
-@dataclass
 class ApproximateLatticeCertificate:
     """Lambda(W)^2 inside F + Lambda(W): window algebra plus a global cover."""
 
-    scheme: object
-    window: Window
-    cover: GlobalCoverCertificate
-    delone: verify.DeloneReport
-    patch_radius: Fraction
+    __slots__ = ("scheme", "window", "cover", "delone", "patch_radius")
+
+    def __init__(
+        self,
+        scheme,
+        window: Window,
+        cover: GlobalCoverCertificate,
+        delone: verify.DeloneReport,
+        patch_radius: Fraction,
+    ):
+        self.scheme = scheme
+        self.window = window
+        self.cover = cover
+        self.delone = delone
+        self.patch_radius = patch_radius
 
     @property
     def translates(self):
@@ -852,15 +922,29 @@ def _square_intersection_points(patch: Patch, axes: tuple[int, ...], inner_radiu
     return out
 
 
-@dataclass
 class IntersectionResult:
-    induced_scheme: GaloisScheme
-    axes: tuple[int, ...]
-    intersection_points: list
-    induced_patch: Patch
-    cover_to_induced: verify.GreedyCover
-    cover_from_induced: verify.GreedyCover
-    inner_radius: Fraction
+    __slots__ = (
+        "induced_scheme", "axes", "intersection_points", "induced_patch", "cover_to_induced",
+        "cover_from_induced", "inner_radius",
+    )
+
+    def __init__(
+        self,
+        induced_scheme: GaloisScheme,
+        axes: tuple[int, ...],
+        intersection_points: list,
+        induced_patch: Patch,
+        cover_to_induced: verify.GreedyCover,
+        cover_from_induced: verify.GreedyCover,
+        inner_radius: Fraction,
+    ):
+        self.induced_scheme = induced_scheme
+        self.axes = axes
+        self.intersection_points = intersection_points
+        self.induced_patch = induced_patch
+        self.cover_to_induced = cover_to_induced
+        self.cover_from_induced = cover_from_induced
+        self.inner_radius = inner_radius
 
 
 def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> IntersectionResult:
@@ -895,14 +979,27 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
     )
 
 
-@dataclass
 class ProjectionResult:
-    quotient_scheme: GaloisScheme | None
-    quotient_axes: tuple[int, ...]
-    projected_points: list
-    projection_min_separation: Fraction | None
-    intersection_report: verify.DeloneReport | None
-    equivalence_consistent: bool
+    __slots__ = (
+        "quotient_scheme", "quotient_axes", "projected_points", "projection_min_separation",
+        "intersection_report", "equivalence_consistent",
+    )
+
+    def __init__(
+        self,
+        quotient_scheme: GaloisScheme | None,
+        quotient_axes: tuple[int, ...],
+        projected_points: list,
+        projection_min_separation: Fraction | None,
+        intersection_report: verify.DeloneReport | None,
+        equivalence_consistent: bool,
+    ):
+        self.quotient_scheme = quotient_scheme
+        self.quotient_axes = quotient_axes
+        self.projected_points = projected_points
+        self.projection_min_separation = projection_min_separation
+        self.intersection_report = intersection_report
+        self.equivalence_consistent = equivalence_consistent
 
 
 def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionResult:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import UsageError
 
@@ -194,7 +193,6 @@ def sqrt2_field() -> NumberField:
     return NumberField([-2, 0, 1], name="sqrt2")
 
 
-@dataclass(frozen=True)
 class RealEmbeddingInterval:
     """Isolating interval for one real root of a field's minimal polynomial.
 
@@ -203,11 +201,27 @@ class RealEmbeddingInterval:
     fields).  Refinement narrows the interval and never loses the root.
     """
 
-    field: NumberField
-    root_index: int
-    lo: Fraction
-    hi: Fraction
-    precision_bits: int
+    __slots__ = ("field", "root_index", "lo", "hi", "precision_bits")
+
+    def __init__(
+        self, field: NumberField, root_index: int, lo: Fraction, hi: Fraction, precision_bits: int
+    ):
+        self.field = field
+        self.root_index = root_index
+        self.lo = lo
+        self.hi = hi
+        self.precision_bits = precision_bits
+
+    def _key(self):
+        return (self.field, self.root_index, self.lo, self.hi, self.precision_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def is_exact(self) -> bool:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import cps, verify
 from .errors import UsageError
@@ -28,15 +27,26 @@ from .exactnum import (
 )
 
 
-@dataclass(frozen=True)
 class HeisPoint:
-    x: NFElem
-    y: NFElem
-    z: NFElem
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if self.x.field != self.y.field or self.y.field != self.z.field:
+    def __init__(self, x: NFElem, y: NFElem, z: NFElem):
+        if x.field != y.field or y.field != z.field:
             raise UsageError("Heisenberg coordinates from different fields")
+        self.x = x
+        self.y = y
+        self.z = z
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.z))
+
+    def __repr__(self):
+        return f"HeisPoint(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def field(self) -> NumberField:
@@ -85,11 +95,24 @@ def commutator(p: HeisPoint, q: HeisPoint) -> HeisPoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HeisAlgebraElem:
-    a: NFElem
-    b: NFElem
-    c: NFElem
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: NFElem, b: NFElem, c: NFElem):
+        self.a = a
+        self.b = b
+        self.c = c
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
+
+    def __repr__(self):
+        return f"HeisAlgebraElem(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     @property
     def field(self) -> NumberField:
@@ -240,7 +263,6 @@ def symmetrize(points: Sequence[HeisPoint]) -> list[HeisPoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HeisCoverCertificate:
     """W*W covered by group translates t*W of lattice internal images.
 
@@ -249,12 +271,23 @@ class HeisCoverCertificate:
     z-target, with M a certified bound on |sigma_int(t1)| over the x-cover.
     """
 
-    scheme: HeisScheme
-    x_cover: cps.DimCover
-    y_cover: cps.DimCover
-    z_cover: cps.DimCover
-    shear_bound: Fraction
-    grid_mesh: Fraction
+    __slots__ = ("scheme", "x_cover", "y_cover", "z_cover", "shear_bound", "grid_mesh")
+
+    def __init__(
+        self,
+        scheme: HeisScheme,
+        x_cover: cps.DimCover,
+        y_cover: cps.DimCover,
+        z_cover: cps.DimCover,
+        shear_bound: Fraction,
+        grid_mesh: Fraction,
+    ):
+        self.scheme = scheme
+        self.x_cover = x_cover
+        self.y_cover = y_cover
+        self.z_cover = z_cover
+        self.shear_bound = shear_bound
+        self.grid_mesh = grid_mesh
 
     @property
     def translates(self) -> list[HeisPoint]:
@@ -373,12 +406,20 @@ def _central_ops(field: NumberField, physical_place) -> verify.GroupOps:
     )
 
 
-@dataclass
 class CenterIntersection:
-    scheme: HeisScheme
-    radius: Fraction
-    z_values: list[NFElem]
-    report: verify.DeloneReport | None
+    __slots__ = ("scheme", "radius", "z_values", "report")
+
+    def __init__(
+        self,
+        scheme: HeisScheme,
+        radius: Fraction,
+        z_values: list[NFElem],
+        report: verify.DeloneReport | None,
+    ):
+        self.scheme = scheme
+        self.radius = radius
+        self.z_values = z_values
+        self.report = report
 
     @property
     def conclusive(self) -> bool:
@@ -428,13 +469,22 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     return CenterIntersection(scheme, radius, out, report)
 
 
-@dataclass
 class CommutatorMapResult:
-    xi: HeisPoint
-    image_z: list[NFElem]
-    homomorphism_exact: bool
-    trivial: bool
-    report: verify.DeloneReport | None
+    __slots__ = ("xi", "image_z", "homomorphism_exact", "trivial", "report")
+
+    def __init__(
+        self,
+        xi: HeisPoint,
+        image_z: list[NFElem],
+        homomorphism_exact: bool,
+        trivial: bool,
+        report: verify.DeloneReport | None,
+    ):
+        self.xi = xi
+        self.image_z = image_z
+        self.homomorphism_exact = homomorphism_exact
+        self.trivial = trivial
+        self.report = report
 
 
 def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
@@ -513,14 +563,24 @@ def _hull_kappa(scan: verify.NearestScan, axes, inner: Fraction, mesh: Fraction)
     return max(part1, part2 + mesh / 2)
 
 
-@dataclass
 class HullReport:
-    subgroup: str | None
-    axes: tuple[int, ...] | None
-    kappa_small: Fraction | None
-    kappa_large: Fraction | None
-    aligned: bool
-    table: dict
+    __slots__ = ("subgroup", "axes", "kappa_small", "kappa_large", "aligned", "table")
+
+    def __init__(
+        self,
+        subgroup: str | None,
+        axes: tuple[int, ...] | None,
+        kappa_small: Fraction | None,
+        kappa_large: Fraction | None,
+        aligned: bool,
+        table: dict,
+    ):
+        self.subgroup = subgroup
+        self.axes = axes
+        self.kappa_small = kappa_small
+        self.kappa_large = kappa_large
+        self.aligned = aligned
+        self.table = table
 
 
 def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport:
@@ -565,13 +625,22 @@ def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MeyerCommensurability:
-    cover_ab: verify.GreedyCover | None
-    cover_ba: verify.GreedyCover | None
-    scope_radius: Fraction
-    verdict: str  # COMMENSURABLE-AT-SCALE | NOT-COMMENSURABLE-AT-SCALE
-    witness: HeisPoint | None
+    __slots__ = ("cover_ab", "cover_ba", "scope_radius", "verdict", "witness")
+
+    def __init__(
+        self,
+        cover_ab: verify.GreedyCover | None,
+        cover_ba: verify.GreedyCover | None,
+        scope_radius: Fraction,
+        verdict: str,  # COMMENSURABLE-AT-SCALE | NOT-COMMENSURABLE-AT-SCALE
+        witness: HeisPoint | None,
+    ):
+        self.cover_ab = cover_ab
+        self.cover_ba = cover_ba
+        self.scope_radius = scope_radius
+        self.verdict = verdict
+        self.witness = witness
 
 
 def meyer_commensurability(

@@ -74,8 +74,15 @@ def greedy_cover_to_dict(cover: verify.GreedyCover, scheme) -> dict:
 
 
 def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
+    """The cover `greedy_cover_to_dict` wrote; its points are in `scheme`'s format."""
+    if data["kind"] != scheme.kind:
+        raise UsageError(f"expected a {scheme.kind} cover, not {data['kind']!r}")
     translates = [scheme.point_from_json(t) for t in data["translates"]]
-    assignments = [(scheme.point_from_json(a), fi) for a, fi in data["assignments"]]
+    assignments = []
+    for entry in data["assignments"]:
+        if type(entry) is not list or len(entry) != 2:
+            raise UsageError(f"a cover assignment is a [point, index] pair, not {entry!r}")
+        assignments.append((scheme.point_from_json(entry[0]), entry[1]))
     return verify.GreedyCover(translates, assignments, len(assignments))
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .errors import UsageError
 from .exactnum import frac_str, iv_abs, iv_sub
@@ -21,16 +20,26 @@ from .exactnum import frac_str, iv_abs, iv_sub
 SUP_NORM_METRIC = "sup-norm on coordinates"
 
 
-@dataclass(frozen=True)
 class GroupOps:
     """Exact group structure plus certified coordinate access for points."""
 
-    mul: Callable
-    inv: Callable
-    identity: object
-    sort_key: Callable
-    coord_intervals: Callable  # (point, bits) -> list of (Fraction, Fraction)
-    dim: int
+    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals", "dim")
+
+    def __init__(
+        self,
+        mul: Callable,
+        inv: Callable,
+        identity: object,
+        sort_key: Callable,
+        coord_intervals: Callable,  # (point, bits) -> list of (Fraction, Fraction)
+        dim: int,
+    ):
+        self.mul = mul
+        self.inv = inv
+        self.identity = identity
+        self.sort_key = sort_key
+        self.coord_intervals = coord_intervals
+        self.dim = dim
 
 
 def rational_line_ops() -> GroupOps:
@@ -200,13 +209,22 @@ class NearestScan:
         return out
 
 
-@dataclass(frozen=True)
 class CoveringRadiusResult:
-    bound: Fraction | None
-    verdict: str  # FINITE | INFINITE
-    inner_radius: Fraction
-    mesh: Fraction | None
-    empirical: Fraction | None
+    __slots__ = ("bound", "verdict", "inner_radius", "mesh", "empirical")
+
+    def __init__(
+        self,
+        bound: Fraction | None,
+        verdict: str,  # FINITE | INFINITE
+        inner_radius: Fraction,
+        mesh: Fraction | None,
+        empirical: Fraction | None,
+    ):
+        self.bound = bound
+        self.verdict = verdict
+        self.inner_radius = inner_radius
+        self.mesh = mesh
+        self.empirical = empirical
 
     def to_dict(self):
         return {
@@ -260,12 +278,20 @@ def covering_radius(
     return CoveringRadiusResult(bound, verdict, inner_radius, mesh, empirical)
 
 
-@dataclass(frozen=True)
 class DeloneReport:
-    min_separation: Fraction
-    min_sep_witness: tuple
-    covering: CoveringRadiusResult
-    metric: str = SUP_NORM_METRIC
+    __slots__ = ("min_separation", "min_sep_witness", "covering", "metric")
+
+    def __init__(
+        self,
+        min_separation: Fraction,
+        min_sep_witness: tuple,
+        covering: CoveringRadiusResult,
+        metric: str = SUP_NORM_METRIC,
+    ):
+        self.min_separation = min_separation
+        self.min_sep_witness = min_sep_witness
+        self.covering = covering
+        self.metric = metric
 
     @property
     def is_delone(self) -> bool:
@@ -294,13 +320,15 @@ def delone_certify(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GreedyCover:
     """F with A subset of F*B at patch scope, plus the pointwise assignment."""
 
-    translates: list
-    assignments: list  # (point of A, index into translates)
-    scope_points: int
+    __slots__ = ("translates", "assignments", "scope_points")
+
+    def __init__(self, translates: list, assignments: list, scope_points: int):
+        self.translates = translates
+        self.assignments = assignments  # (point of A, index into translates)
+        self.scope_points = scope_points
 
     def replay(self, b_points, ops: GroupOps) -> bool:
         """Every assignment names a translate f by its index, and f^-1 a lies in B."""
@@ -355,14 +383,16 @@ def greedy_cover(
     return GreedyCover(translates, assignments, len(a_sorted)), None
 
 
-@dataclass
 class CoverBoundWitness:
     """Representatives per fiber of X -> F1 x ... x Fn with the product bound."""
 
-    representatives: list
-    cell_of: dict
-    bound: int
-    verified: bool
+    __slots__ = ("representatives", "cell_of", "bound", "verified")
+
+    def __init__(self, representatives: list, cell_of: dict, bound: int, verified: bool):
+        self.representatives = representatives
+        self.cell_of = cell_of
+        self.bound = bound
+        self.verified = verified
 
     @property
     def size(self) -> int:
@@ -419,13 +449,15 @@ def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitnes
     return CoverBoundWitness(representatives, cell_of, bound, True)
 
 
-@dataclass
 class PowerCoverResult:
-    k: int
-    translates: list
-    bound: int
-    checked: int
-    witness: object | None
+    __slots__ = ("k", "translates", "bound", "checked", "witness")
+
+    def __init__(self, k: int, translates: list, bound: int, checked: int, witness: object | None):
+        self.k = k
+        self.translates = translates
+        self.bound = bound
+        self.checked = checked
+        self.witness = witness
 
     @property
     def verified(self) -> bool:

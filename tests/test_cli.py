@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,32 @@ def _replay_data(tmp_path, capsys, data):
     return code, capsys.readouterr().out
 
 
+def _cut_assignment(cover):
+    cover["assignments"][0] = cover["assignments"][0][:1]
+    return "a cover assignment is a [point, index] pair, not [[["
+
+
+def _wrong_kind(cover):
+    expected = cover["kind"]
+    cover["kind"] = "zs"
+    return f"expected a {expected} cover, not 'zs'"
+
+
+@pytest.mark.parametrize("tamper", [_cut_assignment, _wrong_kind])
+@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab"),
+                                           ("meyer", "cover_ba")])
+def test_replay_of_a_malformed_cover_is_usage_error(tmp_path, capsys, cover_artifacts, artifact,
+                                                    key, tamper):
+    data = json.loads(json.dumps(cover_artifacts[artifact]))
+    message = tamper(data[key] if key else data)
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+
+
 def test_patch_cover_replay_checks_every_point_of_patch_a(tmp_path, capsys, cover_artifacts):
     data = cover_artifacts["cover"]
     assert len(data["assignments"]) == 53
@@ -330,11 +358,33 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["cps", "intersect", "--scheme", "galois:golden:2", "--window", "1,1", "--radius", "4",
           "--axes", "x"], "not an integer: 'x'"),
         (["pisot", "enumerate", "--ring", "zs:x", "--radius", "2"], "not an integer: 'x'"),
+        (["verify", "replay", "{d}/point-shape.json"],
+         "a galois point is one coefficient list per coordinate, not [1, 0]"),
+        (["verify", "replay", "{d}/points-int.json"], "the points of a patch are a JSON list"),
+        (["verify", "replay", "{d}/scheme-str.json"], "a scheme is a JSON object, not 'x'"),
+        (["verify", "replay", "{d}/zs-point-float.json"], "a zs point is a rational string"),
+        (["verify", "replay", "{d}/heis-point-2d.json"],
+         "a heis point is one coefficient list per coordinate"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     (tmp_path / "not-json.json").write_text("points: 1, 2, 3\n")
     (tmp_path / "bare-patch.json").write_text(json.dumps({"type": "patch"}))
+    golden = {"type": "patch", "radius": "2", "points": [[["0", "0"]]],
+              "scheme": {"kind": "galois", "field": {"min_poly": [-1, -1, 1]}, "dim": 1,
+                         "physical_root_index": 1},
+              "window": {"real": ["1"], "padic": []}}
+    zs = {"type": "patch", "radius": "1", "points": ["0"], "scheme": {"kind": "zs", "primes": [2]},
+          "window": {"real": [], "padic": [[2, 0]]}}
+    heis = {"type": "heis_patch", "radius": "1", "points": [],
+            "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
+                       "window": ["1", "1", "1"], "physical_root_index": 1}}
+    for name, data in (("point-shape", golden | {"points": [[1, 0]]}),
+                       ("points-int", golden | {"points": 5}),
+                       ("scheme-str", golden | {"scheme": "x"}),
+                       ("zs-point-float", zs | {"points": [0.5]}),
+                       ("heis-point-2d", heis | {"points": [[["0", "0"], ["0", "0"]]]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
@@ -366,24 +416,43 @@ LAZY_SUBMODULES = {
 }
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run_python(script, *argv):
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *argv],
-                          capture_output=True, text=True, timeout=120)
+    # -S: no site module, whose .pth hooks may import typing on their own
+    proc = subprocess.run([sys.executable, "-S", "-c", textwrap.dedent(script), *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
+# Run one CLI command, then print the meyerlab submodules left unexecuted and
+# which of dataclasses, inspect and typing it loaded: every CLI job is a fresh
+# process, so it pays for each import again.
+CLI_MODULES_AT_EXIT = """
+    import sys, types
+    from meyerlab import cli
+    assert cli.run(sys.argv[1:]) == 0
+    executed = {n for n, m in sys.modules.items() if type(m) is types.ModuleType}
+    print(sorted(n for n in sys.modules if n.startswith("meyerlab.") and n not in executed))
+    print([n for n in ("dataclasses", "inspect", "typing") if n in sys.modules])
+"""
+
+
 def test_cps_generate_leaves_unused_submodules_unexecuted(tmp_path):
-    script = """
-        import sys, types
-        from meyerlab import cli
-        assert cli.run(sys.argv[1:]) == 0
-        executed = {n for n, m in sys.modules.items() if type(m) is types.ModuleType}
-        print(sorted(n for n in sys.modules if n.startswith("meyerlab.") and n not in executed))
-    """
-    out = _run_python(script, "cps", "generate", "--scheme", "galois:golden", "--window", "1",
-                      "--radius", "6", "--json", str(tmp_path / "patch.json"))
-    assert out.splitlines()[-1] == "['meyerlab.heis', 'meyerlab.places', 'meyerlab.verify']"
+    out = _run_python(CLI_MODULES_AT_EXIT, "cps", "generate", "--scheme", "galois:golden",
+                      "--window", "1", "--radius", "6", "--json", str(tmp_path / "patch.json"))
+    assert out.splitlines()[-2:] == ["['meyerlab.heis', 'meyerlab.places', 'meyerlab.verify']",
+                                     "[]"]
+
+
+def test_heis_replay_loads_no_dataclasses_inspect_or_typing(tmp_path):
+    path = tmp_path / "meyer.json"
+    assert _commensurate(path) == 0
+    out = _run_python(CLI_MODULES_AT_EXIT, "verify", "replay", str(path))
+    assert out.splitlines()[-2:] == ["['meyerlab.places']", "[]"]
 
 
 def test_every_submodule_is_registered_after_importing_cli():

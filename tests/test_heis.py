@@ -62,6 +62,35 @@ class TestGroupLaw:
             heis.heis_mul(pt(f2, 1, 0, 0), pt(golden_field(), 1, 0, 0))
 
 
+def test_value_classes_compare_hash_and_print_by_fields(f2):
+    p = pt(f2, 1, Fraction(-1, 2), 0)
+    assert p == pt(f2, 1, Fraction(-1, 2), 0) and p != pt(f2, 1, Fraction(-1, 2), 1)
+    assert hash(p) == hash((p.x, p.y, p.z)) and len({p, pt(f2, 1, Fraction(-1, 2), 0)}) == 1
+    assert p != (p.x, p.y, p.z)
+    assert repr(p) == ("HeisPoint(x=NFElem(['1', '0']), y=NFElem(['-1/2', '0']), "
+                       "z=NFElem(['0', '0']))")
+    with pytest.raises(UsageError, match="different fields"):
+        heis.HeisPoint(f2.one(), f2.one(), golden_field().one())
+
+    v = heis.algebra_elem(f2, 0, 1, Fraction(2, 3))
+    assert v == heis.algebra_elem(f2, 0, 1, Fraction(2, 3)) and v != heis.algebra_elem(f2, 0, 1, 0)
+    assert hash(v) == hash((v.a, v.b, v.c))
+    assert repr(v) == ("HeisAlgebraElem(a=NFElem(['0', '0']), b=NFElem(['1', '0']), "
+                       "c=NFElem(['2/3', '0']))")
+
+    w = cps.Window.box(1, Fraction(7, 8))
+    assert w == cps.Window((Fraction(1), Fraction(7, 8))) and w != cps.Window.box(1, 1)
+    assert hash(w) == hash((w.real_halfwidths, w.padic_balls))
+    assert w != (w.real_halfwidths, w.padic_balls)
+    assert repr(w) == "Window(real_halfwidths=(Fraction(1, 1), Fraction(7, 8)), padic_balls=())"
+    assert repr(cps.Window.balls((2, 0))) == "Window(real_halfwidths=(), padic_balls=((2, 0),))"
+    for bad, message in (((), "at least one component"), ((0,), "must be positive")):
+        with pytest.raises(UsageError, match=message):
+            cps.Window.box(*bad)
+    with pytest.raises(UsageError, match="not prime"):
+        cps.Window.balls((4, 0))
+
+
 class TestExpLogBch:
     def test_central_direction(self, f2):
         v = heis.algebra_elem(f2, 0, 0, Fraction(5, 3))
