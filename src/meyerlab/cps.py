@@ -109,9 +109,16 @@ class Window:
 
     @staticmethod
     def from_dict(data: dict) -> "Window":
+        if type(data) is not dict:
+            raise UsageError(f"a window is a JSON object, not {data!r}")
+        real, padic = data.get("real", []), data.get("padic", [])
+        if type(real) is not list:
+            raise UsageError(f"the real half-widths of a window are a JSON list, not {real!r}")
+        if type(padic) is not list or any(type(b) is not list or len(b) != 2 for b in padic):
+            raise UsageError(f"the p-adic balls of a window are [prime, level] pairs, not {padic!r}")
         return Window(
-            real_halfwidths=tuple(str_frac(c) for c in data.get("real", [])),
-            padic_balls=tuple((int(p), int(k)) for p, k in data.get("padic", [])),
+            real_halfwidths=tuple(str_frac(c) for c in real),
+            padic_balls=tuple((int(p), int(k)) for p, k in padic),
         )
 
 
@@ -964,8 +971,8 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
     induced_patch = model_set_patch(induced, w_axes, radius)
     ops = induced.group_ops()
     inner = radius / 2
-    a_pts = [p for p in inter_points if verify.point_norm_hi(p, ops) <= inner]
-    b_pts = [p for p in induced_patch.points if verify.point_norm_hi(p, ops) <= inner]
+    a_pts = verify.points_within(inter_points, ops, inner)
+    b_pts = verify.points_within(induced_patch.points, ops, inner)
     cover_ab, _ = verify.greedy_cover(a_pts, induced_patch.points, ops)
     cover_ba, _ = verify.greedy_cover(b_pts, inter_points, ops)
     return IntersectionResult(

@@ -178,6 +178,10 @@ class NumberField:
 
     @staticmethod
     def from_dict(data: dict) -> "NumberField":
+        if type(data) is not dict:
+            raise UsageError(f"a field is a JSON object, not {data!r}")
+        if type(data["min_poly"]) is not list:
+            raise UsageError(f"a minimal polynomial is a JSON list, not {data['min_poly']!r}")
         return NumberField(data["min_poly"])
 
 

@@ -8,7 +8,6 @@ lattice in H3(R) x H3(R).  All operations below are exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -351,7 +350,8 @@ class HeisCoverCertificate:
         )
 
 
-def _box_grid(halfwidths, mesh: Fraction):
+def _box_axes(halfwidths, mesh: Fraction) -> list[list[Fraction]]:
+    """Per-axis values of a grid of step at most mesh over the box."""
     axes = []
     for h in halfwidths:
         if h == 0:
@@ -360,7 +360,7 @@ def _box_grid(halfwidths, mesh: Fraction):
         steps = max(1, math.ceil(h / mesh))
         step = Fraction(h) / steps
         axes.append([k * step for k in range(-steps, steps + 1)])
-    return itertools.product(*axes)
+    return axes
 
 
 def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
@@ -540,26 +540,26 @@ HULL_CANDIDATES: tuple[tuple[str, tuple[int, ...]], ...] = (
 GROWTH_TOLERANCE = Fraction(11, 10)
 
 
-def _hull_kappa(scan: verify.NearestScan, axes, inner: Fraction, mesh: Fraction):
-    """Patch bound kappa for one coordinate subgroup: patch->subgroup distance
-    plus subgroup-grid->patch distance on the inner ball."""
-    off = [i for i in range(3) if i not in axes]
-    part1 = Fraction(0)
+def _abs_max_per_axis(scan: verify.NearestScan) -> list[Fraction]:
+    """Certified upper bound on |coordinate| over the scanned points, per axis."""
+    out = [Fraction(0)] * 3
     for ivs in scan.ivs:
-        for i in off:
-            _, hi = iv_abs(ivs[i])
-            part1 = max(part1, hi)
-    part2 = Fraction(0)
-    if axes:
-        sub_grid = _box_grid(tuple(inner for _ in axes), mesh)
-        for g in sub_grid:
-            full = [Fraction(0)] * 3
-            for axis, value in zip(axes, g):
-                full[axis] = value
-            d = scan.dist_hi(tuple(full))
-            part2 = max(part2, d)
-    else:
-        part2 = scan.dist_hi((Fraction(0),) * 3)
+        for k, iv in enumerate(ivs):
+            _, hi = iv_abs(iv)
+            if hi > out[k]:
+                out[k] = hi
+    return out
+
+
+def _hull_kappa(scan: verify.NearestScan, abs_max, axes, inner: Fraction, mesh: Fraction):
+    """Patch bound kappa for one coordinate subgroup: patch->subgroup distance
+    plus subgroup-grid->patch distance on the inner ball.  abs_max is
+    `_abs_max_per_axis(scan)`."""
+    part1 = max((abs_max[i] for i in range(3) if i not in axes), default=Fraction(0))
+    grid = [[Fraction(0)] for _ in range(3)]
+    for axis, values in zip(axes, _box_axes(tuple(inner for _ in axes), mesh)):
+        grid[axis] = values
+    part2 = scan.max_dist_hi(grid)
     return max(part1, part2 + mesh / 2)
 
 
@@ -604,11 +604,12 @@ def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport
         verify.NearestScan([ops.coord_intervals(p, 64) for p in patch.points])
         for patch in (patch_small, patch_large)
     )
+    max_small, max_large = _abs_max_per_axis(scan_small), _abs_max_per_axis(scan_large)
     table = {}
     chosen = None
     for name, axes in sorted(HULL_CANDIDATES, key=lambda c: (len(c[1]), c[0])):
-        k1 = _hull_kappa(scan_small, axes, inner_small, mesh)
-        k2 = _hull_kappa(scan_large, axes, inner_large, mesh)
+        k1 = _hull_kappa(scan_small, max_small, axes, inner_small, mesh)
+        k2 = _hull_kappa(scan_large, max_large, axes, inner_large, mesh)
         table[name] = (k1, k2)
         # grid quantisation can move kappa by up to one mesh cell, so the
         # stabilisation test allows that additive noise on top of the factor
@@ -657,8 +658,8 @@ def meyer_commensurability(
     point that forced the excess.
     """
     scope_radius = Fraction(scope_radius)
-    a_in = [p for p in points_a if verify.point_norm_hi(p, ops) <= scope_radius]
-    b_in = [p for p in points_b if verify.point_norm_hi(p, ops) <= scope_radius]
+    a_in = verify.points_within(points_a, ops, scope_radius)
+    b_in = verify.points_within(points_b, ops, scope_radius)
     cover_ab, witness = verify.greedy_cover(a_in, points_b, ops, max_translates)
     if cover_ab is None:
         return MeyerCommensurability(None, None, scope_radius, "NOT-COMMENSURABLE-AT-SCALE", witness)

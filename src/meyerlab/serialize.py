@@ -75,8 +75,13 @@ def greedy_cover_to_dict(cover: verify.GreedyCover, scheme) -> dict:
 
 def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
     """The cover `greedy_cover_to_dict` wrote; its points are in `scheme`'s format."""
+    if type(data) is not dict:
+        raise UsageError(f"a cover is a JSON object, not {data!r}")
     if data["kind"] != scheme.kind:
         raise UsageError(f"expected a {scheme.kind} cover, not {data['kind']!r}")
+    for key in ("translates", "assignments"):
+        if type(data[key]) is not list:
+            raise UsageError(f"the {key} of a cover are a JSON list, not {data[key]!r}")
     translates = [scheme.point_from_json(t) for t in data["translates"]]
     assignments = []
     for entry in data["assignments"]:
@@ -239,8 +244,8 @@ def _replay_meyer(data) -> tuple[bool, str]:
     cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
     cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
     scope = str_frac(data["scope_radius"])
-    a_in = {p for p in a_points if verify.point_norm_hi(p, ops) <= scope}
-    b_in = {p for p in b_points if verify.point_norm_hi(p, ops) <= scope}
+    a_in = set(verify.points_within(a_points, ops, scope))
+    b_in = set(verify.points_within(b_points, ops, scope))
     if {a for a, _ in cover_ab.assignments} != a_in:
         return False, "cover_ab does not assign exactly the in-scope points"
     if {b for b, _ in cover_ba.assignments} != b_in:

@@ -48,6 +48,11 @@ JOBS = (
      "--json {d}/delone-zs.json", 0),
     ("verify delone --patch {d}/gen-sqrt2-2d.csv --scheme galois:sqrt2:2 --window 1,7/8 "
      "--radius 4 --inner 2 --json {d}/delone-sqrt2-2d.json", 0),
+    # the 3-D metric path: a Heisenberg Delone report and a golden hull search
+    ("heis generate --field sqrt2 --window 1,1,2 --radius 2 --json {d}/heis-gen-r2.json", 0),
+    ("verify delone --patch {d}/heis-gen-r2.json --inner 1/2 --json {d}/delone-heis.json", 2),
+    ("heis hull --field golden --window 9/8,7/8,2 --radius-small 3/2 --radius-large 3 "
+     "--json {d}/heis-hull-golden.json", 0),
 )
 
 DIGESTS = {
@@ -55,6 +60,7 @@ DIGESTS = {
     "cover-heis.json": "b1ee76c23b93956900b86b999551e91f08df37d07254289d8a9641afedd0708b",
     "cover-zs.json": "61d83ccb3fb4a5fc208eb14db5b884d3c318af19381958823ea811e9f5684a26",
     "cover.json": "7882b6e79c4b82afa84521b93c97fa67ba998e9167fb81d21eacd3fa05b1281a",
+    "delone-heis.json": "7bc5faf59bdc72334bed675f9f0986c2764ea86621234fe282daf209b932d9b9",
     "delone-sqrt2-2d.json": "0ecd45a3848cca19331938b32a1bdbe59b395b4b965eb76396912bf91e7662eb",
     "delone-zs.json": "f796530d0c23efde3b4b996d47d823bf850eb813e543506b668f07c265a2aa35",
     "delone.json": "329d1131f201846c5ed8ec4906fafd332e162464dcd05a2cf9d842d550bf9659",
@@ -74,8 +80,10 @@ DIGESTS = {
     "heis-cert.json": "2545e16ed28cd58d58c47e47b190a97d4ecf61cd1f0763944e21ff0d4ed42f3a",
     "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
     "heis-gen-r2.csv": "7a29a193d9adf377c720d6fb6215d73f6d6132dd154ad19ffc09a5eda3637ed2",
+    "heis-gen-r2.json": "e122b7eb6f6b653befa7b92f208292e805f197d281a1713bcd7563b39c90e1ef",
     "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
     "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
+    "heis-hull-golden.json": "e27969de71a0ecdd407dcb9c06320b8501d164730ae22bb081f19f8f9bc11b28",
     "heis-hull.json": "7634e66fd4f12a0d396e60bfc764086456c99db9c7676be76be66d020b0b1808",
     "heis-meyer.json": "beddc7d8d563e6eca5a7c5e04663df278869bed0ea949b9fcb40ef12948cb176",
     "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",

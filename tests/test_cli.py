@@ -365,6 +365,12 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["verify", "replay", "{d}/zs-point-float.json"], "a zs point is a rational string"),
         (["verify", "replay", "{d}/heis-point-2d.json"],
          "a heis point is one coefficient list per coordinate"),
+        (["verify", "replay", "{d}/window-int.json"], "a window is a JSON object, not 5"),
+        (["verify", "replay", "{d}/window-real-int.json"],
+         "the real half-widths of a window are a JSON list, not 5"),
+        (["verify", "replay", "{d}/field-int.json"], "a field is a JSON object, not 5"),
+        (["verify", "replay", "{d}/meyer-translates-int.json"],
+         "the translates of a cover are a JSON list, not 5"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -379,11 +385,19 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     heis = {"type": "heis_patch", "radius": "1", "points": [],
             "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
                        "window": ["1", "1", "1"], "physical_root_index": 1}}
+    cover = {"kind": "heis", "translates": 5, "assignments": []}
+    meyer = {"type": "meyer_commensurability", "scheme": heis["scheme"], "radius": "1",
+             "side_a": "model_set", "side_b": "model_set", "scope_radius": "1/2",
+             "verdict": "COMMENSURABLE-AT-SCALE", "cover_ab": cover, "cover_ba": cover}
     for name, data in (("point-shape", golden | {"points": [[1, 0]]}),
                        ("points-int", golden | {"points": 5}),
                        ("scheme-str", golden | {"scheme": "x"}),
                        ("zs-point-float", zs | {"points": [0.5]}),
-                       ("heis-point-2d", heis | {"points": [[["0", "0"], ["0", "0"]]]})):
+                       ("heis-point-2d", heis | {"points": [[["0", "0"], ["0", "0"]]]}),
+                       ("window-int", golden | {"window": 5}),
+                       ("window-real-int", golden | {"window": {"real": 5, "padic": []}}),
+                       ("field-int", golden | {"scheme": golden["scheme"] | {"field": 5}}),
+                       ("meyer-translates-int", meyer)):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -225,7 +226,7 @@ class TestCoveringCertificate:
         cx, cy, cz = scheme.window
         place = scheme.internal_place
         fits = heis.abs_embedding_leq
-        for w1, w2, w3 in heis._box_grid(scheme.product_window(), Fraction(1, 2)):
+        for w1, w2, w3 in itertools.product(*heis._box_axes(scheme.product_window(), Fraction(1, 2))):
             w1, w2, w3 = (f2.from_rational(v) for v in (w1, w2, w3))
             assert any(
                 fits(w3 - t3 - t1 * (w2 - t2), place, cz)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -115,16 +116,15 @@ class TestNearestScan:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_product_set_with_few_first_coordinates(self, data):
-        # the first coordinate takes at most 3 values, so the sweep runs along
-        # another axis whenever that one has more distinct values
+        # the first coordinate takes at most 3 values, so the points crowd a
+        # few planes of cells
         firsts = data.draw(st.lists(HALVES, min_size=1, max_size=3, unique=True))
         others = st.lists(HALVES, min_size=1, max_size=5, unique=True)
         ys, zs = data.draw(others), data.draw(others)
         points = [[(x, x), (y, y), (z, z)] for x in firsts for y in ys for z in zs]
         data.draw(st.randoms()).shuffle(points)
         scan = verify.NearestScan(points)
-        if max(len(ys), len(zs)) > len(firsts):
-            assert scan.axis != 0
+        assert sorted(i for members in scan.cells.values() for i in members) == list(range(len(points)))
         for g in data.draw(st.lists(st.tuples(*[QUARTERS] * 3), min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
 
@@ -143,6 +143,134 @@ class TestNearestScan:
     def test_ties_pick_lowest_index(self, points, query, expected):
         scan = verify.NearestScan([[(Fraction(v), Fraction(v)) for v in p] for p in points])
         assert scan.nearest_index(query) == expected == linear_nearest_index(scan, query)
+
+
+# Exact values, some a hair (2^-70) apart so that their float midpoints coincide.
+HAIR = Fraction(1, 2**70)
+HAIR_HALVES = st.tuples(HALVES, st.sampled_from([Fraction(0), HAIR])).map(sum)
+# Queries far outside any point set drawn here, as well as near ones.
+FAR = st.integers(-10**6, 10**6).map(lambda k: Fraction(k, 4))
+
+
+def hair_interval_points(dim, flat_axis=None):
+    # half-widths up to 3/8, so the exact bound can reorder float distances 1/4 apart
+    widths = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(3, 8)])
+    coord = st.tuples(HAIR_HALVES, widths).map(lambda vw: (vw[0] - vw[1], vw[0] + vw[1]))
+    point = st.lists(coord, min_size=dim, max_size=dim)
+    if flat_axis is not None:
+        # every point shares this coordinate: an axis of zero span
+        point = point.map(lambda p: p[:flat_axis] + [(Fraction(1, 2), Fraction(1, 2))] + p[flat_axis + 1:])
+    return st.lists(point, min_size=1, max_size=30)
+
+
+def reference_dist_hi(scan, grid_point):
+    """dist_hi through the linear-scan candidate, bounded as iv_abs bounds it."""
+    ivs = scan.ivs[linear_nearest_index(scan, grid_point)]
+    return max([Fraction(0)] + [exactnum.iv_abs((lo - g, hi - g))[1] for (lo, hi), g in zip(ivs, grid_point)])
+
+
+class TestCells:
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), flat=st.booleans(), data=st.data())
+    def test_cells_match_linear_scan(self, dim, flat, data):
+        points = data.draw(hair_interval_points(dim, flat_axis=dim - 1 if flat else None))
+        scan = verify.NearestScan(points)
+        assert scan.mids == [tuple(float(lo + hi) / 2.0 for lo, hi in p) for p in points]
+        queries = st.tuples(*[st.one_of(QUARTERS, FAR)] * dim)
+        for g in data.draw(st.lists(queries, min_size=1, max_size=10)):
+            assert scan.nearest_index(g) == linear_nearest_index(scan, g)
+
+    @pytest.mark.parametrize("query", [(0,), (1,), (-10**9,), (10**9,)])
+    def test_single_point(self, query):
+        scan = verify.NearestScan([[(Fraction(1, 3), Fraction(1, 3))]])
+        assert scan.nearest_index(query) == 0
+        assert scan.dist_hi(query) == abs(Fraction(query[0]) - Fraction(1, 3))
+
+    def test_a_hair_thin_axis_keeps_the_occupied_box_small(self):
+        # one axis spans only 2^-70: cells sized by volume alone would be about
+        # 2^-23 wide, and a far query would walk about 2^50 empty cells
+        points = [[(Fraction(k % 5),) * 2, (HAIR * (k % 2),) * 2, (Fraction(k // 5),) * 2] for k in range(30)]
+        scan = verify.NearestScan(points)
+        assert math.prod(h - l + 1 for l, h in zip(scan.lo, scan.hi)) <= 4**3 * len(points)
+        query = (Fraction(10**6), Fraction(0), Fraction(0))
+        assert scan.nearest_index(query) == linear_nearest_index(scan, query)
+
+    def test_equal_float_midpoints_pick_lowest_index(self):
+        points = [[(Fraction(1) + HAIR, Fraction(1) + HAIR)], [(Fraction(1), Fraction(1))]]
+        scan = verify.NearestScan(points)
+        assert scan.mids[0] == scan.mids[1]
+        assert scan.nearest_index((Fraction(0),)) == 0
+        assert scan.dist_hi((Fraction(0),)) == 1 + HAIR
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([1, 3]), data=st.data())
+    def test_bulk_maximum_matches_grid_loop(self, dim, data):
+        # half-integer points and quarter-integer grids: many grid points tie
+        scan = verify.NearestScan(data.draw(hair_interval_points(dim)))
+        axis = st.lists(st.one_of(QUARTERS, FAR), min_size=1, max_size=6 if dim == 3 else 20)
+        axes = [data.draw(axis) for _ in range(dim)]
+        expected = max(reference_dist_hi(scan, g) for g in itertools.product(*axes))
+        assert scan.max_dist_hi(axes) == expected
+
+    def test_bulk_maximum_where_an_interval_width_reorders_the_floats(self):
+        # the float distance peaks at 11/4 (5/4 from the exact point 4), but
+        # the wide interval around 0 gives -1 the larger exact bound, 11/8
+        scan = verify.NearestScan([[(Fraction(-3, 8), Fraction(3, 8))], [(Fraction(4), Fraction(4))]])
+        axis = [Fraction(-1), Fraction(11, 4)]
+        assert scan.max_dist_hi([axis]) == Fraction(11, 8) == max(reference_dist_hi(scan, (g,)) for g in axis)
+
+    def test_bulk_maximum_matches_grid_loop_on_a_heisenberg_patch(self):
+        patch = heis.heis_model_set(heis.HeisScheme(sqrt2_field(), (1, 1, 2)), 2)
+        ops = patch.group_ops()
+        scan = verify.NearestScan([ops.coord_intervals(p, 96) for p in patch.points])
+        axis = [Fraction(k, 8) for k in range(-4, 5)]
+        expected = max(reference_dist_hi(scan, g) for g in itertools.product(axis, axis, axis))
+        assert scan.max_dist_hi([axis] * 3) == expected
+
+    def test_min_separation_refines_overlapping_intervals(self):
+        # intervals of half-width 2^-bits: the first two points overlap at
+        # 128 bits and separate at 256
+        ops = verify.GroupOps(
+            mul=None, inv=None, identity=None, sort_key=None,
+            coord_intervals=lambda p, bits: [(p - Fraction(1, 2**bits), p + Fraction(1, 2**bits))],
+            dim=1,
+        )
+        pts = [Fraction(0), Fraction(1, 2**200), Fraction(1)]
+        assert verify.min_separation(pts, ops) == (Fraction(1, 2**200) - Fraction(2, 2**256), (pts[0], pts[1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([1, 3]), data=st.data())
+    def test_min_separation_matches_all_pairs(self, dim, data):
+        values = st.tuples(*[HAIR_HALVES] * dim)
+        pts = data.draw(st.lists(values, min_size=2, max_size=30, unique=True))
+        ops = rational_box_ops(dim)
+        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+
+
+def interval_ops(dim):
+    """Points are tuples of exact coordinate intervals."""
+    return verify.GroupOps(
+        mul=None, inv=None, identity=None, sort_key=None,
+        coord_intervals=lambda p, bits: list(p), dim=dim,
+    )
+
+
+class TestPointsWithin:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radius=st.integers(1, 8).map(lambda k: Fraction(k, 2)),
+        data=st.data(),
+    )
+    def test_matches_point_norm_hi(self, radius, data):
+        # coordinates at the radius, a hair (2^-60) either side of it, or anywhere
+        offsets = st.sampled_from([0, Fraction(1, 2**60), -Fraction(1, 2**60)])
+        near = st.tuples(st.sampled_from([1, -1]), offsets).map(lambda so: so[0] * (radius + so[1]))
+        value = st.one_of(near, HALVES)
+        coord = st.tuples(value, value).map(lambda ab: (min(ab), max(ab)))
+        pts = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=20))
+        ops = interval_ops(3)
+        expected = [p for p in pts if verify.point_norm_hi(p, ops) <= radius]
+        assert verify.points_within(pts, ops, radius) == expected
 
 
 class TestMinSeparationSweep:
