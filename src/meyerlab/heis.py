@@ -542,13 +542,7 @@ GROWTH_TOLERANCE = Fraction(11, 10)
 
 def _abs_max_per_axis(scan: verify.NearestScan) -> list[Fraction]:
     """Certified upper bound on |coordinate| over the scanned points, per axis."""
-    out = [Fraction(0)] * 3
-    for ivs in scan.ivs:
-        for k, iv in enumerate(ivs):
-            _, hi = iv_abs(iv)
-            if hi > out[k]:
-                out[k] = hi
-    return out
+    return [verify.abs_max(end for ivs in scan.ivs for end in ivs[k]) for k in range(3)]
 
 
 def _hull_kappa(scan: verify.NearestScan, abs_max, axes, inner: Fraction, mesh: Fraction):

@@ -108,6 +108,18 @@ def points_within(points, ops: GroupOps, radius) -> list:
     return kept
 
 
+def abs_max(values) -> Fraction:
+    """The exact maximum of |x| over rationals, 0 for none.
+
+    Correct rounding is monotone, so only values whose float magnitude equals
+    the largest one can hold the maximum; just those are compared exactly.
+    """
+    values = list(values)
+    floats = [abs(_float(v)) for v in values]
+    top = max(floats, default=0.0)
+    return max((abs(v) for v, f in zip(values, floats) if f == top), default=Fraction(0))
+
+
 def _dist_lo(ip, iq):
     """Certified lower bound on the sup-distance of two points' coordinate intervals."""
     return max(iv_abs(iv_sub(a, b))[0] for a, b in zip(ip, iq))

@@ -273,6 +273,16 @@ class TestPointsWithin:
         assert verify.points_within(pts, ops, radius) == expected
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.tuples(HALVES, st.sampled_from([0, Fraction(1, 2**60), -Fraction(1, 2**60)])).map(sum),
+        max_size=12,
+    ))
+    def test_abs_max_matches_exact_maximum(self, values):
+        # values a hair (2^-60) apart have equal floats
+        assert verify.abs_max(values) == max((abs(v) for v in values), default=0)
+
+
 class TestMinSeparationSweep:
     @settings(max_examples=200, deadline=None)
     @given(
