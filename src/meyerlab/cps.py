@@ -40,6 +40,7 @@ from .exactnum import (
     padic_valuation,
     prime_factors,
     str_frac,
+    str_int,
 )
 
 DEFAULT_CANDIDATE_LIMIT = 5_000_000
@@ -118,7 +119,7 @@ class Window:
             raise UsageError(f"the p-adic balls of a window are [prime, level] pairs, not {padic!r}")
         return Window(
             real_halfwidths=tuple(str_frac(c) for c in real),
-            padic_balls=tuple((int(p), int(k)) for p, k in padic),
+            padic_balls=tuple((str_int(p), str_int(k)) for p, k in padic),
         )
 
 
@@ -329,14 +330,18 @@ def scheme_from_dict(data: dict, kind: str | None = None):
     if kind not in (None, data["kind"]):
         raise UsageError(f"expected a {kind} scheme, not {data['kind']!r}")
     if data["kind"] == "zs":
-        return ZSScheme(data["primes"])
+        if type(data["primes"]) is not list:
+            raise UsageError(f"the primes of a zs scheme are a JSON list, not {data['primes']!r}")
+        return ZSScheme([str_int(p) for p in data["primes"]])
     if data["kind"] == "galois":
         return GaloisScheme(
             NumberField.from_dict(data["field"]),
-            dim=data.get("dim", 1),
+            dim=str_int(data.get("dim", 1)),
             physical_root_index=data.get("physical_root_index", 1),
         )
     if data["kind"] == "heis":
+        if type(data["window"]) is not list:
+            raise UsageError(f"the window of a heis scheme is a JSON list, not {data['window']!r}")
         return heis.HeisScheme(
             NumberField.from_dict(data["field"]),
             [str_frac(c) for c in data["window"]],

@@ -32,7 +32,7 @@ def str_frac(s: str) -> Fraction:
 def str_int(s: str) -> int:
     try:
         return int(s)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"not an integer: {s!r}") from exc
 
 
@@ -182,7 +182,7 @@ class NumberField:
             raise UsageError(f"a field is a JSON object, not {data!r}")
         if type(data["min_poly"]) is not list:
             raise UsageError(f"a minimal polynomial is a JSON list, not {data['min_poly']!r}")
-        return NumberField(data["min_poly"])
+        return NumberField([str_int(c) for c in data["min_poly"]])
 
 
 RATIONAL_FIELD = NumberField([0, 1], name="Q")

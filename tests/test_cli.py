@@ -371,6 +371,12 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["verify", "replay", "{d}/field-int.json"], "a field is a JSON object, not 5"),
         (["verify", "replay", "{d}/meyer-translates-int.json"],
          "the translates of a cover are a JSON list, not 5"),
+        (["verify", "replay", "{d}/heis-window-int.json"],
+         "the window of a heis scheme is a JSON list, not 5"),
+        (["verify", "replay", "{d}/zs-primes-int.json"], "the primes of a zs scheme are a JSON list, not 5"),
+        (["verify", "replay", "{d}/dim-str.json"], "not an integer: 'x'"),
+        (["verify", "replay", "{d}/min-poly-str.json"], "not an integer: 'x'"),
+        (["verify", "replay", "{d}/padic-str.json"], "not an integer: 'x'"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -397,7 +403,12 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("window-int", golden | {"window": 5}),
                        ("window-real-int", golden | {"window": {"real": 5, "padic": []}}),
                        ("field-int", golden | {"scheme": golden["scheme"] | {"field": 5}}),
-                       ("meyer-translates-int", meyer)):
+                       ("meyer-translates-int", meyer),
+                       ("heis-window-int", heis | {"scheme": heis["scheme"] | {"window": 5}}),
+                       ("zs-primes-int", zs | {"scheme": {"kind": "zs", "primes": 5}}),
+                       ("dim-str", golden | {"scheme": golden["scheme"] | {"dim": "x"}}),
+                       ("min-poly-str", golden | {"scheme": golden["scheme"] | {"field": {"min_poly": ["x", 1]}}}),
+                       ("padic-str", zs | {"window": {"real": [], "padic": [["x", 0]]}})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
