@@ -32,6 +32,7 @@ from .exactnum import (
     NumberField,
     RealEmbeddingInterval,
     abs_embedding_leq,
+    cmp_embedding,
     embedding_intervals,
     eval_embedding,
     floor_surd,
@@ -45,6 +46,7 @@ from .exactnum import (
 
 DEFAULT_CANDIDATE_LIMIT = 5_000_000
 DEFAULT_SEARCH_CAP_DOUBLINGS = 12
+TILE_BITS = 96  # precision of the intervals that bound cover-search tiles
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +421,13 @@ def enumerate_window_elements(
     c = Fraction(internal_halfwidth)
     if R < 0 or c < 0:
         raise UsageError("radii must be nonnegative")
-    p1 = physical_place.refined(96)
-    p2 = internal_place.refined(96)
-    gap_lo = max(p2.lo - p1.hi, p1.lo - p2.hi)  # certified lower bound on |t1 - t2|
+    lo1, hi1 = physical_place.refined(96)
+    lo2, hi2 = internal_place.refined(96)
+    gap_lo = max(lo2 - hi1, lo1 - hi2)  # certified lower bound on |t1 - t2|
     if gap_lo <= 0:
-        raise UsageError("embedding intervals are not separated; refine the field roots")
-    t1_abs = max(abs(p1.lo), abs(p1.hi))
-    t2_abs = max(abs(p2.lo), abs(p2.hi))
+        raise UsageError("the physical and internal places must be distinct real places")
+    t1_abs = max(abs(lo1), abs(hi1))
+    t2_abs = max(abs(lo2), abs(hi2))
     b_max = math.floor((R + c) / gap_lo)
     a_max = math.floor((R * t2_abs + c * t1_abs) / gap_lo)
     count = (2 * a_max + 1) * (2 * b_max + 1)
@@ -516,77 +518,59 @@ def _zs_patch_points(scheme: ZSScheme, window: Window, radius: Fraction, candida
 
 
 class DimCover:
-    """Translates whose internal tiles [t - c, t + c] cover a target interval.
+    """Translates whose internal tiles sigma(t) + [-c, c] cover a target interval."""
 
-    `claimed` stores conservative rational tiles derived from certified
-    embedding intervals, so coverage replays by pure rational arithmetic.
-    """
-
-    __slots__ = (
-        "elements", "claimed", "tile_halfwidth", "target_lo", "target_hi", "precision_bits"
-    )
+    __slots__ = ("elements", "tile_halfwidth", "target_lo", "target_hi")
 
     def __init__(
         self,
         elements: tuple[NFElem, ...],
-        claimed: tuple[tuple[Fraction, Fraction], ...],
         tile_halfwidth: Fraction,
         target_lo: Fraction,
         target_hi: Fraction,
-        precision_bits: int,
     ):
         self.elements = elements
-        self.claimed = claimed
         self.tile_halfwidth = tile_halfwidth
         self.target_lo = target_lo
         self.target_hi = target_hi
-        self.precision_bits = precision_bits
-
-    def chain_covers(self) -> bool:
-        ivs = sorted(self.claimed)
-        covered = self.target_lo
-        for lo, hi in ivs:
-            if lo > covered:
-                return False
-            covered = max(covered, hi)
-            if covered >= self.target_hi:
-                return True
-        return covered >= self.target_hi
 
     def replay(self, internal_place: RealEmbeddingInterval) -> bool:
-        """Check the tiles and their chain; every translate must lie in Z[theta].
+        """Check the chain by exact sign tests; every translate must lie in Z[theta].
 
-        Each claimed tile must belong to one translate, since the chain is
-        built from the claimed tiles alone.
+        Consecutive tiles meet, since their centres are at most 2c apart, so
+        the tiles' union is one interval; it reaches past both target ends,
+        since the first tile starts at or below target_lo and the last ends
+        at or above target_hi.
         """
-        if len(self.claimed) != len(self.elements):
+        ts, c = self.elements, self.tile_halfwidth
+        if not ts or any(t.den != 1 for t in ts):
             return False
-        if any(c.denominator != 1 for elem in self.elements for c in elem.coeffs):
+        if not all(abs_embedding_leq(y - x, internal_place, 2 * c) for x, y in zip(ts, ts[1:])):
             return False
-        for elem, (clo, chi) in zip(self.elements, self.claimed):
-            lo, hi = eval_embedding(elem, internal_place, self.precision_bits)
-            if clo < hi - self.tile_halfwidth or chi > lo + self.tile_halfwidth:
-                return False
-        return self.chain_covers()
+        return (
+            cmp_embedding(ts[0], internal_place, self.target_lo + c) <= 0
+            and cmp_embedding(ts[-1], internal_place, self.target_hi - c) >= 0
+        )
 
     def to_dict(self) -> dict:
         return {
             "elements": [e.to_list() for e in self.elements],
-            "claimed": [[frac_str(lo), frac_str(hi)] for lo, hi in self.claimed],
             "tile_halfwidth": frac_str(self.tile_halfwidth),
             "target": [frac_str(self.target_lo), frac_str(self.target_hi)],
-            "precision_bits": self.precision_bits,
         }
 
     @staticmethod
     def from_dict(data: dict, field: NumberField) -> "DimCover":
+        elements, target = data["elements"], data["target"]
+        if type(elements) is not list or not all(type(e) is list for e in elements):
+            raise UsageError(f"the elements of a cover are coefficient lists, not {elements!r}")
+        if type(target) is not list or len(target) != 2:
+            raise UsageError(f"the target of a cover is a [lo, hi] pair, not {target!r}")
         return DimCover(
-            elements=tuple(field.elem([str_frac(c) for c in e]) for e in data["elements"]),
-            claimed=tuple((str_frac(lo), str_frac(hi)) for lo, hi in data["claimed"]),
+            elements=tuple(field.elem([str_frac(c) for c in e]) for e in elements),
             tile_halfwidth=str_frac(data["tile_halfwidth"]),
-            target_lo=str_frac(data["target"][0]),
-            target_hi=str_frac(data["target"][1]),
-            precision_bits=data["precision_bits"],
+            target_lo=str_frac(target[0]),
+            target_hi=str_frac(target[1]),
         )
 
 
@@ -596,19 +580,19 @@ def greedy_interval_cover(
     tile_halfwidth,
     candidates: Sequence[NFElem],
     internal_place: RealEmbeddingInterval,
-    bits: int = 96,
 ):
-    """Greedy cover of [target_lo, target_hi] by conservative tiles around candidates.
+    """Greedy chain of tiles around candidates covering [target_lo, target_hi].
 
-    Returns (chosen, None) on success or (None, progress) where progress is the
-    point up to which coverage was achieved.
+    A tile is bounded conservatively from the candidate's `TILE_BITS`
+    interval.  Returns (chosen elements, None) on success or (None, progress)
+    where progress is the point up to which coverage was achieved.
     """
     target_lo = Fraction(target_lo)
     target_hi = Fraction(target_hi)
     c = Fraction(tile_halfwidth)
     tiles = []
     for x in candidates:
-        lo, hi = eval_embedding(x, internal_place, bits)
+        lo, hi = eval_embedding(x, internal_place, TILE_BITS)
         cov_lo, cov_hi = hi - c, lo + c
         if cov_lo <= cov_hi:
             tiles.append((cov_lo, cov_hi, x))
@@ -625,7 +609,7 @@ def greedy_interval_cover(
                 best = (cov_lo, cov_hi, x)
         if best is None or (not first and best[1] <= covered):
             return None, covered
-        chosen.append(best)
+        chosen.append(best[2])
         covered = best[1]
         first = False
         if covered >= target_hi:
@@ -639,7 +623,6 @@ def cover_dimension(
     internal_place: RealEmbeddingInterval,
     target_halfwidth,
     tile_halfwidth,
-    bits: int = 96,
     search_doublings: int = DEFAULT_SEARCH_CAP_DOUBLINGS,
 ) -> DimCover:
     """Cover [-c1, c1] by tiles t + [-c2, c2] with t from lattice internal images."""
@@ -651,16 +634,9 @@ def cover_dimension(
         candidates = enumerate_window_elements(
             field, physical_place, internal_place, search, c1 + c2
         )
-        chosen, progress = greedy_interval_cover(-c1, c1, c2, candidates, internal_place, bits)
+        chosen, progress = greedy_interval_cover(-c1, c1, c2, candidates, internal_place)
         if chosen is not None:
-            return DimCover(
-                elements=tuple(x for _, _, x in chosen),
-                claimed=tuple((lo, hi) for lo, hi, _ in chosen),
-                tile_halfwidth=c2,
-                target_lo=-c1,
-                target_hi=c1,
-                precision_bits=bits,
-            )
+            return DimCover(tuple(chosen), c2, -c1, c1)
         search *= 2
     raise CoverSearchFailed(
         f"interval cover stalled at {progress} before reaching {c1}", progress=progress

@@ -3,9 +3,9 @@
 A field element is stored as integers (a + b*theta)/den, so products,
 inverses, traces and norms are closed forms in integers.  Every real
 embedding value is (u + v*sqrt(disc))/s with integers u, v, s, so comparing
-it with a rational is decided by squaring in integers.  Rational intervals
-enclose embedding values for the metric layer, and p-adic valuations on Q
-are exact.  No float ever enters a value that feeds a certificate.
+it with a rational is decided by squaring in integers.  The metric layer's
+interval around it, [k, k+1]/2^p, is a floor of a surd.  p-adic valuations
+on Q are exact.  No float ever enters a value that feeds a certificate.
 """
 
 from __future__ import annotations
@@ -94,6 +94,24 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+class RealEmbeddingInterval:
+    """One real place of a field: theta -> its root_index-th real root, ascending.
+
+    The roots of X^2 + c1*X + c0 are (-c1 -+ sqrt(disc))/2, so every value
+    at the place is a surd and every interval around it a closed form.
+    """
+
+    __slots__ = ("field", "root_index")
+
+    def __init__(self, field: NumberField, root_index: int):
+        self.field = field
+        self.root_index = root_index
+
+    def refined(self, bits: int) -> tuple[Fraction, Fraction]:
+        """The `eval_embedding` interval of sigma(theta)."""
+        return eval_embedding(self.field.gen(), self, bits)
+
+
 class NumberField:
     """K = Q(theta) for theta a root of a monic irreducible integer polynomial
     of degree 1 or 2.
@@ -120,14 +138,8 @@ class NumberField:
         self.min_poly: tuple[int, ...] = coeffs
         self.degree: int = len(coeffs) - 1
         self.name = name
-        self._real_roots: list[RealEmbeddingInterval] | None = None
-        # raw isolating interval per root: every refinement is the cell of a
-        # dyadic subdivision of it, computed in closed form as a pure function
-        # of (root, level), so values derived from embeddings are identical
-        # across sessions and replays.
-        self._root_bases: dict[int, tuple[Fraction, Fraction]] = {}
-        # memo per (root, level): eval_embedding asks for the same level on every call
-        self._refine_cache: dict[tuple[int, int], "RealEmbeddingInterval"] = {}
+        real = 1 if self.degree == 1 else 2 if self.disc > 0 else 0
+        self._real_roots = [RealEmbeddingInterval(self, i) for i in range(real)]
 
     def __repr__(self):
         return f"NumberField({list(self.min_poly)})"
@@ -165,9 +177,7 @@ class NumberField:
         return NFElem(self, q.numerator, 0, q.denominator)
 
     def real_roots(self) -> list["RealEmbeddingInterval"]:
-        """Isolating intervals for the real roots, ascending, pairwise disjoint."""
-        if self._real_roots is None:
-            self._real_roots = _isolate_real_roots(self)
+        """The real places, ascending by the value of theta."""
         return list(self._real_roots)
 
     def real_root_count(self) -> int:
@@ -195,120 +205,6 @@ def golden_field() -> NumberField:
 
 def sqrt2_field() -> NumberField:
     return NumberField([-2, 0, 1], name="sqrt2")
-
-
-class RealEmbeddingInterval:
-    """Isolating interval for one real root of a field's minimal polynomial.
-
-    The open interval (lo, hi) contains exactly one root and the polynomial
-    changes sign across it; lo == hi encodes an exact rational root (degree-1
-    fields).  Refinement narrows the interval and never loses the root.
-    """
-
-    __slots__ = ("field", "root_index", "lo", "hi", "precision_bits")
-
-    def __init__(
-        self, field: NumberField, root_index: int, lo: Fraction, hi: Fraction, precision_bits: int
-    ):
-        self.field = field
-        self.root_index = root_index
-        self.lo = lo
-        self.hi = hi
-        self.precision_bits = precision_bits
-
-    def _key(self):
-        return (self.field, self.root_index, self.lo, self.hi, self.precision_bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def refined(self, bits: int) -> "RealEmbeddingInterval":
-        """Canonical interval of width <= 2^-level for the next power-of-two level.
-
-        The raw isolating interval (lo, hi) is cut into 2^t cells of width
-        w = (hi - lo)/2^t, for the least t with w <= 2^-level, and the result
-        is the cell holding the root: [lo + k*w, lo + (k+1)*w] with
-        k = floor((root - lo)/w), decided in integers from the closed form
-        root = (-c1 -+ sqrt(disc))/2.  This is the cell that t bisections of
-        (lo, hi) reach, and a pure function of (field, root, level), so
-        refinements replay identically in any session and call order.
-        """
-        if self.is_exact:
-            return self
-        level = _canonical_level(bits)
-        key = (self.root_index, level)
-        cached = self.field._refine_cache.get(key)
-        if cached is not None:
-            return cached
-        lo, hi = self.field._root_bases[self.root_index]
-        span = hi - lo
-        # least t with span * 2^level <= 2^t
-        t = (-(-(span.numerator << level) // span.denominator) - 1).bit_length()
-        w = span / (1 << t)
-        # (root - lo)/w = (-n*(q*c1 + 2*p) -+ n*q*sqrt(disc)) / (2*q*m), lo = p/q, w = m/n
-        p, q, m, n = lo.numerator, lo.denominator, w.numerator, w.denominator
-        nq = n * q if self.root_index else -n * q
-        k = floor_surd(-n * (q * self.field.min_poly[1] + 2 * p), nq, self.field.disc, 2 * q * m)
-        out = RealEmbeddingInterval(self.field, self.root_index, lo + k * w, lo + (k + 1) * w, level)
-        self.field._refine_cache[key] = out
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "root_index": self.root_index,
-            "lo": frac_str(self.lo),
-            "hi": frac_str(self.hi),
-            "precision_bits": self.precision_bits,
-        }
-
-
-def _canonical_level(bits: int) -> int:
-    level = 8
-    while level < bits:
-        level *= 2
-    return level
-
-
-def _isolate_real_roots(field: NumberField) -> list[RealEmbeddingInterval]:
-    if field.degree == 1:
-        root = Fraction(-field.min_poly[0])
-        return [RealEmbeddingInterval(field, 0, root, root, 0)]
-    if field.disc < 0:
-        return []
-    # Bisect (-B, B] until the midpoint separates the roots centre -+ sqrt(disc)/2.
-    # Neither root is rational, so no midpoint is ever a root.
-    c0, c1, _ = field.min_poly
-    centre, half = Fraction(-c1, 2), Fraction(1, 2)
-    hi = Fraction(2 + max(abs(c0), abs(c1)))
-    lo = -hi
-    while True:
-        mid = (lo + hi) / 2
-        if surd_sign(centre - mid, half, field.disc) < 0:
-            hi = mid
-        elif surd_sign(centre - mid, -half, field.disc) > 0:
-            lo = mid
-        else:
-            break
-    out = []
-    for i, base in enumerate(((lo, mid), (mid, hi))):
-        field._root_bases[i] = base
-        out.append(RealEmbeddingInterval(field, i, *base, 0).refined(8))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,33 +394,19 @@ def _check_place(x: NFElem, place: RealEmbeddingInterval) -> None:
 def eval_embedding(
     x: NFElem, place: RealEmbeddingInterval, precision_bits: int
 ) -> tuple[Fraction, Fraction]:
-    """Rational interval provably containing sigma(x).
+    """The dyadic interval [k, k+1]/2^p around sigma(x), p = precision_bits.
 
-    Width <= 2^-precision_bits * (1 + |midpoint|).  The interval is
-    (a + b*lo, a + b*hi)/den, sorted, for the canonical refinement (lo, hi) of
-    sigma(theta) at the first power-of-two level that meets the width.
+    k = floor(2^p * sigma(x)) is the floor of a surd, exact in integers, so
+    the width is 2^-p; a rational sigma(x) = q gives the point (q, q).
     """
     if precision_bits < 1:
         raise UsageError("precision_bits must be >= 1")
-    _check_place(x, place)
-    a, b, den = x.a, x.b, x.den
-    if x.field.degree == 1:
-        v = Fraction(a, den)
-        return (v, v)
-    # start from the requested level only: the result must not depend on how
-    # refined the passed place object happens to be
-    bits = max(precision_bits, 8)
-    while True:
-        pl = place.refined(bits)
-        lo, hi = pl.lo, pl.hi
-        n1, d1 = a * lo.denominator + b * lo.numerator, den * lo.denominator
-        n2, d2 = a * hi.denominator + b * hi.numerator, den * hi.denominator
-        if b < 0:
-            n1, d1, n2, d2 = n2, d2, n1, d1
-        # width <= 2^-p * (1 + |mid|), multiplied by 2^(p+1) * d1 * d2
-        if (n2 * d1 - n1 * d2) << (precision_bits + 1) <= 2 * d1 * d2 + abs(n1 * d2 + n2 * d1):
-            return (Fraction(n1, d1), Fraction(n2, d2))
-        bits *= 2
+    u, v, s = _embedding_surd(x, place)
+    if not v:
+        q = Fraction(u, s)
+        return (q, q)
+    k = floor_surd(u << precision_bits, v << precision_bits, place.field.disc, s)
+    return (Fraction(k, 1 << precision_bits), Fraction(k + 1, 1 << precision_bits))
 
 
 def embedding_intervals(place: RealEmbeddingInterval):

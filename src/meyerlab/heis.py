@@ -270,7 +270,7 @@ class HeisCoverCertificate:
     z-target, with M a certified bound on |sigma_int(t1)| over the x-cover.
     """
 
-    __slots__ = ("scheme", "x_cover", "y_cover", "z_cover", "shear_bound", "grid_mesh")
+    __slots__ = ("scheme", "x_cover", "y_cover", "z_cover", "shear_bound")
 
     def __init__(
         self,
@@ -279,14 +279,12 @@ class HeisCoverCertificate:
         y_cover: cps.DimCover,
         z_cover: cps.DimCover,
         shear_bound: Fraction,
-        grid_mesh: Fraction,
     ):
         self.scheme = scheme
         self.x_cover = x_cover
         self.y_cover = y_cover
         self.z_cover = z_cover
         self.shear_bound = shear_bound
-        self.grid_mesh = grid_mesh
 
     @property
     def translates(self) -> list[HeisPoint]:
@@ -333,7 +331,6 @@ class HeisCoverCertificate:
             "y_cover": self.y_cover.to_dict(),
             "z_cover": self.z_cover.to_dict(),
             "shear_bound": frac_str(self.shear_bound),
-            "grid_mesh": frac_str(self.grid_mesh),
         }
 
     @staticmethod
@@ -346,7 +343,6 @@ class HeisCoverCertificate:
             y_cover=cps.DimCover.from_dict(data["y_cover"], field),
             z_cover=cps.DimCover.from_dict(data["z_cover"], field),
             shear_bound=str_frac(data["shear_bound"]),
-            grid_mesh=str_frac(data["grid_mesh"]),
         )
 
 
@@ -369,7 +365,7 @@ def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
     Internal coordinates of a lattice product multiply inside W*W (sigma_int is
     a homomorphism), so covering the product window by translate tiles gives
     the global claim; the certificate replays from its three interval covers
-    and the shear bound.  `grid_mesh` is carried in the artifact only.
+    and the shear bound.
     """
     cx, cy, cz = scheme.window
     wx, wy, wz = scheme.product_window()
@@ -382,8 +378,7 @@ def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
         _, hi = iv_abs(eval_embedding(t1, internal, 96))
         shear = max(shear, hi)
     z_cover = cps.cover_dimension(field, phys, internal, wz + shear * cy, cz)
-    grid_mesh = max(wx, wy, wz) / 4
-    cert = HeisCoverCertificate(scheme, x_cover, y_cover, z_cover, shear, grid_mesh)
+    cert = HeisCoverCertificate(scheme, x_cover, y_cover, z_cover, shear)
     if not cert.replay():
         raise AssertionError("freshly built Heisenberg cover failed to replay")
     return cert

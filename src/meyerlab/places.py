@@ -547,14 +547,7 @@ def polynomial_translate_cover(
     internal, _physical = _internal_place(ring)
     if not rest:
         # constant polynomial: the image is {P(0)}, one translate and no search
-        zero_cover = cps.DimCover(
-            elements=(field.zero(),),
-            claimed=((Fraction(-1), Fraction(1)),),
-            tile_halfwidth=Fraction(1),
-            target_lo=Fraction(0),
-            target_hi=Fraction(0),
-            precision_bits=96,
-        )
+        zero_cover = cps.DimCover((field.zero(),), Fraction(1), Fraction(0), Fraction(0))
         return TranslateCoverCertificate(
             ring, coeffs, window_scale, Fraction(0), 1, constant, [field.zero()], [zero_cover]
         )

@@ -19,6 +19,9 @@ from .errors import UsageError
 from .exactnum import frac_str, iv_abs, iv_sub
 
 SUP_NORM_METRIC = "sup-norm on coordinates"
+SEPARATION_BITS = 128  # interval precision of min_separation (doubled where it cannot separate)
+COVERING_BITS = 96  # interval precision of covering_radius
+MESH_ROUNDS = 10  # at most this many grid meshes in covering_radius
 
 
 class GroupOps:
@@ -229,7 +232,7 @@ def _sup_dist(a, b) -> float:
     return max(map(abs, map(sub, a, b)))
 
 
-def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
+def min_separation(points: Sequence, ops: GroupOps):
     """Certified lower bound on the minimal pairwise sup-distance, with witness.
 
     The bound is tight to the working interval width and exact for rational
@@ -244,7 +247,7 @@ def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
     pts = list(points)
     if len(pts) < 2:
         raise UsageError("min_separation needs at least 2 points")
-    coord_ivs = [ops.coord_intervals(p, bits) for p in pts]
+    coord_ivs = [ops.coord_intervals(p, SEPARATION_BITS) for p in pts]
     mids, width = _float_coords(coord_ivs)
     margin = _margin(width, 2 * max(abs(x) for m in mids for x in m))
     side = _cell_side(mids)
@@ -263,7 +266,7 @@ def min_separation(points: Sequence, ops: GroupOps, bits: int = 128):
         if d > cap:
             continue
         lo = _dist_lo(coord_ivs[i], coord_ivs[j])
-        b = bits
+        b = SEPARATION_BITS
         while lo <= 0 and b < 4096:
             b *= 2
             lo = _dist_lo(ops.coord_intervals(pts[i], b), ops.coord_intervals(pts[j], b))
@@ -447,8 +450,6 @@ def covering_radius(
     ops: GroupOps,
     inner_radius,
     patch_radius=None,
-    bits: int = 96,
-    max_refinements: int = 10,
 ) -> CoveringRadiusResult:
     """Certified upper bound on sup-distance from any inner-ball point to the patch.
 
@@ -466,10 +467,10 @@ def covering_radius(
     pts = list(points)
     if not pts:
         return CoveringRadiusResult(None, "INFINITE", inner_radius, None, None)
-    scan = NearestScan([ops.coord_intervals(p, bits) for p in pts])
+    scan = NearestScan([ops.coord_intervals(p, COVERING_BITS) for p in pts])
     mesh = inner_radius / 4
     empirical = None
-    for _ in range(max_refinements):
+    for _ in range(MESH_ROUNDS):
         empirical = scan.max_dist_hi([_grid_1d(inner_radius, mesh)] * ops.dim)
         if empirical == 0 or mesh <= empirical / 10:
             break

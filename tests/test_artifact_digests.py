@@ -56,14 +56,14 @@ JOBS = (
 )
 
 DIGESTS = {
-    "cert.json": "a801a48673ac6596ff7f15bafdde94a50cda95a140a28953e6be3bd3f8cf3b43",
+    "cert.json": "ae617fcc4cd78d058a77f6f22bc3a1dd92deaa4db825e19c6244187894d64bb4",
     "cover-heis.json": "b1ee76c23b93956900b86b999551e91f08df37d07254289d8a9641afedd0708b",
     "cover-zs.json": "61d83ccb3fb4a5fc208eb14db5b884d3c318af19381958823ea811e9f5684a26",
     "cover.json": "7882b6e79c4b82afa84521b93c97fa67ba998e9167fb81d21eacd3fa05b1281a",
     "delone-heis.json": "7bc5faf59bdc72334bed675f9f0986c2764ea86621234fe282daf209b932d9b9",
-    "delone-sqrt2-2d.json": "0ecd45a3848cca19331938b32a1bdbe59b395b4b965eb76396912bf91e7662eb",
+    "delone-sqrt2-2d.json": "158af818c16fa4d47040e01238aed73e1b680ded369423075748e5f3ae6161e2",
     "delone-zs.json": "f796530d0c23efde3b4b996d47d823bf850eb813e543506b668f07c265a2aa35",
-    "delone.json": "329d1131f201846c5ed8ec4906fafd332e162464dcd05a2cf9d842d550bf9659",
+    "delone.json": "146e0d8aaf61aaf2f10538b1f223a17b7fc34a66ede41a7cd91738ca71a5e07a",
     "gen-golden-b.json": "6acdff03cd1c1c82e4023cb5e87b272dd2b0eeeeb862318eacd6fac7b9360f42",
     "gen-golden.csv": "14bdd7808f400ce11e011581a5e3148d37842e3e4d709a2356154e4e457b748c",
     "gen-golden.json": "e5228ab099ee54f8a2c0fb61b38c9287bf13cdde3a9d36629db63807ba667f12",
@@ -74,10 +74,10 @@ DIGESTS = {
     "gen-zs-b.json": "f5d521f205415d4880f14cfed97fc3a9372a41c37a7ea98204f2bb3699ac7be3",
     "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
     "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
-    "heis-center-golden.json": "f75f4b6ec70a7e6fcbbaa35ddbde3df50e26bbe8947ba497edb8198b4fcb759c",
-    "heis-center.json": "555b7dea79d1cc84dc62818353e28f3d88a402572cb345dee80706fc050c5748",
-    "heis-cert-golden.json": "20f175f1214976cccf5450aab7e73069b602b72ccc6dd8addd2e38a7911eb261",
-    "heis-cert.json": "2545e16ed28cd58d58c47e47b190a97d4ecf61cd1f0763944e21ff0d4ed42f3a",
+    "heis-center-golden.json": "332abdf8c7dec860eaf5710ba862c086f8003e4d87da6707f73e87994dbda007",
+    "heis-center.json": "fd4a2da94d932a972907aba0a527324983d5ae32ff324b284d82a700d3029581",
+    "heis-cert-golden.json": "27313a88a2eacf9ba56eeb26e7abe043caa27ac3edefe8ebb7a10a5a8592f323",
+    "heis-cert.json": "fd1b29101589b178a1d4aa7082fbd85983efb6b7e18db2f52785469626167697",
     "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
     "heis-gen-r2.csv": "7a29a193d9adf377c720d6fb6215d73f6d6132dd154ad19ffc09a5eda3637ed2",
     "heis-gen-r2.json": "e122b7eb6f6b653befa7b92f208292e805f197d281a1713bcd7563b39c90e1ef",
@@ -88,8 +88,8 @@ DIGESTS = {
     "heis-meyer.json": "beddc7d8d563e6eca5a7c5e04663df278869bed0ea949b9fcb40ef12948cb176",
     "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",
     "pisot.json": "f84a9b13aa4ed3cd7e2465d24845b6e926e0cdc100bc4ae3f1a87831e30d6f9e",
-    "polycover.json": "aae668f5a656c2d77cad87e2f9f2ade47b893767a9a9be08d2952613b8038ebb",
-    "project.json": "41fc3e96e5215d3f10ed0805044bf0f4a479471fa7d49d8755cb946832c7e4bc",
+    "polycover.json": "53557b8ebd025caced315359f2ac61ced41f26e7d4cfe16ca9b684e78a7f3ed7",
+    "project.json": "db186742da32c5a2bc2b17181b677ce47a42efcdff23da77a149239385038d15",
 }
 
 

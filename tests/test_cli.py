@@ -200,14 +200,33 @@ def test_replay_rejects_translates_off_the_lattice(tmp_path, capsys):
                    "--radius", "12", "--json", str(json_path)) == 0
     data = json.loads(json_path.read_text())
     dim = data["cover"]["dim_covers"][0]
-    c = Fraction(dim["tile_halfwidth"])
     ts = [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
     dim["elements"] = [[str(t), "0"] for t in ts]
-    dim["claimed"] = [[str(t - c), str(t + c)] for t in ts]
     tampered = tmp_path / "offgrid.json"
     tampered.write_text(json.dumps(data))
     capsys.readouterr()
     assert run_cli("verify", "replay", str(tampered)) == 2
+    assert "replay FAILED" in capsys.readouterr().out
+    # a file in the older layout, with tile ends and their precision, fails the same way
+    c = Fraction(dim["tile_halfwidth"])
+    dim["claimed"] = [[str(t - c), str(t + c)] for t in ts]
+    dim["precision_bits"] = 96
+    tampered.write_text(json.dumps(data))
+    assert run_cli("verify", "replay", str(tampered)) == 2
+    assert "replay FAILED" in capsys.readouterr().out
+
+
+def test_replay_rejects_an_empty_translate_chain(tmp_path, capsys):
+    # a constant polynomial needs one translate; a chain of none covers nothing
+    json_path = tmp_path / "polycover.json"
+    assert run_cli("pisot", "polycover", "--ring", "pvs:sqrt2", "--poly", "3",
+                   "--json", str(json_path)) == 0
+    data = json.loads(json_path.read_text())
+    # "claimed", the tile list of the older layout, empties with the translates
+    data["coset_covers"][0].update(elements=[], claimed=[])
+    json_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(json_path)) == 2
     assert "replay FAILED" in capsys.readouterr().out
 
 
@@ -377,6 +396,10 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["verify", "replay", "{d}/dim-str.json"], "not an integer: 'x'"),
         (["verify", "replay", "{d}/min-poly-str.json"], "not an integer: 'x'"),
         (["verify", "replay", "{d}/padic-str.json"], "not an integer: 'x'"),
+        (["verify", "replay", "{d}/cover-elements-int.json"],
+         "the elements of a cover are coefficient lists, not 5"),
+        (["verify", "replay", "{d}/cover-target-int.json"],
+         "the target of a cover is a [lo, hi] pair, not 5"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -392,6 +415,8 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
             "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
                        "window": ["1", "1", "1"], "physical_root_index": 1}}
     cover = {"kind": "heis", "translates": 5, "assignments": []}
+    dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
+    heis_cover = {"type": "heis_cover", "scheme": heis["scheme"], "shear_bound": "0"}
     meyer = {"type": "meyer_commensurability", "scheme": heis["scheme"], "radius": "1",
              "side_a": "model_set", "side_b": "model_set", "scope_radius": "1/2",
              "verdict": "COMMENSURABLE-AT-SCALE", "cover_ab": cover, "cover_ba": cover}
@@ -408,7 +433,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("zs-primes-int", zs | {"scheme": {"kind": "zs", "primes": 5}}),
                        ("dim-str", golden | {"scheme": golden["scheme"] | {"dim": "x"}}),
                        ("min-poly-str", golden | {"scheme": golden["scheme"] | {"field": {"min_poly": ["x", 1]}}}),
-                       ("padic-str", zs | {"window": {"real": [], "padic": [["x", 0]]}})):
+                       ("padic-str", zs | {"window": {"real": [], "padic": [["x", 0]]}}),
+                       ("cover-elements-int", heis_cover | {"x_cover": dim_cover | {"elements": 5}}),
+                       ("cover-target-int", heis_cover | {"x_cover": dim_cover | {"target": 5}})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
@@ -595,3 +622,21 @@ def test_unknown_command_message_is_unchanged(group, capsys):
         f"usage error: argument command: invalid choice: 'nope' (choose from {choices})\n"
         for choices in (", ".join(map(repr, names)), ", ".join(names))
     }
+
+
+def test_benchmark_traced_names_resolve():
+    # bench/bootstrap.py wraps each (module, attribute) of SPANS by name; a
+    # renamed function would otherwise surface only in the benchmark's self-check
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "bootstrap.py"
+    spec = importlib.util.spec_from_file_location("bench_bootstrap", path)
+    bootstrap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bootstrap)
+    assert bootstrap.SPANS
+    for module_name, attr, _ in bootstrap.SPANS:
+        target = importlib.import_module(f"meyerlab.{module_name}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), (module_name, attr)

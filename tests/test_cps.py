@@ -76,10 +76,10 @@ def full_box_window_elements(field, physical_place, internal_place, R, c):
     places; returns (sorted (a, b) pairs with |sigma(a + b*theta)| within both
     bounds, number of candidates in the box)."""
     R, c = Fraction(R), Fraction(c)
-    p1, p2 = physical_place.refined(96), internal_place.refined(96)
-    gap_lo = max(p2.lo - p1.hi, p1.lo - p2.hi)
-    t1_abs = max(abs(p1.lo), abs(p1.hi))
-    t2_abs = max(abs(p2.lo), abs(p2.hi))
+    (lo1, hi1), (lo2, hi2) = physical_place.refined(96), internal_place.refined(96)
+    gap_lo = max(lo2 - hi1, lo1 - hi2)
+    t1_abs = max(abs(lo1), abs(hi1))
+    t2_abs = max(abs(lo2), abs(hi2))
     b_max = math.floor((R + c) / gap_lo)
     a_max = math.floor((R * t2_abs + c * t1_abs) / gap_lo)
     m0, m1, _ = field.min_poly  # theta = (-m1 +- sqrt(disc)) / 2, roots ascending
@@ -356,31 +356,52 @@ class TestGlobalCovering:
         scheme = cps.GaloisScheme(golden_field())
         cert = cps.global_covering_certificate(scheme, cps.Window.box(2), cps.Window.box(1))
         data = cert.to_dict()
-        data["dim_covers"][0]["claimed"] = data["dim_covers"][0]["claimed"][:1]
         data["dim_covers"][0]["elements"] = data["dim_covers"][0]["elements"][:1]
         assert not cps.GlobalCoverCertificate.from_dict(data).replay()
 
     def test_translates_off_the_lattice_fail_replay(self):
-        # exact tiles around +-1/2, +-3/2 cover [-2, 2], but no such t is in Z[theta]
+        # tiles around +-1/2, +-3/2 cover [-2, 2], but no such t is in Z[theta]
         scheme = cps.GaloisScheme(golden_field())
         cert = cps.global_covering_certificate(scheme, cps.Window.box(2), cps.Window.box(1))
         data = cert.to_dict()
         ts = [Fraction(-3, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
-        dim = data["dim_covers"][0]
-        dim["elements"] = [[str(t), "0"] for t in ts]
-        dim["claimed"] = [[str(t - 1), str(t + 1)] for t in ts]
-        tampered = cps.GlobalCoverCertificate.from_dict(data)
-        assert tampered.dim_covers[0].chain_covers()
-        assert not tampered.replay()
+        data["dim_covers"][0]["elements"] = [[str(t), "0"] for t in ts]
+        assert not cps.GlobalCoverCertificate.from_dict(data).replay()
+        # the chain itself is sound: scaled by 2 onto Z it covers [-4, 4] by 2-tiles
+        doubled = tuple(scheme.field.from_rational(2 * t) for t in ts)
+        assert cps.DimCover(doubled, 2, -4, 4).replay(scheme.internal_place)
 
     def test_claimed_tile_without_translate_fails_replay(self):
+        # the last tile the chain needs is swapped for one far away
         scheme = cps.GaloisScheme(golden_field())
         cert = cps.global_covering_certificate(scheme, cps.Window.box(2), cps.Window.box(1))
         data = cert.to_dict()
         dim = data["dim_covers"][0]
-        dim["elements"] = dim["elements"][:1]
-        dim["claimed"] = dim["claimed"][:1] + [["-2", "2"]]
+        dim["elements"] = dim["elements"][:-1] + [["100", "0"]]
         assert not cps.GlobalCoverCertificate.from_dict(data).replay()
+
+    def test_dropping_an_interior_translate_fails_replay(self):
+        scheme = cps.GaloisScheme(golden_field())
+        cover = cps.cover_dimension(
+            scheme.field, scheme.physical_place, scheme.internal_place, 5, 1
+        )
+        assert len(cover.elements) >= 3 and cover.replay(scheme.internal_place)
+        for i in range(1, len(cover.elements) - 1):
+            gapped = cover.elements[:i] + cover.elements[i + 1:]
+            assert not cps.DimCover(gapped, 1, -5, 5).replay(scheme.internal_place)
+
+    def test_rational_tiles_touching_at_one_point_cover(self):
+        # tiles [-3, -1], [-1, 1], [1, 3]: each pair of neighbours shares one point
+        field = golden_field()
+        place = cps.GaloisScheme(field).internal_place
+        ts = tuple(field.from_rational(t) for t in (-2, 0, 2))
+        assert cps.DimCover(ts, 1, -3, 3).replay(place)
+        # a target one hair longer at either end is not covered
+        hair = Fraction(1, 2**100)
+        assert not cps.DimCover(ts, 1, -3 - hair, 3).replay(place)
+        assert not cps.DimCover(ts, 1, -3, 3 + hair).replay(place)
+        # tiles one hair narrower leave gaps between neighbours, though the ends still reach
+        assert not cps.DimCover(ts, 1 - hair, -3 + hair, 3 - hair).replay(place)
 
     @pytest.mark.parametrize("radius", [5, 10, 20])
     def test_cover_implies_patch_inclusion(self, radius):

@@ -139,12 +139,12 @@ class TestRealRoots:
         conj, phi = roots
         phi = phi.refined(20)
         conj = conj.refined(20)
-        assert phi.lo < PHI_HI and phi.hi > PHI_LO
-        assert conj.lo < PHI_CONJ_HI and conj.hi > PHI_CONJ_LO
+        assert phi[0] < PHI_HI and phi[1] > PHI_LO
+        assert conj[0] < PHI_CONJ_HI and conj[1] > PHI_CONJ_LO
         # bisection oracle: the minimal polynomial changes sign across each interval
         mp = min_poly_fractions(golden)
-        for r in (phi, conj):
-            assert poly_eval(mp, r.lo) * poly_eval(mp, r.hi) < 0
+        for lo, hi in (phi, conj):
+            assert poly_eval(mp, lo) * poly_eval(mp, hi) < 0
 
     def test_no_real_roots(self):
         k = en.NumberField([1, 0, 1])  # X^2 + 1
@@ -153,11 +153,10 @@ class TestRealRoots:
     def test_sqrt2_roots(self, sqrt2):
         roots = [r.refined(20) for r in sqrt2.real_roots()]
         assert len(roots) == 2
-        assert roots[0].hi < 0 < roots[1].lo
-        assert roots[1].lo < SQRT2_HI and roots[1].hi > SQRT2_LO
-        assert roots[0].lo < -SQRT2_LO and roots[0].hi > -SQRT2_HI or True
-        assert roots[0].lo < -SQRT2_LO
-        assert roots[0].hi > -SQRT2_HI
+        assert roots[0][1] < 0 < roots[1][0]
+        assert roots[1][0] < SQRT2_HI and roots[1][1] > SQRT2_LO
+        assert roots[0][0] < -SQRT2_LO
+        assert roots[0][1] > -SQRT2_HI
 
     def test_root_count_follows_discriminant(self, golden, sqrt2):
         # a quadratic has two real roots iff its discriminant is positive
@@ -172,18 +171,18 @@ class TestRealRoots:
 
     def test_intervals_disjoint_and_ordered(self, golden):
         roots = golden.real_roots()
-        assert roots[0].hi <= roots[1].lo or roots[0].hi < roots[1].lo + 1
-        assert roots[0].hi < roots[1].lo
+        assert [r.root_index for r in roots] == [0, 1]
+        assert roots[0].refined(1)[1] < roots[1].refined(1)[0]
 
     def test_refinement_halves_and_keeps_root(self, golden):
         r = golden.real_roots()[1]
-        prev = r
+        prev = r.refined(5)
         mp = min_poly_fractions(golden)
         for bits in (10, 20, 40, 80):
-            cur = prev.refined(bits)
-            assert cur.width() <= Fraction(1, 2**bits)
-            assert cur.lo >= prev.lo and cur.hi <= prev.hi
-            assert poly_eval(mp, cur.lo) * poly_eval(mp, cur.hi) < 0
+            cur = r.refined(bits)
+            assert cur[1] - cur[0] == Fraction(1, 2**bits)
+            assert cur[0] >= prev[0] and cur[1] <= prev[1]
+            assert poly_eval(mp, cur[0]) * poly_eval(mp, cur[1]) < 0
             prev = cur
 
 
@@ -344,8 +343,8 @@ def test_cmp_embedding_agrees_with_every_excluding_interval(field, root, a, b, r
 # ---------------------------------------------------------------------------
 # The integer kernel against general-degree references kept here: dense
 # polynomial arithmetic over Q (product, division with remainder, extended
-# Euclid), the matrix of multiplication, Horner's rule over intervals, and
-# root refinement by bisection.
+# Euclid), the matrix of multiplication, embedding signs decided by squaring,
+# dyadic cells by bisection, and Horner's rule over intervals.
 # ---------------------------------------------------------------------------
 
 
@@ -359,26 +358,6 @@ def poly_eval(cs, x):
 
 def min_poly_fractions(field):
     return tuple(Fraction(c) for c in field.min_poly)
-
-
-def ref_refined(place, bits):
-    """The canonical level interval by bisecting the root's raw isolating interval."""
-    if place.is_exact:
-        return place
-    level = en._canonical_level(bits)
-    lo, hi = place.field._root_bases[place.root_index]
-    poly = min_poly_fractions(place.field)
-    target = Fraction(1, 2**level)
-    flo = poly_eval(poly, lo)
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        fmid = poly_eval(poly, mid)
-        # mid is never a root: irreducible of degree >= 2 has no rational root
-        if (flo > 0) != (fmid > 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return en.RealEmbeddingInterval(place.field, place.root_index, lo, hi, level)
 
 
 def poly_trim(cs):
@@ -453,21 +432,47 @@ def iv_mul(a, b):
     return (min(ps), max(ps))
 
 
+def sign_at(x, place, r):
+    """Sign of sigma(x) - r, by squaring from sigma(theta) = (-c1 -+ sqrt(disc))/2."""
+    if x.is_rational:
+        d = x.as_rational() - r
+        return (d > 0) - (d < 0)
+    c0, c1, _ = x.field.min_poly
+    # sigma(x) - r = p + q*sqrt(disc)
+    p = Fraction(2 * x.a - c1 * x.b, 2 * x.den) - r
+    q = Fraction(x.b if place.root_index else -x.b, 2 * x.den)
+    sp, sq = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sp == sq or sp == 0:
+        return sq
+    return sp if p * p > q * q * (c1 * c1 - 4 * c0) else sq
+
+
+def ref_dyadic_cell(x, place, p):
+    """[k, k+1]/2^p around an irrational sigma(x): p halvings of its integer cell."""
+    hi = (abs(x.a) + abs(x.b) * (abs(x.field.min_poly[1]) + x.field.disc)) // x.den + 1
+    lo = -hi
+    while hi - lo > 1:  # sigma(x) lies in (lo, hi) throughout
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if sign_at(x, place, mid) > 0 else (lo, mid)
+    lo, hi = Fraction(lo), Fraction(hi)
+    for _ in range(p):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sign_at(x, place, mid) > 0 else (lo, mid)
+    return lo, hi
+
+
 def ref_eval_embedding(x, place, precision_bits):
-    """Horner's rule over intervals at the canonical refinement levels."""
-    if place.is_exact:
-        v = poly_eval(x.coeffs, place.lo)
-        return (v, v)
-    bits = max(precision_bits, 8)
-    while True:
-        pl = ref_refined(place, bits)
-        iv = (Fraction(0), Fraction(0))
-        for c in reversed(x.coeffs):
-            iv = en.iv_add(iv_mul(iv, (pl.lo, pl.hi)), (c, c))
-        mid = (iv[0] + iv[1]) / 2
-        if iv[1] - iv[0] <= Fraction(1, 2**precision_bits) * (1 + abs(mid)):
-            return iv
-        bits *= 2
+    """Horner's rule over a dyadic cell of sigma(theta) so narrow that the
+    result is far below 2^-precision_bits wide."""
+    coeffs = tuple(x.coeffs)
+    if x.is_rational:
+        return (coeffs[0], coeffs[0])
+    extra = abs(coeffs[1]).numerator.bit_length() + 8
+    theta = ref_dyadic_cell(x.field.gen(), place, precision_bits + extra)
+    iv = (Fraction(0), Fraction(0))
+    for c in reversed(coeffs):
+        iv = en.iv_add(iv_mul(iv, theta), (c, c))
+    return iv
 
 
 KERNEL_FIELDS = PROPERTY_FIELDS + (en.RATIONAL_FIELD,)
@@ -569,8 +574,16 @@ class TestIntegerKernel:
         field, (x,) = drawn
         place = field.real_roots()[min(root, field.real_root_count() - 1)]
         got = en.eval_embedding(x, place, bits)
-        assert got == ref_eval_embedding(x, place, bits)
         assert all(type(v) is Fraction for v in got)
+        lo, hi = ref_eval_embedding(x, place, bits)
+        if x.is_rational:
+            assert got == (lo, hi)
+            return
+        # both intervals hold sigma(x); the narrow one names the cell unless it
+        # straddles a multiple of 2^-bits
+        assert got[0] <= hi and lo <= got[1]
+        if math.floor(lo * 2**bits) == math.floor(hi * 2**bits):
+            assert got[0] == Fraction(math.floor(lo * 2**bits), 2**bits)
 
 
 @st.composite
@@ -583,30 +596,41 @@ def real_quadratic_fields(draw):
     return en.NumberField([c0, c1, 1])
 
 
-LEVELS = [2**k for k in range(3, 13)]  # 8 to 4096
-
-
 class TestClosedFormRefinement:
     @settings(max_examples=40, deadline=None)
-    @given(
-        field=real_quadratic_fields(),
-        root=st.integers(0, 1),
-        bits=st.one_of(st.integers(1, 300), st.sampled_from(LEVELS)),
-    )
+    @given(field=real_quadratic_fields(), root=st.integers(0, 1), bits=st.integers(1, 300))
     def test_refined_matches_bisection(self, field, root, bits):
         place = field.real_roots()[root]
-        got = place.refined(bits)
-        assert got == ref_refined(place, bits)
-        assert got.width() <= Fraction(1, 2**bits)
+        assert place.refined(bits) == ref_dyadic_cell(field.gen(), place, bits)
 
     @settings(max_examples=40, deadline=None)
     @given(
         field=real_quadratic_fields(),
         root=st.integers(0, 1),
         coeffs=st.lists(COEFFS, min_size=2, max_size=2),
-        bits=st.one_of(st.integers(1, 300), st.sampled_from(LEVELS[:-1])),
+        bits=st.integers(1, 300),
     )
     def test_eval_embedding_matches_bisection(self, field, root, coeffs, bits):
         x = field.elem(coeffs)
+        assume(not x.is_rational)
         place = field.real_roots()[root]
-        assert en.eval_embedding(x, place, bits) == ref_eval_embedding(x, place, bits)
+        assert en.eval_embedding(x, place, bits) == ref_dyadic_cell(x, place, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.one_of(real_quadratic_fields(), st.just(en.RATIONAL_FIELD)),
+    root=st.integers(0, 1),
+    coeffs=st.lists(COEFFS, min_size=2, max_size=2),
+    p=st.integers(1, 512),
+)
+def test_eval_embedding_is_the_dyadic_cell_of_the_value(field, root, coeffs, p):
+    x = field.elem(coeffs[: field.degree])
+    place = field.real_roots()[min(root, field.real_root_count() - 1)]
+    lo, hi = en.eval_embedding(x, place, p)
+    if x.is_rational:
+        assert lo == hi == x.as_rational()
+        return
+    assert (lo * 2**p).denominator == 1 and hi - lo == Fraction(1, 2**p)
+    # lo <= sigma(x) < hi; sigma(x) is irrational, so it equals neither end
+    assert sign_at(x, place, lo) > 0 > sign_at(x, place, hi)

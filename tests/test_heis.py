@@ -211,10 +211,9 @@ class TestCoveringCertificate:
     def test_off_lattice_z_translate_fails_replay(self, f2):
         cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
         data = cert.to_dict()
-        # shift one z translate by 1/2 and its tile with it, so the tiles still cover
+        # shift one z translate by 2^-40, far too little to open a gap in the chain
         z = data["z_cover"]
-        z["elements"][0][0] = str(Fraction(z["elements"][0][0]) + Fraction(1, 2))
-        z["claimed"][0] = [str(Fraction(v) + Fraction(1, 2)) for v in z["claimed"][0]]
+        z["elements"][0][0] = str(Fraction(z["elements"][0][0]) + Fraction(1, 2**40))
         assert not heis.HeisCoverCertificate.from_dict(data).replay()
 
     @pytest.mark.parametrize("window", [(1, 1, 2), (1, Fraction(9, 8), 2), (Fraction(7, 8), 1, 1)])

@@ -231,7 +231,6 @@ class TestPolynomialTranslateCover:
         cert = places.polynomial_translate_cover([0, 2], golden_ring, window_scale=1)
         data = cert.to_dict()
         data["coset_covers"][0]["target"] = ["-1/2", "1/2"]
-        data["coset_covers"][0]["claimed"] = [["-1", "1"]]
         data["coset_covers"][0]["elements"] = [["0", "0"]]
         assert not places.TranslateCoverCertificate.from_dict(data).replay()
 
