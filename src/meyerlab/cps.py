@@ -31,6 +31,7 @@ from .exactnum import (
     NFElem,
     NumberField,
     RealEmbeddingInterval,
+    Record,
     abs_embedding_leq,
     cmp_embedding,
     embedding_intervals,
@@ -54,7 +55,7 @@ TILE_BITS = 96  # precision of the intervals that bound cover-search tiles
 # ---------------------------------------------------------------------------
 
 
-class Window:
+class Window(Record):
     """Symmetric compact window: real boxes [-c, c] and p-adic balls p^-k Z_p."""
 
     __slots__ = ("real_halfwidths", "padic_balls")
@@ -85,11 +86,6 @@ class Window:
 
     def __hash__(self):
         return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"Window(real_halfwidths={self.real_halfwidths!r}, padic_balls={self.padic_balls!r})"
-        )
 
     @staticmethod
     def box(*halfwidths) -> "Window":
@@ -176,9 +172,6 @@ class ZSScheme:
             raise UsageError("ZS windows have no real component")
         if tuple(p for p, _ in window.padic_balls) != self.primes:
             raise UsageError("window primes must match the scheme primes in order")
-
-    def in_lattice(self, q: Fraction) -> bool:
-        return all(p in self.primes for p in prime_factors(Fraction(q).denominator))
 
     def group_ops(self) -> verify.GroupOps:
         return verify.rational_line_ops()
@@ -357,19 +350,13 @@ def scheme_from_dict(data: dict, kind: str | None = None):
 # ---------------------------------------------------------------------------
 
 
-class Patch:
+class Patch(Record):
     """Complete exact fragment of a model set: all points in the R-ball.
 
     `window` is None for a scheme that carries its own window (Heisenberg).
     """
 
     __slots__ = ("scheme", "window", "radius", "points")
-
-    def __init__(self, scheme, window: Window | None, radius: Fraction, points: tuple):
-        self.scheme = scheme
-        self.window = window
-        self.radius = radius
-        self.points = points
 
     def __len__(self):
         return len(self.points)
@@ -463,7 +450,7 @@ def model_set_patch(
         raise UsageError("radius must be positive")
     scheme.validate_window(window)
     if scheme.kind == "zs":
-        points = _zs_patch_points(scheme, window, radius, candidate_limit)
+        points = _zs_patch_points(window, radius, candidate_limit)
     else:
         points = box_points(scheme, window.real_halfwidths, radius, candidate_limit)
     return Patch(scheme, window, radius, tuple(points))
@@ -490,26 +477,19 @@ def box_points(
     return sorted(map(scheme.point, itertools.product(*per_dim)), key=scheme.sort_key)
 
 
-def _zs_patch_points(scheme: ZSScheme, window: Window, radius: Fraction, candidate_limit: int):
+def _zs_patch_points(window: Window, radius: Fraction, candidate_limit: int):
+    """The multiples n * step, step = prod p^-k, in the R-ball, ascending.
+
+    The window's primes are the scheme's, so a rational lies in Z[1/S] with
+    v_p >= -k at every ball (p, k) exactly when it is a multiple of step.
+    """
     step = Fraction(1)
     for p, k in window.padic_balls:
         step *= Fraction(p) ** (-k)
     n_max = math.floor(radius / step)
     if 2 * n_max + 1 > candidate_limit:
         raise ResourceLimit(f"{2 * n_max + 1} candidates exceed the limit")
-    points = []
-    for n in range(-n_max, n_max + 1):
-        q = n * step
-        # each candidate is verified against the lattice and every ball constraint
-        if not scheme.in_lattice(q):
-            continue
-        if any(padic_valuation(q, p) < -k for p, k in window.padic_balls):
-            continue
-        if abs(q) > radius:
-            continue
-        points.append(q)
-    points.sort()
-    return points
+    return [n * step for n in range(-n_max, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +497,10 @@ def _zs_patch_points(scheme: ZSScheme, window: Window, radius: Fraction, candida
 # ---------------------------------------------------------------------------
 
 
-class DimCover:
+class DimCover(Record):
     """Translates whose internal tiles sigma(t) + [-c, c] cover a target interval."""
 
     __slots__ = ("elements", "tile_halfwidth", "target_lo", "target_hi")
-
-    def __init__(
-        self,
-        elements: tuple[NFElem, ...],
-        tile_halfwidth: Fraction,
-        target_lo: Fraction,
-        target_hi: Fraction,
-    ):
-        self.elements = elements
-        self.tile_halfwidth = tile_halfwidth
-        self.target_lo = target_lo
-        self.target_hi = target_hi
 
     def replay(self, internal_place: RealEmbeddingInterval) -> bool:
         """Check the chain by exact sign tests; every translate must lie in Z[theta].
@@ -648,22 +616,10 @@ def cover_dimension(
 # ---------------------------------------------------------------------------
 
 
-class PadicCosetCover:
+class PadicCosetCover(Record):
     """Residues j * prod p^-k1 representing the cosets of the W2 ball in the W1 ball."""
 
     __slots__ = ("primes", "k1", "k2", "residues")
-
-    def __init__(
-        self,
-        primes: tuple[int, ...],
-        k1: tuple[int, ...],
-        k2: tuple[int, ...],
-        residues: tuple[Fraction, ...],
-    ):
-        self.primes = primes
-        self.k1 = k1
-        self.k2 = k2
-        self.residues = residues
 
     def replay(self) -> bool:
         expected = 1
@@ -702,7 +658,7 @@ class PadicCosetCover:
         )
 
 
-class GlobalCoverCertificate:
+class GlobalCoverCertificate(Record):
     """Evidence that Lambda(W1) is inside F + Lambda(W2), globally.
 
     For every internal translate the conservative tile data is stored, so the
@@ -710,20 +666,6 @@ class GlobalCoverCertificate:
     """
 
     __slots__ = ("scheme", "w1", "w2", "dim_covers", "padic_cover")
-
-    def __init__(
-        self,
-        scheme,
-        w1: Window,
-        w2: Window,
-        dim_covers: tuple[DimCover, ...] = (),
-        padic_cover: PadicCosetCover | None = None,
-    ):
-        self.scheme = scheme
-        self.w1 = w1
-        self.w2 = w2
-        self.dim_covers = dim_covers
-        self.padic_cover = padic_cover
 
     @property
     def translates(self) -> list:
@@ -733,8 +675,16 @@ class GlobalCoverCertificate:
         return sorted(itertools.product(*pools), key=self.scheme.sort_key)
 
     def replay(self) -> bool:
+        """Check the stored cover, and that it covers W1 by tiles of W2."""
         if self.scheme.kind == "zs":
-            return self.padic_cover is not None and self.padic_cover.replay()
+            padic = self.padic_cover
+            return (
+                padic is not None
+                and padic.primes == self.scheme.primes
+                and padic.k1 == tuple(k for _, k in self.w1.padic_balls)
+                and padic.k2 == tuple(k for _, k in self.w2.padic_balls)
+                and padic.replay()
+            )
         place = self.scheme.internal_place
         for dc, c1, c2 in zip(
             self.dim_covers, self.w1.real_halfwidths, self.w2.real_halfwidths
@@ -758,17 +708,16 @@ class GlobalCoverCertificate:
     @staticmethod
     def from_dict(data: dict) -> "GlobalCoverCertificate":
         scheme = scheme_from_dict(data["scheme"])
+        if scheme.kind == "heis":
+            raise UsageError("a global cover needs a zs or galois scheme")
+        w1, w2 = Window.from_dict(data["w1"]), Window.from_dict(data["w2"])
+        scheme.validate_window(w1)
+        scheme.validate_window(w2)
         dim_covers = ()
         if scheme.kind == "galois":
             dim_covers = tuple(DimCover.from_dict(d, scheme.field) for d in data["dim_covers"])
         padic = None if data.get("padic") is None else PadicCosetCover.from_dict(data["padic"])
-        return GlobalCoverCertificate(
-            scheme=scheme,
-            w1=Window.from_dict(data["w1"]),
-            w2=Window.from_dict(data["w2"]),
-            dim_covers=dim_covers,
-            padic_cover=padic,
-        )
+        return GlobalCoverCertificate(scheme, w1, w2, dim_covers, padic)
 
 
 def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCertificate:
@@ -786,7 +735,7 @@ def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCe
             step *= Fraction(p) ** (-a)
         residues = tuple(j * step for j in range(count))
         cert = GlobalCoverCertificate(
-            scheme, w1, w2, padic_cover=PadicCosetCover(primes, k1, k2, residues)
+            scheme, w1, w2, (), PadicCosetCover(primes, k1, k2, residues)
         )
     else:
         covers = tuple(
@@ -795,30 +744,16 @@ def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCe
             )
             for c1, c2 in zip(w1.real_halfwidths, w2.real_halfwidths)
         )
-        cert = GlobalCoverCertificate(scheme, w1, w2, dim_covers=covers)
+        cert = GlobalCoverCertificate(scheme, w1, w2, covers, None)
     if not cert.replay():
         raise AssertionError("freshly built covering certificate failed to replay")
     return cert
 
 
-class ApproximateLatticeCertificate:
+class ApproximateLatticeCertificate(Record):
     """Lambda(W)^2 inside F + Lambda(W): window algebra plus a global cover."""
 
     __slots__ = ("scheme", "window", "cover", "delone", "patch_radius")
-
-    def __init__(
-        self,
-        scheme,
-        window: Window,
-        cover: GlobalCoverCertificate,
-        delone: verify.DeloneReport,
-        patch_radius: Fraction,
-    ):
-        self.scheme = scheme
-        self.window = window
-        self.cover = cover
-        self.delone = delone
-        self.patch_radius = patch_radius
 
     @property
     def translates(self):
@@ -910,29 +845,11 @@ def _square_intersection_points(patch: Patch, axes: tuple[int, ...], inner_radiu
     return out
 
 
-class IntersectionResult:
+class IntersectionResult(Record):
     __slots__ = (
         "induced_scheme", "axes", "intersection_points", "induced_patch", "cover_to_induced",
         "cover_from_induced", "inner_radius",
     )
-
-    def __init__(
-        self,
-        induced_scheme: GaloisScheme,
-        axes: tuple[int, ...],
-        intersection_points: list,
-        induced_patch: Patch,
-        cover_to_induced: verify.GreedyCover,
-        cover_from_induced: verify.GreedyCover,
-        inner_radius: Fraction,
-    ):
-        self.induced_scheme = induced_scheme
-        self.axes = axes
-        self.intersection_points = intersection_points
-        self.induced_patch = induced_patch
-        self.cover_to_induced = cover_to_induced
-        self.cover_from_induced = cover_from_induced
-        self.inner_radius = inner_radius
 
 
 def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> IntersectionResult:
@@ -967,27 +884,11 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
     )
 
 
-class ProjectionResult:
+class ProjectionResult(Record):
     __slots__ = (
         "quotient_scheme", "quotient_axes", "projected_points", "projection_min_separation",
         "intersection_report", "equivalence_consistent",
     )
-
-    def __init__(
-        self,
-        quotient_scheme: GaloisScheme | None,
-        quotient_axes: tuple[int, ...],
-        projected_points: list,
-        projection_min_separation: Fraction | None,
-        intersection_report: verify.DeloneReport | None,
-        equivalence_consistent: bool,
-    ):
-        self.quotient_scheme = quotient_scheme
-        self.quotient_axes = quotient_axes
-        self.projected_points = projected_points
-        self.projection_min_separation = projection_min_separation
-        self.intersection_report = intersection_report
-        self.equivalence_consistent = equivalence_consistent
 
 
 def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionResult:

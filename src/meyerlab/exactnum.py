@@ -36,6 +36,35 @@ def str_int(s: str) -> int:
         raise UsageError(f"not an integer: {s!r}") from exc
 
 
+class Record:
+    """A plain record: its fields are the subclass's `__slots__`, in order.
+
+    The constructor takes each field once, by position or by keyword, and
+    raises TypeError on a missing, unknown or doubly given field.  A record
+    compares and hashes by identity unless its class says otherwise.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {len(args)}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in names[len(args) :]:
+            if name not in kwargs:
+                raise TypeError(f"{type(self).__name__} needs the field {name!r}")
+            setattr(self, name, kwargs.pop(name))
+        for name in kwargs:
+            why = "given twice" if name in names else "unknown"
+            raise TypeError(f"{type(self).__name__} field {name!r} is {why}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 def surd_sign(p, q, d: int) -> int:
     """Exact sign of p + q*sqrt(d) for rationals (or integers) p, q and an integer d >= 0."""
     sp = (p > 0) - (p < 0)
@@ -94,7 +123,7 @@ def _is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-class RealEmbeddingInterval:
+class RealEmbeddingInterval(Record):
     """One real place of a field: theta -> its root_index-th real root, ascending.
 
     The roots of X^2 + c1*X + c0 are (-c1 -+ sqrt(disc))/2, so every value
@@ -102,10 +131,6 @@ class RealEmbeddingInterval:
     """
 
     __slots__ = ("field", "root_index")
-
-    def __init__(self, field: NumberField, root_index: int):
-        self.field = field
-        self.root_index = root_index
 
     def refined(self, bits: int) -> tuple[Fraction, Fraction]:
         """The `eval_embedding` interval of sigma(theta)."""

@@ -17,6 +17,7 @@ from .errors import UsageError
 from .exactnum import (
     NFElem,
     NumberField,
+    Record,
     abs_embedding_leq,
     embedding_intervals,
     eval_embedding,
@@ -26,7 +27,7 @@ from .exactnum import (
 )
 
 
-class HeisPoint:
+class HeisPoint(Record):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: NFElem, y: NFElem, z: NFElem):
@@ -43,9 +44,6 @@ class HeisPoint:
 
     def __hash__(self):
         return hash((self.x, self.y, self.z))
-
-    def __repr__(self):
-        return f"HeisPoint(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
     @property
     def field(self) -> NumberField:
@@ -94,13 +92,8 @@ def commutator(p: HeisPoint, q: HeisPoint) -> HeisPoint:
 # ---------------------------------------------------------------------------
 
 
-class HeisAlgebraElem:
+class HeisAlgebraElem(Record):
     __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: NFElem, b: NFElem, c: NFElem):
-        self.a = a
-        self.b = b
-        self.c = c
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -109,9 +102,6 @@ class HeisAlgebraElem:
 
     def __hash__(self):
         return hash((self.a, self.b, self.c))
-
-    def __repr__(self):
-        return f"HeisAlgebraElem(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     @property
     def field(self) -> NumberField:
@@ -262,7 +252,7 @@ def symmetrize(points: Sequence[HeisPoint]) -> list[HeisPoint]:
 # ---------------------------------------------------------------------------
 
 
-class HeisCoverCertificate:
+class HeisCoverCertificate(Record):
     """W*W covered by group translates t*W of lattice internal images.
 
     Membership in t*W reads t^-1 w = (w1-t1, w2-t2, w3-t3-t1(w2-t2)); after
@@ -271,20 +261,6 @@ class HeisCoverCertificate:
     """
 
     __slots__ = ("scheme", "x_cover", "y_cover", "z_cover", "shear_bound")
-
-    def __init__(
-        self,
-        scheme: HeisScheme,
-        x_cover: cps.DimCover,
-        y_cover: cps.DimCover,
-        z_cover: cps.DimCover,
-        shear_bound: Fraction,
-    ):
-        self.scheme = scheme
-        self.x_cover = x_cover
-        self.y_cover = y_cover
-        self.z_cover = z_cover
-        self.shear_bound = shear_bound
 
     @property
     def translates(self) -> list[HeisPoint]:
@@ -401,20 +377,8 @@ def _central_ops(field: NumberField, physical_place) -> verify.GroupOps:
     )
 
 
-class CenterIntersection:
+class CenterIntersection(Record):
     __slots__ = ("scheme", "radius", "z_values", "report")
-
-    def __init__(
-        self,
-        scheme: HeisScheme,
-        radius: Fraction,
-        z_values: list[NFElem],
-        report: verify.DeloneReport | None,
-    ):
-        self.scheme = scheme
-        self.radius = radius
-        self.z_values = z_values
-        self.report = report
 
     @property
     def conclusive(self) -> bool:
@@ -464,22 +428,8 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     return CenterIntersection(scheme, radius, out, report)
 
 
-class CommutatorMapResult:
+class CommutatorMapResult(Record):
     __slots__ = ("xi", "image_z", "homomorphism_exact", "trivial", "report")
-
-    def __init__(
-        self,
-        xi: HeisPoint,
-        image_z: list[NFElem],
-        homomorphism_exact: bool,
-        trivial: bool,
-        report: verify.DeloneReport | None,
-    ):
-        self.xi = xi
-        self.image_z = image_z
-        self.homomorphism_exact = homomorphism_exact
-        self.trivial = trivial
-        self.report = report
 
 
 def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
@@ -552,24 +502,8 @@ def _hull_kappa(scan: verify.NearestScan, abs_max, axes, inner: Fraction, mesh: 
     return max(part1, part2 + mesh / 2)
 
 
-class HullReport:
+class HullReport(Record):
     __slots__ = ("subgroup", "axes", "kappa_small", "kappa_large", "aligned", "table")
-
-    def __init__(
-        self,
-        subgroup: str | None,
-        axes: tuple[int, ...] | None,
-        kappa_small: Fraction | None,
-        kappa_large: Fraction | None,
-        aligned: bool,
-        table: dict,
-    ):
-        self.subgroup = subgroup
-        self.axes = axes
-        self.kappa_small = kappa_small
-        self.kappa_large = kappa_large
-        self.aligned = aligned
-        self.table = table
 
 
 def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport:
@@ -615,22 +549,10 @@ def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport
 # ---------------------------------------------------------------------------
 
 
-class MeyerCommensurability:
-    __slots__ = ("cover_ab", "cover_ba", "scope_radius", "verdict", "witness")
+class MeyerCommensurability(Record):
+    """verdict is COMMENSURABLE-AT-SCALE or NOT-COMMENSURABLE-AT-SCALE."""
 
-    def __init__(
-        self,
-        cover_ab: verify.GreedyCover | None,
-        cover_ba: verify.GreedyCover | None,
-        scope_radius: Fraction,
-        verdict: str,  # COMMENSURABLE-AT-SCALE | NOT-COMMENSURABLE-AT-SCALE
-        witness: HeisPoint | None,
-    ):
-        self.cover_ab = cover_ab
-        self.cover_ba = cover_ba
-        self.scope_radius = scope_radius
-        self.verdict = verdict
-        self.witness = witness
+    __slots__ = ("cover_ab", "cover_ba", "scope_radius", "verdict", "witness")
 
 
 def meyer_commensurability(

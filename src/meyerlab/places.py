@@ -21,6 +21,7 @@ from .exactnum import (
     NFElem,
     NumberField,
     RATIONAL_FIELD,
+    Record,
     abs_embedding_leq,
     compare_abs_to_one,
     eval_embedding,
@@ -33,16 +34,14 @@ from .exactnum import (
 )
 
 
-class Place:
-    """An absolute value on K: a real embedding, or a finite prime of Q."""
+class Place(Record):
+    """An absolute value on K: a real embedding, or a finite prime of Q.
+
+    kind is "arch" (with root_index) or "finite" (with prime); the unused one
+    is -1 or 0.
+    """
 
     __slots__ = ("field", "kind", "root_index", "prime")
-
-    def __init__(self, field: NumberField, kind: str, root_index: int = -1, prime: int = 0):
-        self.field = field
-        self.kind = kind  # "arch" | "finite"
-        self.root_index = root_index
-        self.prime = prime
 
     def _key(self):
         return (self.field, self.kind, self.root_index, self.prime)
@@ -59,13 +58,13 @@ class Place:
     def archimedean(field: NumberField, root_index: int) -> "Place":
         if not 0 <= root_index < field.real_root_count():
             raise UsageError(f"field has no real root of index {root_index}")
-        return Place(field, "arch", root_index=root_index)
+        return Place(field, "arch", root_index, 0)
 
     @staticmethod
     def finite(prime: int) -> "Place":
         if not is_prime(prime):
             raise UsageError(f"{prime} is not prime")
-        return Place(RATIONAL_FIELD, "finite", prime=prime)
+        return Place(RATIONAL_FIELD, "finite", -1, prime)
 
     @property
     def interval(self):
@@ -165,44 +164,25 @@ def ring_pvs(field: NumberField, arch_root_index: int) -> SIntegerRing:
 # ---------------------------------------------------------------------------
 
 
-class ConjugateBound:
+class ConjugateBound(Record):
     __slots__ = ("place", "decision")
 
-    def __init__(self, place: Place, decision: Cmp):
-        self.place = place
-        self.decision = decision
 
-
-class MembershipRejection:
+class MembershipRejection(Record):
     __slots__ = ("element", "ring", "witness_place", "reason")
-
-    def __init__(self, element: NFElem, ring: SIntegerRing, witness_place: Place, reason: str):
-        self.element = element
-        self.ring = ring
-        self.witness_place = witness_place
-        self.reason = reason
 
     @property
     def is_member(self) -> bool:
         return False
 
 
-class PisotCertificate:
-    """Per-place evidence that an element lies in O_{K,S}."""
+class PisotCertificate(Record):
+    """Per-place evidence that an element lies in O_{K,S}.
+
+    finite_valuations holds (p, v_p) for the decisive primes only.
+    """
 
     __slots__ = ("element", "ring", "conjugate_bounds", "finite_valuations")
-
-    def __init__(
-        self,
-        element: NFElem,
-        ring: SIntegerRing,
-        conjugate_bounds: list[ConjugateBound],
-        finite_valuations: list[tuple[int, int]],  # decisive primes only
-    ):
-        self.element = element
-        self.ring = ring
-        self.conjugate_bounds = conjugate_bounds
-        self.finite_valuations = finite_valuations
 
     @property
     def is_member(self) -> bool:
@@ -309,22 +289,8 @@ def s_integer_membership(x, ring: SIntegerRing):
 # ---------------------------------------------------------------------------
 
 
-class ProductFormulaReport:
+class ProductFormulaReport(Record):
     __slots__ = ("element", "contributions", "exact_product", "norm_abs", "holds")
-
-    def __init__(
-        self,
-        element: NFElem,
-        contributions: list[tuple[str, Fraction]],
-        exact_product: Fraction | None,
-        norm_abs: Fraction | None,
-        holds: bool,
-    ):
-        self.element = element
-        self.contributions = contributions
-        self.exact_product = exact_product
-        self.norm_abs = norm_abs
-        self.holds = holds
 
     def to_dict(self) -> dict:
         return {
@@ -409,33 +375,17 @@ def _internal_place(ring: SIntegerRing):
     return ring.field.real_roots()[1 - inside], ring.field.real_roots()[inside]
 
 
-class TranslateCoverCertificate:
-    """T finite with P(window patch of O_{K,S}) inside T + unit-window O_{K,S}."""
+class TranslateCoverCertificate(Record):
+    """T finite with P(window patch of O_{K,S}) inside T + unit-window O_{K,S}.
+
+    conj_bound is a certified bound B on |sigma_int(P - P(0))| over the window;
+    coset_covers holds None per coset for K = Q (coset arithmetic only).
+    """
 
     __slots__ = (
         "ring", "poly", "window_scale", "conj_bound", "modulus", "constant", "coset_reps",
         "coset_covers",
     )
-
-    def __init__(
-        self,
-        ring: SIntegerRing,
-        poly: list[NFElem],
-        window_scale: Fraction,
-        conj_bound: Fraction,  # certified bound B on |sigma_int(P - P(0))| over the window
-        modulus: int,
-        constant: NFElem,
-        coset_reps: list[NFElem],
-        coset_covers: list[cps.DimCover | None],  # None for K = Q (coset arithmetic only)
-    ):
-        self.ring = ring
-        self.poly = poly
-        self.window_scale = window_scale
-        self.conj_bound = conj_bound
-        self.modulus = modulus
-        self.constant = constant
-        self.coset_reps = coset_reps
-        self.coset_covers = coset_covers
 
     @property
     def translates(self) -> list[NFElem]:
@@ -584,33 +534,16 @@ def poly_apply(poly: Sequence[NFElem], x: NFElem) -> NFElem:
     return acc
 
 
-class ShrinkCertificate:
-    """Window scale delta with the conjugate polynomial bounded by 1 on [-delta, delta]."""
+class ShrinkCertificate(Record):
+    """Window scale delta with the conjugate polynomial bounded by 1 on [-delta, delta].
+
+    bound_value is the sum of hi_i * delta^i, certified <= 1.
+    """
 
     __slots__ = (
         "ring", "poly", "delta", "coeff_bounds", "bound_value", "patch_radius",
         "cover_small_in_unit", "cover_unit_in_small",
     )
-
-    def __init__(
-        self,
-        ring: SIntegerRing,
-        poly: list[NFElem],
-        delta: Fraction,
-        coeff_bounds: list[Fraction],
-        bound_value: Fraction,  # sum of hi_i * delta^i, certified <= 1
-        patch_radius: Fraction,
-        cover_small_in_unit: verify.GreedyCover,
-        cover_unit_in_small: verify.GreedyCover,
-    ):
-        self.ring = ring
-        self.poly = poly
-        self.delta = delta
-        self.coeff_bounds = coeff_bounds
-        self.bound_value = bound_value
-        self.patch_radius = patch_radius
-        self.cover_small_in_unit = cover_small_in_unit
-        self.cover_unit_in_small = cover_unit_in_small
 
     def replay(self) -> bool:
         value = sum(
@@ -669,20 +602,15 @@ def shrink_for_polynomial(poly, ring: SIntegerRing, patch_radius=10) -> ShrinkCe
 # ---------------------------------------------------------------------------
 
 
-class SetRejection:
+class SetRejection(Record):
     __slots__ = ("element", "witness_place", "reason")
-
-    def __init__(self, element: NFElem, witness_place: Place, reason: str):
-        self.element = element
-        self.witness_place = witness_place
-        self.reason = reason
 
     @property
     def certified(self) -> bool:
         return False
 
 
-class SumProductCertificate:
+class SumProductCertificate(Record):
     """Finite-set witness of the sum-product conclusion: the set sits in O_{K,S}.
 
     Products whose physical size stays under the stated bound must land back
@@ -694,24 +622,6 @@ class SumProductCertificate:
         "ring", "elements", "patch_bound", "member_certificates", "closed_pairs",
         "out_of_patch_pairs", "flagged_products",
     )
-
-    def __init__(
-        self,
-        ring: SIntegerRing,
-        elements: list[NFElem],
-        patch_bound: Fraction,
-        member_certificates: list[PisotCertificate],
-        closed_pairs: int,
-        out_of_patch_pairs: int,
-        flagged_products: list[NFElem],
-    ):
-        self.ring = ring
-        self.elements = elements
-        self.patch_bound = patch_bound
-        self.member_certificates = member_certificates
-        self.closed_pairs = closed_pairs
-        self.out_of_patch_pairs = out_of_patch_pairs
-        self.flagged_products = flagged_products
 
     @property
     def certified(self) -> bool:

@@ -175,11 +175,7 @@ def _replay_poly_shrink(data) -> tuple[bool, str]:
     ring = places.SIntegerRing.from_dict(data["ring"])
     poly = [ring.field.elem([str_frac(c) for c in e]) for e in data["poly"]]
     again = places.shrink_for_polynomial(poly, ring, patch_radius=str_frac(data["patch_radius"]))
-    ok = (
-        again.delta == str_frac(data["delta"])
-        and frac_str(again.bound_value) == data["bound_value"]
-        and again.bound_value <= 1
-    )
+    ok = canonical_json(again.to_dict()) == canonical_json(data)
     return ok, f"delta = {data['delta']}"
 
 
@@ -194,16 +190,20 @@ def _replay_sum_product(data) -> tuple[bool, str]:
 
 
 def _replay_approximate_lattice(data) -> tuple[bool, str]:
-    cover_ok, message = _replay_global_cover(data["cover"])
-    if not cover_ok:
-        return False, "window cover failed: " + message
     scheme = cps.scheme_from_dict(data["scheme"])
     window = cps.Window.from_dict(data["window"])
-    cert = cps.approximate_lattice_certificate(
-        scheme, window, patch_radius=str_frac(data["patch_radius"])
+    cover = cps.GlobalCoverCertificate.from_dict(data["cover"])
+    wsq = cps.window_product(window, window)
+    if cover.scheme != scheme or cover.w1 != wsq or cover.w2 != window:
+        return False, "the cover is not one of W + W by tiles of W in this scheme"
+    message = f"|F| = {len(cover.translates)}"
+    if not cover.replay():
+        return False, "window cover failed: " + message
+    patch = cps.model_set_patch(scheme, window, str_frac(data["patch_radius"]))
+    report = verify.delone_certify(
+        patch.points, patch.group_ops(), patch.radius / 2, patch_radius=patch.radius
     )
-    ok = canonical_json(cert.delone.to_dict()) == canonical_json(data["delone"])
-    return ok, message
+    return canonical_json(report.to_dict()) == canonical_json(data["delone"]), message
 
 
 def _replay_delone(data) -> tuple[bool, str]:

@@ -10,13 +10,13 @@ exactly so every number here can be re-derived.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, product
 from operator import add, sub
 
 from .errors import UsageError
-from .exactnum import frac_str, iv_abs, iv_sub
+from .exactnum import Record, frac_str, iv_abs, iv_sub
 
 SUP_NORM_METRIC = "sup-norm on coordinates"
 SEPARATION_BITS = 128  # interval precision of min_separation (doubled where it cannot separate)
@@ -24,26 +24,13 @@ COVERING_BITS = 96  # interval precision of covering_radius
 MESH_ROUNDS = 10  # at most this many grid meshes in covering_radius
 
 
-class GroupOps:
-    """Exact group structure plus certified coordinate access for points."""
+class GroupOps(Record):
+    """Exact group structure plus certified coordinate access for points.
+
+    coord_intervals maps (point, bits) to a list of (Fraction, Fraction).
+    """
 
     __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals", "dim")
-
-    def __init__(
-        self,
-        mul: Callable,
-        inv: Callable,
-        identity: object,
-        sort_key: Callable,
-        coord_intervals: Callable,  # (point, bits) -> list of (Fraction, Fraction)
-        dim: int,
-    ):
-        self.mul = mul
-        self.inv = inv
-        self.identity = identity
-        self.sort_key = sort_key
-        self.coord_intervals = coord_intervals
-        self.dim = dim
 
 
 def rational_line_ops() -> GroupOps:
@@ -418,22 +405,10 @@ class NearestScan:
         )
 
 
-class CoveringRadiusResult:
-    __slots__ = ("bound", "verdict", "inner_radius", "mesh", "empirical")
+class CoveringRadiusResult(Record):
+    """verdict is FINITE or INFINITE."""
 
-    def __init__(
-        self,
-        bound: Fraction | None,
-        verdict: str,  # FINITE | INFINITE
-        inner_radius: Fraction,
-        mesh: Fraction | None,
-        empirical: Fraction | None,
-    ):
-        self.bound = bound
-        self.verdict = verdict
-        self.inner_radius = inner_radius
-        self.mesh = mesh
-        self.empirical = empirical
+    __slots__ = ("bound", "verdict", "inner_radius", "mesh", "empirical")
 
     def to_dict(self):
         return {
@@ -484,20 +459,8 @@ def covering_radius(
     return CoveringRadiusResult(bound, verdict, inner_radius, mesh, empirical)
 
 
-class DeloneReport:
-    __slots__ = ("min_separation", "min_sep_witness", "covering", "metric")
-
-    def __init__(
-        self,
-        min_separation: Fraction,
-        min_sep_witness: tuple,
-        covering: CoveringRadiusResult,
-        metric: str = SUP_NORM_METRIC,
-    ):
-        self.min_separation = min_separation
-        self.min_sep_witness = min_sep_witness
-        self.covering = covering
-        self.metric = metric
+class DeloneReport(Record):
+    __slots__ = ("min_separation", "min_sep_witness", "covering")
 
     @property
     def is_delone(self) -> bool:
@@ -508,7 +471,7 @@ class DeloneReport:
             "type": "delone_report",
             "min_separation": frac_str(self.min_separation),
             "covering": self.covering.to_dict(),
-            "metric": self.metric,
+            "metric": SUP_NORM_METRIC,
             "delone": self.is_delone,
         }
 
@@ -526,15 +489,13 @@ def delone_certify(
 # ---------------------------------------------------------------------------
 
 
-class GreedyCover:
-    """F with A subset of F*B at patch scope, plus the pointwise assignment."""
+class GreedyCover(Record):
+    """F with A subset of F*B at patch scope, plus the pointwise assignment.
+
+    Each assignment is a pair (point of A, index into translates).
+    """
 
     __slots__ = ("translates", "assignments", "scope_points")
-
-    def __init__(self, translates: list, assignments: list, scope_points: int):
-        self.translates = translates
-        self.assignments = assignments  # (point of A, index into translates)
-        self.scope_points = scope_points
 
     def replay(self, b_points, ops: GroupOps) -> bool:
         """Every assignment names a translate f by its index, and f^-1 a lies in B."""
@@ -589,16 +550,10 @@ def greedy_cover(
     return GreedyCover(translates, assignments, len(a_sorted)), None
 
 
-class CoverBoundWitness:
+class CoverBoundWitness(Record):
     """Representatives per fiber of X -> F1 x ... x Fn with the product bound."""
 
     __slots__ = ("representatives", "cell_of", "bound", "verified")
-
-    def __init__(self, representatives: list, cell_of: dict, bound: int, verified: bool):
-        self.representatives = representatives
-        self.cell_of = cell_of
-        self.bound = bound
-        self.verified = verified
 
     @property
     def size(self) -> int:
@@ -655,15 +610,8 @@ def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitnes
     return CoverBoundWitness(representatives, cell_of, bound, True)
 
 
-class PowerCoverResult:
+class PowerCoverResult(Record):
     __slots__ = ("k", "translates", "bound", "checked", "witness")
-
-    def __init__(self, k: int, translates: list, bound: int, checked: int, witness: object | None):
-        self.k = k
-        self.translates = translates
-        self.bound = bound
-        self.checked = checked
-        self.witness = witness
 
     @property
     def verified(self) -> bool:

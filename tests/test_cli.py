@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from meyerlab import cli, serialize
+from meyerlab import cli, places, serialize
+from meyerlab.exactnum import golden_field
 
 
 def run_cli(*argv):
@@ -342,6 +343,56 @@ def test_delone_replay_checks_the_embedded_patch(tmp_path, capsys, cover_artifac
     assert code == 2 and "replay FAILED" in out
 
 
+def _certify(path, scheme, window):
+    return run_cli("cps", "certify", "--scheme", scheme, "--window", window, "--radius", "10",
+                   "--json", str(path))
+
+
+def test_replay_ties_the_lattice_cover_to_its_window(tmp_path, capsys):
+    # the cover of a window-3 certificate, spliced into the window-1 one
+    assert _certify(tmp_path / "w1.json", "galois:golden", "1") == 0
+    assert _certify(tmp_path / "w3.json", "galois:golden", "3") == 0
+    data = json.loads((tmp_path / "w1.json").read_text())
+    data["cover"] = json.loads((tmp_path / "w3.json").read_text())["cover"]
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
+def test_replay_ties_a_zs_cover_to_its_window_levels(tmp_path, capsys):
+    assert _certify(tmp_path / "zs.json", "zs:2,3", "1") == 0
+    cover = json.loads((tmp_path / "zs.json").read_text())["cover"]
+    assert _replay_data(tmp_path, capsys, cover)[0] == 0
+    # W1 at levels (3, 3) over W2 at (1, 1) has 36 cosets, not the one of levels (0, 0)
+    cover["w1"] = {"real": [], "padic": [[2, 3], [3, 3]]}
+    cover["padic"].update(k1=[0, 0], k2=[0, 0], residues=["0"])
+    code, out = _replay_data(tmp_path, capsys, cover)
+    assert code == 2 and "replay FAILED" in out
+
+
+def test_replay_of_a_cover_with_mismatched_window_shapes_is_usage_error(tmp_path, capsys):
+    assert _certify(tmp_path / "w1.json", "galois:golden", "1") == 0
+    cover = json.loads((tmp_path / "w1.json").read_text())["cover"]
+    # a second W1 axis beside the one W2 axis, with the first axis's cover twice
+    cover["w1"]["real"].append("1000")
+    cover["dim_covers"] *= 2
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(cover))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert "usage error: window dimension must match" in capsys.readouterr().err
+
+
+def test_shrink_replay_checks_every_field(tmp_path, capsys):
+    ring = places.ring_pvs(golden_field(), 1)
+    data = places.shrink_for_polynomial([0, 1, 3], ring, patch_radius=8).to_dict()
+    path = tmp_path / "shrink.json"
+    serialize.save_json(path, data)
+    assert run_cli("verify", "replay", str(path)) == 0
+    for key, value in (("delta", "1/5"), ("bound_value", "1/2"), ("coeff_bounds", ["0", "0"])):
+        code, out = _replay_data(tmp_path, capsys, data | {key: value})
+        assert code == 2 and "replay FAILED" in out, key
+
+
 @pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab")])
 @pytest.mark.parametrize("index", [99, -1, True])
 def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts, artifact, key,
@@ -400,6 +451,8 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
          "the elements of a cover are coefficient lists, not 5"),
         (["verify", "replay", "{d}/cover-target-int.json"],
          "the target of a cover is a [lo, hi] pair, not 5"),
+        (["verify", "replay", "{d}/heis-global-cover.json"],
+         "a global cover needs a zs or galois scheme"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -435,7 +488,10 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("min-poly-str", golden | {"scheme": golden["scheme"] | {"field": {"min_poly": ["x", 1]}}}),
                        ("padic-str", zs | {"window": {"real": [], "padic": [["x", 0]]}}),
                        ("cover-elements-int", heis_cover | {"x_cover": dim_cover | {"elements": 5}}),
-                       ("cover-target-int", heis_cover | {"x_cover": dim_cover | {"target": 5}})):
+                       ("cover-target-int", heis_cover | {"x_cover": dim_cover | {"target": 5}}),
+                       ("heis-global-cover", {"type": "global_cover", "scheme": heis["scheme"],
+                                              "w1": zs["window"], "w2": zs["window"],
+                                              "dim_covers": [], "padic": None})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err

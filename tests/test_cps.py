@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from decimal import ROUND_FLOOR, Decimal, localcontext
@@ -133,6 +134,23 @@ class TestZSPatches:
         patch = cps.model_set_patch(scheme, cps.Window.balls((2, 1), (3, 1)), 5)
         pts = set(patch.points)
         assert pts == {-q for q in pts}
+
+    @pytest.mark.parametrize("levels", [(1, -1, 0), (2, 1, -1), (-1, 0, 2)])
+    def test_matches_brute_force_over_s_denominators(self, levels):
+        # every q = m / (2^a 3^b 5^c) in the ball, each exponent up to one past its
+        # level, kept exactly when v_p(q) >= -k at each ball (p, k)
+        primes, radius = (2, 3, 5), Fraction(7, 2)
+        balls = tuple(zip(primes, levels))
+        expected = set()
+        for exps in itertools.product(*(range(max(k, 0) + 2) for k in levels)):
+            den = math.prod(p**e for p, e in zip(primes, exps))
+            bound = math.floor(radius * den)
+            for m in range(-bound, bound + 1):
+                q = Fraction(m, den)
+                if all(exactnum.padic_valuation(q, p) >= -k for p, k in balls):
+                    expected.add(q)
+        patch = cps.model_set_patch(cps.ZSScheme(primes), cps.Window.balls(*balls), radius)
+        assert len(expected) > 1 and list(patch.points) == sorted(expected)
 
     def test_resource_guard(self):
         scheme = cps.ZSScheme([2])

@@ -634,3 +634,59 @@ def test_eval_embedding_is_the_dyadic_cell_of_the_value(field, root, coeffs, p):
     assert (lo * 2**p).denominator == 1 and hi - lo == Fraction(1, 2**p)
     # lo <= sigma(x) < hi; sigma(x) is irrational, so it equals neither end
     assert sign_at(x, place, lo) > 0 > sign_at(x, place, hi)
+
+
+class _Pair(en.Record):
+    __slots__ = ("left", "right")
+
+
+class TestRecord:
+    def test_fields_by_position_or_keyword(self):
+        for pair in (_Pair(1, 2), _Pair(1, right=2), _Pair(right=2, left=1)):
+            assert (pair.left, pair.right) == (1, 2)
+        assert repr(_Pair(1, "x")) == "_Pair(left=1, right='x')"
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1,), {}, "needs the field 'right'"),
+            ((1, 2, 3), {}, "takes 2 fields, not 3"),
+            ((1, 2), {"extra": 3}, "field 'extra' is unknown"),
+            ((1, 2), {"left": 3}, "field 'left' is given twice"),
+        ],
+    )
+    def test_missing_extra_or_duplicate_field_is_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            _Pair(*args, **kwargs)
+
+    def test_records_compare_by_identity(self):
+        a = _Pair(1, 2)
+        assert a == a and a != _Pair(1, 2) and len({a, _Pair(1, 2)}) == 2
+
+
+def test_no_constructor_only_copies_its_parameters():
+    """A slotted record takes Record's constructor instead of copying each field by hand."""
+    import ast
+    from pathlib import Path
+
+    copying = []
+    for path in sorted(Path(en.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            params = {a.arg for a in node.args.args[1:] + node.args.kwonlyargs}
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if body and all(
+                isinstance(s, ast.Assign)
+                and len(s.targets) == 1
+                and isinstance(s.targets[0], ast.Attribute)
+                and isinstance(s.targets[0].value, ast.Name)
+                and s.targets[0].value.id == "self"
+                and isinstance(s.value, ast.Name)
+                and s.value.id in params
+                for s in body
+            ):
+                copying.append(f"{path.name}:{node.lineno}")
+    assert not copying, f"constructors that only copy their parameters: {copying}"
