@@ -21,7 +21,15 @@ from .errors import (
     UnsupportedSubgroup,
     UsageError,
 )
-from .exactnum import NumberField, frac_str, golden_field, sqrt2_field, str_frac, str_int
+from .exactnum import (
+    NumberField,
+    frac_str,
+    golden_field,
+    json_list,
+    sqrt2_field,
+    str_frac,
+    str_int,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,24 +116,14 @@ def parse_ring(spec: str) -> places.SIntegerRing:
     raise UsageError(f"unknown ring spec {spec!r} (z | zs:<primes> | pvs:<field>[:<root>])")
 
 
-def parse_heis_window(spec: str):
-    widths = [str_frac(t) for t in spec.split(",")]
-    if len(widths) != 3:
-        raise UsageError("Heisenberg window spec: cx,cy,cz")
-    return widths
-
-
 def parse_elements(path: str, field: NumberField):
     data = serialize.load_json(path)
     if isinstance(data, dict):
         data = data.get("elements", [])
-    out = []
-    for entry in data:
-        if isinstance(entry, str):
-            out.append(field.from_rational(str_frac(entry)))
-        else:
-            out.append(field.elem([str_frac(c) for c in entry]))
-    return out
+    return [
+        field.from_rational(str_frac(e)) if isinstance(e, str) else field.elem_from_json(e)
+        for e in json_list(data, "the elements of an elements file are")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,8 @@ def cmd_cps_project(args) -> int:
 
 def _heis_scheme(args) -> heis.HeisScheme:
     _require(args, "field", "window")
-    return heis.HeisScheme(parse_field(args.field), parse_heis_window(args.window))
+    window = [str_frac(t) for t in args.window.split(",")]
+    return heis.HeisScheme(parse_field(args.field), window)
 
 
 def cmd_heis_generate(args) -> int:

@@ -39,6 +39,8 @@ from .exactnum import (
     floor_surd,
     frac_str,
     is_prime,
+    json_list,
+    json_object,
     padic_valuation,
     prime_factors,
     str_frac,
@@ -108,11 +110,9 @@ class Window(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "Window":
-        if type(data) is not dict:
-            raise UsageError(f"a window is a JSON object, not {data!r}")
-        real, padic = data.get("real", []), data.get("padic", [])
-        if type(real) is not list:
-            raise UsageError(f"the real half-widths of a window are a JSON list, not {real!r}")
+        json_object(data, "a window is")
+        real = json_list(data.get("real", []), "the real half-widths of a window are")
+        padic = data.get("padic", [])
         if type(padic) is not list or any(type(b) is not list or len(b) != 2 for b in padic):
             raise UsageError(f"the p-adic balls of a window are [prime, level] pairs, not {padic!r}")
         return Window(
@@ -227,7 +227,7 @@ class QuadraticScheme:
             raise UsageError(
                 f"a {self.kind} point is one coefficient list per coordinate, not {data!r}"
             )
-        return self.point(self.field.elem([str_frac(c) for c in x]) for x in data)
+        return self.point(self.field.elem_from_json(x) for x in data)
 
     def csv_header(self) -> str:
         return ",".join(f"{name}_c{i}" for name in self.coords for i in (0, 1))
@@ -320,14 +320,12 @@ class GaloisScheme(QuadraticScheme):
 
 def scheme_from_dict(data: dict, kind: str | None = None):
     """The scheme `to_dict` wrote; `kind`, when given, is the only kind accepted."""
-    if type(data) is not dict:
-        raise UsageError(f"a scheme is a JSON object, not {data!r}")
+    json_object(data, "a scheme is")
     if kind not in (None, data["kind"]):
         raise UsageError(f"expected a {kind} scheme, not {data['kind']!r}")
     if data["kind"] == "zs":
-        if type(data["primes"]) is not list:
-            raise UsageError(f"the primes of a zs scheme are a JSON list, not {data['primes']!r}")
-        return ZSScheme([str_int(p) for p in data["primes"]])
+        primes = json_list(data["primes"], "the primes of a zs scheme are")
+        return ZSScheme([str_int(p) for p in primes])
     if data["kind"] == "galois":
         return GaloisScheme(
             NumberField.from_dict(data["field"]),
@@ -335,11 +333,10 @@ def scheme_from_dict(data: dict, kind: str | None = None):
             physical_root_index=data.get("physical_root_index", 1),
         )
     if data["kind"] == "heis":
-        if type(data["window"]) is not list:
-            raise UsageError(f"the window of a heis scheme is a JSON list, not {data['window']!r}")
+        window = json_list(data["window"], "the window of a heis scheme is")
         return heis.HeisScheme(
             NumberField.from_dict(data["field"]),
-            [str_frac(c) for c in data["window"]],
+            [str_frac(c) for c in window],
             physical_root_index=data.get("physical_root_index", 1),
         )
     raise UsageError(f"unknown scheme kind {data['kind']!r}")
@@ -377,14 +374,13 @@ class Patch(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "Patch":
-        scheme = scheme_from_dict(data["scheme"])
+        scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
         if data["type"] != scheme.patch_type:
             raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
         window = None if hasattr(scheme, "window") else Window.from_dict(data["window"])
         radius = str_frac(data["radius"])
-        if type(data["points"]) is not list:
-            raise UsageError("the points of a patch are a JSON list")
-        points = tuple(scheme.point_from_json(p) for p in data["points"])
+        points = json_list(data["points"], "the points of a patch are")
+        points = tuple(scheme.point_from_json(p) for p in points)
         return Patch(scheme, window, radius, points)
 
 
@@ -529,13 +525,14 @@ class DimCover(Record):
 
     @staticmethod
     def from_dict(data: dict, field: NumberField) -> "DimCover":
+        json_object(data, "an interval cover is")
         elements, target = data["elements"], data["target"]
         if type(elements) is not list or not all(type(e) is list for e in elements):
             raise UsageError(f"the elements of a cover are coefficient lists, not {elements!r}")
         if type(target) is not list or len(target) != 2:
             raise UsageError(f"the target of a cover is a [lo, hi] pair, not {target!r}")
         return DimCover(
-            elements=tuple(field.elem([str_frac(c) for c in e]) for e in elements),
+            elements=tuple(field.elem_from_json(e) for e in elements),
             tile_halfwidth=str_frac(data["tile_halfwidth"]),
             target_lo=str_frac(target[0]),
             target_hi=str_frac(target[1]),
@@ -650,12 +647,15 @@ class PadicCosetCover(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "PadicCosetCover":
-        return PadicCosetCover(
-            primes=tuple(data["primes"]),
-            k1=tuple(data["k1"]),
-            k2=tuple(data["k2"]),
-            residues=tuple(str_frac(q) for q in data["residues"]),
-        )
+        json_object(data, "a p-adic cover is")
+        ints = {}
+        for key in ("primes", "k1", "k2"):
+            values = json_list(data[key], f"the {key} of a p-adic cover are")
+            if any(type(v) is not int for v in values):
+                raise UsageError(f"the {key} of a p-adic cover are integers, not {values!r}")
+            ints[key] = tuple(values)
+        residues = json_list(data["residues"], "the residues of a p-adic cover are")
+        return PadicCosetCover(residues=tuple(str_frac(q) for q in residues), **ints)
 
 
 class GlobalCoverCertificate(Record):
@@ -679,8 +679,7 @@ class GlobalCoverCertificate(Record):
         if self.scheme.kind == "zs":
             padic = self.padic_cover
             return (
-                padic is not None
-                and padic.primes == self.scheme.primes
+                padic.primes == self.scheme.primes
                 and padic.k1 == tuple(k for _, k in self.w1.padic_balls)
                 and padic.k2 == tuple(k for _, k in self.w2.padic_balls)
                 and padic.replay()
@@ -707,17 +706,18 @@ class GlobalCoverCertificate(Record):
 
     @staticmethod
     def from_dict(data: dict) -> "GlobalCoverCertificate":
-        scheme = scheme_from_dict(data["scheme"])
+        scheme = scheme_from_dict(json_object(data, "a global cover is")["scheme"])
         if scheme.kind == "heis":
             raise UsageError("a global cover needs a zs or galois scheme")
         w1, w2 = Window.from_dict(data["w1"]), Window.from_dict(data["w2"])
         scheme.validate_window(w1)
         scheme.validate_window(w2)
-        dim_covers = ()
-        if scheme.kind == "galois":
-            dim_covers = tuple(DimCover.from_dict(d, scheme.field) for d in data["dim_covers"])
-        padic = None if data.get("padic") is None else PadicCosetCover.from_dict(data["padic"])
-        return GlobalCoverCertificate(scheme, w1, w2, dim_covers, padic)
+        if scheme.kind == "zs":
+            padic = PadicCosetCover.from_dict(data["padic"])
+            return GlobalCoverCertificate(scheme, w1, w2, (), padic)
+        dim_covers = json_list(data["dim_covers"], "the dim_covers of a global cover are")
+        dim_covers = tuple(DimCover.from_dict(d, scheme.field) for d in dim_covers)
+        return GlobalCoverCertificate(scheme, w1, w2, dim_covers, None)
 
 
 def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCertificate:

@@ -36,6 +36,20 @@ def str_int(s: str) -> int:
         raise UsageError(f"not an integer: {s!r}") from exc
 
 
+def json_list(value, what: str) -> list:
+    """`value` if it is a JSON list, else a usage error: "<what> a JSON list, not <value>"."""
+    if type(value) is not list:
+        raise UsageError(f"{what} a JSON list, not {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """`value` if it is a JSON object, else a usage error: "<what> a JSON object, not <value>"."""
+    if type(value) is not dict:
+        raise UsageError(f"{what} a JSON object, not {value!r}")
+    return value
+
+
 class Record:
     """A plain record: its fields are the subclass's `__slots__`, in order.
 
@@ -186,6 +200,10 @@ class NumberField:
             self, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
         )
 
+    def elem_from_json(self, data) -> "NFElem":
+        """The element `NFElem.to_list` wrote: a JSON list of rational strings."""
+        return self.elem([str_frac(c) for c in json_list(data, "a field element is")])
+
     def zero(self) -> "NFElem":
         return NFElem(self, 0)
 
@@ -213,11 +231,8 @@ class NumberField:
 
     @staticmethod
     def from_dict(data: dict) -> "NumberField":
-        if type(data) is not dict:
-            raise UsageError(f"a field is a JSON object, not {data!r}")
-        if type(data["min_poly"]) is not list:
-            raise UsageError(f"a minimal polynomial is a JSON list, not {data['min_poly']!r}")
-        return NumberField([str_int(c) for c in data["min_poly"]])
+        min_poly = json_object(data, "a field is")["min_poly"]
+        return NumberField([str_int(c) for c in json_list(min_poly, "a minimal polynomial is")])
 
 
 RATIONAL_FIELD = NumberField([0, 1], name="Q")

@@ -172,6 +172,8 @@ class HeisScheme(cps.QuadraticScheme):
     ):
         if field.degree != 2 or field.real_root_count() != 2:
             raise UsageError("Heisenberg schemes need a totally real quadratic field")
+        if len(window) != 3:
+            raise UsageError(f"a Heisenberg window is cx,cy,cz, not {len(window)} half-widths")
         cx, cy, cz = (Fraction(c) for c in window)
         if cx < 0 or cy < 0 or cz <= 0:
             raise UsageError("window needs c_x, c_y >= 0 and c_z > 0")

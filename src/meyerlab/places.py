@@ -28,9 +28,12 @@ from .exactnum import (
     frac_str,
     is_prime,
     iv_abs,
+    json_list,
+    json_object,
     padic_valuation,
     prime_factors,
     str_frac,
+    str_int,
 )
 
 
@@ -79,6 +82,13 @@ class Place(Record):
         if self.kind == "arch":
             return {"kind": "arch", "root_index": self.root_index}
         return {"kind": "finite", "p": self.prime}
+
+    @staticmethod
+    def from_dict(data: dict, field: NumberField) -> "Place":
+        """The place `to_dict` wrote; an archimedean one is a place of `field`."""
+        if json_object(data, "a place is")["kind"] == "arch":
+            return Place.archimedean(field, str_int(data["root_index"]))
+        return Place.finite(str_int(data["p"]))
 
 
 class SIntegerRing:
@@ -132,14 +142,9 @@ class SIntegerRing:
 
     @staticmethod
     def from_dict(data: dict) -> "SIntegerRing":
-        field = NumberField.from_dict(data["field"])
-        places = []
-        for p in data["s_places"]:
-            if p["kind"] == "arch":
-                places.append(Place.archimedean(field, p["root_index"]))
-            else:
-                places.append(Place.finite(p["p"]))
-        return SIntegerRing(field, places)
+        field = NumberField.from_dict(json_object(data, "a ring is")["field"])
+        places = json_list(data["s_places"], "the places of a ring are")
+        return SIntegerRing(field, [Place.from_dict(p, field) for p in places])
 
 
 def ring_of_integers() -> SIntegerRing:
@@ -213,21 +218,21 @@ class PisotCertificate(Record):
     @staticmethod
     def from_dict(data: dict) -> "PisotCertificate":
         ring = SIntegerRing.from_dict(data["ring"])
-        element = ring.field.elem([str_frac(c) for c in data["element"]])
+        element = ring.field.elem_from_json(data["element"])
         bounds = []
-        for b in data["conjugate_bounds"]:
-            pd = b["place"]
-            place = (
-                Place.archimedean(ring.field, pd["root_index"])
-                if pd["kind"] == "arch"
-                else Place.finite(pd["p"])
-            )
+        for b in json_list(data["conjugate_bounds"], "the conjugate bounds of a certificate are"):
+            place = Place.from_dict(json_object(b, "a conjugate bound is")["place"], ring.field)
+            if b["decision"] not in ("LESS", "EQUAL", "GREATER"):
+                raise UsageError(f"a decision is LESS, EQUAL or GREATER, not {b['decision']!r}")
             bounds.append(ConjugateBound(place, Cmp(b["decision"])))
+        valuations = json_list(data["finite_valuations"], "the finite valuations are")
+        if any(type(pv) is not list or len(pv) != 2 for pv in valuations):
+            raise UsageError(f"finite valuations are [prime, valuation] pairs, not {valuations!r}")
         return PisotCertificate(
             element,
             ring,
             bounds,
-            [(p, v) for p, v in data["finite_valuations"]],
+            [tuple(pv) for pv in valuations],
         )
 
 
@@ -400,10 +405,17 @@ class TranslateCoverCertificate(Record):
         return out
 
     def replay(self) -> bool:
-        if self.ring.field.degree == 1:
-            expected = _rational_coset_modulus(self.poly, self.ring)
-            return expected == self.modulus and len(self.coset_reps) == self.modulus
-        internal, _ = _internal_place(self.ring)
+        ring = self.ring
+        if ring.field.degree == 1:
+            expected = _rational_coset_modulus(self.poly, ring)
+            return (
+                0 in ring.s_arch_indices
+                and expected == self.modulus
+                and len(self.coset_reps) == self.modulus
+            )
+        if ring.s_primes or len(ring.s_arch_indices) != 1:
+            return False  # the ring polynomial_translate_cover accepts: S = one real place
+        internal, _ = _internal_place(ring)
         rest = self.poly[1:]
         if rest and _coeff_denominator_lcm(rest) != self.modulus:
             return False
@@ -442,19 +454,20 @@ class TranslateCoverCertificate(Record):
     def from_dict(data: dict) -> "TranslateCoverCertificate":
         ring = SIntegerRing.from_dict(data["ring"])
         field = ring.field
-        elem = lambda lst: field.elem([str_frac(c) for c in lst])
+        covers = json_list(data["coset_covers"], "the coset_covers are")
+
+        def elems(key):
+            return [field.elem_from_json(e) for e in json_list(data[key], f"the {key} are")]
+
         return TranslateCoverCertificate(
             ring=ring,
-            poly=[elem(c) for c in data["poly"]],
+            poly=elems("poly"),
             window_scale=str_frac(data["window_scale"]),
             conj_bound=str_frac(data["conj_bound"]),
             modulus=data["modulus"],
-            constant=elem(data["constant"]),
-            coset_reps=[elem(r) for r in data["coset_reps"]],
-            coset_covers=[
-                None if c is None else cps.DimCover.from_dict(c, field)
-                for c in data["coset_covers"]
-            ],
+            constant=field.elem_from_json(data["constant"]),
+            coset_reps=elems("coset_reps"),
+            coset_covers=[None if c is None else cps.DimCover.from_dict(c, field) for c in covers],
         )
 
 

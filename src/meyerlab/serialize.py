@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import cps, heis, places, verify
 from .errors import UsageError
-from .exactnum import frac_str, str_frac
+from .exactnum import frac_str, json_list, json_object, str_frac
 
 
 def canonical_json(data) -> str:
@@ -67,27 +67,22 @@ def patch_to_csv(patch) -> str:
 
 def greedy_cover_to_dict(cover: verify.GreedyCover, scheme) -> dict:
     return {
-        "kind": scheme.kind,
         "translates": [scheme.point_to_json(f) for f in cover.translates],
-        "assignments": [[scheme.point_to_json(a), fi] for a, fi in cover.assignments],
+        "assignments": cover.assignments,
     }
 
 
 def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
-    """The cover `greedy_cover_to_dict` wrote; its points are in `scheme`'s format."""
-    if type(data) is not dict:
-        raise UsageError(f"a cover is a JSON object, not {data!r}")
-    if data["kind"] != scheme.kind:
-        raise UsageError(f"expected a {scheme.kind} cover, not {data['kind']!r}")
-    for key in ("translates", "assignments"):
-        if type(data[key]) is not list:
-            raise UsageError(f"the {key} of a cover are a JSON list, not {data[key]!r}")
-    translates = [scheme.point_from_json(t) for t in data["translates"]]
-    assignments = []
-    for entry in data["assignments"]:
-        if type(entry) is not list or len(entry) != 2:
-            raise UsageError(f"a cover assignment is a [point, index] pair, not {entry!r}")
-        assignments.append((scheme.point_from_json(entry[0]), entry[1]))
+    """The cover `greedy_cover_to_dict` wrote; its translates are in `scheme`'s format.
+
+    A `bool` or out-of-range index decodes, and fails `GreedyCover.replay`."""
+    json_object(data, "a cover is")
+    translates = json_list(data["translates"], "the translates of a cover are")
+    assignments = json_list(data["assignments"], "the assignments of a cover are")
+    for entry in assignments:
+        if not isinstance(entry, int):
+            raise UsageError(f"a cover assignment is a translate index, not {entry!r}")
+    translates = [scheme.point_from_json(t) for t in translates]
     return verify.GreedyCover(translates, assignments, len(assignments))
 
 
@@ -173,7 +168,7 @@ def _replay_poly_cover(data) -> tuple[bool, str]:
 
 def _replay_poly_shrink(data) -> tuple[bool, str]:
     ring = places.SIntegerRing.from_dict(data["ring"])
-    poly = [ring.field.elem([str_frac(c) for c in e]) for e in data["poly"]]
+    poly = [ring.field.elem_from_json(e) for e in json_list(data["poly"], "a polynomial is")]
     again = places.shrink_for_polynomial(poly, ring, patch_radius=str_frac(data["patch_radius"]))
     ok = canonical_json(again.to_dict()) == canonical_json(data)
     return ok, f"delta = {data['delta']}"
@@ -181,7 +176,8 @@ def _replay_poly_shrink(data) -> tuple[bool, str]:
 
 def _replay_sum_product(data) -> tuple[bool, str]:
     ring = places.SIntegerRing.from_dict(data["ring"])
-    elems = [ring.field.elem([str_frac(c) for c in e]) for e in data["elements"]]
+    elems = json_list(data["elements"], "the elements of a sum-product set are")
+    elems = [ring.field.elem_from_json(e) for e in elems]
     again = places.pvs_certify_set(elems, ring, patch_bound=str_frac(data["patch_bound"]))
     if not isinstance(again, places.SumProductCertificate):
         return False, "re-certification rejected the set"
@@ -244,14 +240,13 @@ def _replay_meyer(data) -> tuple[bool, str]:
     cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
     cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
     scope = str_frac(data["scope_radius"])
-    a_in = set(verify.points_within(a_points, ops, scope))
-    b_in = set(verify.points_within(b_points, ops, scope))
-    if {a for a, _ in cover_ab.assignments} != a_in:
-        return False, "cover_ab does not assign exactly the in-scope points"
-    if {b for b, _ in cover_ba.assignments} != b_in:
-        return False, "cover_ba does not assign exactly the in-scope points"
-    ok = cover_ab.replay(b_points, ops) and cover_ba.replay(a_points, ops)
-    return ok, "two-way covers replayed on re-derived patches"
+    a_in = verify.points_within(a_points, ops, scope)
+    b_in = verify.points_within(b_points, ops, scope)
+    if not cover_ab.replay(a_in, b_points, ops):
+        return False, "cover_ab does not carry each in-scope point of side_a into side_b"
+    if not cover_ba.replay(b_in, a_points, ops):
+        return False, "cover_ba does not carry each in-scope point of side_b into side_a"
+    return True, "two-way covers replayed on re-derived patches"
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +329,13 @@ def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
 
 def cellcover_summary(x_values, coverings) -> dict:
     ops = verify.rational_line_ops()
-    x = [Fraction(v) for v in x_values]
-    cov = [([Fraction(v) for v in f], [Fraction(v) for v in y]) for f, y in coverings]
+    x = [str_frac(v) for v in json_list(x_values, "the points x of a cell cover are")]
+    cov = []
+    for pair in json_list(coverings, "the coverings of a cell cover are"):
+        if type(pair) is not list or len(pair) != 2:
+            raise UsageError(f"a covering is an [F, Y] pair of point lists, not {pair!r}")
+        f, y = (json_list(v, "the F and Y of a covering are") for v in pair)
+        cov.append(([str_frac(v) for v in f], [str_frac(v) for v in y]))
     witness = verify.cell_cover(x, cov, ops)
     return {
         "type": "cell_cover",
@@ -351,36 +351,47 @@ def cellcover_summary(x_values, coverings) -> dict:
     }
 
 
+def _inputs(data) -> dict:
+    return json_object(data["inputs"], f"the inputs of a {data['type']} artifact are")
+
+
+def _axes(axes) -> tuple:
+    json_list(axes, "the axes of a subgroup are")
+    if any(type(a) is not int for a in axes):
+        raise UsageError(f"the axes of a subgroup are integers, not {axes!r}")
+    return tuple(axes)
+
+
 def _replay_intersection(data) -> tuple[bool, str]:
-    inp = data["inputs"]
+    inp = _inputs(data)
     again = intersection_summary(
         cps.scheme_from_dict(inp["scheme"]),
         cps.Window.from_dict(inp["window"]),
         str_frac(inp["radius"]),
-        tuple(inp["axes"]),
+        _axes(inp["axes"]),
     )
     return canonical_json(again) == canonical_json(data), "intersection recomputed"
 
 
 def _replay_projection(data) -> tuple[bool, str]:
-    inp = data["inputs"]
+    inp = _inputs(data)
     again = projection_summary(
         cps.scheme_from_dict(inp["scheme"]),
         cps.Window.from_dict(inp["window"]),
         str_frac(inp["radius"]),
-        tuple(inp["axes"]),
+        _axes(inp["axes"]),
     )
     return canonical_json(again) == canonical_json(data), "projection recomputed"
 
 
 def _replay_center(data) -> tuple[bool, str]:
-    inp = data["inputs"]
+    inp = _inputs(data)
     again = center_summary(cps.scheme_from_dict(inp["scheme"], "heis"), str_frac(inp["radius"]))
     return canonical_json(again) == canonical_json(data), "centre intersection recomputed"
 
 
 def _replay_hull(data) -> tuple[bool, str]:
-    inp = data["inputs"]
+    inp = _inputs(data)
     again = hull_summary(
         cps.scheme_from_dict(inp["scheme"], "heis"),
         str_frac(inp["radius_small"]),
@@ -390,7 +401,7 @@ def _replay_hull(data) -> tuple[bool, str]:
 
 
 def _replay_cellcover(data) -> tuple[bool, str]:
-    inp = data["inputs"]
+    inp = _inputs(data)
     again = cellcover_summary(inp["x"], inp["coverings"])
     return canonical_json(again) == canonical_json(data), "cell cover recomputed"
 
@@ -403,17 +414,14 @@ def _replay_patch_cover(data) -> tuple[bool, str]:
     if patch_b is None:
         return False, "patch_b: " + detail
     cover = greedy_cover_from_dict(data, patch_a.scheme)
-    assigned = [a for a, _ in cover.assignments]
-    if len(assigned) != len(patch_a.points) or set(assigned) != set(patch_a.points):
-        return False, "the assignments do not take each point of patch_a exactly once"
-    if not cover.replay(patch_b.points, patch_a.group_ops()):
-        return False, "an assignment does not carry its point into patch_b"
-    return True, "pointwise assignments re-verified"
+    if not cover.replay(patch_a.points, patch_b.points, patch_a.group_ops()):
+        return False, "the assignments do not carry each point of patch_a into patch_b"
+    return True, "one translate index per point of patch_a re-verified"
 
 
 def _replay_rejection(data) -> tuple[bool, str]:
     ring = places.SIntegerRing.from_dict(data["ring"])
-    element = ring.field.elem([str_frac(c) for c in data["element"]])
+    element = ring.field.elem_from_json(data["element"])
     result = places.s_integer_membership(element, ring)
     if isinstance(result, places.PisotCertificate):
         return False, "element re-certified as a member; rejection not reproduced"
@@ -448,7 +456,7 @@ REPLAYERS = {
 def replay(data: dict) -> tuple[bool, str]:
     """Re-verify a serialized certificate; (ok, human-readable detail)."""
     tag = data.get("type") if isinstance(data, dict) else None
-    if tag not in REPLAYERS:
+    if type(tag) is not str or tag not in REPLAYERS:
         raise UsageError(f"no replay handler for certificate type {tag!r}")
     try:
         return REPLAYERS[tag](data)

@@ -490,17 +490,21 @@ def delone_certify(
 
 
 class GreedyCover(Record):
-    """F with A subset of F*B at patch scope, plus the pointwise assignment.
+    """F with A subset of F*B at patch scope, as the file stores it.
 
-    Each assignment is a pair (point of A, index into translates).
+    assignments[i] is the index into translates of the translate that covers
+    the i-th point of A in canonical order; scope_points is |A|.
     """
 
     __slots__ = ("translates", "assignments", "scope_points")
 
-    def replay(self, b_points, ops: GroupOps) -> bool:
-        """Every assignment names a translate f by its index, and f^-1 a lies in B."""
+    def replay(self, a_points, b_points, ops: GroupOps) -> bool:
+        """One index per point of A, each naming a translate f with f^-1 a in B."""
+        a_sorted = canonical_sort(a_points, ops)
+        if len(a_sorted) != len(self.assignments):
+            return False
         bset = set(b_points)
-        for a, fi in self.assignments:
+        for a, fi in zip(a_sorted, self.assignments):
             if type(fi) is not int or not 0 <= fi < len(self.translates):
                 return False
             if ops.mul(ops.inv(self.translates[fi]), a) not in bset:
@@ -546,7 +550,7 @@ def greedy_cover(
             best = b_ivs.nearest_index(a_mid)
             translates.append(ops.mul(a, ops.inv(b_list[best])))
             chosen = len(translates) - 1
-        assignments.append((a, chosen))
+        assignments.append(chosen)
     return GreedyCover(translates, assignments, len(a_sorted)), None
 
 

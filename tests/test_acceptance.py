@@ -211,8 +211,9 @@ def test_criterion_5_heisenberg_suite():
     sym = heis.symmetrize(big.points)
     meyer = heis.meyer_commensurability(sym, big.points, big.group_ops(), 4)
     assert meyer.verdict == "COMMENSURABLE-AT-SCALE"
-    assert meyer.cover_ab.replay(big.points, big.group_ops())
-    assert meyer.cover_ba.replay(sym, big.group_ops())
+    ops = big.group_ops()
+    assert meyer.cover_ab.replay(verify.points_within(sym, ops, 4), big.points, ops)
+    assert meyer.cover_ba.replay(verify.points_within(big.points, ops, 4), sym, ops)
     _passed(
         5,
         f"1000 exp/log/bch identities exact; cover |F| = {len(cover.translates)}; "

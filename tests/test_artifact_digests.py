@@ -4,10 +4,16 @@ A fixed set of small jobs runs in-process through `cli.run`; every file they
 write must hash to the digest recorded here.  A change to exact arithmetic,
 enumeration order, set iteration or serialisation that moves one output byte
 fails this test.  Refresh the table only for a deliberate format change.
+
+The same files, plus three artifact types the jobs do not write, are the
+corpus of a field fuzz of `verify replay`.
 """
 
+import copy
 import hashlib
 import json
+
+import pytest
 
 from meyerlab import cli
 
@@ -57,9 +63,9 @@ JOBS = (
 
 DIGESTS = {
     "cert.json": "ae617fcc4cd78d058a77f6f22bc3a1dd92deaa4db825e19c6244187894d64bb4",
-    "cover-heis.json": "b1ee76c23b93956900b86b999551e91f08df37d07254289d8a9641afedd0708b",
-    "cover-zs.json": "61d83ccb3fb4a5fc208eb14db5b884d3c318af19381958823ea811e9f5684a26",
-    "cover.json": "7882b6e79c4b82afa84521b93c97fa67ba998e9167fb81d21eacd3fa05b1281a",
+    "cover-heis.json": "ce2fb0b3501ae7a4cfbfdb7a15e6857fc929b96c4b15da29b45f4048b08c001d",
+    "cover-zs.json": "12a867df49abab0688eecec8ef49e1f4cb533ba27f0df858616b53989f518c1d",
+    "cover.json": "cbbd23ace92b5227b5325358350ec67376ef143eb80f048911aa45e008a9e653",
     "delone-heis.json": "7bc5faf59bdc72334bed675f9f0986c2764ea86621234fe282daf209b932d9b9",
     "delone-sqrt2-2d.json": "158af818c16fa4d47040e01238aed73e1b680ded369423075748e5f3ae6161e2",
     "delone-zs.json": "f796530d0c23efde3b4b996d47d823bf850eb813e543506b668f07c265a2aa35",
@@ -85,7 +91,7 @@ DIGESTS = {
     "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
     "heis-hull-golden.json": "e27969de71a0ecdd407dcb9c06320b8501d164730ae22bb081f19f8f9bc11b28",
     "heis-hull.json": "7634e66fd4f12a0d396e60bfc764086456c99db9c7676be76be66d020b0b1808",
-    "heis-meyer.json": "beddc7d8d563e6eca5a7c5e04663df278869bed0ea949b9fcb40ef12948cb176",
+    "heis-meyer.json": "dacb4029f9e9955cc8a35cf45ff0d1828d895d55a407850666b058e012009c86",
     "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",
     "pisot.json": "f84a9b13aa4ed3cd7e2465d24845b6e926e0cdc100bc4ae3f1a87831e30d6f9e",
     "polycover.json": "53557b8ebd025caced315359f2ac61ced41f26e7d4cfe16ca9b684e78a7f3ed7",
@@ -110,3 +116,60 @@ def test_artifacts_match_recorded_digests(tmp_path, capsys):
     assert sorted(got) == sorted(DIGESTS)
     changed = [name for name in DIGESTS if got[name] != DIGESTS[name]]
     assert changed == []
+
+
+# ---------------------------------------------------------------------------
+# Field fuzz of the replay boundary: malformed fields give exit 1 or 2, never
+# a Python exception.
+# ---------------------------------------------------------------------------
+
+# artifact types the digest jobs do not write
+FUZZ_JOBS = (
+    ("verify cellcover --spec {d}/cellcover-spec.json --json {d}/cellcover.json", 0),
+    ("pisot certify --ring zs:2 --elements {d}/rational-elements.json --json {d}/rejection.json", 2),
+    ("cps certify --scheme zs:2,3 --window 1 --radius 5 --json {d}/cert-zs.json", 0),
+)
+FUZZ_CORPUS = sorted(name for name in DIGESTS if name.endswith(".json")) + [
+    "cellcover.json", "rejection.json", "cert-zs.json"]
+FUZZ_VALUES = (5, "x", None, [], {}, True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("corpus")
+    run_jobs(d)
+    (d / "cellcover-spec.json").write_text(json.dumps(
+        {"x": ["0", "1", "2", "3"], "coverings": [[["0", "2"], ["0", "1"]], [["0"], ["0", "1", "2", "3"]]]}))
+    (d / "rational-elements.json").write_text(json.dumps({"elements": ["0", "1/3", "-1/3", "1", "-1"]}))
+    for argv, expect in FUZZ_JOBS:
+        assert cli.run(argv.format(d=d).split()) == expect, argv
+    return d
+
+
+def _field_paths(data):
+    """Every top-level key, and every key of a top-level object."""
+    for key in sorted(data):
+        yield (key,)
+        if type(data[key]) is dict:
+            yield from ((key, sub) for sub in sorted(data[key]))
+
+
+@pytest.mark.parametrize("name", FUZZ_CORPUS)
+def test_replay_of_a_mutated_field_never_raises(fuzz_corpus, tmp_path, capsys, name):
+    data = json.loads((fuzz_corpus / name).read_text())
+    path = tmp_path / name
+    raised = []
+    for field in _field_paths(data):
+        for value in FUZZ_VALUES:
+            mutated = copy.deepcopy(data)
+            parent = mutated[field[0]] if len(field) == 2 else mutated
+            parent[field[-1]] = value
+            path.write_text(json.dumps(mutated))
+            try:
+                code = cli.run(["verify", "replay", str(path)])
+            except Exception as exc:
+                raised.append(f"{'.'.join(field)} = {value!r}: {exc!r}")
+                continue
+            assert code in (0, 1, 2), (field, value)
+    capsys.readouterr()
+    assert raised == []

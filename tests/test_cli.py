@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from meyerlab import cli, places, serialize
-from meyerlab.exactnum import golden_field
+from meyerlab import cli, cps, heis, places, serialize, verify
+from meyerlab.exactnum import golden_field, str_frac
 
 
 def run_cli(*argv):
@@ -295,17 +295,12 @@ def _replay_data(tmp_path, capsys, data):
 
 
 def _cut_assignment(cover):
-    cover["assignments"][0] = cover["assignments"][0][:1]
-    return "a cover assignment is a [point, index] pair, not [[["
+    # a translate index cut down to an empty list
+    cover["assignments"][0] = []
+    return "a cover assignment is a translate index, not []"
 
 
-def _wrong_kind(cover):
-    expected = cover["kind"]
-    cover["kind"] = "zs"
-    return f"expected a {expected} cover, not 'zs'"
-
-
-@pytest.mark.parametrize("tamper", [_cut_assignment, _wrong_kind])
+@pytest.mark.parametrize("tamper", [_cut_assignment])
 @pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab"),
                                            ("meyer", "cover_ba")])
 def test_replay_of_a_malformed_cover_is_usage_error(tmp_path, capsys, cover_artifacts, artifact,
@@ -322,10 +317,82 @@ def test_replay_of_a_malformed_cover_is_usage_error(tmp_path, capsys, cover_arti
 
 def test_patch_cover_replay_checks_every_point_of_patch_a(tmp_path, capsys, cover_artifacts):
     data = cover_artifacts["cover"]
-    assert len(data["assignments"]) == 53
+    # one translate index per point of patch_a, and no point restated
+    assert len(data["assignments"]) == len(data["patch_a"]["points"]) == 53
+    assert all(type(i) is int for i in data["assignments"])
+    assert "kind" not in data
     assert _replay_data(tmp_path, capsys, data)[0] == 0
     code, out = _replay_data(tmp_path, capsys, data | {"assignments": data["assignments"][:1]})
     assert code == 2 and "replay FAILED" in out
+
+
+def _cover(data, key):
+    return data[key] if key else data
+
+
+COVERS = [("cover", None), ("meyer", "cover_ab"), ("meyer", "cover_ba")]
+
+
+@pytest.mark.parametrize("artifact, key", COVERS)
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_replay_needs_one_index_per_covered_point(tmp_path, capsys, cover_artifacts, artifact,
+                                                  key, change):
+    data = json.loads(json.dumps(cover_artifacts[artifact]))
+    indices = _cover(data, key)["assignments"]
+    if change == "short":
+        indices.pop()
+    else:
+        indices.append(indices[-1])
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
+def _covered_points(data, key):
+    """(scheme, covered points in canonical order, the set B they must land in)."""
+    if key is None:
+        patch_a, patch_b = (cps.Patch.from_dict(data[k]) for k in ("patch_a", "patch_b"))
+        return patch_a.scheme, list(patch_a.points), set(patch_b.points)
+    scheme = cps.scheme_from_dict(data["scheme"])
+    patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
+    sides = [serialize._meyer_side_points(patch, data[s]) for s in ("side_a", "side_b")]
+    covered, target = sides if key == "cover_ab" else sides[::-1]
+    ops = scheme.group_ops()
+    in_scope = verify.points_within(covered, ops, str_frac(data["scope_radius"]))
+    return scheme, verify.canonical_sort(in_scope, ops), set(target)
+
+
+# cover_ab of the Meyer artifact has the one translate e, so no swap can break it
+@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ba")])
+def test_replay_rejects_swapped_indices(tmp_path, capsys, cover_artifacts, artifact, key):
+    data = json.loads(json.dumps(cover_artifacts[artifact]))
+    cover = _cover(data, key)
+    scheme, points, target = _covered_points(data, key)
+    ops = scheme.group_ops()
+    translates = [scheme.point_from_json(t) for t in cover["translates"]]
+    indices = cover["assignments"]
+
+    def carries(i, p):
+        return ops.mul(ops.inv(translates[i]), p) in target
+
+    assert all(carries(i, p) for i, p in zip(indices, points))
+    i, j = next((i, j) for i in range(len(points)) for j in range(i)
+                if not carries(indices[j], points[i]) and not carries(indices[i], points[j]))
+    indices[i], indices[j] = indices[j], indices[i]
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
+def test_replay_of_a_point_index_pair_cover_is_usage_error(tmp_path, capsys, cover_artifacts):
+    # the format before index lists: each entry restated its point of patch_a
+    data = json.loads(json.dumps(cover_artifacts["cover"]))
+    data["assignments"] = [[p, i] for p, i in zip(data["patch_a"]["points"], data["assignments"])]
+    data["kind"] = "galois"
+    path = tmp_path / "old-cover.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: a cover assignment is a translate index, not [[[")
 
 
 @pytest.mark.parametrize("key", ["patch_a", "patch_b"])
@@ -399,10 +466,9 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
                                                index):
     data = json.loads(json.dumps(cover_artifacts[artifact]))
     cover = data[key] if key else data
-    # the assignment whose translate a list lookup with `index` would alias
-    n = len(cover["translates"])
-    entry = next(e for e in cover["assignments"] if e[1] == int(index) % n)
-    entry[1] = index
+    # the entry whose translate a list lookup with `index` would alias
+    indices = cover["assignments"]
+    indices[indices.index(int(index) % len(cover["translates"]))] = index
     code, out = _replay_data(tmp_path, capsys, data)
     assert code == 2 and "replay FAILED" in out
 
@@ -453,6 +519,9 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
          "the target of a cover is a [lo, hi] pair, not 5"),
         (["verify", "replay", "{d}/heis-global-cover.json"],
          "a global cover needs a zs or galois scheme"),
+        *((["verify", "replay", f"{{d}}/{artifact}-padic-{key}-int.json"],
+           f"the {key} of a p-adic cover are a JSON list, not 5")
+          for artifact in ("global", "lattice") for key in ("primes", "k1", "k2", "residues")),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -467,7 +536,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     heis = {"type": "heis_patch", "radius": "1", "points": [],
             "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
                        "window": ["1", "1", "1"], "physical_root_index": 1}}
-    cover = {"kind": "heis", "translates": 5, "assignments": []}
+    cover = {"translates": 5, "assignments": []}
     dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
     heis_cover = {"type": "heis_cover", "scheme": heis["scheme"], "shear_bound": "0"}
     meyer = {"type": "meyer_commensurability", "scheme": heis["scheme"], "radius": "1",
@@ -493,6 +562,14 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                                               "w1": zs["window"], "w2": zs["window"],
                                               "dim_covers": [], "padic": None})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    padic = {"primes": [2], "k1": [0], "k2": [0], "residues": ["0"]}
+    for key in padic:
+        zs_cover = {"type": "global_cover", "scheme": zs["scheme"], "w1": zs["window"],
+                    "w2": zs["window"], "dim_covers": [], "padic": padic | {key: 5}}
+        lattice = {"type": "approximate_lattice", "scheme": zs["scheme"], "window": zs["window"],
+                   "cover": zs_cover, "patch_radius": "1", "delone": {}}
+        for artifact, data in (("global", zs_cover), ("lattice", lattice)):
+            (tmp_path / f"{artifact}-padic-{key}-int.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err

@@ -457,8 +457,11 @@ class TestIntersectionProjection:
         res = cps.intersect_with_subgroup(scheme, [0], cps.Window.box(1, 1), 8)
         assert res.induced_scheme.dim == 1
         assert res.cover_to_induced is not None and res.cover_from_induced is not None
-        assert res.cover_to_induced.replay(res.induced_patch.points, res.induced_scheme.group_ops())
-        assert res.cover_from_induced.replay(res.intersection_points, res.induced_scheme.group_ops())
+        ops = res.induced_scheme.group_ops()
+        a_in = verify.points_within(res.intersection_points, ops, 4)
+        b_in = verify.points_within(res.induced_patch.points, ops, 4)
+        assert res.cover_to_induced.replay(a_in, res.induced_patch.points, ops)
+        assert res.cover_from_induced.replay(b_in, res.intersection_points, ops)
 
     def test_whole_space_is_identity(self):
         scheme = cps.GaloisScheme(golden_field(), dim=2)

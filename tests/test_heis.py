@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from meyerlab import cps, heis
+from meyerlab import cps, heis, verify
 from meyerlab.errors import UsageError
 from meyerlab.exactnum import golden_field, sqrt2_field
 
@@ -375,8 +375,8 @@ class TestMeyerCommensurability:
         ops = patch.group_ops()
         res = heis.meyer_commensurability(sym, patch.points, ops, 3)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
-        assert res.cover_ab.replay(patch.points, ops)
-        assert res.cover_ba.replay(sym, ops)
+        assert res.cover_ab.replay(verify.points_within(sym, ops, 3), patch.points, ops)
+        assert res.cover_ba.replay(verify.points_within(patch.points, ops, 3), sym, ops)
 
     def test_translate_cap_gives_negative_verdict(self, f2):
         a = integer_axis_patch(f2, 10)

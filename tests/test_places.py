@@ -294,8 +294,8 @@ class TestShrinkForPolynomial:
         small = cps.model_set_patch(scheme, cps.Window.box(cert.delta), 8)
         unit = cps.model_set_patch(scheme, cps.Window.box(1), 8)
         ops = scheme.group_ops()
-        assert cert.cover_small_in_unit.replay(unit.points, ops)
-        assert cert.cover_unit_in_small.replay(small.points, ops)
+        assert cert.cover_small_in_unit.replay(small.points, unit.points, ops)
+        assert cert.cover_unit_in_small.replay(unit.points, small.points, ops)
 
     def test_requires_zero_constant_term(self, golden_ring):
         with pytest.raises(UsageError):

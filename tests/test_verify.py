@@ -427,14 +427,14 @@ class TestGreedyCover:
         pts = frac_points(range(-4, 5))
         cover, _ = verify.greedy_cover(pts, pts, line_ops())
         assert cover.translates == [Fraction(0)]
-        assert cover.replay(pts, line_ops())
+        assert cover.replay(pts, pts, line_ops())
 
     def test_integers_by_even_integers(self):
         a = frac_points(range(-4, 5))
         b = frac_points(range(-4, 5, 2))
         cover, _ = verify.greedy_cover(a, b, line_ops())
         assert sorted(cover.translates) == [Fraction(0), Fraction(1)]
-        assert cover.replay(b, line_ops())
+        assert cover.replay(a, b, line_ops())
 
     def test_translate_cap_reports_witness(self):
         a = frac_points(range(0, 12))
@@ -449,7 +449,7 @@ class TestGreedyCover:
         ops = scheme.group_ops()
         cover, _ = verify.greedy_cover(big.points, small.points, ops)
         assert cover is not None
-        assert cover.replay(small.points, ops)
+        assert cover.replay(big.points, small.points, ops)
 
 
 def brute_force_min_cover_size(x_points, quotient_set, ops, cap):
