@@ -299,27 +299,19 @@ def cmd_heis_hull(args) -> int:
 def cmd_heis_commensurate(args) -> int:
     scheme = _heis_scheme(args)
     _require(args, "radius")
-    radius = str_frac(args.radius)
-    patch = heis.heis_model_set(scheme, radius)
-    sides = {}
-    for side, spec in (("a", args.side_a), ("b", args.side_b)):
-        sides[side] = serialize._meyer_side_points(patch, spec)
-    scope = radius / 2
-    res = heis.meyer_commensurability(
-        sides["a"], sides["b"], patch.group_ops(), scope, max_translates=args.max_translates
+    data = serialize.meyer_artifact(
+        scheme, str_frac(args.radius), args.side_a, args.side_b, args.max_translates
     )
-    data = serialize.meyer_result_to_dict(
-        res, scheme, radius, args.side_a, args.side_b, args.max_translates
-    )
-    if res.verdict != "COMMENSURABLE-AT-SCALE":
-        _emit(args, data, None, f"verdict: {res.verdict}")
+    if data["verdict"] != "COMMENSURABLE-AT-SCALE":
+        _emit(args, data, None, f"verdict: {data['verdict']}")
         return EXIT_NEGATIVE
     _emit(
         args,
         data,
         None,
-        f"commensurable at scale {frac_str(scope)}: |F1| = {len(res.cover_ab.translates)}, "
-        f"|F2| = {len(res.cover_ba.translates)}",
+        f"commensurable at scale {data['scope_radius']}: "
+        f"|F1| = {len(data['cover_ab']['translates'])}, "
+        f"|F2| = {len(data['cover_ba']['translates'])}",
     )
     return EXIT_OK
 
@@ -338,15 +330,8 @@ def cmd_pisot_certify(args) -> int:
         ring = parse_ring(args.ring)
     elems = parse_elements(args.elements, ring.field)
     result = places.pvs_certify_set(elems, ring, patch_bound=None)
-    if isinstance(result, places.SetRejection):
-        data = {
-            "type": "sum_product_rejection",
-            "ring": ring.to_dict(),
-            "element": result.element.to_list(),
-            "witness_place": result.witness_place.to_dict(),
-            "reason": result.reason,
-        }
-        _emit(args, data, None, f"rejected: {result.reason}")
+    if not result.certified:
+        _emit(args, result.to_dict(), None, f"rejected: {result.reason}")
         return EXIT_NEGATIVE
     _emit(
         args,
@@ -422,17 +407,14 @@ def cmd_verify_delone(args) -> int:
     _require(args, "patch")
     patch = _load_patch(args.patch, args)
     inner = str_frac(args.inner) if args.inner else Fraction(patch.radius) / 2
-    report = verify.delone_certify(patch.points, patch.group_ops(), inner, patch_radius=patch.radius)
-    data = dict(report.to_dict())
-    data["patch"] = patch.to_dict()
-    data["inner_radius"] = frac_str(inner)
+    data = serialize.delone_artifact(patch, inner)
     _emit(
         args,
         data,
         None,
-        f"min_sep = {frac_str(report.min_separation)}, covering = {report.covering.verdict}",
+        f"min_sep = {data['min_separation']}, covering = {data['covering']['verdict']}",
     )
-    return EXIT_OK if report.is_delone else EXIT_NEGATIVE
+    return EXIT_OK if data["delone"] else EXIT_NEGATIVE
 
 
 def cmd_verify_cover(args) -> int:
@@ -445,9 +427,7 @@ def cmd_verify_cover(args) -> int:
     if cover is None:
         print(f"cover infeasible under translate cap; witness = {witness!r}")
         return EXIT_NEGATIVE
-    data = {"type": "patch_cover"} | serialize.greedy_cover_to_dict(cover, pa.scheme)
-    data["patch_a"] = pa.to_dict()
-    data["patch_b"] = pb.to_dict()
+    data = serialize.patch_cover_artifact(cover, pa, pb)
     _emit(args, data, None, f"|F| = {len(cover.translates)} covering {cover.scope_points} points")
     return EXIT_OK
 

@@ -330,14 +330,14 @@ def scheme_from_dict(data: dict, kind: str | None = None):
         return GaloisScheme(
             NumberField.from_dict(data["field"]),
             dim=str_int(data.get("dim", 1)),
-            physical_root_index=data.get("physical_root_index", 1),
+            physical_root_index=str_int(data.get("physical_root_index", 1)),
         )
     if data["kind"] == "heis":
         window = json_list(data["window"], "the window of a heis scheme is")
         return heis.HeisScheme(
             NumberField.from_dict(data["field"]),
             [str_frac(c) for c in window],
-            physical_root_index=data.get("physical_root_index", 1),
+            physical_root_index=str_int(data.get("physical_root_index", 1)),
         )
     raise UsageError(f"unknown scheme kind {data['kind']!r}")
 
@@ -780,12 +780,17 @@ def approximate_lattice_certificate(
     """
     wsq = window_product(window, window)
     cover = global_covering_certificate(scheme, wsq, window)
-    patch = model_set_patch(scheme, window, patch_radius)
-    inner = Fraction(patch_radius) / 2
-    report = verify.delone_certify(
-        patch.points, patch.group_ops(), inner, patch_radius=patch.radius
-    )
+    report = lattice_delone_report(scheme, window, patch_radius)
     return ApproximateLatticeCertificate(scheme, window, cover, report, Fraction(patch_radius))
+
+
+def lattice_delone_report(scheme, window: Window, patch_radius) -> verify.DeloneReport:
+    """The metric half of an approximate-lattice certificate: the Delone report
+    of the patch of radius R on the inner ball of radius R/2."""
+    patch = model_set_patch(scheme, window, patch_radius)
+    return verify.delone_certify(
+        patch.points, patch.group_ops(), patch.radius / 2, patch_radius=patch.radius
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +891,7 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
 
 class ProjectionResult(Record):
     __slots__ = (
-        "quotient_scheme", "quotient_axes", "projected_points", "projection_min_separation",
+        "quotient_axes", "projected_points", "projection_min_separation",
         "intersection_report", "equivalence_consistent",
     )
 
@@ -903,14 +908,13 @@ def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionR
     quotient_axes = tuple(i for i in range(scheme.dim) if i not in axes)
     patch = model_set_patch(scheme, window, radius)
     if not quotient_axes:
-        return ProjectionResult(None, (), [], None, None, True)
+        return ProjectionResult((), [], None, None, True)
     projected = sorted(
         {tuple(p[i] for i in quotient_axes) for p in patch.points}, key=scheme.sort_key
     )
-    qscheme = GaloisScheme(
+    qops = GaloisScheme(
         scheme.field, dim=len(quotient_axes), physical_root_index=scheme.physical_root_index
-    )
-    qops = qscheme.group_ops()
+    ).group_ops()
     min_sep = None
     if len(projected) >= 2:
         min_sep, _ = verify.min_separation(projected, qops)
@@ -928,7 +932,6 @@ def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionR
         inter_report is None or inter_report.is_delone
     )
     return ProjectionResult(
-        quotient_scheme=qscheme,
         quotient_axes=quotient_axes,
         projected_points=projected,
         projection_min_separation=min_sep,

@@ -23,17 +23,23 @@ def frac_str(q: Fraction) -> str:
 
 
 def str_frac(s: str) -> Fraction:
+    """A rational string or an int; a float or a bool is a usage error, as is any other value."""
     try:
-        return Fraction(s)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {s!r}") from exc
+        if not isinstance(s, (float, bool)):
+            return Fraction(s)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"not a rational number: {s!r}")
 
 
 def str_int(s: str) -> int:
+    """An integer string or an int; a float or a bool is a usage error, as is any other value."""
     try:
-        return int(s)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"not an integer: {s!r}") from exc
+        if not isinstance(s, (float, bool)):
+            return int(s)
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"not an integer: {s!r}")
 
 
 def json_list(value, what: str) -> list:

@@ -431,7 +431,7 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
 
 
 class CommutatorMapResult(Record):
-    __slots__ = ("xi", "image_z", "homomorphism_exact", "trivial", "report")
+    __slots__ = ("homomorphism_exact", "trivial", "report")
 
 
 def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
@@ -462,12 +462,8 @@ def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
     report = None
     if not trivial and len(distinct) >= 2:
         ops = _central_ops(patch.scheme.field, patch.scheme.physical_place)
-        sep, witness = verify.min_separation(distinct, ops)
-        cov = verify.covering_radius(
-            distinct, ops, patch.radius / 2
-        )
-        report = verify.DeloneReport(min_separation=sep, min_sep_witness=witness, covering=cov)
-    return CommutatorMapResult(xi, distinct, hom_ok, trivial, report)
+        report = verify.delone_certify(distinct, ops, patch.radius / 2)
+    return CommutatorMapResult(hom_ok, trivial, report)
 
 
 # ---------------------------------------------------------------------------

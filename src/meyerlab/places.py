@@ -174,11 +174,21 @@ class ConjugateBound(Record):
 
 
 class MembershipRejection(Record):
-    __slots__ = ("element", "ring", "witness_place", "reason")
+    """x is not in O_{K,S}: the place where |x|_v > 1, and why.
 
-    @property
-    def is_member(self) -> bool:
-        return False
+    `pvs_certify_set` returns the rejection of a set's first failing element."""
+
+    __slots__ = ("element", "ring", "witness_place", "reason")
+    is_member = certified = False
+
+    def to_dict(self) -> dict:
+        return {
+            "type": "sum_product_rejection",
+            "ring": self.ring.to_dict(),
+            "element": self.element.to_list(),
+            "witness_place": self.witness_place.to_dict(),
+            "reason": self.reason,
+        }
 
 
 class PisotCertificate(Record):
@@ -188,20 +198,7 @@ class PisotCertificate(Record):
     """
 
     __slots__ = ("element", "ring", "conjugate_bounds", "finite_valuations")
-
-    @property
-    def is_member(self) -> bool:
-        return True
-
-    def replay(self) -> bool:
-        again = s_integer_membership(self.element, self.ring)
-        if not isinstance(again, PisotCertificate):
-            return False
-        return (
-            [(b.place.label(), b.decision) for b in again.conjugate_bounds]
-            == [(b.place.label(), b.decision) for b in self.conjugate_bounds]
-            and again.finite_valuations == self.finite_valuations
-        )
+    is_member = True
 
     def to_dict(self) -> dict:
         return {
@@ -214,26 +211,6 @@ class PisotCertificate(Record):
             ],
             "finite_valuations": [[p, v] for p, v in self.finite_valuations],
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "PisotCertificate":
-        ring = SIntegerRing.from_dict(data["ring"])
-        element = ring.field.elem_from_json(data["element"])
-        bounds = []
-        for b in json_list(data["conjugate_bounds"], "the conjugate bounds of a certificate are"):
-            place = Place.from_dict(json_object(b, "a conjugate bound is")["place"], ring.field)
-            if b["decision"] not in ("LESS", "EQUAL", "GREATER"):
-                raise UsageError(f"a decision is LESS, EQUAL or GREATER, not {b['decision']!r}")
-            bounds.append(ConjugateBound(place, Cmp(b["decision"])))
-        valuations = json_list(data["finite_valuations"], "the finite valuations are")
-        if any(type(pv) is not list or len(pv) != 2 for pv in valuations):
-            raise UsageError(f"finite valuations are [prime, valuation] pairs, not {valuations!r}")
-        return PisotCertificate(
-            element,
-            ring,
-            bounds,
-            [tuple(pv) for pv in valuations],
-        )
 
 
 def _rational_is_integral(q: Fraction) -> int | None:
@@ -615,14 +592,6 @@ def shrink_for_polynomial(poly, ring: SIntegerRing, patch_radius=10) -> ShrinkCe
 # ---------------------------------------------------------------------------
 
 
-class SetRejection(Record):
-    __slots__ = ("element", "witness_place", "reason")
-
-    @property
-    def certified(self) -> bool:
-        return False
-
-
 class SumProductCertificate(Record):
     """Finite-set witness of the sum-product conclusion: the set sits in O_{K,S}.
 
@@ -636,9 +605,7 @@ class SumProductCertificate(Record):
         "out_of_patch_pairs", "flagged_products",
     )
 
-    @property
-    def certified(self) -> bool:
-        return True
+    certified = True
 
     @property
     def multiplicatively_closed(self) -> bool:
@@ -661,8 +628,8 @@ class SumProductCertificate(Record):
 def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
     """Certify a finite symmetric set containing 0 as a subset of O_{K,S}.
 
-    Returns a SumProductCertificate, or a SetRejection naming the first
-    failing element and its witness place.
+    Returns a SumProductCertificate, or the MembershipRejection of the first
+    failing element.
     """
     elems = [ring.coerce(e) for e in elements]
     if len(set(elems)) != len(elems):
@@ -688,8 +655,8 @@ def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
     member_certs = []
     for e in sorted(elems, key=lambda x: x.coeffs):
         result = s_integer_membership(e, ring)
-        if isinstance(result, MembershipRejection):
-            return SetRejection(e, result.witness_place, result.reason)
+        if not result.is_member:
+            return result
         member_certs.append(result)
     ordered = sorted(elems, key=lambda x: x.coeffs)
     closed = 0

@@ -86,22 +86,52 @@ def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
     return verify.GreedyCover(translates, assignments, len(assignments))
 
 
-def meyer_result_to_dict(
-    res: heis.MeyerCommensurability,
-    scheme: heis.HeisScheme,
-    radius,
-    side_a: str,
-    side_b: str,
-    max_translates: int | None,
+def patch_cover_artifact(cover: verify.GreedyCover, patch_a: cps.Patch, patch_b: cps.Patch) -> dict:
+    """A `patch_cover` file: the cover of patch_a by translates of patch_b, with both patches."""
+    return greedy_cover_to_dict(cover, patch_a.scheme) | {
+        "type": "patch_cover",
+        "patch_a": patch_a.to_dict(),
+        "patch_b": patch_b.to_dict(),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Artifacts that replay rebuilds: each has one builder, shared by its CLI
+# command and its replay.
+# ---------------------------------------------------------------------------
+
+
+def delone_artifact(patch: cps.Patch, inner_radius) -> dict:
+    """A `delone_report` file: the patch's Delone report on the inner ball, with the patch."""
+    report = verify.delone_certify(
+        patch.points, patch.group_ops(), inner_radius, patch_radius=patch.radius
+    )
+    return report.to_dict() | {"patch": patch.to_dict(), "inner_radius": frac_str(inner_radius)}
+
+
+def meyer_artifact(
+    scheme: heis.HeisScheme, radius, side_a: str, side_b: str, max_translates: int | None
 ) -> dict:
-    """side_a / side_b say how each point set derives from the scheme patch:
+    """A `meyer_commensurability` file: two-way covers between two point sets
+    of the radius-R patch, within scope R/2.
+
+    side_a / side_b say how each point set derives from the scheme patch:
     "model_set" (the patch itself) or "symmetrized" (Lambda ∩ Lambda^-1).
     A negative verdict also records the translate cap and the witness point,
     so replay can rerun the capped search."""
+    radius = Fraction(radius)
+    patch = heis.heis_model_set(scheme, radius)
+    res = heis.meyer_commensurability(
+        _meyer_side_points(patch, side_a),
+        _meyer_side_points(patch, side_b),
+        scheme.group_ops(),
+        radius / 2,
+        max_translates,
+    )
     data = {
         "type": "meyer_commensurability",
         "scheme": scheme.to_dict(),
-        "radius": frac_str(Fraction(radius)),
+        "radius": frac_str(radius),
         "side_a": side_a,
         "side_b": side_b,
         "scope_radius": frac_str(res.scope_radius),
@@ -121,132 +151,6 @@ def _meyer_side_points(patch: cps.Patch, side: str):
     if side == "symmetrized":
         return heis.symmetrize(patch.points)
     raise UsageError(f"unknown patch side {side!r}")
-
-
-# ---------------------------------------------------------------------------
-# Replay registry: every emitted certificate re-verifies from its file alone.
-# ---------------------------------------------------------------------------
-
-
-def _replayed_patch(data):
-    """(patch, detail): the patch in `data` if its scheme re-enumerates the same
-    points from its window and radius, else (None, why not)."""
-    patch = cps.Patch.from_dict(data)
-    again = patch.scheme.model_set(patch.window, patch.radius)
-    if again.points != patch.points:
-        return None, "point sets differ"
-    return patch, f"{len(patch.points)} points re-enumerated"
-
-
-def _replay_patch(data) -> tuple[bool, str]:
-    patch, detail = _replayed_patch(data)
-    return patch is not None, detail
-
-
-def _replay_global_cover(data) -> tuple[bool, str]:
-    cert = cps.GlobalCoverCertificate.from_dict(data)
-    ok = cert.replay()
-    return ok, f"|F| = {len(cert.translates)}"
-
-
-def _replay_heis_cover(data) -> tuple[bool, str]:
-    cert = heis.HeisCoverCertificate.from_dict(data)
-    ok = cert.replay()
-    return ok, f"|F| = {len(cert.translates)}"
-
-
-def _replay_pisot(data) -> tuple[bool, str]:
-    cert = places.PisotCertificate.from_dict(data)
-    return cert.replay(), "membership decisions reproduced"
-
-
-def _replay_poly_cover(data) -> tuple[bool, str]:
-    cert = places.TranslateCoverCertificate.from_dict(data)
-    ok = cert.replay()
-    return ok, f"|T| = {len(cert.translates)}"
-
-
-def _replay_poly_shrink(data) -> tuple[bool, str]:
-    ring = places.SIntegerRing.from_dict(data["ring"])
-    poly = [ring.field.elem_from_json(e) for e in json_list(data["poly"], "a polynomial is")]
-    again = places.shrink_for_polynomial(poly, ring, patch_radius=str_frac(data["patch_radius"]))
-    ok = canonical_json(again.to_dict()) == canonical_json(data)
-    return ok, f"delta = {data['delta']}"
-
-
-def _replay_sum_product(data) -> tuple[bool, str]:
-    ring = places.SIntegerRing.from_dict(data["ring"])
-    elems = json_list(data["elements"], "the elements of a sum-product set are")
-    elems = [ring.field.elem_from_json(e) for e in elems]
-    again = places.pvs_certify_set(elems, ring, patch_bound=str_frac(data["patch_bound"]))
-    if not isinstance(again, places.SumProductCertificate):
-        return False, "re-certification rejected the set"
-    ok = canonical_json(again.to_dict()) == canonical_json(data)
-    return ok, f"{len(elems)} members re-certified"
-
-
-def _replay_approximate_lattice(data) -> tuple[bool, str]:
-    scheme = cps.scheme_from_dict(data["scheme"])
-    window = cps.Window.from_dict(data["window"])
-    cover = cps.GlobalCoverCertificate.from_dict(data["cover"])
-    wsq = cps.window_product(window, window)
-    if cover.scheme != scheme or cover.w1 != wsq or cover.w2 != window:
-        return False, "the cover is not one of W + W by tiles of W in this scheme"
-    message = f"|F| = {len(cover.translates)}"
-    if not cover.replay():
-        return False, "window cover failed: " + message
-    patch = cps.model_set_patch(scheme, window, str_frac(data["patch_radius"]))
-    report = verify.delone_certify(
-        patch.points, patch.group_ops(), patch.radius / 2, patch_radius=patch.radius
-    )
-    return canonical_json(report.to_dict()) == canonical_json(data["delone"]), message
-
-
-def _replay_delone(data) -> tuple[bool, str]:
-    if "patch" not in data:
-        return False, "no embedded patch: the report cannot be checked"
-    patch, detail = _replayed_patch(data["patch"])
-    if patch is None:
-        return False, "embedded patch: " + detail
-    report = verify.delone_certify(
-        patch.points,
-        patch.group_ops(),
-        str_frac(data["inner_radius"]),
-        patch_radius=patch.radius,
-    )
-    again = dict(report.to_dict())
-    stored = {k: v for k, v in data.items() if k not in ("patch", "inner_radius")}
-    return canonical_json(again) == canonical_json(stored), "delone report recomputed"
-
-
-def _replay_meyer(data) -> tuple[bool, str]:
-    scheme = cps.scheme_from_dict(data["scheme"], "heis")
-    negative = data["verdict"] != "COMMENSURABLE-AT-SCALE"
-    if negative and (type(data.get("max_translates")) is not int or "witness" not in data):
-        return False, "negative verdict without the translate cap and witness that reproduce it"
-    patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
-    a_points = _meyer_side_points(patch, data["side_a"])
-    b_points = _meyer_side_points(patch, data["side_b"])
-    ops = scheme.group_ops()
-    if negative:
-        res = heis.meyer_commensurability(
-            a_points, b_points, ops, str_frac(data["scope_radius"]), data["max_translates"]
-        )
-        again = meyer_result_to_dict(
-            res, scheme, data["radius"], data["side_a"], data["side_b"], data["max_translates"]
-        )
-        ok = canonical_json(again) == canonical_json(data)
-        return ok, "capped search reran" if ok else "capped search gives a different result"
-    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
-    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
-    scope = str_frac(data["scope_radius"])
-    a_in = verify.points_within(a_points, ops, scope)
-    b_in = verify.points_within(b_points, ops, scope)
-    if not cover_ab.replay(a_in, b_points, ops):
-        return False, "cover_ab does not carry each in-scope point of side_a into side_b"
-    if not cover_ba.replay(b_in, a_points, ops):
-        return False, "cover_ba does not carry each in-scope point of side_b into side_a"
-    return True, "two-way covers replayed on re-derived patches"
 
 
 # ---------------------------------------------------------------------------
@@ -351,104 +255,186 @@ def cellcover_summary(x_values, coverings) -> dict:
     }
 
 
-def _inputs(data) -> dict:
-    return json_object(data["inputs"], f"the inputs of a {data['type']} artifact are")
+# ---------------------------------------------------------------------------
+# Replay: every emitted certificate re-verifies from its file alone.  A file
+# either holds a certificate that replay checks, or is rebuilt from the inputs
+# it records and compared with the rebuild as a whole.
+# ---------------------------------------------------------------------------
 
 
-def _axes(axes) -> tuple:
+def _rebuilt_patch(data) -> cps.Patch:
+    """The patch that the scheme, window and radius of the patch file `data` enumerate."""
+    patch = cps.Patch.from_dict(data)
+    return patch.scheme.model_set(patch.window, patch.radius)
+
+
+def _membership(data) -> dict:
+    ring = places.SIntegerRing.from_dict(data["ring"])
+    return places.s_integer_membership(ring.field.elem_from_json(data["element"]), ring).to_dict()
+
+
+def _ring_elements(data, key: str, what: str) -> tuple:
+    """(the field elements listed under `key`, the ring of `data`)."""
+    ring = places.SIntegerRing.from_dict(data["ring"])
+    return [ring.field.elem_from_json(e) for e in json_list(data[key], what)], ring
+
+
+def _inputs(data, *keys) -> tuple:
+    """The values of `keys` in the `inputs` object of a summary."""
+    inputs = json_object(data["inputs"], f"the inputs of a {data['type']} artifact are")
+    return tuple(inputs[key] for key in keys)
+
+
+def _subgroup_inputs(data) -> tuple:
+    scheme, window, radius, axes = _inputs(data, "scheme", "window", "radius", "axes")
     json_list(axes, "the axes of a subgroup are")
     if any(type(a) is not int for a in axes):
         raise UsageError(f"the axes of a subgroup are integers, not {axes!r}")
-    return tuple(axes)
+    return cps.scheme_from_dict(scheme), cps.Window.from_dict(window), str_frac(radius), tuple(axes)
 
 
-def _replay_intersection(data) -> tuple[bool, str]:
-    inp = _inputs(data)
-    again = intersection_summary(
-        cps.scheme_from_dict(inp["scheme"]),
-        cps.Window.from_dict(inp["window"]),
-        str_frac(inp["radius"]),
-        _axes(inp["axes"]),
-    )
-    return canonical_json(again) == canonical_json(data), "intersection recomputed"
+def _heis_inputs(data, *radii) -> tuple:
+    scheme, *values = _inputs(data, "scheme", *radii)
+    return (cps.scheme_from_dict(scheme, "heis"), *(str_frac(r) for r in values))
 
 
-def _replay_projection(data) -> tuple[bool, str]:
-    inp = _inputs(data)
-    again = projection_summary(
-        cps.scheme_from_dict(inp["scheme"]),
-        cps.Window.from_dict(inp["window"]),
-        str_frac(inp["radius"]),
-        _axes(inp["axes"]),
-    )
-    return canonical_json(again) == canonical_json(data), "projection recomputed"
+# type -> the artifact rebuilt from the inputs its file records.  Each entry
+# looks its builder up by module-level name when it runs.
+REBUILDERS = {
+    **dict.fromkeys(("patch", "heis_patch"), lambda d: _rebuilt_patch(d).to_dict()),
+    "delone_report": lambda d: delone_artifact(
+        _rebuilt_patch(d["patch"]), str_frac(d["inner_radius"])
+    ),
+    **dict.fromkeys(("pisot_membership", "sum_product_rejection"), _membership),
+    "sum_product": lambda d: places.pvs_certify_set(
+        *_ring_elements(d, "elements", "the elements of a sum-product set are"),
+        patch_bound=str_frac(d["patch_bound"]),
+    ).to_dict(),
+    "poly_shrink": lambda d: places.shrink_for_polynomial(
+        *_ring_elements(d, "poly", "a polynomial is"), patch_radius=str_frac(d["patch_radius"])
+    ).to_dict(),
+    "intersection": lambda d: intersection_summary(*_subgroup_inputs(d)),
+    "projection": lambda d: projection_summary(*_subgroup_inputs(d)),
+    "center_intersection": lambda d: center_summary(*_heis_inputs(d, "radius")),
+    "schreiber_hull": lambda d: hull_summary(*_heis_inputs(d, "radius_small", "radius_large")),
+    "cell_cover": lambda d: cellcover_summary(*_inputs(d, "x", "coverings")),
+}
 
 
-def _replay_center(data) -> tuple[bool, str]:
-    inp = _inputs(data)
-    again = center_summary(cps.scheme_from_dict(inp["scheme"], "heis"), str_frac(inp["radius"]))
-    return canonical_json(again) == canonical_json(data), "centre intersection recomputed"
+def _replay_rebuilt(data) -> tuple[bool, str]:
+    tag = data["type"]
+    again = canonical_json(REBUILDERS[tag](data))
+    if again != canonical_json(data):
+        return False, f"{tag} rebuilt from its inputs differs from the file"
+    return True, f"{tag} rebuilt from its inputs: {len(again)} bytes identical"
 
 
-def _replay_hull(data) -> tuple[bool, str]:
-    inp = _inputs(data)
-    again = hull_summary(
-        cps.scheme_from_dict(inp["scheme"], "heis"),
-        str_frac(inp["radius_small"]),
-        str_frac(inp["radius_large"]),
-    )
-    return canonical_json(again) == canonical_json(data), "hull search recomputed"
+def _delone_contradiction(data) -> str | None:
+    """Why the fields of a `delone_report` cannot all be right, or None.
+
+    A report needs two points, so its writer never writes a null bound: a bound
+    that is not a rational string is a usage error."""
+    covering = json_object(data["covering"], "the covering of a Delone report is")
+    bounds = [data["min_separation"], data["inner_radius"]]
+    bounds += [covering[k] for k in ("bound", "inner_radius", "mesh", "empirical")]
+    for value in bounds:
+        if type(value) is not str:
+            raise UsageError(f"a bound of a Delone report is a rational string, not {value!r}")
+    separation, inner, bound, *_ = (str_frac(v) for v in bounds)
+    if data["metric"] != verify.SUP_NORM_METRIC:
+        return f"the metric is not the {verify.SUP_NORM_METRIC}"
+    if covering["inner_radius"] != data["inner_radius"]:
+        return "the covering is not taken on the report's inner ball"
+    if covering["verdict"] != ("FINITE" if bound < inner else "INFINITE"):
+        return "the covering verdict does not follow from its bound"
+    if data["delone"] is not (separation > 0 and covering["verdict"] == "FINITE"):
+        return "the delone flag does not follow from the separation and the verdict"
+    return None
 
 
-def _replay_cellcover(data) -> tuple[bool, str]:
-    inp = _inputs(data)
-    again = cellcover_summary(inp["x"], inp["coverings"])
-    return canonical_json(again) == canonical_json(data), "cell cover recomputed"
+def _replay_delone(data) -> tuple[bool, str]:
+    if "patch" not in data:
+        return False, "no embedded patch: the report cannot be checked"
+    contradiction = _delone_contradiction(data)
+    if contradiction is not None:
+        return False, contradiction
+    return _replay_rebuilt(data)
+
+
+# type -> the certificate its file holds, which checks itself.
+CERTIFICATES = {
+    "global_cover": lambda d: cps.GlobalCoverCertificate.from_dict(d),
+    "heis_cover": lambda d: heis.HeisCoverCertificate.from_dict(d),
+    "poly_translate_cover": lambda d: places.TranslateCoverCertificate.from_dict(d),
+}
+
+
+def _replay_certificate(data) -> tuple[bool, str]:
+    cert = CERTIFICATES[data["type"]](data)
+    return cert.replay(), f"{data['type']} checked: {len(cert.translates)} translates"
+
+
+def _replay_approximate_lattice(data) -> tuple[bool, str]:
+    scheme = cps.scheme_from_dict(data["scheme"])
+    window = cps.Window.from_dict(data["window"])
+    cover = cps.GlobalCoverCertificate.from_dict(data["cover"])
+    wsq = cps.window_product(window, window)
+    if cover.scheme != scheme or cover.w1 != wsq or cover.w2 != window:
+        return False, "the cover is not one of W + W by tiles of W in this scheme"
+    message = f"|F| = {len(cover.translates)}"
+    if not cover.replay():
+        return False, "window cover failed: " + message
+    report = cps.lattice_delone_report(scheme, window, str_frac(data["patch_radius"]))
+    if canonical_json(report.to_dict()) != canonical_json(data["delone"]):
+        return False, "the Delone report differs from its rebuild: " + message
+    return True, message + ", Delone report rebuilt"
+
+
+def _replay_meyer(data) -> tuple[bool, str]:
+    scheme = cps.scheme_from_dict(data["scheme"], "heis")
+    radius = str_frac(data["radius"])
+    if data["verdict"] != "COMMENSURABLE-AT-SCALE":
+        if type(data.get("max_translates")) is not int or "witness" not in data:
+            return False, "negative verdict without the translate cap and witness that reproduce it"
+        again = meyer_artifact(scheme, radius, data["side_a"], data["side_b"], data["max_translates"])
+        ok = canonical_json(again) == canonical_json(data)
+        return ok, "capped search reran" if ok else "capped search gives a different result"
+    patch = heis.heis_model_set(scheme, radius)
+    a_points = _meyer_side_points(patch, data["side_a"])
+    b_points = _meyer_side_points(patch, data["side_b"])
+    ops = scheme.group_ops()
+    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
+    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
+    scope = str_frac(data["scope_radius"])
+    a_in = verify.points_within(a_points, ops, scope)
+    b_in = verify.points_within(b_points, ops, scope)
+    if not cover_ab.replay(a_in, b_points, ops):
+        return False, "cover_ab does not carry each in-scope point of side_a into side_b"
+    if not cover_ba.replay(b_in, a_points, ops):
+        return False, "cover_ba does not carry each in-scope point of side_b into side_a"
+    return True, "two-way covers replayed on re-derived patches"
 
 
 def _replay_patch_cover(data) -> tuple[bool, str]:
-    patch_a, detail = _replayed_patch(data["patch_a"])
-    if patch_a is None:
-        return False, "patch_a: " + detail
-    patch_b, detail = _replayed_patch(data["patch_b"])
-    if patch_b is None:
-        return False, "patch_b: " + detail
+    patches = []
+    for key in ("patch_a", "patch_b"):
+        patch = _rebuilt_patch(data[key])
+        if canonical_json(patch.to_dict()) != canonical_json(data[key]):
+            return False, f"{key} differs from its re-enumeration"
+        patches.append(patch)
+    patch_a, patch_b = patches
     cover = greedy_cover_from_dict(data, patch_a.scheme)
     if not cover.replay(patch_a.points, patch_b.points, patch_a.group_ops()):
         return False, "the assignments do not carry each point of patch_a into patch_b"
     return True, "one translate index per point of patch_a re-verified"
 
 
-def _replay_rejection(data) -> tuple[bool, str]:
-    ring = places.SIntegerRing.from_dict(data["ring"])
-    element = ring.field.elem_from_json(data["element"])
-    result = places.s_integer_membership(element, ring)
-    if isinstance(result, places.PisotCertificate):
-        return False, "element re-certified as a member; rejection not reproduced"
-    return (
-        result.witness_place.to_dict() == data["witness_place"],
-        "rejection witness reproduced",
-    )
-
-
 REPLAYERS = {
-    "patch": _replay_patch,
-    "heis_patch": _replay_patch,
-    "global_cover": _replay_global_cover,
-    "heis_cover": _replay_heis_cover,
-    "pisot_membership": _replay_pisot,
-    "poly_translate_cover": _replay_poly_cover,
-    "poly_shrink": _replay_poly_shrink,
-    "sum_product": _replay_sum_product,
-    "sum_product_rejection": _replay_rejection,
-    "approximate_lattice": _replay_approximate_lattice,
+    **dict.fromkeys(CERTIFICATES, _replay_certificate),
+    **dict.fromkeys(REBUILDERS, _replay_rebuilt),
     "delone_report": _replay_delone,
+    "approximate_lattice": _replay_approximate_lattice,
     "meyer_commensurability": _replay_meyer,
-    "intersection": _replay_intersection,
-    "projection": _replay_projection,
-    "center_intersection": _replay_center,
-    "schreiber_hull": _replay_hull,
-    "cell_cover": _replay_cellcover,
     "patch_cover": _replay_patch_cover,
 }
 

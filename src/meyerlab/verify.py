@@ -3,8 +3,8 @@
 Distances use the sup-norm on coordinates everywhere (for the Heisenberg
 group this is a documented proxy metric, bi-Lipschitz at patch scale).
 Reported separations are certified rational lower bounds that are exact
-whenever the coordinates are rational; the minimising pair is recorded
-exactly so every number here can be re-derived.
+whenever the coordinates are rational; `min_separation` also returns the
+minimising pair.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ def covering_radius(
 
 
 class DeloneReport(Record):
-    __slots__ = ("min_separation", "min_sep_witness", "covering")
+    __slots__ = ("min_separation", "covering")
 
     @property
     def is_delone(self) -> bool:
@@ -479,9 +479,9 @@ class DeloneReport(Record):
 def delone_certify(
     points: Sequence, ops: GroupOps, inner_radius, patch_radius=None
 ) -> DeloneReport:
-    sep, witness = min_separation(points, ops)
+    sep, _ = min_separation(points, ops)
     cov = covering_radius(points, ops, inner_radius, patch_radius=patch_radius)
-    return DeloneReport(min_separation=sep, min_sep_witness=witness, covering=cov)
+    return DeloneReport(sep, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def greedy_cover(
 class CoverBoundWitness(Record):
     """Representatives per fiber of X -> F1 x ... x Fn with the product bound."""
 
-    __slots__ = ("representatives", "cell_of", "bound", "verified")
+    __slots__ = ("representatives", "bound", "verified")
 
     @property
     def size(self) -> int:
@@ -596,11 +596,9 @@ def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitnes
             key.append(hit)
         cells.setdefault(tuple(key), []).append(x)
     representatives = []
-    cell_of = {}
     for key in sorted(cells):
         rep = cells[key][0]
         representatives.append(rep)
-        cell_of[key] = rep
         for other in cells[key][1:]:
             z = ops.mul(ops.inv(rep), other)
             for f_i, y_i, yset in prepared:
@@ -611,11 +609,11 @@ def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitnes
         bound *= len(f_i)
     if len(representatives) > bound:
         raise AssertionError("cell cover exceeded the product bound")
-    return CoverBoundWitness(representatives, cell_of, bound, True)
+    return CoverBoundWitness(representatives, bound, True)
 
 
 class PowerCoverResult(Record):
-    __slots__ = ("k", "translates", "bound", "checked", "witness")
+    __slots__ = ("translates", "bound", "checked", "witness")
 
     @property
     def verified(self) -> bool:
@@ -655,5 +653,5 @@ def approx_power_cover(
     for x in points_within(power, ops, inner):
         checked += 1
         if not any(ops.mul(ops.inv(f), x) in patch_set for f in f_k):
-            return PowerCoverResult(k, f_k, bound, checked, x)
-    return PowerCoverResult(k, f_k, bound, checked, None)
+            return PowerCoverResult(f_k, bound, checked, x)
+    return PowerCoverResult(f_k, bound, checked, None)

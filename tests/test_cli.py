@@ -83,6 +83,25 @@ def test_pisot_certify_rejection_exits_two(tmp_path):
     assert run_cli("verify", "replay", str(cert_path)) == 0
 
 
+def test_replay_rebuilds_the_whole_rejection(tmp_path, capsys):
+    elems_path = tmp_path / "elements.json"
+    elems_path.write_text(json.dumps(["0", "1/3", "-1/3"]))
+    path = tmp_path / "rej.json"
+    assert run_cli("pisot", "certify", "--ring", "zs:2", "--elements", str(elems_path),
+                   "--json", str(path)) == 2
+    data = json.loads(path.read_text())
+    assert data["reason"] == "|x|_3 = 3^1 > 1"
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 0
+    size = len(path.read_bytes())
+    assert capsys.readouterr().out == (
+        f"replay ok: sum_product_rejection rebuilt from its inputs: {size} bytes identical\n")
+    # a forged reason, and another element under the old reason and witness place
+    for key, value in (("reason", "|x|_3 = 3^7 > 1"), ("element", ["1/9"])):
+        code, out = _replay_data(tmp_path, capsys, data | {key: value})
+        assert code == 2 and "replay FAILED: sum_product_rejection rebuilt" in out, key
+
+
 def test_pisot_polycover_replay(tmp_path):
     path = tmp_path / "cover.json"
     code = run_cli("pisot", "polycover", "--ring", "pvs:golden", "--poly", "0,2",
@@ -229,6 +248,39 @@ def test_replay_rejects_an_empty_translate_chain(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("verify", "replay", str(json_path)) == 2
     assert "replay FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edits, code", [
+    ({("metric",): "euclidean"}, 2),
+    ({("delone",): False}, 2),
+    ({("delone",): 1}, 2),
+    # a verdict and a flag that agree with each other, but not with the bound
+    ({("covering", "verdict"): "INFINITE", ("delone",): False}, 2),
+    ({("covering", "inner_radius"): "14"}, 2),
+    ({("min_separation",): 0.5}, 1),
+    ({("min_separation",): None}, 1),
+    ({("inner_radius",): 15}, 1),
+    ({("covering", "mesh"): None}, 1),
+])
+def test_delone_replay_checks_the_report_fields_first(tmp_path, capsys, cover_artifacts,
+                                                       monkeypatch, edits, code):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report whose fields contradict each other was rebuilt")
+
+    monkeypatch.setattr(verify, "delone_certify", refuse)
+    data = json.loads(json.dumps(cover_artifacts["delone"]))
+    assert data["delone"] is True and data["covering"]["verdict"] == "FINITE"
+    for field, value in edits.items():
+        (data[field[0]] if len(field) == 2 else data)[field[-1]] = value
+    path = tmp_path / "delone.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out.startswith("replay FAILED")
+    else:
+        assert captured.err.startswith("usage error: ")
 
 
 def test_replay_rejects_delone_report_without_data(tmp_path, capsys):
@@ -519,6 +571,14 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
          "the target of a cover is a [lo, hi] pair, not 5"),
         (["verify", "replay", "{d}/heis-global-cover.json"],
          "a global cover needs a zs or galois scheme"),
+        # a float or bool literal where the file holds an integer or a rational string
+        (["verify", "replay", "{d}/min-poly-float.json"], "not an integer: -1.9"),
+        (["verify", "replay", "{d}/zs-level-float.json"], "not an integer: 1.7"),
+        (["verify", "replay", "{d}/radius-float.json"], "not a rational number: 10.0"),
+        (["verify", "replay", "{d}/dim-bool.json"], "not an integer: True"),
+        (["verify", "replay", "{d}/root-index-bool.json"], "not an integer: True"),
+        (["verify", "replay", "{d}/root-index-float.json"], "not an integer: 1.0"),
+        (["verify", "replay", "{d}/lattice-min-poly-float.json"], "not an integer: -1.9"),
         *((["verify", "replay", f"{{d}}/{artifact}-padic-{key}-int.json"],
            f"the {key} of a p-adic cover are a JSON list, not 5")
           for artifact in ("global", "lattice") for key in ("primes", "k1", "k2", "residues")),
@@ -539,6 +599,12 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     cover = {"translates": 5, "assignments": []}
     dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
     heis_cover = {"type": "heis_cover", "scheme": heis["scheme"], "shear_bound": "0"}
+    float_poly = golden["scheme"] | {"field": {"min_poly": [-1.9, -1, 1]}}
+    float_lattice = {"type": "approximate_lattice", "scheme": float_poly,
+                     "window": golden["window"], "patch_radius": "2", "delone": {},
+                     "cover": {"type": "global_cover", "scheme": float_poly,
+                               "w1": {"real": ["2"], "padic": []}, "w2": golden["window"],
+                               "dim_covers": [], "padic": None}}
     meyer = {"type": "meyer_commensurability", "scheme": heis["scheme"], "radius": "1",
              "side_a": "model_set", "side_b": "model_set", "scope_radius": "1/2",
              "verdict": "COMMENSURABLE-AT-SCALE", "cover_ab": cover, "cover_ba": cover}
@@ -560,7 +626,17 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("cover-target-int", heis_cover | {"x_cover": dim_cover | {"target": 5}}),
                        ("heis-global-cover", {"type": "global_cover", "scheme": heis["scheme"],
                                               "w1": zs["window"], "w2": zs["window"],
-                                              "dim_covers": [], "padic": None})):
+                                              "dim_covers": [], "padic": None}),
+                       ("min-poly-float", golden | {"scheme": float_poly}),
+                       ("zs-level-float", zs | {"scheme": {"kind": "zs", "primes": [2, 3]},
+                                                "window": {"real": [], "padic": [[2, 1.7], [3, 1]]}}),
+                       ("radius-float", golden | {"radius": 10.0}),
+                       ("dim-bool", golden | {"scheme": golden["scheme"] | {"dim": True}}),
+                       ("root-index-bool",
+                        golden | {"scheme": golden["scheme"] | {"physical_root_index": True}}),
+                       ("root-index-float",
+                        golden | {"scheme": golden["scheme"] | {"physical_root_index": 1.0}}),
+                       ("lattice-min-poly-float", float_lattice)):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     padic = {"primes": [2], "k1": [0], "k2": [0], "residues": ["0"]}
     for key in padic:
