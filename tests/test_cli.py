@@ -571,6 +571,9 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
          "the target of a cover is a [lo, hi] pair, not 5"),
         (["verify", "replay", "{d}/heis-global-cover.json"],
          "a global cover needs a zs or galois scheme"),
+        *((["verify", "replay", f"{{d}}/{artifact}-padic-{key}-int.json"],
+           f"the {key} of a p-adic cover are a JSON list, not 5")
+          for artifact in ("global", "lattice") for key in ("primes", "k1", "k2", "residues")),
         # a float or bool literal where the file holds an integer or a rational string
         (["verify", "replay", "{d}/min-poly-float.json"], "not an integer: -1.9"),
         (["verify", "replay", "{d}/zs-level-float.json"], "not an integer: 1.7"),
@@ -579,9 +582,6 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["verify", "replay", "{d}/root-index-bool.json"], "not an integer: True"),
         (["verify", "replay", "{d}/root-index-float.json"], "not an integer: 1.0"),
         (["verify", "replay", "{d}/lattice-min-poly-float.json"], "not an integer: -1.9"),
-        *((["verify", "replay", f"{{d}}/{artifact}-padic-{key}-int.json"],
-           f"the {key} of a p-adic cover are a JSON list, not 5")
-          for artifact in ("global", "lattice") for key in ("primes", "k1", "k2", "residues")),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
