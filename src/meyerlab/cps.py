@@ -19,6 +19,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import add, neg
 
 from . import heis, verify
 from .errors import (
@@ -204,10 +205,12 @@ class ZSScheme:
 
 
 class QuadraticScheme:
-    """Places and point format shared by the schemes over a real quadratic field.
+    """Places, point format and group structure shared by the schemes over a
+    real quadratic field.
 
-    A point is a sequence of field elements, one per name in `coords`, and
-    `point` builds one from its coordinates.  sigma_1 is the physical place.
+    A point is a tuple of field elements, one per name in `coords`; each
+    scheme supplies its group law as `mul` and `inv`.  sigma_1 is the
+    physical place.
     """
 
     @property
@@ -227,7 +230,7 @@ class QuadraticScheme:
             raise UsageError(
                 f"a {self.kind} point is one coefficient list per coordinate, not {data!r}"
             )
-        return self.point(self.field.elem_from_json(x) for x in data)
+        return tuple(self.field.elem_from_json(x) for x in data)
 
     def csv_header(self) -> str:
         return ",".join(f"{name}_c{i}" for name in self.coords for i in (0, 1))
@@ -237,19 +240,31 @@ class QuadraticScheme:
 
     def point_from_csv(self, row: str):
         cells = row.split(",")
-        return self.point(
+        return tuple(
             self.field.elem([str_frac(c) for c in cells[i : i + 2]])
             for i in range(0, 2 * len(self.coords), 2)
         )
 
-    def sort_key(self, p):
+    @staticmethod
+    def sort_key(p):
         return tuple(c for x in p for c in x.coeffs)
+
+    def group_ops(self) -> verify.GroupOps:
+        zero = self.field.zero()
+        return verify.GroupOps(
+            mul=self.mul,
+            inv=self.inv,
+            identity=tuple(zero for _ in self.coords),
+            sort_key=self.sort_key,
+            coord_intervals=embedding_intervals(self.physical_place),
+            dim=len(self.coords),
+        )
 
 
 class GaloisScheme(QuadraticScheme):
     """Physical R^n via sigma_1, internal R^n via sigma_2, lattice Z[theta]^n.
 
-    A point is a tuple of n field elements.
+    A point is a tuple of n field elements, added coordinatewise.
     """
 
     kind = "galois"
@@ -286,25 +301,19 @@ class GaloisScheme(QuadraticScheme):
     def coords(self) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(self.dim))
 
-    def point(self, coords) -> tuple:
-        return tuple(coords)
+    @staticmethod
+    def mul(a: tuple, b: tuple) -> tuple:
+        return tuple(map(add, a, b))
+
+    @staticmethod
+    def inv(a: tuple) -> tuple:
+        return tuple(map(neg, a))
 
     def validate_window(self, window: Window):
         if window.padic_balls:
             raise UsageError("GALOIS windows have no p-adic component")
         if len(window.real_halfwidths) != self.dim:
             raise UsageError("window dimension must match the scheme dimension")
-
-    def group_ops(self) -> verify.GroupOps:
-        zero = tuple(self.field.zero() for _ in range(self.dim))
-        return verify.GroupOps(
-            mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-            inv=lambda a: tuple(-x for x in a),
-            identity=zero,
-            sort_key=self.sort_key,
-            coord_intervals=embedding_intervals(self.physical_place),
-            dim=self.dim,
-        )
 
     def model_set(self, window: Window, radius) -> "Patch":
         return model_set_patch(self, window, radius)
@@ -390,7 +399,6 @@ def enumerate_window_elements(
     internal_place: RealEmbeddingInterval,
     physical_radius,
     internal_halfwidth,
-    candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
 ) -> list[NFElem]:
     """All x in Z[theta] with |sigma_phys(x)| <= R and |sigma_int(x)| <= c.
 
@@ -414,9 +422,9 @@ def enumerate_window_elements(
     b_max = math.floor((R + c) / gap_lo)
     a_max = math.floor((R * t2_abs + c * t1_abs) / gap_lo)
     count = (2 * a_max + 1) * (2 * b_max + 1)
-    if count > candidate_limit:
+    if count > DEFAULT_CANDIDATE_LIMIT:
         raise ResourceLimit(
-            f"coefficient box holds {count} candidates, above the limit {candidate_limit}"
+            f"coefficient box holds {count} candidates, above the limit {DEFAULT_CANDIDATE_LIMIT}"
         )
 
     c1, disc = field.min_poly[1], field.disc
@@ -434,46 +442,34 @@ def enumerate_window_elements(
     return [NFElem(field, a, b) for a, b in found]
 
 
-def model_set_patch(
-    scheme,
-    window: Window,
-    radius,
-    candidate_limit: int = DEFAULT_CANDIDATE_LIMIT,
-) -> Patch:
+def model_set_patch(scheme, window: Window, radius) -> Patch:
     """Complete patch of the model set p_G(Gamma ∩ G x W) inside the R-ball."""
     radius = Fraction(radius)
     if radius <= 0:
         raise UsageError("radius must be positive")
     scheme.validate_window(window)
     if scheme.kind == "zs":
-        points = _zs_patch_points(window, radius, candidate_limit)
+        points = _zs_patch_points(window, radius)
     else:
-        points = box_points(scheme, window.real_halfwidths, radius, candidate_limit)
+        points = box_points(scheme, window.real_halfwidths, radius)
     return Patch(scheme, window, radius, tuple(points))
 
 
-def box_points(
-    scheme: QuadraticScheme, halfwidths, radius, candidate_limit: int = DEFAULT_CANDIDATE_LIMIT
-) -> list:
+def box_points(scheme: QuadraticScheme, halfwidths, radius) -> list:
     """Points whose coordinates each lie in their window and the R-ball, in scheme order."""
     per_dim = [
         enumerate_window_elements(
-            scheme.field,
-            scheme.physical_place,
-            scheme.internal_place,
-            radius,
-            c,
-            candidate_limit=candidate_limit,
+            scheme.field, scheme.physical_place, scheme.internal_place, radius, c
         )
         for c in halfwidths
     ]
     total = math.prod(len(lst) for lst in per_dim)
-    if total > candidate_limit:
+    if total > DEFAULT_CANDIDATE_LIMIT:
         raise ResourceLimit(f"patch would hold {total} points, above the limit")
-    return sorted(map(scheme.point, itertools.product(*per_dim)), key=scheme.sort_key)
+    return sorted(itertools.product(*per_dim), key=scheme.sort_key)
 
 
-def _zs_patch_points(window: Window, radius: Fraction, candidate_limit: int):
+def _zs_patch_points(window: Window, radius: Fraction):
     """The multiples n * step, step = prod p^-k, in the R-ball, ascending.
 
     The window's primes are the scheme's, so a rational lies in Z[1/S] with
@@ -483,7 +479,7 @@ def _zs_patch_points(window: Window, radius: Fraction, candidate_limit: int):
     for p, k in window.padic_balls:
         step *= Fraction(p) ** (-k)
     n_max = math.floor(radius / step)
-    if 2 * n_max + 1 > candidate_limit:
+    if 2 * n_max + 1 > DEFAULT_CANDIDATE_LIMIT:
         raise ResourceLimit(f"{2 * n_max + 1} candidates exceed the limit")
     return [n * step for n in range(-n_max, n_max + 1)]
 
@@ -588,14 +584,13 @@ def cover_dimension(
     internal_place: RealEmbeddingInterval,
     target_halfwidth,
     tile_halfwidth,
-    search_doublings: int = DEFAULT_SEARCH_CAP_DOUBLINGS,
 ) -> DimCover:
     """Cover [-c1, c1] by tiles t + [-c2, c2] with t from lattice internal images."""
     c1 = Fraction(target_halfwidth)
     c2 = Fraction(tile_halfwidth)
     search = 2 * (c1 + c2) + 2
     progress = None
-    for _ in range(search_doublings):
+    for _ in range(DEFAULT_SEARCH_CAP_DOUBLINGS):
         candidates = enumerate_window_elements(
             field, physical_place, internal_place, search, c1 + c2
         )

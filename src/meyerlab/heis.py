@@ -3,11 +3,13 @@
 Group law (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y'), centre the z-axis.
 Everything is polynomial with integer coefficients, so applying either real
 embedding coordinatewise is a group homomorphism and H3(O_K) embeds as a
-lattice in H3(R) x H3(R).  All operations below are exact.
+lattice in H3(R) x H3(R).  A point is an (x, y, z) tuple of field elements,
+and all operations below are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from fractions import Fraction
@@ -19,7 +21,6 @@ from .exactnum import (
     NumberField,
     Record,
     abs_embedding_leq,
-    embedding_intervals,
     eval_embedding,
     frac_str,
     iv_abs,
@@ -27,124 +28,55 @@ from .exactnum import (
 )
 
 
-class HeisPoint(Record):
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: NFElem, y: NFElem, z: NFElem):
-        if x.field != y.field or y.field != z.field:
-            raise UsageError("Heisenberg coordinates from different fields")
-        self.x = x
-        self.y = y
-        self.z = z
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.z))
-
-    @property
-    def field(self) -> NumberField:
-        return self.x.field
-
-    def __mul__(self, other: "HeisPoint") -> "HeisPoint":
-        return heis_mul(self, other)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
-
-    def sort_key(self):
-        return self.x.coeffs + self.y.coeffs + self.z.coeffs
+def point(field: NumberField, x, y, z) -> tuple:
+    """(x, y, z) as elements of `field`; rationals are coerced."""
+    return tuple(v if isinstance(v, NFElem) else field.from_rational(Fraction(v)) for v in (x, y, z))
 
 
-def point(field: NumberField, x, y, z) -> HeisPoint:
-    def coerce(v):
-        if isinstance(v, NFElem):
-            return v
-        return field.from_rational(Fraction(v))
-
-    return HeisPoint(coerce(x), coerce(y), coerce(z))
+def heis_mul(p: tuple, q: tuple) -> tuple:
+    x, y, z = p
+    u, v, w = q
+    return (x + u, y + v, z + w + x * v)
 
 
-def heis_mul(p: HeisPoint, q: HeisPoint) -> HeisPoint:
-    if p.field != q.field:
-        raise UsageError("Heisenberg points from different fields")
-    return HeisPoint(p.x + q.x, p.y + q.y, p.z + q.z + p.x * q.y)
+def heis_inv(p: tuple) -> tuple:
+    x, y, z = p
+    return (-x, -y, -z + x * y)
 
 
-def heis_inv(p: HeisPoint) -> HeisPoint:
-    return HeisPoint(-p.x, -p.y, -p.z + p.x * p.y)
-
-
-def heis_identity(field: NumberField) -> HeisPoint:
+def heis_identity(field: NumberField) -> tuple:
     zero = field.zero()
-    return HeisPoint(zero, zero, zero)
+    return (zero, zero, zero)
 
 
-def commutator(p: HeisPoint, q: HeisPoint) -> HeisPoint:
+def commutator(p: tuple, q: tuple) -> tuple:
     return heis_mul(heis_mul(heis_mul(p, q), heis_inv(p)), heis_inv(q))
 
 
 # ---------------------------------------------------------------------------
-# Lie algebra, exp/log, degree-2 BCH (exact for a 2-step group).
+# Lie algebra, exp/log, degree-2 BCH (exact for a 2-step group).  An algebra
+# element a X + b Y + c Z is the tuple (a, b, c).
 # ---------------------------------------------------------------------------
 
 
-class HeisAlgebraElem(Record):
-    __slots__ = ("a", "b", "c")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c))
-
-    @property
-    def field(self) -> NumberField:
-        return self.a.field
-
-    def __add__(self, other: "HeisAlgebraElem") -> "HeisAlgebraElem":
-        return HeisAlgebraElem(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __neg__(self):
-        return HeisAlgebraElem(-self.a, -self.b, -self.c)
-
-    def sort_key(self):
-        return self.a.coeffs + self.b.coeffs + self.c.coeffs
+def bracket(u: tuple, v: tuple) -> tuple:
+    zero = u[0].field.zero()
+    return (zero, zero, u[0] * v[1] - v[0] * u[1])
 
 
-def algebra_elem(field: NumberField, a, b, c) -> HeisAlgebraElem:
-    def coerce(v):
-        if isinstance(v, NFElem):
-            return v
-        return field.from_rational(Fraction(v))
-
-    return HeisAlgebraElem(coerce(a), coerce(b), coerce(c))
+def heis_exp(v: tuple) -> tuple:
+    a, b, c = v
+    return (a, b, c + a * b * Fraction(1, 2))
 
 
-def bracket(u: HeisAlgebraElem, v: HeisAlgebraElem) -> HeisAlgebraElem:
-    zero = u.field.zero()
-    return HeisAlgebraElem(zero, zero, u.a * v.b - v.a * u.b)
+def heis_log(p: tuple) -> tuple:
+    x, y, z = p
+    return (x, y, z - x * y * Fraction(1, 2))
 
 
-def heis_exp(v: HeisAlgebraElem) -> HeisPoint:
-    return HeisPoint(v.a, v.b, v.c + v.a * v.b * Fraction(1, 2))
-
-
-def heis_log(p: HeisPoint) -> HeisAlgebraElem:
-    return HeisAlgebraElem(p.x, p.y, p.z - p.x * p.y * Fraction(1, 2))
-
-
-def bch2(u: HeisAlgebraElem, v: HeisAlgebraElem) -> HeisAlgebraElem:
+def bch2(u: tuple, v: tuple) -> tuple:
     """u + v + [u,v]/2; exact (all higher brackets vanish in a 2-step algebra)."""
-    w = bracket(u, v)
-    return HeisAlgebraElem(
-        u.a + v.a, u.b + v.b, u.c + v.c + w.c * Fraction(1, 2)
-    )
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + bracket(u, v)[2] * Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +89,8 @@ class HeisScheme(cps.QuadraticScheme):
 
     Window halfwidths (c_x, c_y, c_z); c_z must be positive, c_x and c_y may
     be zero (degenerate central schemes).  The window belongs to the scheme,
-    so its patches carry none of their own.  A point is a HeisPoint.
+    so its patches carry none of their own.  A point is an (x, y, z) tuple of
+    field elements.
     """
 
     kind = "heis"
@@ -186,20 +119,13 @@ class HeisScheme(cps.QuadraticScheme):
     def __repr__(self):
         return f"HeisScheme({self.field!r}, window={tuple(map(str, self.window))})"
 
-    sort_key = staticmethod(HeisPoint.sort_key)
+    # heis_mul and heis_inv are looked up when called, so a tracer that wraps
+    # them sees the calls made through group_ops
+    def mul(self, p: tuple, q: tuple) -> tuple:
+        return heis_mul(p, q)
 
-    def point(self, coords) -> HeisPoint:
-        return HeisPoint(*coords)
-
-    def group_ops(self) -> verify.GroupOps:
-        return verify.GroupOps(
-            mul=heis_mul,
-            inv=heis_inv,
-            identity=heis_identity(self.field),
-            sort_key=self.sort_key,
-            coord_intervals=embedding_intervals(self.physical_place),
-            dim=3,
-        )
+    def inv(self, p: tuple) -> tuple:
+        return heis_inv(p)
 
     def model_set(self, window, radius) -> cps.Patch:
         # the scheme carries the window, so a Heisenberg patch's own is None
@@ -210,14 +136,9 @@ class HeisScheme(cps.QuadraticScheme):
         cx, cy, cz = self.window
         return (2 * cx, 2 * cy, 2 * cz + cx * cy)
 
-    def window_contains_internal(self, p: HeisPoint) -> bool:
-        cx, cy, cz = self.window
+    def window_contains_internal(self, p: tuple) -> bool:
         place = self.internal_place
-        return (
-            abs_embedding_leq(p.x, place, cx)
-            and abs_embedding_leq(p.y, place, cy)
-            and abs_embedding_leq(p.z, place, cz)
-        )
+        return all(abs_embedding_leq(v, place, c) for v, c in zip(p, self.window))
 
     def to_dict(self) -> dict:
         return {
@@ -240,13 +161,11 @@ def heis_model_set(scheme: HeisScheme, radius) -> cps.Patch:
     return cps.Patch(scheme, None, radius, tuple(cps.box_points(scheme, scheme.window, radius)))
 
 
-def symmetrize(points: Sequence[HeisPoint]) -> list[HeisPoint]:
+def symmetrize(points: Sequence[tuple]) -> list[tuple]:
     """Lambda ∩ Lambda^-1: the minimal exact fix for box windows not being
     inverse-closed under (x,y,z)^-1 = (-x,-y,-z+xy)."""
     s = set(points)
-    out = [p for p in points if heis_inv(p) in s]
-    out.sort(key=lambda p: p.sort_key())
-    return out
+    return sorted((p for p in points if heis_inv(p) in s), key=HeisScheme.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -265,15 +184,9 @@ class HeisCoverCertificate(Record):
     __slots__ = ("scheme", "x_cover", "y_cover", "z_cover", "shear_bound")
 
     @property
-    def translates(self) -> list[HeisPoint]:
-        out = [
-            HeisPoint(t1, t2, t3)
-            for t1 in self.x_cover.elements
-            for t2 in self.y_cover.elements
-            for t3 in self.z_cover.elements
-        ]
-        out.sort(key=lambda p: p.sort_key())
-        return out
+    def translates(self) -> list[tuple]:
+        covers = (self.x_cover, self.y_cover, self.z_cover)
+        return sorted(itertools.product(*(c.elements for c in covers)), key=HeisScheme.sort_key)
 
     def replay(self) -> bool:
         """Check the three interval covers, and |sigma(t1)| <= shear_bound exactly.
@@ -367,18 +280,6 @@ def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _central_ops(field: NumberField, physical_place) -> verify.GroupOps:
-    intervals = embedding_intervals(physical_place)
-    return verify.GroupOps(
-        mul=lambda a, b: a + b,
-        inv=lambda a: -a,
-        identity=field.zero(),
-        sort_key=lambda a: a.coeffs,
-        coord_intervals=lambda a, bits: intervals((a,), bits),
-        dim=1,
-    )
-
-
 class CenterIntersection(Record):
     __slots__ = ("scheme", "radius", "z_values", "report")
 
@@ -424,8 +325,10 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     out.sort(key=lambda e: e.coeffs)
     report = None
     if len(out) >= 2:
+        # the centre is a line: its z-values are measured as 1-tuples
+        centre = cps.GaloisScheme(field, 1, scheme.physical_root_index)
         report = verify.delone_certify(
-            out, _central_ops(field, phys), radius / 2, patch_radius=radius
+            [(z,) for z in out], centre.group_ops(), radius / 2, patch_radius=radius
         )
     return CenterIntersection(scheme, radius, out, report)
 
@@ -434,18 +337,16 @@ class CommutatorMapResult(Record):
     __slots__ = ("homomorphism_exact", "trivial", "report")
 
 
-def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
+def commutator_map(xi: tuple, patch: cps.Patch) -> CommutatorMapResult:
     """phi_xi(u) = [xi, u] = (0, 0, x_xi y_u - y_xi x_u) over the patch.
 
     The z-component is bilinear, so phi_xi is a homomorphism into the centre;
     the identity phi_xi(uv) = phi_xi(u) phi_xi(v) is checked exactly on every
     pair of patch points.
     """
-    if xi.field != patch.scheme.field:
+    if xi[0].field != patch.scheme.field:
         raise UsageError("xi and patch from different fields")
-    images = []
-    for u in patch.points:
-        images.append(xi.x * u.y - xi.y * u.x)
+    images = [xi[0] * u[1] - xi[1] * u[0] for u in patch.points]
     hom_ok = True
     pts = patch.points
     for u in pts:
@@ -461,8 +362,9 @@ def commutator_map(xi: HeisPoint, patch: cps.Patch) -> CommutatorMapResult:
     trivial = all(e.is_zero for e in distinct)
     report = None
     if not trivial and len(distinct) >= 2:
-        ops = _central_ops(patch.scheme.field, patch.scheme.physical_place)
-        report = verify.delone_certify(distinct, ops, patch.radius / 2)
+        scheme = patch.scheme
+        centre = cps.GaloisScheme(scheme.field, 1, scheme.physical_root_index)
+        report = verify.delone_certify([(e,) for e in distinct], centre.group_ops(), patch.radius / 2)
     return CommutatorMapResult(hom_ok, trivial, report)
 
 
@@ -554,8 +456,8 @@ class MeyerCommensurability(Record):
 
 
 def meyer_commensurability(
-    points_a: Sequence[HeisPoint],
-    points_b: Sequence[HeisPoint],
+    points_a: Sequence[tuple],
+    points_b: Sequence[tuple],
     ops: verify.GroupOps,
     scope_radius,
     max_translates: int | None = None,
@@ -591,7 +493,8 @@ def dilation_automorphism(scheme: HeisScheme, u: NFElem, v: NFElem):
         if w.trace().denominator != 1 or w.norm().denominator != 1 or abs(w.norm()) != 1:
             raise UsageError("dilation parameters must be units of O_K")
 
-    def apply(p: HeisPoint) -> HeisPoint:
-        return HeisPoint(u * p.x, v * p.y, u * v * p.z)
+    def apply(p: tuple) -> tuple:
+        x, y, z = p
+        return (u * x, v * y, u * v * z)
 
     return apply

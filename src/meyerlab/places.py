@@ -362,6 +362,8 @@ class TranslateCoverCertificate(Record):
 
     conj_bound is a certified bound B on |sigma_int(P - P(0))| over the window;
     coset_covers holds None per coset for K = Q (coset arithmetic only).
+    Every field but the covers follows from `ring`, `poly` and `window_scale`,
+    and replay derives each of them again.
     """
 
     __slots__ = (
@@ -383,36 +385,32 @@ class TranslateCoverCertificate(Record):
 
     def replay(self) -> bool:
         ring = self.ring
+        constant, m, reps = _translate_frame(self.poly, ring)
+        count = m**ring.field.degree
+        if (self.constant, self.modulus) != (constant, m):
+            return False
+        # counts first: the representatives are only made once they are few
+        if not len(self.coset_reps) == len(self.coset_covers) == count:
+            return False
+        if list(reps) != list(self.coset_reps):
+            return False
         if ring.field.degree == 1:
-            expected = _rational_coset_modulus(self.poly, ring)
-            return (
-                0 in ring.s_arch_indices
-                and expected == self.modulus
-                and len(self.coset_reps) == self.modulus
-            )
+            return 0 in ring.s_arch_indices and self.conj_bound == 0
         if ring.s_primes or len(ring.s_arch_indices) != 1:
             return False  # the ring polynomial_translate_cover accepts: S = one real place
         internal, _ = _internal_place(ring)
-        rest = self.poly[1:]
-        if rest and _coeff_denominator_lcm(rest) != self.modulus:
-            return False
-        bound = Fraction(0)
-        for i, c in enumerate(rest, start=1):
-            _, hi = iv_abs(eval_embedding(c, internal, 96))
-            bound += hi * self.window_scale**i
+        bound = _conj_bound(self.poly, internal, self.window_scale)
         if bound != self.conj_bound:
             return False
         for rep, cover in zip(self.coset_reps, self.coset_covers):
-            if cover is None or not cover.replay(internal):
+            if not cover.replay(internal):
                 return False
             # the stored target must dominate the band this coset really needs
             _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
             needed = bound + rep_hi
             if cover.tile_halfwidth != 1 or cover.target_hi < needed or cover.target_lo > -needed:
                 return False
-        if not rest:
-            return len(self.coset_reps) == 1
-        return len(self.coset_reps) == self.modulus * self.modulus
+        return True
 
     def to_dict(self) -> dict:
         return {
@@ -432,6 +430,8 @@ class TranslateCoverCertificate(Record):
         ring = SIntegerRing.from_dict(data["ring"])
         field = ring.field
         covers = json_list(data["coset_covers"], "the coset_covers are")
+        if any((c is None) != (field.degree == 1) for c in covers):
+            raise UsageError("a coset cover is null over Q and an interval cover over a quadratic field")
 
         def elems(key):
             return [field.elem_from_json(e) for e in json_list(data[key], f"the {key} are")]
@@ -441,19 +441,41 @@ class TranslateCoverCertificate(Record):
             poly=elems("poly"),
             window_scale=str_frac(data["window_scale"]),
             conj_bound=str_frac(data["conj_bound"]),
-            modulus=data["modulus"],
+            modulus=str_int(data["modulus"]),
             constant=field.elem_from_json(data["constant"]),
             coset_reps=elems("coset_reps"),
             coset_covers=[None if c is None else cps.DimCover.from_dict(c, field) for c in covers],
         )
 
 
-def _rational_coset_modulus(poly: Sequence[NFElem], ring: SIntegerRing) -> int:
-    m = _coeff_denominator_lcm(poly[1:])
-    for p in ring.s_primes:
-        while m % p == 0:
-            m //= p
-    return m
+def _translate_frame(coeffs: Sequence[NFElem], ring: SIntegerRing):
+    """(P(0), m, the coset representatives) of a translate cover of P over `ring`.
+
+    P - P(0) maps the window into (1/m) O_{K,S}.  Over Q, m is the part of the
+    coefficient denominators prime to S and the representatives are j/m; over
+    a quadratic field they are the m^2 elements (i + j theta)/m.  They are
+    yielded lazily, so their number can be checked before they are made.
+    """
+    field = ring.field
+    constant = coeffs[0] if coeffs else field.zero()
+    m = _coeff_denominator_lcm(coeffs[1:])
+    if field.degree == 1:
+        for p in ring.s_primes:
+            while m % p == 0:
+                m //= p
+        return constant, m, (field.from_rational(Fraction(j, m)) for j in range(m))
+    theta = field.gen()
+    reps = ((field.from_rational(i) + theta * j) * Fraction(1, m) for i in range(m) for j in range(m))
+    return constant, m, reps
+
+
+def _conj_bound(coeffs: Sequence[NFElem], internal, window_scale: Fraction) -> Fraction:
+    """Certified bound on |sigma_int(P - P(0))| over the window [-s, s]."""
+    bound = Fraction(0)
+    for i, c in enumerate(coeffs[1:], start=1):
+        _, hi = iv_abs(eval_embedding(c, internal, 96))
+        bound += hi * window_scale**i
+    return bound
 
 
 def polynomial_translate_cover(
@@ -470,51 +492,29 @@ def polynomial_translate_cover(
     if window_scale <= 0:
         raise UsageError("window scale must be positive")
     field = ring.field
-    coeffs = _coerce_poly(field, poly)
-    if not coeffs:
-        coeffs = [field.zero()]
-    constant = coeffs[0]
-    rest = coeffs[1:]
+    coeffs = _coerce_poly(field, poly) or [field.zero()]
+    constant, m, reps = _translate_frame(coeffs, ring)
     if field.degree == 1:
         if 0 not in ring.s_arch_indices:
             raise UsageError("rational rings here must contain the archimedean place in S")
-        m = _rational_coset_modulus(coeffs, ring)
-        reps = [field.from_rational(Fraction(j, m)) for j in range(m)]
         return TranslateCoverCertificate(
-            ring, coeffs, window_scale, Fraction(0), m, constant, reps, [None] * m
+            ring, coeffs, window_scale, Fraction(0), m, constant, list(reps), [None] * m
         )
     _require_single_arch_ring(ring)
-    internal, _physical = _internal_place(ring)
-    if not rest:
+    reps = list(reps)
+    internal, physical = _internal_place(ring)
+    bound = _conj_bound(coeffs, internal, window_scale)
+    if len(coeffs) == 1:
         # constant polynomial: the image is {P(0)}, one translate and no search
         zero_cover = cps.DimCover((field.zero(),), Fraction(1), Fraction(0), Fraction(0))
         return TranslateCoverCertificate(
-            ring, coeffs, window_scale, Fraction(0), 1, constant, [field.zero()], [zero_cover]
+            ring, coeffs, window_scale, bound, m, constant, reps, [zero_cover]
         )
-    bound = Fraction(0)
-    for i, c in enumerate(rest, start=1):
-        _, hi = iv_abs(eval_embedding(c, internal, 96))
-        bound += hi * window_scale**i
-    m = _coeff_denominator_lcm(rest)
-    theta = field.gen()
-    reps = []
     covers = []
-    for i in range(m):
-        for j in range(m):
-            rep = (field.from_rational(i) + theta * j) * Fraction(1, m)
-            _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
-            cover = cps.cover_dimension(
-                field,
-                _physical,
-                internal,
-                bound + rep_hi,
-                Fraction(1),
-            )
-            reps.append(rep)
-            covers.append(cover)
-    return TranslateCoverCertificate(
-        ring, coeffs, window_scale, bound, m, constant, reps, covers
-    )
+    for rep in reps:
+        _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
+        covers.append(cps.cover_dimension(field, physical, internal, bound + rep_hi, Fraction(1)))
+    return TranslateCoverCertificate(ring, coeffs, window_scale, bound, m, constant, reps, covers)
 
 
 def poly_apply(poly: Sequence[NFElem], x: NFElem) -> NFElem:

@@ -21,6 +21,7 @@ from .exactnum import Record, frac_str, iv_abs, iv_sub
 SUP_NORM_METRIC = "sup-norm on coordinates"
 SEPARATION_BITS = 128  # interval precision of min_separation (doubled where it cannot separate)
 COVERING_BITS = 96  # interval precision of covering_radius
+NORM_BITS = 64  # interval precision of point_norm_hi and points_within
 MESH_ROUNDS = 10  # at most this many grid meshes in covering_radius
 
 
@@ -59,10 +60,10 @@ def intmod_ops(n: int) -> GroupOps:
     )
 
 
-def point_norm_hi(point, ops: GroupOps, bits: int = 64) -> Fraction:
+def point_norm_hi(point, ops: GroupOps) -> Fraction:
     """Certified upper bound on the sup-norm of a point."""
     hi = Fraction(0)
-    for iv in ops.coord_intervals(point, bits):
+    for iv in ops.coord_intervals(point, NORM_BITS):
         _, hi_a = iv_abs(iv)
         hi = max(hi, hi_a)
     return hi
@@ -91,7 +92,7 @@ def points_within(points, ops: GroupOps, radius) -> list:
     kept = []
     for p in points:
         norm = 0.0
-        for lo, hi in ops.coord_intervals(p, 64):
+        for lo, hi in ops.coord_intervals(p, NORM_BITS):
             norm = max(norm, abs(_float(lo)), abs(_float(hi)))
         if norm < r or (norm == r and point_norm_hi(p, ops) <= radius):
             kept.append(p)

@@ -6,7 +6,8 @@ enumeration order, set iteration or serialisation that moves one output byte
 fails this test.  Refresh the table only for a deliberate format change.
 
 The same files, plus three artifact types the jobs do not write, are the
-corpus of a field fuzz of `verify replay`.
+corpus of a field fuzz of `verify replay`; the certificates that replay by
+check are also fuzzed one level deeper.
 """
 
 import copy
@@ -154,22 +155,55 @@ def _field_paths(data):
             yield from ((key, sub) for sub in sorted(data[key]))
 
 
-@pytest.mark.parametrize("name", FUZZ_CORPUS)
-def test_replay_of_a_mutated_field_never_raises(fuzz_corpus, tmp_path, capsys, name):
-    data = json.loads((fuzz_corpus / name).read_text())
-    path = tmp_path / name
+def _replay_mutations(data, fields, values, path) -> list:
+    """Replay `data` with each field set to each value; the exceptions raised."""
     raised = []
-    for field in _field_paths(data):
-        for value in FUZZ_VALUES:
+    for field in fields:
+        for value in values:
             mutated = copy.deepcopy(data)
-            parent = mutated[field[0]] if len(field) == 2 else mutated
+            parent = mutated
+            for step in field[:-1]:
+                parent = parent[step]
             parent[field[-1]] = value
             path.write_text(json.dumps(mutated))
             try:
                 code = cli.run(["verify", "replay", str(path)])
             except Exception as exc:
-                raised.append(f"{'.'.join(field)} = {value!r}: {exc!r}")
+                raised.append(f"{'.'.join(map(str, field))} = {value!r}: {exc!r}")
                 continue
             assert code in (0, 1, 2), (field, value)
+    return raised
+
+
+@pytest.mark.parametrize("name", FUZZ_CORPUS)
+def test_replay_of_a_mutated_field_never_raises(fuzz_corpus, tmp_path, capsys, name):
+    data = json.loads((fuzz_corpus / name).read_text())
+    raised = _replay_mutations(data, _field_paths(data), FUZZ_VALUES, tmp_path / name)
+    capsys.readouterr()
+    assert raised == []
+
+
+# certificates that replay by check, fuzzed one level further down
+DEEP_FUZZ_CORPUS = ("cert.json", "cert-zs.json", "heis-cert.json", "polycover.json", "cover.json")
+DEEP_FUZZ_VALUES = FUZZ_VALUES + (1.5, "1/0")
+
+
+def _deep_field_paths(node, path=()):
+    """The first and last entry of every list, and every key at the third level."""
+    if type(node) is list and node:
+        for i in sorted({0, len(node) - 1}):
+            yield path + (i,)
+            yield from _deep_field_paths(node[i], path + (i,))
+    elif type(node) is dict:
+        for key in sorted(node):
+            if len(path) == 2:
+                yield path + (key,)
+            yield from _deep_field_paths(node[key], path + (key,))
+
+
+@pytest.mark.parametrize("name", DEEP_FUZZ_CORPUS)
+def test_replay_of_a_mutated_deep_field_never_raises(fuzz_corpus, tmp_path, capsys, name):
+    data = json.loads((fuzz_corpus / name).read_text())
+    raised = _replay_mutations(data, _deep_field_paths(data), DEEP_FUZZ_VALUES, tmp_path / name)
     capsys.readouterr()
     assert raised == []

@@ -250,6 +250,34 @@ def test_replay_rejects_an_empty_translate_chain(tmp_path, capsys):
     assert "replay FAILED" in capsys.readouterr().out
 
 
+def _zero_reps_and_first_cover_everywhere(data):
+    data["coset_reps"] = [["0"] * len(r) for r in data["coset_reps"]]
+    data["coset_covers"] = [data["coset_covers"][0]] * len(data["coset_covers"])
+
+
+@pytest.mark.parametrize("ring, poly, forge, codes", [
+    # P(0) shifted by 1/7, in the constant or in the polynomial alone
+    ("pvs:sqrt2", "0,1,1", lambda d: d.update(constant=["1/7", "0"]), (2,)),
+    ("pvs:sqrt2", "0,1,1", lambda d: d["poly"].__setitem__(0, ["1/7", "0"]), (2,)),
+    # every coset claims the representative 0 and the cover of coset 0
+    ("pvs:golden", "1/3,1/2", _zero_reps_and_first_cover_everywhere, (2,)),
+    ("zs:2", "0,1/3", _zero_reps_and_first_cover_everywhere, (2,)),
+    # a quadratic ring's coset needs an interval cover, and every coset one
+    ("pvs:golden", "1/3,1/2", lambda d: d["coset_covers"].__setitem__(1, None), (1, 2)),
+    ("pvs:golden", "1/3,1/2", lambda d: d["coset_covers"].pop(), (2,)),
+])
+def test_poly_cover_replay_derives_the_constant_and_the_cosets(tmp_path, capsys, ring, poly,
+                                                                forge, codes):
+    path = tmp_path / "polycover.json"
+    assert run_cli("pisot", "polycover", "--ring", ring, "--poly", poly, "--json", str(path)) == 0
+    data = json.loads(path.read_text())
+    forge(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) in codes
+    assert "replay ok" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("edits, code", [
     ({("metric",): "euclidean"}, 2),
     ({("delone",): False}, 2),

@@ -270,13 +270,15 @@ class TestRowWiseEnumeration:
         assert got == full_box_window_elements(field, phys, internal, 30, 3)[0]
 
     @pytest.mark.parametrize("name", ["golden", "sqrt2"])
-    def test_resource_limit_at_the_same_box_count(self, name):
+    def test_resource_limit_at_the_same_box_count(self, name, monkeypatch):
         field, phys, internal = self._places(name, 1)
         expected, count = full_box_window_elements(field, phys, internal, 50, 2)
-        got = cps.enumerate_window_elements(field, phys, internal, 50, 2, candidate_limit=count)
+        monkeypatch.setattr(cps, "DEFAULT_CANDIDATE_LIMIT", count)
+        got = cps.enumerate_window_elements(field, phys, internal, 50, 2)
         assert [tuple(int(v) for v in x.coeffs) for x in got] == expected
+        monkeypatch.setattr(cps, "DEFAULT_CANDIDATE_LIMIT", count - 1)
         with pytest.raises(ResourceLimit, match=f"holds {count} candidates"):
-            cps.enumerate_window_elements(field, phys, internal, 50, 2, candidate_limit=count - 1)
+            cps.enumerate_window_elements(field, phys, internal, 50, 2)
 
 
 class TestWindowAlgebra:
@@ -478,15 +480,15 @@ class TestIntersectionProjection:
             for q in patch.points
         }
         expected = sorted(
-            (s for s in sums if verify.point_norm_hi(s, ops, 96) <= 6
-             and all(_certified_abs_leq(x, scheme.physical_place, 6) for x in s)),
+            (s for s in sums if all(_certified_abs_leq(x, scheme.physical_place, 6) for x in s)),
             key=ops.sort_key,
         )
         assert set(res.intersection_points) == set(expected)
 
-    def test_cover_search_failure_reports_progress(self):
+    def test_cover_search_failure_reports_progress(self, monkeypatch):
         scheme = cps.GaloisScheme(golden_field())
         from meyerlab.errors import CoverSearchFailed
+        monkeypatch.setattr(cps, "DEFAULT_SEARCH_CAP_DOUBLINGS", 0)
         with pytest.raises(CoverSearchFailed):
             cps.cover_dimension(
                 scheme.field,
@@ -494,7 +496,6 @@ class TestIntersectionProjection:
                 scheme.internal_place,
                 2,
                 1,
-                search_doublings=0,
             )
 
     def test_projection_to_second_axis(self):

@@ -66,3 +66,69 @@ def test_every_private_module_member_is_referenced(name):
         if node.name not in _names_read(rest):
             orphans.append(f"{name}:{node.lineno} {node.name}")
     assert orphans == []
+
+
+def _defs():
+    """(module, def, positional offset of a call) for every function and method.
+
+    A method called as `obj.method(...)` or `Class(...)` receives self first, so
+    the call's first positional argument fills its second parameter."""
+    for name, tree in TREES.items():
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods.add(item)
+                        static = any(
+                            isinstance(d, ast.Name) and d.id == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        yield name, item, 0 if static else 1, node.name
+            elif isinstance(node, ast.FunctionDef) and node not in methods:
+                yield name, node, 0, None
+
+
+def _calls_by_name() -> dict:
+    """Callee name (bare or attribute) -> every src call of that name."""
+    out = {}
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.setdefault(callee, []).append(node)
+    return out
+
+
+def _passes(call: ast.Call, index: int, param: str) -> bool:
+    """Whether `call` can fill the parameter at positional `index` named `param`."""
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def test_every_defaulted_parameter_of_a_called_function_is_passed_somewhere():
+    """A default that no call overrides is a constant: it belongs in the body."""
+    calls = _calls_by_name()
+    never = []
+    for module, node, offset, cls in _defs():
+        callee = cls if node.name == "__init__" else node.name
+        sites = calls.get(callee, [])
+        if not sites:
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [
+            (i - offset, a.arg) for i, a in enumerate(positional)
+            if i >= len(positional) - len(args.defaults)
+        ]
+        defaulted += [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        for index, param in defaulted:
+            if not any(_passes(call, index, param) for call in sites):
+                never.append(f"{module}:{node.lineno} {node.name}({param}=...)")
+    assert never == []

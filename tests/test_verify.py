@@ -348,17 +348,17 @@ class TestMemoisedIntervals:
         hpoints = heis.heis_model_set(hscheme, 2).points
         gpoints = cps.model_set_patch(gscheme, cps.Window.box(1, 1), 3).points
         return [
-            (hscheme.group_ops, hscheme.physical_place, hpoints, lambda p: (p.x, p.y, p.z)),
-            (gscheme.group_ops, gscheme.physical_place, gpoints, tuple),
+            (hscheme.group_ops, hscheme.physical_place, hpoints),
+            (gscheme.group_ops, gscheme.physical_place, gpoints),
         ]
 
     @pytest.mark.parametrize("bits", [64, 96, 128])
     def test_equal_eval_embedding(self, bits):
-        for make_ops, place, points, coords in self._cases():
+        for make_ops, place, points in self._cases():
             ops = make_ops()
             for _ in range(2):  # second round is served from the memo
                 for p in points:
-                    expected = [exactnum.eval_embedding(x, place, bits) for x in coords(p)]
+                    expected = [exactnum.eval_embedding(x, place, bits) for x in p]
                     assert ops.coord_intervals(p, bits) == expected
 
     def test_separately_built_ops_share_no_memo(self, monkeypatch):
@@ -370,9 +370,9 @@ class TestMemoisedIntervals:
             return original(x, place, bits)
 
         monkeypatch.setattr(exactnum, "eval_embedding", counting)
-        for make_ops, _place, points, coords in self._cases():
+        for make_ops, _place, points in self._cases():
             p = points[-1]
-            distinct = len({x.coeffs for x in coords(p)})
+            distinct = len({x.coeffs for x in p})
             first, second = make_ops(), make_ops()
             del calls[:]
             first.coord_intervals(p, 64)
