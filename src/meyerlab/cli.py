@@ -373,7 +373,7 @@ def cmd_pisot_polycover(args) -> int:
     coeffs = [str_frac(c) for c in args.poly.split(",")]
     scale = str_frac(args.scale) if args.scale else Fraction(1)
     cert = places.polynomial_translate_cover(coeffs, ring, window_scale=scale)
-    ok = cert.replay()
+    ok, _ = cert.replay()
     _emit(args, cert.to_dict(), None, f"translate cover: |T| = {len(cert.translates)}")
     return EXIT_OK if ok else EXIT_NEGATIVE
 

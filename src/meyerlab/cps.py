@@ -257,7 +257,7 @@ class QuadraticScheme:
             identity=tuple(zero for _ in self.coords),
             sort_key=self.sort_key,
             coord_intervals=embedding_intervals(self.physical_place),
-            dim=len(self.coords),
+            place=self.physical_place,
         )
 
 
@@ -669,25 +669,27 @@ class GlobalCoverCertificate(Record):
         pools = [list(dc.elements) for dc in self.dim_covers]
         return sorted(itertools.product(*pools), key=self.scheme.sort_key)
 
-    def replay(self) -> bool:
-        """Check the stored cover, and that it covers W1 by tiles of W2."""
+    def replay(self) -> tuple[bool, str]:
+        """Check the stored cover, and that it covers W1 by tiles of W2;
+        (ok, what was checked or which check failed)."""
         if self.scheme.kind == "zs":
             padic = self.padic_cover
-            return (
-                padic.primes == self.scheme.primes
-                and padic.k1 == tuple(k for _, k in self.w1.padic_balls)
-                and padic.k2 == tuple(k for _, k in self.w2.padic_balls)
-                and padic.replay()
-            )
-        place = self.scheme.internal_place
-        for dc, c1, c2 in zip(
-            self.dim_covers, self.w1.real_halfwidths, self.w2.real_halfwidths
-        ):
-            if dc.tile_halfwidth != c2 or dc.target_hi != c1 or dc.target_lo != -c1:
-                return False
-            if not dc.replay(place):
-                return False
-        return len(self.dim_covers) == len(self.w1.real_halfwidths)
+            levels = tuple(tuple(k for _, k in w.padic_balls) for w in (self.w1, self.w2))
+            if (padic.primes, (padic.k1, padic.k2)) != (self.scheme.primes, levels):
+                return False, "the p-adic cover's primes or levels are not those of W1 and W2"
+            if not padic.replay():
+                return False, "the residues are not one representative per coset"
+        else:
+            place = self.scheme.internal_place
+            c1s, c2s = self.w1.real_halfwidths, self.w2.real_halfwidths
+            if len(self.dim_covers) != len(c1s):
+                return False, f"{len(self.dim_covers)} interval covers for {len(c1s)} window axes"
+            for k, (dc, c1, c2) in enumerate(zip(self.dim_covers, c1s, c2s)):
+                if dc.tile_halfwidth != c2 or dc.target_hi != c1 or dc.target_lo != -c1:
+                    return False, f"interval cover {k} does not cover +-{c1} by tiles of {c2}"
+                if not dc.replay(place):
+                    return False, f"interval cover {k} is not a chain of lattice tiles"
+        return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
         return {
@@ -740,8 +742,9 @@ def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCe
             for c1, c2 in zip(w1.real_halfwidths, w2.real_halfwidths)
         )
         cert = GlobalCoverCertificate(scheme, w1, w2, covers, None)
-    if not cert.replay():
-        raise AssertionError("freshly built covering certificate failed to replay")
+    ok, why = cert.replay()
+    if not ok:
+        raise AssertionError(f"freshly built covering certificate failed to replay: {why}")
     return cert
 
 
@@ -822,27 +825,19 @@ def _entry_is_zero(e) -> bool:
 
 
 def _square_intersection_points(patch: Patch, axes: tuple[int, ...], inner_radius: Fraction):
-    """Points of (patch + patch) ∩ N with coordinates restricted to `axes`."""
-    scheme = patch.scheme
-    off_axes = [i for i in range(scheme.dim) if i not in axes]
-    by_off: dict = {}
-    for p in patch.points:
-        key = tuple(c for i in off_axes for c in p[i].coeffs)
-        by_off.setdefault(key, []).append(p)
-    place = scheme.physical_place
-    seen = set()
-    out = []
-    for p in patch.points:
-        neg_key = tuple(c for i in off_axes for c in (-p[i]).coeffs)
-        for q in by_off.get(neg_key, ()):
-            s = tuple(p[i] + q[i] for i in axes)
-            if s in seen:
-                continue
-            seen.add(s)
-            if all(abs_embedding_leq(x, place, inner_radius) for x in s):
-                out.append(s)
-    out.sort(key=scheme.sort_key)
-    return out
+    """Points of (patch + patch) ∩ N with coordinates restricted to `axes`.
+
+    The patch is the product of its factors, each symmetric about 0, so every
+    p has partners q with q_i = -p_i off `axes`; the set is the product over
+    `axes` of the factor sumsets P_i + P_i, cut to the inner ball.
+    """
+    place = patch.scheme.physical_place
+    sums = [
+        {a + b for a in xs for b in xs if abs_embedding_leq(a + b, place, inner_radius)}
+        for i, xs in enumerate(verify.factors(patch.points, patch.group_ops()))
+        if i in axes
+    ]
+    return sorted(itertools.product(*sums), key=patch.scheme.sort_key)
 
 
 class IntersectionResult(Record):
@@ -912,7 +907,7 @@ def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionR
     ).group_ops()
     min_sep = None
     if len(projected) >= 2:
-        min_sep, _ = verify.min_separation(projected, qops)
+        min_sep = verify.min_separation(projected, qops)
     inter_report = None
     if axes:
         inter_points = _square_intersection_points(patch, axes, radius)

@@ -114,14 +114,6 @@ def iv_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def iv_neg(a):
-    return (-a[1], -a[0])
-
-
-def iv_sub(a, b):
-    return iv_add(a, iv_neg(b))
-
-
 def iv_abs(a):
     lo, hi = a
     if lo >= 0:

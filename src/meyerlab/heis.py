@@ -10,7 +10,6 @@ and all operations below are exact.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -188,8 +187,9 @@ class HeisCoverCertificate(Record):
         covers = (self.x_cover, self.y_cover, self.z_cover)
         return sorted(itertools.product(*(c.elements for c in covers)), key=HeisScheme.sort_key)
 
-    def replay(self) -> bool:
-        """Check the three interval covers, and |sigma(t1)| <= shear_bound exactly.
+    def replay(self) -> tuple[bool, str]:
+        """Check the three interval covers, and |sigma(t1)| <= shear_bound exactly;
+        (ok, what was checked or which check failed).
 
         Take w in the product box.  The x chain gives t1 with
         |w1 - sigma(t1)| <= c_x and the y chain t2 with |w2 - sigma(t2)| <= c_y.
@@ -201,18 +201,20 @@ class HeisCoverCertificate(Record):
         place = scheme.internal_place
         cx, cy, cz = scheme.window
         wx, wy, wz = scheme.product_window()
-        for cover, tile, needed in (
-            (self.x_cover, cx, wx),
-            (self.y_cover, cy, wy),
-            (self.z_cover, cz, wz + self.shear_bound * cy),
+        for name, cover, tile, needed in (
+            ("x_cover", self.x_cover, cx, wx),
+            ("y_cover", self.y_cover, cy, wy),
+            ("z_cover", self.z_cover, cz, wz + self.shear_bound * cy),
         ):
             if cover.tile_halfwidth != tile:
-                return False
+                return False, f"the {name} tiles are not the window's half-width {tile}"
             if cover.target_hi < needed or cover.target_lo > -needed:
-                return False
+                return False, f"the {name} target does not reach +-{needed}"
             if not cover.replay(place):
-                return False
-        return all(abs_embedding_leq(t1, place, self.shear_bound) for t1 in self.x_cover.elements)
+                return False, f"the {name} is not a chain of lattice tiles over its target"
+        if not all(abs_embedding_leq(t1, place, self.shear_bound) for t1 in self.x_cover.elements):
+            return False, "an x translate exceeds the shear bound"
+        return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
         return {
@@ -237,19 +239,6 @@ class HeisCoverCertificate(Record):
         )
 
 
-def _box_axes(halfwidths, mesh: Fraction) -> list[list[Fraction]]:
-    """Per-axis values of a grid of step at most mesh over the box."""
-    axes = []
-    for h in halfwidths:
-        if h == 0:
-            axes.append([Fraction(0)])
-            continue
-        steps = max(1, math.ceil(h / mesh))
-        step = Fraction(h) / steps
-        axes.append([k * step for k in range(-steps, steps + 1)])
-    return axes
-
-
 def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
     """F finite with Lambda(W) Lambda(W) inside F Lambda(W), globally.
 
@@ -270,8 +259,9 @@ def heis_covering_certificate(scheme: HeisScheme) -> HeisCoverCertificate:
         shear = max(shear, hi)
     z_cover = cps.cover_dimension(field, phys, internal, wz + shear * cy, cz)
     cert = HeisCoverCertificate(scheme, x_cover, y_cover, z_cover, shear)
-    if not cert.replay():
-        raise AssertionError("freshly built Heisenberg cover failed to replay")
+    ok, why = cert.replay()
+    if not ok:
+        raise AssertionError(f"freshly built Heisenberg cover failed to replay: {why}")
     return cert
 
 
@@ -385,63 +375,65 @@ HULL_CANDIDATES: tuple[tuple[str, tuple[int, ...]], ...] = (
 GROWTH_TOLERANCE = Fraction(11, 10)
 
 
-def _abs_max_per_axis(scan: verify.NearestScan) -> list[Fraction]:
-    """Certified upper bound on |coordinate| over the scanned points, per axis."""
-    return [verify.abs_max(end for ivs in scan.ivs for end in ivs[k]) for k in range(3)]
-
-
-def _hull_kappa(scan: verify.NearestScan, abs_max, axes, inner: Fraction, mesh: Fraction):
-    """Patch bound kappa for one coordinate subgroup: patch->subgroup distance
-    plus subgroup-grid->patch distance on the inner ball.  abs_max is
-    `_abs_max_per_axis(scan)`."""
-    part1 = max((abs_max[i] for i in range(3) if i not in axes), default=Fraction(0))
-    grid = [[Fraction(0)] for _ in range(3)]
-    for axis, values in zip(axes, _box_axes(tuple(inner for _ in axes), mesh)):
-        grid[axis] = values
-    part2 = scan.max_dist_hi(grid)
-    return max(part1, part2 + mesh / 2)
+def _axis_kappas(patch: cps.Patch) -> list[tuple]:
+    """Per axis k of a product patch, exactly: (the largest |x_k| over the patch,
+    the covering radius of factor k on [-R/2, R/2])."""
+    ops = patch.group_ops()
+    key = verify.exact_key(ops.place)
+    return [
+        (max(-xs[0], xs[-1], key=key), verify.axis_covering_radius(xs, patch.radius / 2, ops.place))
+        for xs in verify.factors(patch.points, ops)
+    ]
 
 
 class HullReport(Record):
-    __slots__ = ("subgroup", "axes", "kappa_small", "kappa_large", "aligned", "table")
+    """subgroup is the chosen candidate, or None when no candidate is stable;
+    table maps each candidate to its (kappa_small, kappa_large)."""
+
+    __slots__ = ("subgroup", "table")
+
+    @property
+    def aligned(self) -> bool:
+        return self.subgroup is not None
 
 
 def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport:
     """Minimal coordinate subgroup U' with a stable patch bound kappa.
 
     kappa(U') bounds both the distance from every patch point to U' and the
-    distance from every U'-grid point in the inner ball to the patch; U' is
-    the smallest candidate whose kappa does not grow (factor 11/10) from the
-    small patch to the large one.
+    distance from every point of U' in the inner ball to the patch; U' is the
+    smallest candidate whose kappa does not grow (factor 11/10, plus an
+    allowance) from the small patch to the large one.  Both patches must be
+    coordinate products, and every kappa is the NORM_BITS ceiling of its
+    exact value.
     """
     if patch_small.scheme.field != patch_large.scheme.field:
         raise UsageError("patches from different fields")
     if patch_large.radius < 2 * patch_small.radius:
         raise UsageError("need R2 >= 2 R1 to test stabilisation")
-    ops = patch_small.group_ops()
-    inner_small = patch_small.radius / 2
-    inner_large = patch_large.radius / 2
-    # one fixed mesh for both radii so the stabilisation comparison is clean
-    mesh = inner_small / 2
-    scan_small, scan_large = (
-        verify.NearestScan([ops.coord_intervals(p, 64) for p in patch.points])
-        for patch in (patch_small, patch_large)
-    )
-    max_small, max_large = _abs_max_per_axis(scan_small), _abs_max_per_axis(scan_large)
+    place = patch_small.scheme.physical_place
+    key = verify.exact_key(place)
+    per_axis = [_axis_kappas(patch) for patch in (patch_small, patch_large)]
     table = {}
-    chosen = None
     for name, axes in sorted(HULL_CANDIDATES, key=lambda c: (len(c[1]), c[0])):
-        k1 = _hull_kappa(scan_small, max_small, axes, inner_small, mesh)
-        k2 = _hull_kappa(scan_large, max_large, axes, inner_large, mesh)
-        table[name] = (k1, k2)
-        # grid quantisation can move kappa by up to one mesh cell, so the
-        # stabilisation test allows that additive noise on top of the factor
-        if chosen is None and k2 <= GROWTH_TOLERANCE * k1 + mesh:
-            chosen = (name, axes, k1, k2)
-    if chosen is None:
-        return HullReport(None, None, None, None, False, table)
-    name, axes, k1, k2 = chosen
-    return HullReport(name, axes, k1, k2, True, table)
+        # kappa(U') is the larger of the patch-to-U' distance, max |x_k| off U',
+        # and the U'-ball-to-patch distance: the covering radius on the axes of
+        # U', and dist(0, P_k) <= max |x_k| off them
+        table[name] = tuple(
+            verify.dyadic_bounds(
+                max((cov if k in axes else end for k, (end, cov) in enumerate(kappas)), key=key),
+                place,
+            )[1]
+            for kappas in per_axis
+        )
+    # kappa grows from one radius to the next by more than the factor wherever
+    # a larger ball meets a larger gap of a factor, which is a bounded change;
+    # on the README hull (sqrt2 1,1,1, R1 = 3, R2 = 6) kappa(full) grows from
+    # 1/2 to sqrt2/2.  So the test also allows a quarter of the small radius,
+    # while the distance to a subgroup that misses the set grows with R.
+    allowance = patch_small.radius / 4
+    stable = (name for name, (k1, k2) in table.items() if k2 <= GROWTH_TOLERANCE * k1 + allowance)
+    return HullReport(next(stable, None), table)
 
 
 # ---------------------------------------------------------------------------

@@ -383,34 +383,40 @@ class TranslateCoverCertificate(Record):
                 out.append(self.constant + rep + w)
         return out
 
-    def replay(self) -> bool:
+    def replay(self) -> tuple[bool, str]:
+        """Derive every field but the covers again, and check each coset's
+        cover; (ok, what was checked or which check failed)."""
         ring = self.ring
         constant, m, reps = _translate_frame(self.poly, ring)
         count = m**ring.field.degree
         if (self.constant, self.modulus) != (constant, m):
-            return False
+            return False, "the constant or the modulus is not the one the polynomial gives"
         # counts first: the representatives are only made once they are few
-        if not len(self.coset_reps) == len(self.coset_covers) == count:
-            return False
+        for name, entries in (("representatives", self.coset_reps), ("covers", self.coset_covers)):
+            if len(entries) != count:
+                return False, f"{len(entries)} coset {name} for {count} cosets"
         if list(reps) != list(self.coset_reps):
-            return False
+            return False, "the coset representatives are not the derived ones"
         if ring.field.degree == 1:
-            return 0 in ring.s_arch_indices and self.conj_bound == 0
+            if 0 not in ring.s_arch_indices or self.conj_bound != 0:
+                return False, "over Q the ring needs the real place and a zero conjugate bound"
+            return True, f"{len(self.translates)} translates"
         if ring.s_primes or len(ring.s_arch_indices) != 1:
-            return False  # the ring polynomial_translate_cover accepts: S = one real place
+            # the ring polynomial_translate_cover accepts: S = one real place
+            return False, "the ring's S is not one real place"
         internal, _ = _internal_place(ring)
         bound = _conj_bound(self.poly, internal, self.window_scale)
         if bound != self.conj_bound:
-            return False
-        for rep, cover in zip(self.coset_reps, self.coset_covers):
+            return False, f"the conjugate bound is not {bound}"
+        for i, (rep, cover) in enumerate(zip(self.coset_reps, self.coset_covers)):
             if not cover.replay(internal):
-                return False
+                return False, f"coset cover {i} is not a chain of lattice tiles over its target"
             # the stored target must dominate the band this coset really needs
             _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
             needed = bound + rep_hi
             if cover.tile_halfwidth != 1 or cover.target_hi < needed or cover.target_lo > -needed:
-                return False
-        return True
+                return False, f"coset cover {i} does not reach +-{needed} by unit tiles"
+        return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
         return {

@@ -214,6 +214,7 @@ def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
     small = heis.heis_model_set(scheme, radius_small)
     large = heis.heis_model_set(scheme, radius_large)
     report = heis.schreiber_hull(small, large)
+    kappa_small, kappa_large = report.table.get(report.subgroup, (None, None))
     return {
         "type": "schreiber_hull",
         "inputs": {
@@ -223,8 +224,8 @@ def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
         },
         "subgroup": report.subgroup,
         "aligned": report.aligned,
-        "kappa_small": None if report.kappa_small is None else frac_str(report.kappa_small),
-        "kappa_large": None if report.kappa_large is None else frac_str(report.kappa_large),
+        "kappa_small": None if kappa_small is None else frac_str(kappa_small),
+        "kappa_large": None if kappa_large is None else frac_str(kappa_large),
         "table": {
             name: [frac_str(k1), frac_str(k2)] for name, (k1, k2) in sorted(report.table.items())
         },
@@ -336,11 +337,11 @@ def _delone_contradiction(data) -> str | None:
     that is not a rational string is a usage error."""
     covering = json_object(data["covering"], "the covering of a Delone report is")
     bounds = [data["min_separation"], data["inner_radius"]]
-    bounds += [covering[k] for k in ("bound", "inner_radius", "mesh", "empirical")]
+    bounds += [covering[k] for k in ("bound", "inner_radius")]
     for value in bounds:
         if type(value) is not str:
             raise UsageError(f"a bound of a Delone report is a rational string, not {value!r}")
-    separation, inner, bound, *_ = (str_frac(v) for v in bounds)
+    separation, inner, bound, _ = (str_frac(v) for v in bounds)
     if data["metric"] != verify.SUP_NORM_METRIC:
         return f"the metric is not the {verify.SUP_NORM_METRIC}"
     if covering["inner_radius"] != data["inner_radius"]:
@@ -370,8 +371,8 @@ CERTIFICATES = {
 
 
 def _replay_certificate(data) -> tuple[bool, str]:
-    cert = CERTIFICATES[data["type"]](data)
-    return cert.replay(), f"{data['type']} checked: {len(cert.translates)} translates"
+    ok, why = CERTIFICATES[data["type"]](data).replay()
+    return ok, f"{data['type']} checked: {why}" if ok else f"{data['type']}: {why}"
 
 
 def _replay_approximate_lattice(data) -> tuple[bool, str]:
@@ -381,13 +382,13 @@ def _replay_approximate_lattice(data) -> tuple[bool, str]:
     wsq = cps.window_product(window, window)
     if cover.scheme != scheme or cover.w1 != wsq or cover.w2 != window:
         return False, "the cover is not one of W + W by tiles of W in this scheme"
-    message = f"|F| = {len(cover.translates)}"
-    if not cover.replay():
-        return False, "window cover failed: " + message
+    ok, why = cover.replay()
+    if not ok:
+        return False, "window cover failed: " + why
     report = cps.lattice_delone_report(scheme, window, str_frac(data["patch_radius"]))
     if canonical_json(report.to_dict()) != canonical_json(data["delone"]):
-        return False, "the Delone report differs from its rebuild: " + message
-    return True, message + ", Delone report rebuilt"
+        return False, "the Delone report differs from its rebuild"
+    return True, f"|F| = {len(cover.translates)}, Delone report rebuilt"
 
 
 def _replay_meyer(data) -> tuple[bool, str]:

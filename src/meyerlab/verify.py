@@ -2,9 +2,11 @@
 
 Distances use the sup-norm on coordinates everywhere (for the Heisenberg
 group this is a documented proxy metric, bi-Lipschitz at patch scale).
-Reported separations are certified rational lower bounds that are exact
-whenever the coordinates are rational; `min_separation` also returns the
-minimising pair.
+Every measured set is a coordinate product of sorted 1-D factors, so each
+Delone constant is an exact 1-D value, in Q or at the physical place of a
+real quadratic field, written as its NORM_BITS dyadic bound (the value
+itself when rational).  Floats only pick a greedy cover's nearest point and
+pre-screen `points_within`.
 """
 
 from __future__ import annotations
@@ -12,26 +14,25 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain, product
-from operator import add, sub
+from functools import cmp_to_key
+from operator import sub
 
 from .errors import UsageError
-from .exactnum import Record, frac_str, iv_abs, iv_sub
+from .exactnum import Record, cmp_embedding, eval_embedding, frac_str, iv_abs
 
 SUP_NORM_METRIC = "sup-norm on coordinates"
-SEPARATION_BITS = 128  # interval precision of min_separation (doubled where it cannot separate)
-COVERING_BITS = 96  # interval precision of covering_radius
-NORM_BITS = 64  # interval precision of point_norm_hi and points_within
-MESH_ROUNDS = 10  # at most this many grid meshes in covering_radius
+NORM_BITS = 64  # dyadic precision of every written bound, of point_norm_hi and of points_within
 
 
 class GroupOps(Record):
     """Exact group structure plus certified coordinate access for points.
 
     coord_intervals maps (point, bits) to a list of (Fraction, Fraction).
+    place is the real place that coordinates embed by, or None when they are
+    rationals; a point is a tuple of coordinates, or a bare rational in 1-D.
     """
 
-    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals", "dim")
+    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals", "place")
 
 
 def rational_line_ops() -> GroupOps:
@@ -42,7 +43,7 @@ def rational_line_ops() -> GroupOps:
         identity=Fraction(0),
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(a, a)],
-        dim=1,
+        place=None,
     )
 
 
@@ -56,7 +57,7 @@ def intmod_ops(n: int) -> GroupOps:
         identity=0,
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(Fraction(a), Fraction(a))],
-        dim=1,
+        place=None,
     )
 
 
@@ -99,325 +100,91 @@ def points_within(points, ops: GroupOps, radius) -> list:
     return kept
 
 
-def abs_max(values) -> Fraction:
-    """The exact maximum of |x| over rationals, 0 for none.
-
-    Correct rounding is monotone, so only values whose float magnitude equals
-    the largest one can hold the maximum; just those are compared exactly.
-    """
-    values = list(values)
-    floats = [abs(_float(v)) for v in values]
-    top = max(floats, default=0.0)
-    return max((abs(v) for v, f in zip(values, floats) if f == top), default=Fraction(0))
-
-
-def _dist_lo(ip, iq):
-    """Certified lower bound on the sup-distance of two points' coordinate intervals."""
-    return max(iv_abs(iv_sub(a, b))[0] for a, b in zip(ip, iq))
-
-
 # ---------------------------------------------------------------------------
-# Float sup-norm cells.  Each point is stored by the float midpoints of its
-# coordinate intervals; floats pick candidates, and exact rational arithmetic
-# decides every reported number.
+# Exact values on the line: a coordinate is a rational, or a field element
+# read at `place`.  Differences, halves and sums of coordinates stay exact, and
+# two values compare by one exact sign test.
 # ---------------------------------------------------------------------------
 
 
-def _float_coords(coord_ivs_list):
-    """Float midpoints per point, and the widest coordinate interval as a float.
+def _sign(x, place) -> int:
+    if place is None:
+        return (x > 0) - (x < 0)
+    return cmp_embedding(x, place, 0)
 
-    Each midpoint is float((lo + hi) / 2), computed by one correctly rounded
-    integer true division.
+
+def exact_key(place):
+    """Sort key that orders coordinates by their exact real value at `place`."""
+    return cmp_to_key(lambda a, b: _sign(a - b, place))
+
+
+def dyadic_bounds(x, place) -> tuple[Fraction, Fraction]:
+    """The NORM_BITS dyadic floor and ceiling of the real value of x; both are
+    the value itself when it is rational."""
+    if place is None:
+        return Fraction(x), Fraction(x)
+    return eval_embedding(x, place, NORM_BITS)
+
+
+def factors(points: Sequence, ops: GroupOps) -> list[list]:
+    """The per-axis factors pi_k(P) of a coordinate product P, each sorted by value.
+
+    P lies inside the product of its factors, so it equals it exactly when
+    |P| = prod |pi_k(P)|.  A point set that holds a duplicate point, or that is
+    not the product of its factors, is a usage error.
     """
-    mids = []
-    width = 0.0
-    for ivs in coord_ivs_list:
-        mid = []
-        for lo, hi in ivs:
-            ln, ld = lo.as_integer_ratio()
-            hn, hd = hi.as_integer_ratio()
-            a, b, den = ln * hd, hn * ld, ld * hd
-            mid.append((a + b) / (2 * den))
-            if a != b:
-                width = max(width, (b - a) / den)
-        mids.append(tuple(mid))
-    return mids, width
+    coords = [p if type(p) is tuple else (p,) for p in points]
+    if len(set(coords)) != len(coords):
+        raise UsageError("duplicate points in the point set")
+    key = exact_key(ops.place)
+    out = [sorted(set(axis), key=key) for axis in zip(*coords)]
+    if len(coords) != math.prod(map(len, out)):
+        sizes = " x ".join(str(len(xs)) for xs in out)
+        raise UsageError(
+            f"the point set is not a coordinate product: {len(coords)} points, factors {sizes}"
+        )
+    return out
 
 
-def _margin(width: float, scale: float) -> float:
-    """Slack between float and exact distances, for coordinates of size <= scale.
+def axis_covering_radius(xs: Sequence, r: Fraction, place):
+    """sup over t in [-r, r] of dist(t, xs), exactly, for a sorted nonempty factor xs.
 
-    Let m be a point's exact interval midpoint, w the widest interval and g a
-    grid point (or a second midpoint m'), with |m_k| + |g_k| <= scale.  The
-    float distance max_k fl(|fl(m_k) - fl(g_k)|) differs from the exact
-    sup-distance |m - g| by at most e = 2^-52 * scale (two conversions and one
-    subtraction, each correctly rounded to within 2^-53), while the certified
-    bounds satisfy |m - g| <= dist_hi <= |m - g| + w/2 and, for a pair of
-    points, |m - m'| - w <= lo <= true distance <= |m - m'| + w.
-
-    - A bulk maximum needs w/2 + 2e <= margin.  With F the largest float
-      distance, reached at g', the grid point g with the largest dist_hi has
-      float distance >= dist_hi(g) - w/2 - e >= dist_hi(g') - w/2 - e
-      >= F - w/2 - 2e.
-    - min_separation needs 2w + 2e <= margin.  With U the least float distance
-      of a pair, the least certified bound L is at most the true distance of
-      that pair, so L <= U + w + e.  A pair whose bound is L has float distance
-      <= L + w + e <= U + 2w + 2e; if its bound needed refinement, its
-      intervals overlap and its float distance is <= w + e anyway.
-
-    2w + 2^-40 * (1 + scale) exceeds twice the float error plus twice the
-    widest interval, so both hold, with room for the rounding of the
-    comparisons themselves.
+    dist(t, xs) is largest at a gap's midpoint, where it is half the gap, or at
+    an end of [-r, r]; so the value is the largest of dist(-r, xs), dist(r, xs)
+    and the half-gaps whose midpoints lie in [-r, r].
     """
-    return 2.0 * width + 2.0 ** -40 * (1.0 + scale)
+    key = exact_key(place)
+    values = [min((max(x - t, t - x, key=key) for x in xs), key=key) for t in (-r, r)]
+    values += [
+        (b - a) / 2
+        for a, b in zip(xs, xs[1:])
+        if _sign(a + b + 2 * r, place) >= 0 and _sign(a + b - 2 * r, place) <= 0
+    ]
+    return max(values, key=key)
 
 
-def _cell_side(mids) -> float:
-    """A power of two near the mean spacing of the points.
-
-    It starts at the largest power of two not above the spacing the spans
-    suggest (at least 2^-500), and doubles while the occupied box would have
-    more than 4^dim cells per point, so that points crowded near a thin slab
-    cannot make a search visit a huge number of empty cells.  Dividing a float
-    by a power of two is exact, so each point's cell index is exact.
-    """
-    spans = [s for s in (max(c) - min(c) for c in zip(*mids)) if s > 0]
-    if not spans:
-        return 1.0
-    spacing = max((math.prod(spans) / len(mids)) ** (1 / len(spans)), 2.0 ** -500)
-    side = math.ldexp(1.0, math.frexp(spacing)[1] - 1)
-    while math.prod(s // side + 2 for s in spans) > 4 ** len(spans) * len(mids):
-        side *= 2
-    return side
-
-
-def _bucket(mids, side: float) -> dict:
-    """Cell index tuple -> indices of the points in that cell, in increasing order."""
-    cells: dict = {}
-    for i, m in enumerate(mids):
-        cells.setdefault(tuple(math.floor(x / side) for x in m), []).append(i)
-    return cells
-
-
-def _ring(q, r: int, lo, hi):
-    """The cells of the box [lo, hi] at sup-distance exactly r from cell q.
-
-    A ring cell is produced once, for the first axis on which it is r away.
-    """
-    if r == 0:
-        return (q,)
-    inner = [range(max(l, c - r + 1), min(h, c + r - 1) + 1) for c, l, h in zip(q, lo, hi)]
-    full = [range(max(l, c - r), min(h, c + r) + 1) for c, l, h in zip(q, lo, hi)]
-    return chain.from_iterable(
-        product(*inner[:k], (v,), *full[k + 1:])
-        for k, c in enumerate(q)
-        for v in (c - r, c + r)
-        if lo[k] <= v <= hi[k]
-    )
-
-
-def _sup_dist(a, b) -> float:
-    return max(map(abs, map(sub, a, b)))
-
-
-def min_separation(points: Sequence, ops: GroupOps):
-    """Certified lower bound on the minimal pairwise sup-distance, with witness.
-
-    The bound is tight to the working interval width and exact for rational
-    coordinates.  Distinct points are required.  Floats only choose which
-    pairs get an exact bound: the points are bucketed in sup-norm cells, the
-    pairs in adjacent cells give the least float distance U, and every pair
-    within U + margin (see `_margin`) of it is bounded exactly.  Cells are
-    grown until that cap is below the cell side, so no pair outside adjacent
-    cells can qualify.  The witness is the first minimising pair (i < j) in
-    input order.
-    """
+def min_separation(points: Sequence, ops: GroupOps) -> Fraction:
+    """Certified lower bound on the least sup-distance between two points of
+    a coordinate product: the least gap of any factor, as its NORM_BITS floor.
+    Two points that differ on axis k are at least a gap of factor k apart, and
+    two that differ only across the least gap attain it."""
     pts = list(points)
     if len(pts) < 2:
         raise UsageError("min_separation needs at least 2 points")
-    coord_ivs = [ops.coord_intervals(p, SEPARATION_BITS) for p in pts]
-    mids, width = _float_coords(coord_ivs)
-    margin = _margin(width, 2 * max(abs(x) for m in mids for x in m))
-    side = _cell_side(mids)
-    while True:
-        near = _adjacent_pairs(mids, side)
-        if not near:
-            side *= 2
-            continue
-        cap = min(near)[0] + margin
-        if cap < side:
-            break
-        side = math.ldexp(1.0, math.frexp(cap)[1])
-    best_lo = None
-    witness = None
-    for d, i, j in near:
-        if d > cap:
-            continue
-        lo = _dist_lo(coord_ivs[i], coord_ivs[j])
-        b = SEPARATION_BITS
-        while lo <= 0 and b < 4096:
-            b *= 2
-            lo = _dist_lo(ops.coord_intervals(pts[i], b), ops.coord_intervals(pts[j], b))
-        if lo <= 0:
-            raise UsageError("duplicate points in patch")
-        if best_lo is None or lo < best_lo or (lo == best_lo and (i, j) < witness):
-            best_lo, witness = lo, (i, j)
-    return best_lo, (pts[witness[0]], pts[witness[1]])
-
-
-def _adjacent_pairs(mids, side: float) -> list:
-    """(float distance, i, j) with i < j for every pair of points in the same
-    or adjacent cells: every pair at float distance below side is one."""
-    cells = _bucket(mids, side)
-    dim = len(mids[0])
-    forward = [o for o in product((-1, 0, 1), repeat=dim) if o > (0,) * dim]
-    pairs = []
-    for key, members in cells.items():
-        for a, i in enumerate(members):
-            for j in members[a + 1:]:
-                pairs.append((_sup_dist(mids[i], mids[j]), i, j))
-        for off in forward:
-            for j in cells.get(tuple(map(add, key, off)), ()):
-                for i in members:
-                    pairs.append((_sup_dist(mids[i], mids[j]), min(i, j), max(i, j)))
-    return pairs
-
-
-def _grid_1d(radius: Fraction, mesh: Fraction) -> list[Fraction]:
-    """-radius + k * 2 radius / steps for k = 0..steps, with steps = ceil(2 radius / mesh)."""
-    steps = max(1, math.ceil(Fraction(2 * radius) / mesh))
-    n, d = Fraction(radius).as_integer_ratio()
-    return [Fraction(n * (2 * k - steps), d * steps) for k in range(steps + 1)]
-
-
-class NearestScan:
-    """Certified upper bounds on distance-to-point-set, found through float cells.
-
-    Floats only pick the candidate point: the lowest index among the points
-    at minimal float sup-distance from the target.  The points are bucketed
-    once in sup-norm cells whose side is a power of two (`_cell_side`), the
-    fixed-radius near-neighbour grid of Bentley, Stanat and Williams (Inf.
-    Process. Lett. 6(6), 1977).  A query starts in its own cell, clamped into
-    the occupied box, and visits rings of cells outward.  Cell faces are
-    exact floats, and rounding is monotone, so after ring r every unvisited
-    point is at float distance at least that of the nearest outer face of the
-    ring; the search ends once the best distance is strictly below it, which
-    keeps the lowest-index rule exact.  The returned bound is the exact
-    rational interval bound through the candidate, hence always a sound upper
-    bound on the true distance.
-    """
-
-    __slots__ = ("ivs", "mids", "width", "scale", "side", "cells", "lo", "hi", "rings")
-
-    def __init__(self, coord_ivs_list):
-        self.ivs = list(coord_ivs_list)
-        self.mids, self.width = _float_coords(self.ivs)
-        self.scale = max((abs(x) for m in self.mids for x in m), default=0.0)
-        self.side = _cell_side(self.mids)
-        self.cells = _bucket(self.mids, self.side)
-        keys = list(self.cells)
-        self.lo = tuple(map(min, zip(*keys)))
-        self.hi = tuple(map(max, zip(*keys)))
-        self.rings: dict = {}  # query cell -> [(index, midpoint) of ring 0, of ring 1, ...]
-
-    def __bool__(self):
-        return bool(self.ivs)
-
-    def _search(self, gm, best_i: int, best_d: float):
-        """(index, float distance) of the nearest point to the float point gm,
-        given a point best_i already known to be at float distance best_d."""
-        side, lo, hi = self.side, self.lo, self.hi
-        q = tuple(min(max(math.floor(x / side), l), h) for x, l, h in zip(gm, lo, hi))
-        rings = self.rings.get(q)
-        if rings is None:
-            rings = self.rings[q] = []
-        r = 0
-        while True:
-            if r == len(rings):
-                cells, mids = self.cells, self.mids
-                occupied = filter(None, map(cells.get, _ring(q, r, lo, hi)))
-                rings.append([(i, mids[i]) for members in occupied for i in members])
-            for i, m in rings[r]:
-                d = max(map(abs, map(sub, m, gm)))
-                if d < best_d or (d == best_d and i < best_i):
-                    best_d, best_i = d, i
-            # An unvisited point lies in a cell beyond ring r on some axis, so
-            # its float distance is at least that of the ring's outer face.
-            bound = math.inf
-            for x, c, l, h in zip(gm, q, lo, hi):
-                if c - r > l and x - (c - r) * side < bound:
-                    bound = x - (c - r) * side
-                if c + r < h and (c + r + 1) * side - x < bound:
-                    bound = (c + r + 1) * side - x
-            if best_d < bound or bound == math.inf:
-                return best_i, best_d
-            r += 1
-
-    def nearest_index(self, grid_point) -> int:
-        return self._search(tuple(map(_float, grid_point)), 0, math.inf)[0]
-
-    def dist_hi(self, grid_point) -> Fraction:
-        ivs = self.ivs[self.nearest_index(grid_point)]
-        out = Fraction(0)
-        for (lo, hi), g in zip(ivs, grid_point):
-            _, dhi = iv_abs((lo - g, hi - g))
-            if dhi > out:
-                out = dhi
-        return out
-
-    def max_dist_hi(self, axes) -> Fraction:
-        """max of dist_hi over the grid itertools.product(*axes) of Fraction lists.
-
-        Float distances find the largest float distance F, and only grid points
-        within the margin of F (see `_margin`) are bounded exactly; the grid
-        point with the largest exact bound is one of them.  A grid point whose
-        float distance to the previous nearest point is already below the
-        running F minus the margin is skipped without a search, since the
-        distance to any one point bounds the nearest distance from above.
-
-        dist_hi through point i is the maximum over the axes k of
-        max(g_k - lo_k, hi_k - g_k), so the exact maximum over the grid points
-        nearest to i needs each axis value they use once, not each grid point.
-        """
-        faxes = [[_float(v) for v in values] for values in axes]
-        margin = _margin(self.width, self.scale + max(abs(v) for values in faxes for v in values))
-        mids = self.mids
-        top = -math.inf
-        near = []  # (float distance, grid point, nearest index) within margin of top
-        i = 0
-        for fg, g in zip(product(*faxes), product(*axes)):
-            d = max(map(abs, map(sub, mids[i], fg)))
-            if d < top - margin:
-                continue
-            i, d = self._search(fg, i, d)
-            if d > top:
-                top = d
-                near = [c for c in near if c[0] >= top - margin]
-            if d >= top - margin:
-                near.append((d, g, i))
-        used: dict = {}  # nearest index -> per-axis set of the values its grid points use
-        for _, g, i in near:
-            for values, v in zip(used.setdefault(i, [set() for _ in g]), g):
-                values.add(v)
-        return max(
-            max(max(v - lo, hi - v) for v in values)
-            for i, per_axis in used.items()
-            for (lo, hi), values in zip(self.ivs[i], per_axis)
-        )
+    gaps = [b - a for xs in factors(pts, ops) for a, b in zip(xs, xs[1:])]
+    return dyadic_bounds(min(gaps, key=exact_key(ops.place)), ops.place)[0]
 
 
 class CoveringRadiusResult(Record):
     """verdict is FINITE or INFINITE."""
 
-    __slots__ = ("bound", "verdict", "inner_radius", "mesh", "empirical")
+    __slots__ = ("bound", "verdict", "inner_radius")
 
     def to_dict(self):
         return {
             "bound": None if self.bound is None else frac_str(self.bound),
             "verdict": self.verdict,
             "inner_radius": frac_str(self.inner_radius),
-            "mesh": None if self.mesh is None else frac_str(self.mesh),
-            "empirical": None if self.empirical is None else frac_str(self.empirical),
         }
 
 
@@ -427,37 +194,25 @@ def covering_radius(
     inner_radius,
     patch_radius=None,
 ) -> CoveringRadiusResult:
-    """Certified upper bound on sup-distance from any inner-ball point to the patch.
-
-    empirical is the largest dist_hi over a mesh-delta grid of the inner ball,
-    taken by `NearestScan.max_dist_hi`: floats rule out the grid points that
-    cannot hold it and the rest are bounded exactly, so the value is the one
-    an exact bound at every grid point gives.  Any ball point is within
-    delta/2 of a grid point, so empirical + delta is a sound bound.  The mesh
-    is refined until the slack is within 10% of the empirical value.  Verdict
-    INFINITE when the bound is no better than the trivial inner_radius.
-    """
+    """Certified upper bound on sup-distance from any inner-ball point to a
+    coordinate product P.  dist(x, P) = max_k dist(x_k, P_k), so it is the
+    largest `axis_covering_radius`, as its NORM_BITS ceiling.  Verdict
+    INFINITE when the bound is no better than the trivial inner_radius."""
     inner_radius = Fraction(inner_radius)
     if inner_radius <= 0:
         raise UsageError("inner_radius must be positive")
     pts = list(points)
     if not pts:
-        return CoveringRadiusResult(None, "INFINITE", inner_radius, None, None)
-    scan = NearestScan([ops.coord_intervals(p, COVERING_BITS) for p in pts])
-    mesh = inner_radius / 4
-    empirical = None
-    for _ in range(MESH_ROUNDS):
-        empirical = scan.max_dist_hi([_grid_1d(inner_radius, mesh)] * ops.dim)
-        if empirical == 0 or mesh <= empirical / 10:
-            break
-        mesh = max(mesh / 2, empirical / 16)
-    bound = empirical + mesh
+        return CoveringRadiusResult(None, "INFINITE", inner_radius)
+    place = ops.place
+    per_axis = [axis_covering_radius(xs, inner_radius, place) for xs in factors(pts, ops)]
+    bound = dyadic_bounds(max(per_axis, key=exact_key(place)), place)[1]
     if patch_radius is not None and inner_radius + bound > Fraction(patch_radius):
         raise UsageError(
             "inner radius plus covering bound exceeds patch radius; enlarge the patch"
         )
     verdict = "FINITE" if bound < inner_radius else "INFINITE"
-    return CoveringRadiusResult(bound, verdict, inner_radius, mesh, empirical)
+    return CoveringRadiusResult(bound, verdict, inner_radius)
 
 
 class DeloneReport(Record):
@@ -480,9 +235,39 @@ class DeloneReport(Record):
 def delone_certify(
     points: Sequence, ops: GroupOps, inner_radius, patch_radius=None
 ) -> DeloneReport:
-    sep, _ = min_separation(points, ops)
+    sep = min_separation(points, ops)
     cov = covering_radius(points, ops, inner_radius, patch_radius=patch_radius)
     return DeloneReport(sep, cov)
+
+
+class NearestScan:
+    """The nearest of a list of points to a target, picked through floats.
+
+    Each point is stored by the float midpoints of its coordinate intervals,
+    each correctly rounded.  Floats only pick the candidate: a linear scan
+    returns the lowest index among the points at minimal float sup-distance
+    from the target.  dist_hi is the exact rational interval bound through
+    that candidate, hence always a sound upper bound on the true distance.
+    """
+
+    __slots__ = ("ivs", "mids")
+
+    def __init__(self, coord_ivs_list):
+        self.ivs = list(coord_ivs_list)
+        self.mids = [tuple(_float((lo + hi) / 2) for lo, hi in ivs) for ivs in self.ivs]
+
+    def nearest_index(self, target) -> int:
+        gm = tuple(map(_float, target))
+        best_i, best_d = 0, math.inf
+        for i, m in enumerate(self.mids):
+            d = max(map(abs, map(sub, m, gm)))
+            if d < best_d:
+                best_i, best_d = i, d
+        return best_i
+
+    def dist_hi(self, target) -> Fraction:
+        ivs = zip(self.ivs[self.nearest_index(target)], target)
+        return max((iv_abs((lo - g, hi - g))[1] for (lo, hi), g in ivs), default=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +307,10 @@ def greedy_cover(
     """Greedy F with A subset of F*B, scanning A in canonical order.
 
     Reuses an existing translate whenever possible, otherwise adds a*b0^-1 for
-    b0 the B-point nearest to a (certified bound, coordinate-order tie-break),
-    so f^-1 a = b0 lands in B by construction.  Always succeeds at patch scope
-    unless max_translates caps |F|, in which case the offending point is
-    reported.
+    b0 the B-point nearest to a in floats (`NearestScan`: the first in
+    canonical order wins a tie), so f^-1 a = b0 lands in B by construction.
+    Always succeeds at patch scope unless max_translates caps |F|, in which
+    case the offending point is reported.
     """
     a_sorted = canonical_sort(a_points, ops)
     b_list = canonical_sort(b_points, ops)

@@ -108,7 +108,8 @@ def test_criterion_2_model_sets_are_approximate_lattices(name, field_fn):
     # certificate replays bit-exactly from its serialized bytes
     blob = serialize.canonical_json(cert.cover.to_dict())
     again = cps.GlobalCoverCertificate.from_dict(json.loads(blob))
-    assert again.replay()
+    ok, why = again.replay()
+    assert ok, why
     assert serialize.canonical_json(again.to_dict()) == blob
     _passed(2, f"{name}: |F| = {len(cert.translates)} <= 8, Delone, R=50 oracle cover, bit-exact replay")
 
@@ -153,10 +154,12 @@ def test_criterion_4_polynomial_lemma():
     sizes = {}
     for label, poly in (("X^2", [0, 0, 1]), ("2X", [0, 2]), ("3X^2+X", [0, 1, 3])):
         cert = places.polynomial_translate_cover(poly, ring, window_scale=1)
-        assert cert.replay()
+        ok, why = cert.replay()
+        assert ok, why
         blob = serialize.canonical_json(cert.to_dict())
         again = places.TranslateCoverCertificate.from_dict(json.loads(blob))
-        assert again.replay()
+        ok, why = again.replay()
+        assert ok, why
         assert serialize.canonical_json(again.to_dict()) == blob
         oracle = oracle_cover_count(cert.conj_bound)
         size = len(cert.translates)
@@ -190,7 +193,8 @@ def test_criterion_5_heisenberg_suite():
 
     scheme = heis.HeisScheme(f2, (1, 1, 2))
     cover = heis.heis_covering_certificate(scheme)
-    assert cover.replay()
+    ok, why = cover.replay()
+    assert ok, why
 
     gaps = {}
     for radius in (10, 20):

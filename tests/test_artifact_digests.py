@@ -63,14 +63,14 @@ JOBS = (
 )
 
 DIGESTS = {
-    "cert.json": "ae617fcc4cd78d058a77f6f22bc3a1dd92deaa4db825e19c6244187894d64bb4",
+    "cert.json": "0329f9477e0fd155027beaa2232f7ddd65c6f60fc36764526f4f80f659706358",
     "cover-heis.json": "ce2fb0b3501ae7a4cfbfdb7a15e6857fc929b96c4b15da29b45f4048b08c001d",
     "cover-zs.json": "12a867df49abab0688eecec8ef49e1f4cb533ba27f0df858616b53989f518c1d",
     "cover.json": "cbbd23ace92b5227b5325358350ec67376ef143eb80f048911aa45e008a9e653",
-    "delone-heis.json": "7bc5faf59bdc72334bed675f9f0986c2764ea86621234fe282daf209b932d9b9",
-    "delone-sqrt2-2d.json": "158af818c16fa4d47040e01238aed73e1b680ded369423075748e5f3ae6161e2",
-    "delone-zs.json": "f796530d0c23efde3b4b996d47d823bf850eb813e543506b668f07c265a2aa35",
-    "delone.json": "146e0d8aaf61aaf2f10538b1f223a17b7fc34a66ede41a7cd91738ca71a5e07a",
+    "delone-heis.json": "f1051779c903b1b1a44496f637a857cb55ce484a19ec75b40b2b8900eb463af0",
+    "delone-sqrt2-2d.json": "abea0c4e1f4123a68d849547dfb40730c1c86a9715835b87773f89c83c70dd10",
+    "delone-zs.json": "7ba319e5ae2855c962110c0a239ad39d1440212c555eb708a3db7c18fb18ff72",
+    "delone.json": "a0e54509c060a75764174e76c45d80f645febbd0646b2dde556b3aef4c5c2dbc",
     "gen-golden-b.json": "6acdff03cd1c1c82e4023cb5e87b272dd2b0eeeeb862318eacd6fac7b9360f42",
     "gen-golden.csv": "14bdd7808f400ce11e011581a5e3148d37842e3e4d709a2356154e4e457b748c",
     "gen-golden.json": "e5228ab099ee54f8a2c0fb61b38c9287bf13cdde3a9d36629db63807ba667f12",
@@ -81,8 +81,8 @@ DIGESTS = {
     "gen-zs-b.json": "f5d521f205415d4880f14cfed97fc3a9372a41c37a7ea98204f2bb3699ac7be3",
     "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
     "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
-    "heis-center-golden.json": "332abdf8c7dec860eaf5710ba862c086f8003e4d87da6707f73e87994dbda007",
-    "heis-center.json": "fd4a2da94d932a972907aba0a527324983d5ae32ff324b284d82a700d3029581",
+    "heis-center-golden.json": "f1e2d262c2b87673edf02481bcf3e96b3c7adc62cf5f000e0da3786242cb8cf4",
+    "heis-center.json": "7a10f63da448bd5aa831075ad8eabc08d5fe38e6532023d33894d72fc06dfc77",
     "heis-cert-golden.json": "27313a88a2eacf9ba56eeb26e7abe043caa27ac3edefe8ebb7a10a5a8592f323",
     "heis-cert.json": "fd1b29101589b178a1d4aa7082fbd85983efb6b7e18db2f52785469626167697",
     "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
@@ -90,13 +90,13 @@ DIGESTS = {
     "heis-gen-r2.json": "e122b7eb6f6b653befa7b92f208292e805f197d281a1713bcd7563b39c90e1ef",
     "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
     "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
-    "heis-hull-golden.json": "e27969de71a0ecdd407dcb9c06320b8501d164730ae22bb081f19f8f9bc11b28",
-    "heis-hull.json": "7634e66fd4f12a0d396e60bfc764086456c99db9c7676be76be66d020b0b1808",
+    "heis-hull-golden.json": "2c2eed579676e99425ceca6a4677704f502206192a787ede2e80e04617ccf779",
+    "heis-hull.json": "0e570465b1db28127f2a945ffe38958a2b4de693b63d40ca4043c28fad0b92d9",
     "heis-meyer.json": "dacb4029f9e9955cc8a35cf45ff0d1828d895d55a407850666b058e012009c86",
     "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",
     "pisot.json": "f84a9b13aa4ed3cd7e2465d24845b6e926e0cdc100bc4ae3f1a87831e30d6f9e",
     "polycover.json": "53557b8ebd025caced315359f2ac61ced41f26e7d4cfe16ca9b684e78a7f3ed7",
-    "project.json": "db186742da32c5a2bc2b17181b677ce47a42efcdff23da77a149239385038d15",
+    "project.json": "834ae71ea9864b92c2442a56915b1e1b958cbae946cff163a7105a7423cfdf53",
 }
 
 

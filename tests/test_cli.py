@@ -214,6 +214,38 @@ def test_verify_delone_consumes_csv(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda points: points.pop(len(points) // 2), "not a coordinate product"),
+    (lambda points: points.append(points[0]), "duplicate points"),
+])
+def test_verify_delone_needs_a_product_patch(tmp_path, capsys, edit, message):
+    # the metric layer reads a patch as the product of its per-axis factors, so
+    # a Heisenberg patch with one point dropped, or one point twice, is refused
+    path = tmp_path / "patch.json"
+    assert run_cli("heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "2",
+                   "--json", str(path)) == 0
+    data = json.loads(path.read_text())
+    edit(data["points"])
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "delone", "--patch", str(path), "--inner", "1/2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+
+
+def test_certificate_replay_names_the_failing_check(tmp_path, capsys):
+    path = tmp_path / "polycover.json"
+    assert run_cli("pisot", "polycover", "--ring", "pvs:golden", "--poly", "1/3,1/2",
+                   "--json", str(path)) == 0
+    data = json.loads(path.read_text())
+    data["coset_covers"].pop()
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 2
+    out = capsys.readouterr().out.strip()
+    assert out == "replay FAILED: poly_translate_cover: 3 coset covers for 4 cosets"
+
+
 def test_replay_rejects_translates_off_the_lattice(tmp_path, capsys):
     json_path = tmp_path / "cert.json"
     assert run_cli("cps", "certify", "--scheme", "galois:golden", "--window", "1",
@@ -288,7 +320,7 @@ def test_poly_cover_replay_derives_the_constant_and_the_cosets(tmp_path, capsys,
     ({("min_separation",): 0.5}, 1),
     ({("min_separation",): None}, 1),
     ({("inner_radius",): 15}, 1),
-    ({("covering", "mesh"): None}, 1),
+    ({("covering", "bound"): None}, 1),
 ])
 def test_delone_replay_checks_the_report_fields_first(tmp_path, capsys, cover_artifacts,
                                                        monkeypatch, edits, code):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,19 @@ def pt(field, x, y, z):
 def rand_point(field, rng, span=8):
     vals = [Fraction(rng.randint(-span, span), rng.randint(1, 4)) for _ in range(3)]
     return pt(field, *vals)
+
+
+def box_axes(halfwidths, mesh):
+    """Per-axis values of a grid of step at most mesh over the box of these half-widths."""
+    axes = []
+    for h in halfwidths:
+        if h == 0:
+            axes.append([Fraction(0)])
+            continue
+        steps = max(1, math.ceil(h / mesh))
+        step = Fraction(h) / steps
+        axes.append([k * step for k in range(-steps, steps + 1)])
+    return axes
 
 
 def rand_algebra(field, rng, span=8):
@@ -162,7 +176,8 @@ class TestCoveringCertificate:
     def test_sqrt2_certificate_replays(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         cert = heis.heis_covering_certificate(scheme)
-        assert cert.replay()
+        ok, why = cert.replay()
+        assert ok, why
         assert len(cert.translates) >= 1
 
     def test_certificate_roundtrip_bytes(self, f2):
@@ -170,7 +185,8 @@ class TestCoveringCertificate:
         cert = heis.heis_covering_certificate(scheme)
         blob = json.dumps(cert.to_dict(), sort_keys=True)
         again = heis.HeisCoverCertificate.from_dict(json.loads(blob))
-        assert again.replay()
+        ok, why = again.replay()
+        assert ok, why
         assert json.dumps(again.to_dict(), sort_keys=True) == blob
 
     def test_tampered_window_target_fails_replay(self, f2):
@@ -178,14 +194,16 @@ class TestCoveringCertificate:
         cert = heis.heis_covering_certificate(scheme)
         data = cert.to_dict()
         data["x_cover"]["target"] = ["-1", "1"]  # claims less than the product window needs
-        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        assert not ok, why
 
     def test_too_small_shear_bound_fails_replay(self, f2):
         cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
         assert cert.shear_bound > 0
         data = cert.to_dict()
         data["shear_bound"] = str(cert.shear_bound / 2)
-        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        assert not ok, why
 
     def test_too_small_z_target_fails_replay(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
@@ -194,7 +212,8 @@ class TestCoveringCertificate:
         # the product window's z half-width without the shear term M * c_y
         wz = scheme.product_window()[2]
         data["z_cover"]["target"] = [str(-wz), str(wz)]
-        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        assert not ok, why
 
     def test_off_lattice_z_translate_fails_replay(self, f2):
         cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
@@ -202,7 +221,8 @@ class TestCoveringCertificate:
         # shift one z translate by 2^-40, far too little to open a gap in the chain
         z = data["z_cover"]
         z["elements"][0][0] = str(Fraction(z["elements"][0][0]) + Fraction(1, 2**40))
-        assert not heis.HeisCoverCertificate.from_dict(data).replay()
+        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        assert not ok, why
 
     @pytest.mark.parametrize("window", [(1, 1, 2), (1, Fraction(9, 8), 2), (Fraction(7, 8), 1, 1)])
     def test_every_box_grid_point_has_a_translate(self, f2, window):
@@ -213,7 +233,7 @@ class TestCoveringCertificate:
         cx, cy, cz = scheme.window
         place = scheme.internal_place
         fits = heis.abs_embedding_leq
-        for w1, w2, w3 in itertools.product(*heis._box_axes(scheme.product_window(), Fraction(1, 2))):
+        for w1, w2, w3 in itertools.product(*box_axes(scheme.product_window(), Fraction(1, 2))):
             w1, w2, w3 = (f2.from_rational(v) for v in (w1, w2, w3))
             assert any(
                 fits(w3 - t3 - t1 * (w2 - t2), place, cz)
@@ -228,7 +248,8 @@ class TestCoveringCertificate:
         assert list(cert.x_cover.elements) == [f2.zero()]
         assert list(cert.y_cover.elements) == [f2.zero()]
         assert cert.shear_bound == 0
-        assert cert.replay()
+        ok, why = cert.replay()
+        assert ok, why
 
     def test_cover_is_sound_on_lattice_products(self, f2):
         # global claim checked against actual patch products
@@ -320,7 +341,7 @@ class TestSchreiberHull:
         report = heis.schreiber_hull(small, large)
         assert report.aligned
         assert report.subgroup == "x-axis"
-        assert report.kappa_large <= 2
+        assert report.table[report.subgroup][1] <= 2
 
     def test_full_model_set_needs_full_group(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 1))
@@ -329,6 +350,36 @@ class TestSchreiberHull:
         report = heis.schreiber_hull(small, large)
         assert report.aligned
         assert report.subgroup == "full"
+
+    @pytest.mark.parametrize("field, window, radii, subgroup", [
+        # the README tour's hull: kappa(full) grows from 1/2 to sqrt2/2, which
+        # only the additive allowance of R1/4 lets pass
+        ("sqrt2", (1, 1, 1), (3, 6), "full"),
+        # the benchmark's hull windows, each way round, and its replay corpus
+        ("golden", ("7/8", "9/8", 2), ("3/2", 3), "full"),
+        ("golden", ("9/8", "7/8", 2), ("3/2", 3), "full"),
+        ("sqrt2", (1, "9/8", 2), ("3/2", 3), "full"),
+        ("sqrt2", ("9/8", 1, 2), ("3/2", 3), "full"),
+        ("sqrt2", (1, "9/8", 2), (1, 2), "center"),
+        ("sqrt2", ("9/8", 1, 2), (1, 2), "center"),
+    ])
+    def test_chosen_subgroups_are_pinned(self, field, window, radii, subgroup):
+        f = golden_field() if field == "golden" else sqrt2_field()
+        scheme = heis.HeisScheme(f, [Fraction(c) for c in window])
+        small, large = (heis.heis_model_set(scheme, Fraction(r)) for r in radii)
+        report = heis.schreiber_hull(small, large)
+        assert report.aligned and report.subgroup == subgroup
+        k1, k2 = report.table[subgroup]
+        assert k2 <= heis.GROWTH_TOLERANCE * k1 + small.radius / 4
+
+    def test_readme_hull_needs_the_allowance(self, f2):
+        scheme = heis.HeisScheme(f2, (1, 1, 1))
+        report = heis.schreiber_hull(heis.heis_model_set(scheme, 3), heis.heis_model_set(scheme, 6))
+        k1, k2 = report.table["full"]
+        # exact kappas 1/2 and sqrt2/2; the second is written as its 2^-64 ceiling
+        assert k1 == Fraction(1, 2)
+        assert (k2 - Fraction(1, 2**64)) ** 2 < Fraction(1, 2) < k2**2
+        assert k2 > heis.GROWTH_TOLERANCE * k1
 
     def test_radius_precondition(self, f2):
         small = integer_axis_patch(f2, 6)

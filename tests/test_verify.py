@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -27,28 +28,27 @@ def fib_patch(radius=10):
 
 class TestMinSeparation:
     def test_integer_patch(self):
-        sep, _ = verify.min_separation(frac_points(range(-4, 5)), line_ops())
-        assert sep == 1
+        assert verify.min_separation(frac_points(range(-4, 5)), line_ops()) == 1
 
     def test_half_integer_patch(self):
         pts = [Fraction(n, 2) for n in range(-6, 7)]
-        sep, _ = verify.min_separation(pts, line_ops())
-        assert sep == Fraction(1, 2)
+        assert verify.min_separation(pts, line_ops()) == Fraction(1, 2)
 
     def test_fibonacci_patch_positive(self):
         patch = fib_patch(10)
-        sep, witness = verify.min_separation(patch.points, patch.group_ops())
+        ops = patch.group_ops()
+        sep = verify.min_separation(patch.points, ops)
         assert sep > 0
-        # the witness pair is stored exactly and has nonzero difference
-        a, b = witness
-        assert (a[0] - b[0]).is_zero is False
+        # the least gap is 1/phi = phi - 1, written as its 2^-64 floor
+        assert sep == all_pairs_min_separation(patch.points, ops)
+        phi_minus_one = golden_field().gen() - 1
+        assert sep == exactnum.eval_embedding(phi_minus_one, ops.place, verify.NORM_BITS)[0]
 
     def test_nonincreasing_in_radius(self):
         seps = []
         for radius in (5, 10, 20):
             patch = fib_patch(radius)
-            sep, _ = verify.min_separation(patch.points, patch.group_ops())
-            seps.append(sep)
+            seps.append(verify.min_separation(patch.points, patch.group_ops()))
         assert seps[0] >= seps[1] >= seps[2]
 
     def test_needs_two_points(self):
@@ -75,22 +75,43 @@ def rational_box_ops(dim):
         identity=(Fraction(0),) * dim,
         sort_key=lambda a: a,
         coord_intervals=lambda a, bits: [(x, x) for x in a],
-        dim=dim,
+        place=None,
     )
 
 
-def all_pairs_min_separation(points, ops, bits=128):
-    """Reference: every pair in input order, first minimising pair wins."""
-    pts = list(points)
-    ivs = [ops.coord_intervals(p, bits) for p in pts]
-    best, witness = None, None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            lo = max(exactnum.iv_abs(exactnum.iv_sub(a, b))[0] for a, b in zip(ivs[i], ivs[j]))
-            assert lo > 0
-            if best is None or lo < best:
-                best, witness = lo, (pts[i], pts[j])
-    return best, witness
+def real_key(place):
+    """Orders coordinates by exact real value: rationals as they are, field
+    elements by the sign of their difference's embedding."""
+    if place is None:
+        return None
+    return functools.cmp_to_key(lambda a, b: exactnum.cmp_embedding(a - b, place, 0))
+
+
+def exact_abs(x, place):
+    negative = x < 0 if place is None else exactnum.cmp_embedding(x, place, 0) < 0
+    return -x if negative else x
+
+
+def written(x, place):
+    """(floor, ceiling) of x's real value at 2^-NORM_BITS; x itself when it is rational."""
+    if place is None:
+        return Fraction(x), Fraction(x)
+    return exactnum.eval_embedding(x, place, verify.NORM_BITS)
+
+
+def all_pairs_min_separation(points, ops):
+    """Reference: the least exact sup-distance over every pair of points, by
+    brute force, written as its 2^-NORM_BITS floor."""
+    place = ops.place
+    key = real_key(place)
+    coords = [p if type(p) is tuple else (p,) for p in points]
+    dists = []
+    for i, p in enumerate(coords):
+        for q in coords[i + 1:]:
+            d = max((exact_abs(a - b, place) for a, b in zip(p, q)), key=key)
+            assert exact_abs(d, place) != 0, "duplicate point"
+            dists.append(d)
+    return written(min(dists, key=key), place)[0]
 
 
 # Half-integer coordinates repeat often; quarter-integer queries fall halfway
@@ -124,7 +145,6 @@ class TestNearestScan:
         points = [[(x, x), (y, y), (z, z)] for x in firsts for y in ys for z in zs]
         data.draw(st.randoms()).shuffle(points)
         scan = verify.NearestScan(points)
-        assert sorted(i for members in scan.cells.values() for i in members) == list(range(len(points)))
         for g in data.draw(st.lists(st.tuples(*[QUARTERS] * 3), min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
 
@@ -186,15 +206,6 @@ class TestCells:
         assert scan.nearest_index(query) == 0
         assert scan.dist_hi(query) == abs(Fraction(query[0]) - Fraction(1, 3))
 
-    def test_a_hair_thin_axis_keeps_the_occupied_box_small(self):
-        # one axis spans only 2^-70: cells sized by volume alone would be about
-        # 2^-23 wide, and a far query would walk about 2^50 empty cells
-        points = [[(Fraction(k % 5),) * 2, (HAIR * (k % 2),) * 2, (Fraction(k // 5),) * 2] for k in range(30)]
-        scan = verify.NearestScan(points)
-        assert math.prod(h - l + 1 for l, h in zip(scan.lo, scan.hi)) <= 4**3 * len(points)
-        query = (Fraction(10**6), Fraction(0), Fraction(0))
-        assert scan.nearest_index(query) == linear_nearest_index(scan, query)
-
     def test_equal_float_midpoints_pick_lowest_index(self):
         points = [[(Fraction(1) + HAIR, Fraction(1) + HAIR)], [(Fraction(1), Fraction(1))]]
         scan = verify.NearestScan(points)
@@ -205,53 +216,65 @@ class TestCells:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.sampled_from([1, 3]), data=st.data())
     def test_bulk_maximum_matches_grid_loop(self, dim, data):
-        # half-integer points and quarter-integer grids: many grid points tie
-        scan = verify.NearestScan(data.draw(hair_interval_points(dim)))
-        axis = st.lists(st.one_of(QUARTERS, FAR), min_size=1, max_size=6 if dim == 3 else 20)
-        axes = [data.draw(axis) for _ in range(dim)]
-        expected = max(reference_dist_hi(scan, g) for g in itertools.product(*axes))
-        assert scan.max_dist_hi(axes) == expected
-
-    def test_bulk_maximum_where_an_interval_width_reorders_the_floats(self):
-        # the float distance peaks at 11/4 (5/4 from the exact point 4), but
-        # the wide interval around 0 gives -1 the larger exact bound, 11/8
-        scan = verify.NearestScan([[(Fraction(-3, 8), Fraction(3, 8))], [(Fraction(4), Fraction(4))]])
-        axis = [Fraction(-1), Fraction(11, 4)]
-        assert scan.max_dist_hi([axis]) == Fraction(11, 8) == max(reference_dist_hi(scan, (g,)) for g in axis)
+        # the largest grid distance at mesh delta brackets the exact covering
+        # radius from below within delta/2; with half-integer points, distinct
+        # distances to a grid point differ by far more than float rounding, so
+        # the float scan picks a truly nearest point
+        pts = data.draw(products(HALVES, dim))
+        # at most 13^3 grid points in 3-D
+        r = data.draw(st.integers(1, 8 if dim == 1 else 3).map(lambda k: Fraction(k, 2)))
+        meshes = [Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 8)] * (dim == 1)
+        mesh = data.draw(st.sampled_from(meshes))
+        ops = rational_box_ops(dim)
+        bound = verify.covering_radius(pts, ops, r).bound
+        grid = grid_maximum(pts, ops, r, mesh)
+        assert grid <= bound <= grid + mesh / 2
 
     def test_bulk_maximum_matches_grid_loop_on_a_heisenberg_patch(self):
         patch = heis.heis_model_set(heis.HeisScheme(sqrt2_field(), (1, 1, 2)), 2)
         ops = patch.group_ops()
-        scan = verify.NearestScan([ops.coord_intervals(p, 96) for p in patch.points])
-        axis = [Fraction(k, 8) for k in range(-4, 5)]
-        expected = max(reference_dist_hi(scan, g) for g in itertools.product(axis, axis, axis))
-        assert scan.max_dist_hi([axis] * 3) == expected
-
-    def test_min_separation_refines_overlapping_intervals(self):
-        # intervals of half-width 2^-bits: the first two points overlap at
-        # 128 bits and separate at 256
-        ops = verify.GroupOps(
-            mul=None, inv=None, identity=None, sort_key=None,
-            coord_intervals=lambda p, bits: [(p - Fraction(1, 2**bits), p + Fraction(1, 2**bits))],
-            dim=1,
-        )
-        pts = [Fraction(0), Fraction(1, 2**200), Fraction(1)]
-        assert verify.min_separation(pts, ops) == (Fraction(1, 2**200) - Fraction(2, 2**256), (pts[0], pts[1]))
+        mesh = Fraction(1, 8)
+        bound = verify.covering_radius(patch.points, ops, Fraction(1, 2)).bound
+        grid = grid_maximum(patch.points, ops, Fraction(1, 2), mesh)
+        # dist_hi and the written bound each round outward by less than 2^-64
+        assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
 
     @settings(max_examples=100, deadline=None)
     @given(dim=st.sampled_from([1, 3]), data=st.data())
     def test_min_separation_matches_all_pairs(self, dim, data):
-        values = st.tuples(*[HAIR_HALVES] * dim)
-        pts = data.draw(st.lists(values, min_size=2, max_size=30, unique=True))
+        pts = data.draw(products(HAIR_HALVES, dim))
+        if len(pts) < 2:
+            return
         ops = rational_box_ops(dim)
         assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
 
 
-def interval_ops(dim):
+def products(values, dim, max_factor=4):
+    """Shuffled coordinate products of `dim` factors drawn from `values`."""
+    factor = st.lists(values, min_size=1, max_size=max_factor, unique=True)
+    return st.tuples(st.lists(factor, min_size=dim, max_size=dim), st.randoms()).map(
+        lambda fr: fr[1].sample(list(itertools.product(*fr[0])), k=math.prod(map(len, fr[0])))
+    )
+
+
+def grid_1d(r, mesh):
+    """-r + 2 r k / steps for k = 0..steps, with steps = ceil(2 r / mesh)."""
+    steps = max(1, math.ceil(2 * r / mesh))
+    return [-r + 2 * r * Fraction(k, steps) for k in range(steps + 1)]
+
+
+def grid_maximum(points, ops, r, mesh):
+    """The largest `reference_dist_hi` over a grid of step at most mesh on [-r, r]^dim."""
+    scan = verify.NearestScan([ops.coord_intervals(p, verify.NORM_BITS) for p in points])
+    dim = len(scan.ivs[0])
+    return max(reference_dist_hi(scan, g) for g in itertools.product(*[grid_1d(r, mesh)] * dim))
+
+
+def interval_ops():
     """Points are tuples of exact coordinate intervals."""
     return verify.GroupOps(
         mul=None, inv=None, identity=None, sort_key=None,
-        coord_intervals=lambda p, bits: list(p), dim=dim,
+        coord_intervals=lambda p, bits: list(p), place=None,
     )
 
 
@@ -268,19 +291,9 @@ class TestPointsWithin:
         value = st.one_of(near, HALVES)
         coord = st.tuples(value, value).map(lambda ab: (min(ab), max(ab)))
         pts = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=20))
-        ops = interval_ops(3)
+        ops = interval_ops()
         expected = [p for p in pts if verify.point_norm_hi(p, ops) <= radius]
         assert verify.points_within(pts, ops, radius) == expected
-
-
-    @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(
-        st.tuples(HALVES, st.sampled_from([0, Fraction(1, 2**60), -Fraction(1, 2**60)])).map(sum),
-        max_size=12,
-    ))
-    def test_abs_max_matches_exact_maximum(self, values):
-        # values a hair (2^-60) apart have equal floats
-        assert verify.abs_max(values) == max((abs(v) for v in values), default=0)
 
 
 class TestMinSeparationSweep:
@@ -297,12 +310,6 @@ class TestMinSeparationSweep:
         pts = [scale * v for v in values]
         ops = line_ops()
         assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
-
-    def test_equal_gaps_witness_is_first_pair_in_input_order(self):
-        pts = frac_points([6, 0, 4, 2, 3])
-        assert verify.min_separation(pts, line_ops()) == (1, (Fraction(4), Fraction(3)))
-        pts = frac_points([9, 5, 3, 1, 7])
-        assert verify.min_separation(pts, line_ops()) == (2, (Fraction(9), Fraction(7)))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_golden_patches_match_all_pairs(self, seed):
@@ -386,9 +393,8 @@ class TestCoveringRadius:
     def test_integer_patch(self):
         res = verify.covering_radius(frac_points(range(-8, 9)), line_ops(), 3)
         assert res.verdict == "FINITE"
-        assert Fraction(1, 2) <= res.bound <= Fraction(3, 4)
-        # the mesh slack is within 10% of the empirical value
-        assert res.mesh <= res.empirical / 10
+        # the covering radius of Z is 1/2, and rational values are written exactly
+        assert res.bound == Fraction(1, 2)
 
     def test_single_point_is_infinite(self):
         res = verify.covering_radius([Fraction(0)], line_ops(), 3)
@@ -420,6 +426,56 @@ class TestCoveringRadius:
         r_small = verify.covering_radius(small.points, small.group_ops(), 5, patch_radius=12)
         r_large = verify.covering_radius(large.points, large.group_ops(), 5, patch_radius=12)
         assert r_large.bound <= r_small.bound
+
+
+SQRT2 = sqrt2_field()
+# small elements a + b sqrt2 of Z[sqrt2]
+SQRT2_VALUES = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda ab: SQRT2.elem(ab))
+
+
+class TestFactorwise:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 3), data=st.data())
+    def test_sqrt2_products_match_all_pairs_and_the_grid(self, dim, data):
+        pts = data.draw(products(SQRT2_VALUES, dim, max_factor=3))
+        ops = cps.GaloisScheme(SQRT2, dim=dim).group_ops()
+        if len(pts) >= 2:
+            assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+        mesh = Fraction(1, 4)
+        bound = verify.covering_radius(pts, ops, 1).bound
+        grid = grid_maximum(pts, ops, Fraction(1), mesh)
+        assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
+
+    def test_factors_are_sorted_by_exact_value(self):
+        patch = heis.heis_model_set(heis.HeisScheme(golden_field(), (1, Fraction(9, 8), 2)), 4)
+        ops = patch.group_ops()
+        factors = verify.factors(reversed(patch.points), ops)
+        # the golden 1,9/8,2 patch of radius 4 is 7 x 7 x 15 points
+        assert [len(xs) for xs in factors] == [7, 7, 15] and len(patch.points) == 735
+        for xs in factors:
+            assert all(exactnum.cmp_embedding(b - a, ops.place, 0) > 0 for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("measure", [
+        lambda pts, ops: verify.min_separation(pts, ops),
+        lambda pts, ops: verify.covering_radius(pts, ops, 1),
+    ])
+    def test_a_set_that_is_not_a_product_is_a_usage_error(self, measure):
+        pts = [(Fraction(x), Fraction(y)) for x in range(3) for y in range(3)]
+        ops = rational_box_ops(2)
+        with pytest.raises(UsageError, match="not a coordinate product: 8 points, factors 3 x 3"):
+            measure(pts[:4] + pts[5:], ops)
+        with pytest.raises(UsageError, match="duplicate"):
+            measure(pts + pts[:1], ops)
+
+    def test_readme_heisenberg_report_is_exact(self):
+        # the 2,299-point sqrt2 1,1,2 patch of radius 6, on the inner ball of radius 3
+        patch = heis.heis_model_set(heis.HeisScheme(SQRT2, (1, 1, 2)), 6)
+        ops = patch.group_ops()
+        report = verify.delone_certify(patch.points, ops, 3, patch_radius=6)
+        sqrt2 = SQRT2.gen()
+        assert report.min_separation == written(sqrt2 - 1, ops.place)[0]
+        assert report.covering.bound == written(sqrt2 / 2, ops.place)[1]
+        assert report.is_delone
 
 
 class TestGreedyCover:
