@@ -26,6 +26,7 @@ from .exactnum import (
     frac_str,
     golden_field,
     json_list,
+    json_object,
     sqrt2_field,
     str_frac,
     str_int,
@@ -136,17 +137,16 @@ CONFIG_KEYS = ("scheme", "window", "radius", "out", "json", "field", "ring")
 def apply_config(path: str, args: argparse.Namespace) -> None:
     """Set each option the command line left unset from a key=value file."""
     values = {}
-    with open(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = value.strip("\"'")
+    for line_no, raw in enumerate(serialize.read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{line_no}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        values[key] = value.strip("\"'")
     for key, value in values.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -353,11 +353,10 @@ def cmd_pisot_enumerate(args) -> int:
         if not ring.s_primes:
             raise UsageError("enumerate needs at least one finite prime for rational rings")
         window = cps.Window.balls(*((p, 0) for p in scheme.primes))
-        patch = cps.model_set_patch(scheme, window, radius)
     else:
         scheme = cps.GaloisScheme(ring.field, physical_root_index=ring.s_arch_indices[0])
         window = cps.Window.box(str_frac(args.window) if args.window else Fraction(1))
-        patch = cps.model_set_patch(scheme, window, radius)
+    patch = cps.model_set_patch(scheme, window, radius)
     _emit(
         args,
         patch.to_dict(),
@@ -387,8 +386,7 @@ def _load_patch(path: str, args=None) -> cps.Patch:
     if path.endswith(".csv"):
         if args is None or not (args.scheme or args.field):
             raise UsageError("CSV patches need --scheme (or --field/--window for heis) metadata")
-        with open(path) as handle:
-            rows = [line.strip() for line in handle if line.strip()]
+        rows = [line.strip() for line in serialize.read_text(path).splitlines() if line.strip()]
         _require(args, "window", "radius")
         if args.field:  # Heisenberg CSV: the window belongs to the scheme
             scheme, window = _heis_scheme(args), None
@@ -398,7 +396,7 @@ def _load_patch(path: str, args=None) -> cps.Patch:
         pts = tuple(scheme.point_from_csv(row) for row in rows[1:])
         return cps.Patch(scheme, window, str_frac(args.radius), pts)
     data = serialize.load_json(path)
-    if data.get("type") not in ("patch", "heis_patch"):
+    if type(data) is not dict or data.get("type") not in ("patch", "heis_patch"):
         raise UsageError(f"{path} is not a patch file")
     return cps.Patch.from_dict(data)
 
@@ -434,8 +432,8 @@ def cmd_verify_cover(args) -> int:
 
 def cmd_verify_cellcover(args) -> int:
     _require(args, "spec")
-    data = serialize.load_json(args.spec)
-    out = serialize.cellcover_summary(data["x"], data["coverings"])
+    data = json_object(serialize.load_json(args.spec), "a cell cover spec is")
+    out = serialize.cellcover_summary(data.get("x"), data.get("coverings"))
     _emit(args, out, None, f"|F'| = {out['size']} <= {out['bound']}")
     return EXIT_OK
 
@@ -529,6 +527,9 @@ def parse_args(argv) -> argparse.Namespace:
         ]
     if extra:
         raise UsageError("unrecognized arguments: " + " ".join(extra))
+    # a cap below 1 would certify a vacuous negative
+    if getattr(args, "max_translates", None) is not None and args.max_translates < 1:
+        raise UsageError(f"--max-translates must be at least 1, not {args.max_translates}")
     return args
 
 

@@ -42,8 +42,6 @@ from .exactnum import (
     is_prime,
     json_list,
     json_object,
-    padic_valuation,
-    prime_factors,
     str_frac,
     str_int,
 )
@@ -59,7 +57,8 @@ TILE_BITS = 96  # precision of the intervals that bound cover-search tiles
 
 
 class Window(Record):
-    """Symmetric compact window: real boxes [-c, c] and p-adic balls p^-k Z_p."""
+    """Symmetric compact window: real boxes [-c, c] and p-adic balls p^-k Z_p.
+    A scheme's `validate_window` says which windows it takes."""
 
     __slots__ = ("real_halfwidths", "padic_balls")
 
@@ -70,9 +69,6 @@ class Window(Record):
     ):
         if not real_halfwidths and not padic_balls:
             raise UsageError("window must have at least one component")
-        for c in real_halfwidths:
-            if c <= 0:
-                raise UsageError("real window halfwidths must be positive")
         for p, _k in padic_balls:
             if not is_prime(p):
                 raise UsageError(f"window prime {p} is not prime")
@@ -92,7 +88,14 @@ class Window(Record):
 
     @staticmethod
     def box(*halfwidths) -> "Window":
-        return Window(real_halfwidths=tuple(Fraction(c) for c in halfwidths))
+        """The box of the given half-widths, each positive."""
+        window = Window(real_halfwidths=tuple(Fraction(c) for c in halfwidths))
+        window.require_positive()
+        return window
+
+    def require_positive(self) -> None:
+        if any(c <= 0 for c in self.real_halfwidths):
+            raise UsageError("real window halfwidths must be positive")
 
     @staticmethod
     def balls(*levels: tuple[int, int]) -> "Window":
@@ -110,16 +113,19 @@ class Window(Record):
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "Window":
+    def from_dict(data: dict, scheme) -> "Window":
+        """The window `to_dict` wrote, which must be one that `scheme` takes."""
         json_object(data, "a window is")
         real = json_list(data.get("real", []), "the real half-widths of a window are")
         padic = data.get("padic", [])
         if type(padic) is not list or any(type(b) is not list or len(b) != 2 for b in padic):
             raise UsageError(f"the p-adic balls of a window are [prime, level] pairs, not {padic!r}")
-        return Window(
+        window = Window(
             real_halfwidths=tuple(str_frac(c) for c in real),
             padic_balls=tuple((str_int(p), str_int(k)) for p, k in padic),
         )
+        scheme.validate_window(window)
+        return window
 
 
 def window_product(w1: Window, w2: Window) -> Window:
@@ -140,8 +146,20 @@ def window_product(w1: Window, w2: Window) -> Window:
 # Each scheme owns the format of its points: `patch_type` tags its patch
 # artifacts, and point_to_json/point_from_json, csv_header/csv_row/
 # point_from_csv and sort_key write, read and order one point.  `model_set`
-# builds the complete patch for a window and radius.
+# builds the complete patch for a window and radius.  `cover_type` tags its
+# window covers, and a scheme over a quadratic field gives each real axis's
+# cover target by `cover_target`.
 # ---------------------------------------------------------------------------
+
+
+def _csv_cells(row: str, header: str) -> list[str]:
+    """The cells of a CSV row, one per column of `header`."""
+    cells, columns = row.split(","), header.count(",") + 1
+    if len(cells) != columns:
+        raise UsageError(
+            f"the CSV row {row!r} has {len(cells)} cells, not the {columns} of {header!r}"
+        )
+    return cells
 
 
 class ZSScheme:
@@ -152,6 +170,7 @@ class ZSScheme:
 
     kind = "zs"
     patch_type = "patch"
+    cover_type = "global_cover"
 
     def __init__(self, primes: Sequence[int]):
         ps = tuple(sorted(set(int(p) for p in primes)))
@@ -198,7 +217,7 @@ class ZSScheme:
         return frac_str(q)
 
     def point_from_csv(self, row: str) -> Fraction:
-        return str_frac(row)
+        return str_frac(_csv_cells(row, self.csv_header())[0])
 
     def sort_key(self, q: Fraction):
         return (q,)
@@ -239,7 +258,7 @@ class QuadraticScheme:
         return ",".join(frac_str(c) for x in p for c in x.coeffs)
 
     def point_from_csv(self, row: str):
-        cells = row.split(",")
+        cells = _csv_cells(row, self.csv_header())
         return tuple(
             self.field.elem([str_frac(c) for c in cells[i : i + 2]])
             for i in range(0, 2 * len(self.coords), 2)
@@ -248,6 +267,12 @@ class QuadraticScheme:
     @staticmethod
     def sort_key(p):
         return tuple(c for x in p for c in x.coeffs)
+
+    @staticmethod
+    def cover_target(w1: Window, w2: Window, covers: Sequence["DimCover"]) -> Fraction:
+        """The half-width that the cover of the next real axis must reach, given
+        the covers of the axes before it; coordinatewise addition needs W1's."""
+        return w1.real_halfwidths[len(covers)]
 
     def group_ops(self) -> verify.GroupOps:
         zero = self.field.zero()
@@ -269,6 +294,7 @@ class GaloisScheme(QuadraticScheme):
 
     kind = "galois"
     patch_type = "patch"
+    cover_type = "global_cover"
 
     def __init__(self, field: NumberField, dim: int = 1, physical_root_index: int | None = None):
         if field.degree != 2:
@@ -310,6 +336,7 @@ class GaloisScheme(QuadraticScheme):
         return tuple(map(neg, a))
 
     def validate_window(self, window: Window):
+        window.require_positive()
         if window.padic_balls:
             raise UsageError("GALOIS windows have no p-adic component")
         if len(window.real_halfwidths) != self.dim:
@@ -386,7 +413,7 @@ class Patch(Record):
         scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
         if data["type"] != scheme.patch_type:
             raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
-        window = None if hasattr(scheme, "window") else Window.from_dict(data["window"])
+        window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
         radius = str_frac(data["radius"])
         points = json_list(data["points"], "the points of a patch are")
         points = tuple(scheme.point_from_json(p) for p in points)
@@ -494,23 +521,29 @@ class DimCover(Record):
 
     __slots__ = ("elements", "tile_halfwidth", "target_lo", "target_hi")
 
-    def replay(self, internal_place: RealEmbeddingInterval) -> bool:
-        """Check the chain by exact sign tests; every translate must lie in Z[theta].
+    def failure(self, internal_place: RealEmbeddingInterval, needed, tile) -> str | None:
+        """Why this is not a chain of lattice tiles of half-width `tile` over
+        [-needed, needed], or None when it is, by exact sign tests.
 
         Consecutive tiles meet, since their centres are at most 2c apart, so
         the tiles' union is one interval; it reaches past both target ends,
         since the first tile starts at or below target_lo and the last ends
-        at or above target_hi.
+        at or above target_hi.  Every translate must lie in Z[theta].
         """
         ts, c = self.elements, self.tile_halfwidth
-        if not ts or any(t.den != 1 for t in ts):
-            return False
-        if not all(abs_embedding_leq(y - x, internal_place, 2 * c) for x, y in zip(ts, ts[1:])):
-            return False
-        return (
-            cmp_embedding(ts[0], internal_place, self.target_lo + c) <= 0
-            and cmp_embedding(ts[-1], internal_place, self.target_hi - c) >= 0
-        )
+        if c != tile:
+            return f"has tiles of half-width {c}, not {tile}"
+        if self.target_hi < needed or self.target_lo > -needed:
+            return f"does not reach +-{needed}"
+        if (
+            not ts
+            or any(t.den != 1 for t in ts)
+            or not all(abs_embedding_leq(y - x, internal_place, 2 * c) for x, y in zip(ts, ts[1:]))
+            or cmp_embedding(ts[0], internal_place, self.target_lo + c) > 0
+            or cmp_embedding(ts[-1], internal_place, self.target_hi - c) < 0
+        ):
+            return "is not a chain of lattice tiles over its target"
+        return None
 
     def to_dict(self) -> dict:
         return {
@@ -560,21 +593,17 @@ def greedy_interval_cover(
     tiles.sort(key=lambda t: (t[0], t[1], t[2].coeffs))
     chosen = []
     covered = target_lo
-    first = True
-    while first or covered < target_hi:
+    while not chosen or covered < target_hi:
         best = None
         for cov_lo, cov_hi, x in tiles:
             if cov_lo > covered:
                 break
             if best is None or cov_hi > best[1]:
                 best = (cov_lo, cov_hi, x)
-        if best is None or (not first and best[1] <= covered):
+        if best is None or (chosen and best[1] <= covered):
             return None, covered
         chosen.append(best[2])
         covered = best[1]
-        first = False
-        if covered >= target_hi:
-            break
     return chosen, None
 
 
@@ -608,29 +637,23 @@ def cover_dimension(
 # ---------------------------------------------------------------------------
 
 
+def _coset_count(primes, k1, k2) -> int:
+    """The number of cosets of the W2 ball in the W1 ball: prod p^max(0, k1 - k2)."""
+    return math.prod(p ** max(0, a - b) for p, a, b in zip(primes, k1, k2))
+
+
+def _coset_residues(primes, k1, count: int) -> tuple:
+    """j * step for j < count, step = prod p^-k1: one representative per coset,
+    since j * step and j' * step differ by an element of the W2 ball exactly
+    when count divides j - j'."""
+    step = math.prod((Fraction(p) ** -a for p, a in zip(primes, k1)), start=Fraction(1))
+    return tuple(j * step for j in range(count))
+
+
 class PadicCosetCover(Record):
     """Residues j * prod p^-k1 representing the cosets of the W2 ball in the W1 ball."""
 
     __slots__ = ("primes", "k1", "k2", "residues")
-
-    def replay(self) -> bool:
-        expected = 1
-        for p, a, b in zip(self.primes, self.k1, self.k2):
-            expected *= p ** max(0, a - b)
-        if len(self.residues) != expected:
-            return False
-        for q in self.residues:
-            for p, a in zip(self.primes, self.k1):
-                if padic_valuation(q, p) < -a:
-                    return False
-            if any(pf not in self.primes for pf in prime_factors(q.denominator)):
-                return False
-        for i in range(len(self.residues)):
-            for j in range(i + 1, len(self.residues)):
-                diff = self.residues[i] - self.residues[j]
-                if all(padic_valuation(diff, p) >= -b for p, b in zip(self.primes, self.k2)):
-                    return False  # two representatives fell in the same coset
-        return True
 
     def to_dict(self) -> dict:
         return {
@@ -654,46 +677,48 @@ class PadicCosetCover(Record):
 
 
 class GlobalCoverCertificate(Record):
-    """Evidence that Lambda(W1) is inside F + Lambda(W2), globally.
-
-    For every internal translate the conservative tile data is stored, so the
-    window-covering claim replays from the serialized certificate alone.
+    """Evidence that Lambda(W1) is inside F Lambda(W2), globally: W1 is covered
+    by the tiles t W2 of lattice translates t, p-adic balls by coset
+    representatives, and each real axis by one interval chain that reaches the
+    scheme's `cover_target`.  The file's type is the scheme's `cover_type`.
     """
 
     __slots__ = ("scheme", "w1", "w2", "dim_covers", "padic_cover")
 
     @property
     def translates(self) -> list:
-        if self.scheme.kind == "zs":
+        if self.padic_cover is not None:
             return list(self.padic_cover.residues)
         pools = [list(dc.elements) for dc in self.dim_covers]
         return sorted(itertools.product(*pools), key=self.scheme.sort_key)
 
     def replay(self) -> tuple[bool, str]:
-        """Check the stored cover, and that it covers W1 by tiles of W2;
+        """Check that the stored cover covers W1 by tiles of W2;
         (ok, what was checked or which check failed)."""
-        if self.scheme.kind == "zs":
+        c2s = self.w2.real_halfwidths
+        if self.padic_cover is not None:
             padic = self.padic_cover
             levels = tuple(tuple(k for _, k in w.padic_balls) for w in (self.w1, self.w2))
             if (padic.primes, (padic.k1, padic.k2)) != (self.scheme.primes, levels):
                 return False, "the p-adic cover's primes or levels are not those of W1 and W2"
-            if not padic.replay():
-                return False, "the residues are not one representative per coset"
-        else:
-            place = self.scheme.internal_place
-            c1s, c2s = self.w1.real_halfwidths, self.w2.real_halfwidths
-            if len(self.dim_covers) != len(c1s):
-                return False, f"{len(self.dim_covers)} interval covers for {len(c1s)} window axes"
-            for k, (dc, c1, c2) in enumerate(zip(self.dim_covers, c1s, c2s)):
-                if dc.tile_halfwidth != c2 or dc.target_hi != c1 or dc.target_lo != -c1:
-                    return False, f"interval cover {k} does not cover +-{c1} by tiles of {c2}"
-                if not dc.replay(place):
-                    return False, f"interval cover {k} is not a chain of lattice tiles"
+            count = _coset_count(padic.primes, padic.k1, padic.k2)
+            # the count first: the representatives are only made once they are few
+            if len(padic.residues) != count or padic.residues != _coset_residues(
+                padic.primes, padic.k1, count
+            ):
+                return False, "the residues are not j * prod p^-k1 for j below the coset count"
+        elif len(self.dim_covers) != len(c2s):
+            return False, f"{len(self.dim_covers)} interval covers for {len(c2s)} window axes"
+        for k, (dc, c2) in enumerate(zip(self.dim_covers, c2s)):
+            needed = self.scheme.cover_target(self.w1, self.w2, self.dim_covers[:k])
+            why = dc.failure(self.scheme.internal_place, needed, c2)
+            if why is not None:
+                return False, f"interval cover {k} {why}"
         return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
         return {
-            "type": "global_cover",
+            "type": self.scheme.cover_type,
             "scheme": self.scheme.to_dict(),
             "w1": self.w1.to_dict(),
             "w2": self.w2.to_dict(),
@@ -704,12 +729,10 @@ class GlobalCoverCertificate(Record):
     @staticmethod
     def from_dict(data: dict) -> "GlobalCoverCertificate":
         scheme = scheme_from_dict(json_object(data, "a global cover is")["scheme"])
-        if scheme.kind == "heis":
-            raise UsageError("a global cover needs a zs or galois scheme")
-        w1, w2 = Window.from_dict(data["w1"]), Window.from_dict(data["w2"])
-        scheme.validate_window(w1)
-        scheme.validate_window(w2)
-        if scheme.kind == "zs":
+        if data["type"] != scheme.cover_type:
+            raise UsageError("a global cover needs a zs or galois scheme, a heis cover a heis one")
+        w1, w2 = (Window.from_dict(data[key], scheme) for key in ("w1", "w2"))
+        if w1.padic_balls:
             padic = PadicCosetCover.from_dict(data["padic"])
             return GlobalCoverCertificate(scheme, w1, w2, (), padic)
         dim_covers = json_list(data["dim_covers"], "the dim_covers of a global cover are")
@@ -718,30 +741,22 @@ class GlobalCoverCertificate(Record):
 
 
 def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCertificate:
-    """F finite with Lambda(W1) inside F + Lambda(W2), by covering W1 with W2-tiles."""
+    """F finite with Lambda(W1) inside F Lambda(W2), by covering W1 with W2-tiles."""
     scheme.validate_window(w1)
     scheme.validate_window(w2)
-    if scheme.kind == "zs":
-        primes = scheme.primes
-        k1 = tuple(k for _, k in w1.padic_balls)
-        k2 = tuple(k for _, k in w2.padic_balls)
-        count = 1
-        step = Fraction(1)
-        for p, a, b in zip(primes, k1, k2):
-            count *= p ** max(0, a - b)
-            step *= Fraction(p) ** (-a)
-        residues = tuple(j * step for j in range(count))
-        cert = GlobalCoverCertificate(
-            scheme, w1, w2, (), PadicCosetCover(primes, k1, k2, residues)
-        )
+    if w1.padic_balls:
+        k1, k2 = (tuple(k for _, k in w.padic_balls) for w in (w1, w2))
+        residues = _coset_residues(scheme.primes, k1, _coset_count(scheme.primes, k1, k2))
+        padic = PadicCosetCover(scheme.primes, k1, k2, residues)
+        cert = GlobalCoverCertificate(scheme, w1, w2, (), padic)
     else:
-        covers = tuple(
-            cover_dimension(
-                scheme.field, scheme.physical_place, scheme.internal_place, c1, c2
-            )
-            for c1, c2 in zip(w1.real_halfwidths, w2.real_halfwidths)
-        )
-        cert = GlobalCoverCertificate(scheme, w1, w2, covers, None)
+        covers = []
+        for c2 in w2.real_halfwidths:
+            target = scheme.cover_target(w1, w2, covers)
+            covers.append(cover_dimension(
+                scheme.field, scheme.physical_place, scheme.internal_place, target, c2
+            ))
+        cert = GlobalCoverCertificate(scheme, w1, w2, tuple(covers), None)
     ok, why = cert.replay()
     if not ok:
         raise AssertionError(f"freshly built covering certificate failed to replay: {why}")

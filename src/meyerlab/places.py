@@ -373,15 +373,10 @@ class TranslateCoverCertificate(Record):
 
     @property
     def translates(self) -> list[NFElem]:
-        out = []
         if self.ring.field.degree == 1:
-            for rep in self.coset_reps:
-                out.append(self.constant + rep)
-            return out
-        for rep, cover in zip(self.coset_reps, self.coset_covers):
-            for w in cover.elements:
-                out.append(self.constant + rep + w)
-        return out
+            return [self.constant + rep for rep in self.coset_reps]
+        pairs = zip(self.coset_reps, self.coset_covers)
+        return [self.constant + rep + w for rep, cover in pairs for w in cover.elements]
 
     def replay(self) -> tuple[bool, str]:
         """Derive every field but the covers again, and check each coset's
@@ -409,13 +404,11 @@ class TranslateCoverCertificate(Record):
         if bound != self.conj_bound:
             return False, f"the conjugate bound is not {bound}"
         for i, (rep, cover) in enumerate(zip(self.coset_reps, self.coset_covers)):
-            if not cover.replay(internal):
-                return False, f"coset cover {i} is not a chain of lattice tiles over its target"
             # the stored target must dominate the band this coset really needs
             _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
-            needed = bound + rep_hi
-            if cover.tile_halfwidth != 1 or cover.target_hi < needed or cover.target_lo > -needed:
-                return False, f"coset cover {i} does not reach +-{needed} by unit tiles"
+            why = cover.failure(internal, bound + rep_hi, 1)
+            if why is not None:
+                return False, f"coset cover {i} {why}"
         return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
@@ -477,11 +470,8 @@ def _translate_frame(coeffs: Sequence[NFElem], ring: SIntegerRing):
 
 def _conj_bound(coeffs: Sequence[NFElem], internal, window_scale: Fraction) -> Fraction:
     """Certified bound on |sigma_int(P - P(0))| over the window [-s, s]."""
-    bound = Fraction(0)
-    for i, c in enumerate(coeffs[1:], start=1):
-        _, hi = iv_abs(eval_embedding(c, internal, 96))
-        bound += hi * window_scale**i
-    return bound
+    his = (iv_abs(eval_embedding(c, internal, 96))[1] for c in coeffs[1:])
+    return sum((hi * window_scale**i for i, hi in enumerate(his, start=1)), Fraction(0))
 
 
 def polynomial_translate_cover(
@@ -573,10 +563,7 @@ def shrink_for_polynomial(poly, ring: SIntegerRing, patch_radius=10) -> ShrinkCe
         raise UsageError("shrink_for_polynomial needs P(0) = 0")
     rest = coeffs[1:]
     internal, _physical = _internal_place(ring)
-    his = []
-    for c in rest:
-        _, hi = iv_abs(eval_embedding(c, internal, 96))
-        his.append(hi)
+    his = [iv_abs(eval_embedding(c, internal, 96))[1] for c in rest]
     total = sum(his, Fraction(0))
     delta = Fraction(1) if total <= 1 else Fraction(1, math.ceil(total))
     value = sum(hi * delta**i for i, hi in enumerate(his, start=1))

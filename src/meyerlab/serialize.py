@@ -39,12 +39,20 @@ def save_json(path: str, data) -> None:
     write_text_atomic(path, canonical_json(data))
 
 
-def load_json(path: str):
+def read_text(path: str) -> str:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"{path} is not a text file: {exc}") from exc
+
+
+def load_json(path: str):
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except ValueError as exc:
         raise UsageError(f"{path} is not a JSON file: {exc}") from exc
 
@@ -291,7 +299,8 @@ def _subgroup_inputs(data) -> tuple:
     json_list(axes, "the axes of a subgroup are")
     if any(type(a) is not int for a in axes):
         raise UsageError(f"the axes of a subgroup are integers, not {axes!r}")
-    return cps.scheme_from_dict(scheme), cps.Window.from_dict(window), str_frac(radius), tuple(axes)
+    scheme = cps.scheme_from_dict(scheme)
+    return scheme, cps.Window.from_dict(window, scheme), str_frac(radius), tuple(axes)
 
 
 def _heis_inputs(data, *radii) -> tuple:
@@ -364,20 +373,26 @@ def _replay_delone(data) -> tuple[bool, str]:
 
 # type -> the certificate its file holds, which checks itself.
 CERTIFICATES = {
-    "global_cover": lambda d: cps.GlobalCoverCertificate.from_dict(d),
-    "heis_cover": lambda d: heis.HeisCoverCertificate.from_dict(d),
+    # one window-cover type; a scheme's `cover_type` names its files
+    **dict.fromkeys(("global_cover", "heis_cover"), lambda d: cps.GlobalCoverCertificate.from_dict(d)),
     "poly_translate_cover": lambda d: places.TranslateCoverCertificate.from_dict(d),
 }
 
 
 def _replay_certificate(data) -> tuple[bool, str]:
-    ok, why = CERTIFICATES[data["type"]](data).replay()
-    return ok, f"{data['type']} checked: {why}" if ok else f"{data['type']}: {why}"
+    tag = data["type"]
+    cert = CERTIFICATES[tag](data)
+    if tag == "heis_cover" and (cert.w1, cert.w2) != cert.scheme.square_windows():
+        # the file claims Lambda(W) Lambda(W) inside F Lambda(W) for the scheme's W
+        ok, why = False, "the windows are not box(W * W) and the scheme's W"
+    else:
+        ok, why = cert.replay()
+    return ok, f"{tag} checked: {why}" if ok else f"{tag}: {why}"
 
 
 def _replay_approximate_lattice(data) -> tuple[bool, str]:
     scheme = cps.scheme_from_dict(data["scheme"])
-    window = cps.Window.from_dict(data["window"])
+    window = cps.Window.from_dict(data["window"], scheme)
     cover = cps.GlobalCoverCertificate.from_dict(data["cover"])
     wsq = cps.window_product(window, window)
     if cover.scheme != scheme or cover.w1 != wsq or cover.w2 != window:
@@ -395,9 +410,11 @@ def _replay_meyer(data) -> tuple[bool, str]:
     scheme = cps.scheme_from_dict(data["scheme"], "heis")
     radius = str_frac(data["radius"])
     if data["verdict"] != "COMMENSURABLE-AT-SCALE":
-        if type(data.get("max_translates")) is not int or "witness" not in data:
-            return False, "negative verdict without the translate cap and witness that reproduce it"
-        again = meyer_artifact(scheme, radius, data["side_a"], data["side_b"], data["max_translates"])
+        cap = data.get("max_translates")
+        if type(cap) is not int or cap < 1 or "witness" not in data:
+            # a cap below 1 would make every verdict negative
+            return False, "negative verdict without a cap >= 1 and the witness that reproduce it"
+        again = meyer_artifact(scheme, radius, data["side_a"], data["side_b"], cap)
         ok = canonical_json(again) == canonical_json(data)
         return ok, "capped search reran" if ok else "capped search gives a different result"
     patch = heis.heis_model_set(scheme, radius)

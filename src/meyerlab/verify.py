@@ -131,14 +131,14 @@ def factors(points: Sequence, ops: GroupOps) -> list[list]:
 
     P lies inside the product of its factors, so it equals it exactly when
     |P| = prod |pi_k(P)|.  A point set that holds a duplicate point, or that is
-    not the product of its factors, is a usage error.
+    not the product of its factors, is a usage error; the empty set has none.
     """
     coords = [p if type(p) is tuple else (p,) for p in points]
     if len(set(coords)) != len(coords):
         raise UsageError("duplicate points in the point set")
     key = exact_key(ops.place)
     out = [sorted(set(axis), key=key) for axis in zip(*coords)]
-    if len(coords) != math.prod(map(len, out)):
+    if coords and len(coords) != math.prod(map(len, out)):
         sizes = " x ".join(str(len(xs)) for xs in out)
         raise UsageError(
             f"the point set is not a coordinate product: {len(coords)} points, factors {sizes}"
@@ -168,11 +168,14 @@ def min_separation(points: Sequence, ops: GroupOps) -> Fraction:
     a coordinate product: the least gap of any factor, as its NORM_BITS floor.
     Two points that differ on axis k are at least a gap of factor k apart, and
     two that differ only across the least gap attain it."""
-    pts = list(points)
-    if len(pts) < 2:
+    return _least_gap(factors(points, ops), ops.place)
+
+
+def _least_gap(fs: list[list], place) -> Fraction:
+    gaps = [b - a for xs in fs for a, b in zip(xs, xs[1:])]
+    if not gaps:
         raise UsageError("min_separation needs at least 2 points")
-    gaps = [b - a for xs in factors(pts, ops) for a, b in zip(xs, xs[1:])]
-    return dyadic_bounds(min(gaps, key=exact_key(ops.place)), ops.place)[0]
+    return dyadic_bounds(min(gaps, key=exact_key(place)), place)[0]
 
 
 class CoveringRadiusResult(Record):
@@ -198,14 +201,17 @@ def covering_radius(
     coordinate product P.  dist(x, P) = max_k dist(x_k, P_k), so it is the
     largest `axis_covering_radius`, as its NORM_BITS ceiling.  Verdict
     INFINITE when the bound is no better than the trivial inner_radius."""
+    return _covering(factors(points, ops), ops.place, inner_radius, patch_radius)
+
+
+def _covering(fs: list[list], place, inner_radius, patch_radius) -> CoveringRadiusResult:
+    """`covering_radius` of the product of the sorted factors `fs`; of none, the empty set."""
     inner_radius = Fraction(inner_radius)
     if inner_radius <= 0:
         raise UsageError("inner_radius must be positive")
-    pts = list(points)
-    if not pts:
+    if not fs:
         return CoveringRadiusResult(None, "INFINITE", inner_radius)
-    place = ops.place
-    per_axis = [axis_covering_radius(xs, inner_radius, place) for xs in factors(pts, ops)]
+    per_axis = [axis_covering_radius(xs, inner_radius, place) for xs in fs]
     bound = dyadic_bounds(max(per_axis, key=exact_key(place)), place)[1]
     if patch_radius is not None and inner_radius + bound > Fraction(patch_radius):
         raise UsageError(
@@ -235,9 +241,10 @@ class DeloneReport(Record):
 def delone_certify(
     points: Sequence, ops: GroupOps, inner_radius, patch_radius=None
 ) -> DeloneReport:
-    sep = min_separation(points, ops)
-    cov = covering_radius(points, ops, inner_radius, patch_radius=patch_radius)
-    return DeloneReport(sep, cov)
+    """Both Delone constants of a coordinate product, from one factoring."""
+    fs = factors(points, ops)
+    covering = _covering(fs, ops.place, inner_radius, patch_radius)
+    return DeloneReport(_least_gap(fs, ops.place), covering)
 
 
 class NearestScan:

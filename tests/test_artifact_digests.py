@@ -83,8 +83,8 @@ DIGESTS = {
     "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
     "heis-center-golden.json": "f1e2d262c2b87673edf02481bcf3e96b3c7adc62cf5f000e0da3786242cb8cf4",
     "heis-center.json": "7a10f63da448bd5aa831075ad8eabc08d5fe38e6532023d33894d72fc06dfc77",
-    "heis-cert-golden.json": "27313a88a2eacf9ba56eeb26e7abe043caa27ac3edefe8ebb7a10a5a8592f323",
-    "heis-cert.json": "fd1b29101589b178a1d4aa7082fbd85983efb6b7e18db2f52785469626167697",
+    "heis-cert-golden.json": "04733e8c74b47cbfb14d8e38ca88e97466c15085f9c5c0d33c8e1f65857f2fc9",
+    "heis-cert.json": "8872e08485e263a8e945e2c6d8ddd637f8b5a063b4a01dccb879b5d46b269487",
     "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
     "heis-gen-r2.csv": "7a29a193d9adf377c720d6fb6215d73f6d6132dd154ad19ffc09a5eda3637ed2",
     "heis-gen-r2.json": "e122b7eb6f6b653befa7b92f208292e805f197d281a1713bcd7563b39c90e1ef",

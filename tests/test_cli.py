@@ -133,6 +133,35 @@ def test_heis_certify_center_and_hull(tmp_path):
     assert run_cli("verify", "replay", str(hull)) == 0
 
 
+@pytest.mark.parametrize("key, real", [
+    ("w1", ["1", "1", "2"]),  # covered by the stored chains, but not box(W * W)
+    ("w1", ["2", "2", "6"]),
+    ("w2", ["1", "1", "3"]),
+])
+def test_heis_cover_replay_needs_the_square_windows(tmp_path, capsys, key, real):
+    path = tmp_path / "hcover.json"
+    assert run_cli("heis", "certify", "--field", "sqrt2", "--window", "1,1,2",
+                   "--json", str(path)) == 0
+    data = json.loads(path.read_text())
+    data[key]["real"] = real
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 2
+    out = capsys.readouterr().out
+    assert out == "replay FAILED: heis_cover: the windows are not box(W * W) and the scheme's W\n"
+
+
+def test_heis_cover_of_other_windows_is_no_heis_cover_file(tmp_path, capsys):
+    # a sound cover between other windows does not claim Lambda(W) Lambda(W) in F Lambda(W)
+    scheme = heis.HeisScheme(golden_field(), (1, 1, 2))
+    cert = cps.global_covering_certificate(scheme, cps.Window.box(1, 1, 2), cps.Window.box(1, 1, 2))
+    assert cert.replay()[0]
+    path = tmp_path / "hcover.json"
+    serialize.save_json(str(path), cert.to_dict())
+    assert run_cli("verify", "replay", str(path)) == 2
+    assert "replay FAILED: heis_cover: the windows are not" in capsys.readouterr().out
+
+
 def test_heis_commensurate_replay(tmp_path):
     path = tmp_path / "meyer.json"
     code = run_cli("heis", "commensurate", "--field", "sqrt2", "--window", "1,1,2",
@@ -231,6 +260,89 @@ def test_verify_delone_needs_a_product_patch(tmp_path, capsys, edit, message):
     assert run_cli("verify", "delone", "--patch", str(path), "--inner", "1/2") == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
+
+
+@pytest.mark.parametrize("scheme, window, rows", [
+    ("galois:golden", "1", ["0,0,7", "0"]),
+    ("galois:sqrt2:2", "1,1", ["0,0,0"]),
+    ("zs:2", "0", ["1,2"]),
+])
+def test_csv_rows_need_one_cell_per_column(tmp_path, capsys, scheme, window, rows):
+    path = tmp_path / "patch.csv"
+    assert run_cli("cps", "generate", "--scheme", scheme, "--window", window, "--radius", "2",
+                   "--out", str(path)) == 0
+    text = path.read_text()
+    for row in rows:
+        path.write_text(text + row + "\n")
+        capsys.readouterr()
+        assert run_cli("verify", "delone", "--patch", str(path), "--scheme", scheme,
+                       "--window", window, "--radius", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the CSV row ") and repr(row) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["heis", "commensurate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "4"],
+    ["verify", "cover", "--a", "{d}/a.json", "--b", "{d}/a.json"],
+])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_translate_cap_below_one_is_usage_error(tmp_path, capsys, argv, cap):
+    assert run_cli("cps", "generate", "--scheme", "zs:2", "--window", "0", "--radius", "2",
+                   "--json", str(tmp_path / "a.json")) == 0
+    capsys.readouterr()
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert run_cli(*argv, "--max-translates", cap) == 1
+    err = capsys.readouterr().err
+    assert err == f"usage error: --max-translates must be at least 1, not {cap}\n"
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_meyer_replay_needs_a_translate_cap_of_at_least_one(tmp_path, capsys, cap):
+    # the capped search reruns to the same negative, which no cap below 1 can certify
+    path = tmp_path / "meyer.json"
+    assert _commensurate(path, "--max-translates", "1") == 2
+    data = json.loads(path.read_text())
+    scheme = cps.scheme_from_dict(data["scheme"])
+    again = serialize.meyer_artifact(scheme, 6, data["side_a"], data["side_b"], cap)
+    assert again["verdict"] == "NOT-COMMENSURABLE-AT-SCALE"
+    path.write_text(json.dumps(again))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("replay FAILED: negative verdict without a cap >= 1 and the witness")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cps", "generate", "--scheme", "galois:golden", "--window", "{w}", "--radius", "2"],
+    ["verify", "delone", "--patch", "{d}/patch.csv", "--scheme", "galois:golden",
+     "--window", "{w}", "--radius", "2"],
+    ["verify", "replay", "{d}/patch.json"],
+    ["verify", "replay", "{d}/cert.json"],
+    ["verify", "replay", "{d}/cover.json"],
+    ["verify", "replay", "{d}/intersect.json"],
+])
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_nonpositive_galois_halfwidth_is_one_usage_error(tmp_path, capsys, argv, width):
+    # wherever a galois window enters: a flag, the CSV reader, or a file
+    d = tmp_path
+    assert run_cli("cps", "generate", "--scheme", "galois:golden", "--window", "1",
+                   "--radius", "2", "--out", str(d / "patch.csv"),
+                   "--json", str(d / "patch.json")) == 0
+    assert run_cli("cps", "certify", "--scheme", "galois:golden", "--window", "1",
+                   "--radius", "4", "--json", str(d / "cert.json")) == 0
+    assert run_cli("cps", "intersect", "--scheme", "galois:golden:2", "--window", "1,1",
+                   "--radius", "2", "--axes", "0", "--json", str(d / "intersect.json")) == 0
+    patch, cert, inter = (json.loads((d / f"{n}.json").read_text())
+                          for n in ("patch", "cert", "intersect"))
+    patch["window"]["real"] = [width]
+    cert["window"]["real"] = [width]
+    inter["inputs"]["window"]["real"] = ["1", width]
+    cover = cert["cover"] | {"w2": {"real": [width], "padic": []}}
+    for name, data in (("patch", patch), ("cert", cert), ("intersect", inter), ("cover", cover)):
+        (d / f"{name}.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(*(a.format(d=d, w=width) for a in argv)) == 1
+    assert capsys.readouterr().err == "usage error: real window halfwidths must be positive\n"
 
 
 def test_certificate_replay_names_the_failing_check(tmp_path, capsys):
@@ -642,6 +754,17 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         (["verify", "replay", "{d}/root-index-bool.json"], "not an integer: True"),
         (["verify", "replay", "{d}/root-index-float.json"], "not an integer: 1.0"),
         (["verify", "replay", "{d}/lattice-min-poly-float.json"], "not an integer: -1.9"),
+        (["cps", "generate", "--config", "{d}/missing.conf"], "cannot read"),
+        (["verify", "delone", "--patch", "{d}/missing.csv", "--scheme", "galois:golden",
+          "--window", "1", "--radius", "2"], "cannot read"),
+        (["verify", "cellcover", "--spec", "{d}/spec-no-x.json"],
+         "the points x of a cell cover are a JSON list, not None"),
+        (["verify", "cellcover", "--spec", "{d}/spec-list.json"],
+         "a cell cover spec is a JSON object, not [1, 2]"),
+        (["verify", "delone", "--patch", "{d}/spec-list.json"], "is not a patch file"),
+        # a heis_cover of the layout with x_cover, y_cover, z_cover and shear_bound
+        (["verify", "replay", "{d}/heis-cover-old.json"],
+         "heis_cover artifact lacks the key 'w1'"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -658,7 +781,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        "window": ["1", "1", "1"], "physical_root_index": 1}}
     cover = {"translates": 5, "assignments": []}
     dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
-    heis_cover = {"type": "heis_cover", "scheme": heis["scheme"], "shear_bound": "0"}
+    heis_cover = {"type": "heis_cover", "scheme": heis["scheme"],
+                  "w1": {"real": ["2", "2", "3"], "padic": []},
+                  "w2": {"real": ["1", "1", "1"], "padic": []}, "padic": None}
     float_poly = golden["scheme"] | {"field": {"min_poly": [-1.9, -1, 1]}}
     float_lattice = {"type": "approximate_lattice", "scheme": float_poly,
                      "window": golden["window"], "patch_radius": "2", "delone": {},
@@ -682,8 +807,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("dim-str", golden | {"scheme": golden["scheme"] | {"dim": "x"}}),
                        ("min-poly-str", golden | {"scheme": golden["scheme"] | {"field": {"min_poly": ["x", 1]}}}),
                        ("padic-str", zs | {"window": {"real": [], "padic": [["x", 0]]}}),
-                       ("cover-elements-int", heis_cover | {"x_cover": dim_cover | {"elements": 5}}),
-                       ("cover-target-int", heis_cover | {"x_cover": dim_cover | {"target": 5}}),
+                       ("cover-elements-int",
+                        heis_cover | {"dim_covers": [dim_cover | {"elements": 5}]}),
+                       ("cover-target-int", heis_cover | {"dim_covers": [dim_cover | {"target": 5}]}),
                        ("heis-global-cover", {"type": "global_cover", "scheme": heis["scheme"],
                                               "w1": zs["window"], "w2": zs["window"],
                                               "dim_covers": [], "padic": None}),
@@ -696,7 +822,12 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                         golden | {"scheme": golden["scheme"] | {"physical_root_index": True}}),
                        ("root-index-float",
                         golden | {"scheme": golden["scheme"] | {"physical_root_index": 1.0}}),
-                       ("lattice-min-poly-float", float_lattice)):
+                       ("lattice-min-poly-float", float_lattice),
+                       ("spec-no-x", {"y": 1}),
+                       ("spec-list", [1, 2]),
+                       ("heis-cover-old", {"type": "heis_cover", "scheme": heis["scheme"],
+                                           "x_cover": dim_cover, "y_cover": dim_cover,
+                                           "z_cover": dim_cover, "shear_bound": "0"})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     padic = {"primes": [2], "k1": [0], "k2": [0], "residues": ["0"]}
     for key in padic:

@@ -303,6 +303,9 @@ class TestWindowAlgebra:
             cps.Window.box(0)
 
 
+CHAIN_FAILURE = "is not a chain of lattice tiles over its target"
+
+
 class TestGlobalCovering:
     def test_index_two_cosets(self):
         scheme = cps.ZSScheme([2])
@@ -396,7 +399,7 @@ class TestGlobalCovering:
         assert not ok, why
         # the chain itself is sound: scaled by 2 onto Z it covers [-4, 4] by 2-tiles
         doubled = tuple(scheme.field.from_rational(2 * t) for t in ts)
-        assert cps.DimCover(doubled, 2, -4, 4).replay(scheme.internal_place)
+        assert cps.DimCover(doubled, 2, -4, 4).failure(scheme.internal_place, 4, 2) is None
 
     def test_claimed_tile_without_translate_fails_replay(self):
         # the last tile the chain needs is swapped for one far away
@@ -413,23 +416,25 @@ class TestGlobalCovering:
         cover = cps.cover_dimension(
             scheme.field, scheme.physical_place, scheme.internal_place, 5, 1
         )
-        assert len(cover.elements) >= 3 and cover.replay(scheme.internal_place)
+        assert len(cover.elements) >= 3 and cover.failure(scheme.internal_place, 5, 1) is None
         for i in range(1, len(cover.elements) - 1):
             gapped = cover.elements[:i] + cover.elements[i + 1:]
-            assert not cps.DimCover(gapped, 1, -5, 5).replay(scheme.internal_place)
+            gapped_cover = cps.DimCover(gapped, 1, -5, 5)
+            assert gapped_cover.failure(scheme.internal_place, 5, 1) == CHAIN_FAILURE
 
     def test_rational_tiles_touching_at_one_point_cover(self):
         # tiles [-3, -1], [-1, 1], [1, 3]: each pair of neighbours shares one point
         field = golden_field()
         place = cps.GaloisScheme(field).internal_place
         ts = tuple(field.from_rational(t) for t in (-2, 0, 2))
-        assert cps.DimCover(ts, 1, -3, 3).replay(place)
+        assert cps.DimCover(ts, 1, -3, 3).failure(place, 3, 1) is None
         # a target one hair longer at either end is not covered
         hair = Fraction(1, 2**100)
-        assert not cps.DimCover(ts, 1, -3 - hair, 3).replay(place)
-        assert not cps.DimCover(ts, 1, -3, 3 + hair).replay(place)
+        assert cps.DimCover(ts, 1, -3 - hair, 3).failure(place, 3, 1) == CHAIN_FAILURE
+        assert cps.DimCover(ts, 1, -3, 3 + hair).failure(place, 3, 1) == CHAIN_FAILURE
         # tiles one hair narrower leave gaps between neighbours, though the ends still reach
-        assert not cps.DimCover(ts, 1 - hair, -3 + hair, 3 - hair).replay(place)
+        narrow = cps.DimCover(ts, 1 - hair, -3 + hair, 3 - hair)
+        assert narrow.failure(place, 3 - hair, 1 - hair) == CHAIN_FAILURE
 
     @pytest.mark.parametrize("radius", [5, 10, 20])
     def test_cover_implies_patch_inclusion(self, radius):

@@ -184,7 +184,7 @@ class TestCoveringCertificate:
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         cert = heis.heis_covering_certificate(scheme)
         blob = json.dumps(cert.to_dict(), sort_keys=True)
-        again = heis.HeisCoverCertificate.from_dict(json.loads(blob))
+        again = cps.GlobalCoverCertificate.from_dict(json.loads(blob))
         ok, why = again.replay()
         assert ok, why
         assert json.dumps(again.to_dict(), sort_keys=True) == blob
@@ -193,16 +193,8 @@ class TestCoveringCertificate:
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         cert = heis.heis_covering_certificate(scheme)
         data = cert.to_dict()
-        data["x_cover"]["target"] = ["-1", "1"]  # claims less than the product window needs
-        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
-        assert not ok, why
-
-    def test_too_small_shear_bound_fails_replay(self, f2):
-        cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
-        assert cert.shear_bound > 0
-        data = cert.to_dict()
-        data["shear_bound"] = str(cert.shear_bound / 2)
-        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        data["dim_covers"][0]["target"] = ["-1", "1"]  # claims less than the product window needs
+        ok, why = cps.GlobalCoverCertificate.from_dict(data).replay()
         assert not ok, why
 
     def test_too_small_z_target_fails_replay(self, f2):
@@ -211,17 +203,17 @@ class TestCoveringCertificate:
         data = cert.to_dict()
         # the product window's z half-width without the shear term M * c_y
         wz = scheme.product_window()[2]
-        data["z_cover"]["target"] = [str(-wz), str(wz)]
-        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        data["dim_covers"][2]["target"] = [str(-wz), str(wz)]
+        ok, why = cps.GlobalCoverCertificate.from_dict(data).replay()
         assert not ok, why
 
     def test_off_lattice_z_translate_fails_replay(self, f2):
         cert = heis.heis_covering_certificate(heis.HeisScheme(f2, (1, 1, 2)))
         data = cert.to_dict()
         # shift one z translate by 2^-40, far too little to open a gap in the chain
-        z = data["z_cover"]
+        z = data["dim_covers"][2]
         z["elements"][0][0] = str(Fraction(z["elements"][0][0]) + Fraction(1, 2**40))
-        ok, why = heis.HeisCoverCertificate.from_dict(data).replay()
+        ok, why = cps.GlobalCoverCertificate.from_dict(data).replay()
         assert not ok, why
 
     @pytest.mark.parametrize("window", [(1, 1, 2), (1, Fraction(9, 8), 2), (Fraction(7, 8), 1, 1)])
@@ -237,17 +229,41 @@ class TestCoveringCertificate:
             w1, w2, w3 = (f2.from_rational(v) for v in (w1, w2, w3))
             assert any(
                 fits(w3 - t3 - t1 * (w2 - t2), place, cz)
-                for t1 in cert.x_cover.elements if fits(w1 - t1, place, cx)
-                for t2 in cert.y_cover.elements if fits(w2 - t2, place, cy)
-                for t3 in cert.z_cover.elements
+                for t1 in cert.dim_covers[0].elements if fits(w1 - t1, place, cx)
+                for t2 in cert.dim_covers[1].elements if fits(w2 - t2, place, cy)
+                for t3 in cert.dim_covers[2].elements
+            )
+
+    @pytest.mark.parametrize("field, w1, w2", [
+        (sqrt2_field, (Fraction(3, 2), 1, Fraction(5, 2)), (Fraction(1, 2), Fraction(3, 4), 1)),
+        (golden_field, (0, 2, 3), (0, 1, Fraction(3, 2))),
+    ])
+    def test_every_grid_point_of_w1_has_a_translate_into_w2(self, field, w1, w2):
+        # a cover between windows that are neither box(W * W) nor W: for w on
+        # a grid over W1, exact comparisons find t with t^-1 w in W2
+        scheme = heis.HeisScheme(field(), (1, 1, 2))
+        w1, w2 = (cps.Window(tuple(map(Fraction, w))) for w in (w1, w2))
+        cert = cps.global_covering_certificate(scheme, w1, w2)
+        ok, why = cert.replay()
+        assert ok, why
+        cx, cy, cz = w2.real_halfwidths
+        place = scheme.internal_place
+        fits = heis.abs_embedding_leq
+        for v1, v2, v3 in itertools.product(*box_axes(w1.real_halfwidths, Fraction(1, 2))):
+            v1, v2, v3 = (scheme.field.from_rational(v) for v in (v1, v2, v3))
+            assert any(
+                fits(v3 - t3 - t1 * (v2 - t2), place, cz)
+                for t1 in cert.dim_covers[0].elements if fits(v1 - t1, place, cx)
+                for t2 in cert.dim_covers[1].elements if fits(v2 - t2, place, cy)
+                for t3 in cert.dim_covers[2].elements
             )
 
     def test_degenerate_central_window_reduces_to_1d(self, f2):
         scheme = heis.HeisScheme(f2, (0, 0, 1))
         cert = heis.heis_covering_certificate(scheme)
-        assert list(cert.x_cover.elements) == [f2.zero()]
-        assert list(cert.y_cover.elements) == [f2.zero()]
-        assert cert.shear_bound == 0
+        assert list(cert.dim_covers[0].elements) == [f2.zero()]
+        assert list(cert.dim_covers[1].elements) == [f2.zero()]
+        assert cert.dim_covers[2].target_hi == 2
         ok, why = cert.replay()
         assert ok, why
 
