@@ -192,6 +192,14 @@ class ZSScheme:
             raise UsageError("ZS windows have no real component")
         if tuple(p for p, _ in window.padic_balls) != self.primes:
             raise UsageError("window primes must match the scheme primes in order")
+        # prod p^|k| is compared with the candidate limit in log2, so that a huge
+        # level builds no huge power; |k| is capped at 64 (p^64 is above the limit)
+        # so that no level is too large for a float
+        size_bits = sum(min(abs(k), 64) * math.log2(p) for p, k in window.padic_balls)
+        if size_bits > math.log2(DEFAULT_CANDIDATE_LIMIT):
+            raise UsageError(
+                f"the window levels make prod p^|k| exceed the limit {DEFAULT_CANDIDATE_LIMIT}"
+            )
 
     def group_ops(self) -> verify.GroupOps:
         return verify.rational_line_ops()
@@ -451,7 +459,7 @@ def enumerate_window_elements(
     count = (2 * a_max + 1) * (2 * b_max + 1)
     if count > DEFAULT_CANDIDATE_LIMIT:
         raise ResourceLimit(
-            f"coefficient box holds {count} candidates, above the limit {DEFAULT_CANDIDATE_LIMIT}"
+            f"the coefficient box holds more than the limit of {DEFAULT_CANDIDATE_LIMIT} candidates"
         )
 
     c1, disc = field.min_poly[1], field.disc
@@ -492,7 +500,9 @@ def box_points(scheme: QuadraticScheme, halfwidths, radius) -> list:
     ]
     total = math.prod(len(lst) for lst in per_dim)
     if total > DEFAULT_CANDIDATE_LIMIT:
-        raise ResourceLimit(f"patch would hold {total} points, above the limit")
+        raise ResourceLimit(
+            f"the patch would hold more than the limit of {DEFAULT_CANDIDATE_LIMIT} points"
+        )
     return sorted(itertools.product(*per_dim), key=scheme.sort_key)
 
 
@@ -507,7 +517,9 @@ def _zs_patch_points(window: Window, radius: Fraction):
         step *= Fraction(p) ** (-k)
     n_max = math.floor(radius / step)
     if 2 * n_max + 1 > DEFAULT_CANDIDATE_LIMIT:
-        raise ResourceLimit(f"{2 * n_max + 1} candidates exceed the limit")
+        raise ResourceLimit(
+            f"the R-ball holds more than the limit of {DEFAULT_CANDIDATE_LIMIT} candidates"
+        )
     return [n * step for n in range(-n_max, n_max + 1)]
 
 

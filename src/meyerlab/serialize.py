@@ -2,8 +2,11 @@
 
 JSON carries every certificate; point sets also export as CSV.  All numbers
 in files are exact rational strings ("num/den") or integers; decimals never
-appear.  JSON bytes are canonical (sorted keys, fixed indentation), so a
-replayed certificate re-serializes bit-exactly.
+appear.  JSON bytes are canonical: one ASCII line with sorted keys, "," and
+":" separators and no other whitespace, ending in one newline, so a
+replayed certificate re-serializes bit-exactly.  Replay compares decoded
+content, so a file written with any other layout (such as the indented one
+of earlier versions) replays the same.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .exactnum import frac_str, json_list, json_object, str_frac
 
 
 def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -13,10 +13,11 @@ check are also fuzzed one level deeper.
 import copy
 import hashlib
 import json
+import re
 
 import pytest
 
-from meyerlab import cli
+from meyerlab import cli, serialize
 
 ELEMENTS = [["0", "0"], ["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"], ["1", "1"], ["-1", "-1"]]
 
@@ -63,40 +64,40 @@ JOBS = (
 )
 
 DIGESTS = {
-    "cert.json": "0329f9477e0fd155027beaa2232f7ddd65c6f60fc36764526f4f80f659706358",
-    "cover-heis.json": "ce2fb0b3501ae7a4cfbfdb7a15e6857fc929b96c4b15da29b45f4048b08c001d",
-    "cover-zs.json": "12a867df49abab0688eecec8ef49e1f4cb533ba27f0df858616b53989f518c1d",
-    "cover.json": "cbbd23ace92b5227b5325358350ec67376ef143eb80f048911aa45e008a9e653",
-    "delone-heis.json": "f1051779c903b1b1a44496f637a857cb55ce484a19ec75b40b2b8900eb463af0",
-    "delone-sqrt2-2d.json": "abea0c4e1f4123a68d849547dfb40730c1c86a9715835b87773f89c83c70dd10",
-    "delone-zs.json": "7ba319e5ae2855c962110c0a239ad39d1440212c555eb708a3db7c18fb18ff72",
-    "delone.json": "a0e54509c060a75764174e76c45d80f645febbd0646b2dde556b3aef4c5c2dbc",
-    "gen-golden-b.json": "6acdff03cd1c1c82e4023cb5e87b272dd2b0eeeeb862318eacd6fac7b9360f42",
+    "cert.json": "12f5dc8f3f922ab70af67743cdde81ed8c14e579b98ed2d2f021403624df66bb",
+    "cover-heis.json": "9b5fa148ba13bbcf4ec5e91a6a606a5d78dee7f5ff55a943bccf17190cabfcd7",
+    "cover-zs.json": "e6edc1ddba78fac56820165a2a159601c80eb14ac5f0421f0c861c412d9ead6e",
+    "cover.json": "babee0f701fd5409eef51fa90620a54ac2cdf501ef0229faad505c2f992e07ba",
+    "delone-heis.json": "3a334070fda4c86769280a42a77874578acc95fdb81e5fe51bae3857b8c5e6c2",
+    "delone-sqrt2-2d.json": "032a58c1e12b352b6f708e715a2d9527d20743263edc110a4bd89795dd5f1a10",
+    "delone-zs.json": "f837f1bcaf6ab3979883177ea810f09ab6a5afc4b773a0807e838aeefd6adb78",
+    "delone.json": "d3ca5a4296552b7b965bd9c7f4010e0109e21c1c11c9b633184eec627d00b0de",
+    "gen-golden-b.json": "ed9aa02590b4ca0aa5398b024bb6e67dd4edc9706abab0c195bafaeb6e440b42",
     "gen-golden.csv": "14bdd7808f400ce11e011581a5e3148d37842e3e4d709a2356154e4e457b748c",
-    "gen-golden.json": "e5228ab099ee54f8a2c0fb61b38c9287bf13cdde3a9d36629db63807ba667f12",
+    "gen-golden.json": "691ef3e6eb160034bb29871db66d69aefc08404f43994009784b1abb0e91985c",
     "gen-sqrt2-2d.csv": "15bf5c7c672c3e4a15a6c7ec152bc1ec869dfbed33ceba9bdcab93b58d62c19c",
-    "gen-sqrt2-2d.json": "dce8476d50f7e68b7726935ebeda20000c31f3b0ae85e5c2b0702dd0c5c53e52",
+    "gen-sqrt2-2d.json": "068477611631dc334bcb9813f391b2e25032cc69db6521b63a58bc324f104707",
     "gen-sqrt2.csv": "ae3873c6bef8ffc870b7cb80abadfc32335579d7529b4861daac85c1fedd8b7d",
-    "gen-sqrt2.json": "146d1c235929b7ac10fd80b9ff4385116d00873877ba0bb1d49fdf113d7c55ac",
-    "gen-zs-b.json": "f5d521f205415d4880f14cfed97fc3a9372a41c37a7ea98204f2bb3699ac7be3",
+    "gen-sqrt2.json": "f6e801fd17bb420937f7edebedf3e3f7ad881a6a35fb356a289e882d3ca91e69",
+    "gen-zs-b.json": "289bf0eeb66625a7d68eb15784ddc4d38e9b140fee9033b84fdf4ba486f3e170",
     "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
-    "gen-zs.json": "ba794bd97f51508fdd0f927bac502da57bf98623f4c35097799682fc4eb45590",
-    "heis-center-golden.json": "f1e2d262c2b87673edf02481bcf3e96b3c7adc62cf5f000e0da3786242cb8cf4",
-    "heis-center.json": "7a10f63da448bd5aa831075ad8eabc08d5fe38e6532023d33894d72fc06dfc77",
-    "heis-cert-golden.json": "04733e8c74b47cbfb14d8e38ca88e97466c15085f9c5c0d33c8e1f65857f2fc9",
-    "heis-cert.json": "8872e08485e263a8e945e2c6d8ddd637f8b5a063b4a01dccb879b5d46b269487",
-    "heis-gen-golden.json": "aeea5c6f705ccf2daf44892561b6f3d222a907513cfef811644a1526e2844b67",
+    "gen-zs.json": "955d55881da3d77106a01a62fa8511542c92ea23f2db3e24859268df16ffda66",
+    "heis-center-golden.json": "8b89c5b190b21a5185c15f3845d91a7d1a273dc505c3a6a37d6e577ca0323b19",
+    "heis-center.json": "bf4246094bdd19e8e4b2506f01e9cd3b1d2d96a331011fa3ac23f5f1f31ca581",
+    "heis-cert-golden.json": "2942e02566d3c629e55d08c5c0de86b4810a2c43c0196db956a1ccaec29b859b",
+    "heis-cert.json": "41639fe53d4baa5ca8d5ad21331463a6f92122b144a1633b951a4b80803b5ed5",
+    "heis-gen-golden.json": "4338086516da1be54022a1a5867b6361713a9644521bbdae1d2676cbfc1d5f92",
     "heis-gen-r2.csv": "7a29a193d9adf377c720d6fb6215d73f6d6132dd154ad19ffc09a5eda3637ed2",
-    "heis-gen-r2.json": "e122b7eb6f6b653befa7b92f208292e805f197d281a1713bcd7563b39c90e1ef",
+    "heis-gen-r2.json": "bc2b117f53cb5ce99c7f23625fae3161ffb82ce7ff4a8b5bc640d85d7c96c3a6",
     "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
-    "heis-gen.json": "a01d65117caad953da936bf74f77e70dc46ddbfa5787e39ff3562110db7882a7",
-    "heis-hull-golden.json": "2c2eed579676e99425ceca6a4677704f502206192a787ede2e80e04617ccf779",
-    "heis-hull.json": "0e570465b1db28127f2a945ffe38958a2b4de693b63d40ca4043c28fad0b92d9",
-    "heis-meyer.json": "dacb4029f9e9955cc8a35cf45ff0d1828d895d55a407850666b058e012009c86",
-    "intersect.json": "32c70482b429ebd48714a2dd6145a0436bca1fa83cd0ab5bd47bb7886f81ac55",
-    "pisot.json": "f84a9b13aa4ed3cd7e2465d24845b6e926e0cdc100bc4ae3f1a87831e30d6f9e",
-    "polycover.json": "53557b8ebd025caced315359f2ac61ced41f26e7d4cfe16ca9b684e78a7f3ed7",
-    "project.json": "834ae71ea9864b92c2442a56915b1e1b958cbae946cff163a7105a7423cfdf53",
+    "heis-gen.json": "6d39092f96bcea2aaa04138f768cd4662ba8b9c1be5674399f7b4d540cd62c4a",
+    "heis-hull-golden.json": "9996da34ea23b017e860da227906ec4c26f9060d3f02989477ab5fc72e7a3f92",
+    "heis-hull.json": "e5fdb89c2f7b30bcaae840865772e7aebdf68cc7f3ead73acc993cc409259a88",
+    "heis-meyer.json": "c1e5c50391fa884812ab76786e36e832e304b5ee0a13bdb4e1e48d75b44551c9",
+    "intersect.json": "d35699534a228c409a0dbcd5df285118e99bc5598dc0381a971a7210ce45f752",
+    "pisot.json": "15becdf5201ccaf443b7b61c2fa09387cec8986a6b52ecc29b76eaca3214e5e4",
+    "polycover.json": "867ce21ca5a5904401b446d518795e36fef1b9b3b64d8d32948df190c87657b2",
+    "project.json": "dd92a76426671cc52d1dd59dd67ce1768b4807a116ae06dc1dc079bfda81dd46",
 }
 
 
@@ -207,3 +208,34 @@ def test_replay_of_a_mutated_deep_field_never_raises(fuzz_corpus, tmp_path, caps
     raised = _replay_mutations(data, _deep_field_paths(data), DEEP_FUZZ_VALUES, tmp_path / name)
     capsys.readouterr()
     assert raised == []
+
+
+# ---------------------------------------------------------------------------
+# Layout: a file is one canonical line, and a file in the indented layout of
+# earlier versions replays as its canonical original does.
+# ---------------------------------------------------------------------------
+
+JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def test_canonical_json_is_one_compact_ascii_line():
+    text = serialize.canonical_json({"b": "a b\n", "a": [1, {"c": "\u00e9"}], "d": None})
+    assert text == '{"a":[1,{"c":"\\u00e9"}],"b":"a b\\n","d":null}\n'
+
+
+@pytest.mark.parametrize("name", FUZZ_CORPUS)
+def test_an_indented_file_replays_as_its_canonical_original(fuzz_corpus, tmp_path, capsys, name):
+    original = fuzz_corpus / name
+    text = original.read_text()
+    # no whitespace outside strings, and exactly one newline, at the end
+    assert text.isascii() and text.endswith("\n") and not text.endswith("\n\n")
+    assert not any(c.isspace() for c in JSON_STRING.sub('""', text[:-1]))
+    indented = tmp_path / name
+    indented.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    verdicts = []
+    for path in (original, indented):
+        capsys.readouterr()
+        code = cli.run(["verify", "replay", str(path)])
+        verdicts.append((code, capsys.readouterr().out))
+    # a rebuilt verdict counts the bytes of the rebuild, not of the file, so the lines match whole
+    assert verdicts[0] == verdicts[1]

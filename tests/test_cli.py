@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -765,6 +766,13 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         # a heis_cover of the layout with x_cover, y_cover, z_cover and shear_bound
         (["verify", "replay", "{d}/heis-cover-old.json"],
          "heis_cover artifact lacks the key 'w1'"),
+        # 3^3000000 cosets: the level is refused before any power is built
+        (["cps", "certify", "--scheme", "zs:3", "--window", "3000000", "--radius", "5"],
+         "the window levels make prod p^|k| exceed the limit 5000000"),
+        # 3^15 > 5000000 >= 3^14, and a negative level counts as its size (level 14 is the
+        # last accepted: the resource error below is raised after the window is taken)
+        (["cps", "generate", "--scheme", "zs:3", "--window", "-15", "--radius", "5"],
+         "the window levels make prod p^|k| exceed the limit 5000000"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -841,6 +849,43 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message in err
     assert "Traceback" not in err
+
+
+# a radius of 4,300 digits, the most that Python converts from a string: the
+# candidate counts have more digits than it converts back
+HUGE_RADIUS = "1" + "0" * 4299
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cps", "generate", "--scheme", "zs:3", "--window", "14", "--radius", HUGE_RADIUS],
+         "the R-ball holds more than the limit of 5000000 candidates"),
+        (["cps", "generate", "--scheme", "galois:golden", "--window", "1", "--radius", HUGE_RADIUS],
+         "the coefficient box holds more than the limit of 5000000 candidates"),
+        (["cps", "generate", "--scheme", "galois:golden:3", "--window", "1", "--radius", "200"],
+         "the patch would hold more than the limit of 5000000 points"),
+    ],
+)
+def test_oversized_input_is_resource_error(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: ") and message in err
+
+
+def test_replay_refuses_a_huge_zs_level_at_once(tmp_path, capsys):
+    assert _certify(tmp_path / "zs.json", "zs:3", "1") == 0
+    cover = json.loads((tmp_path / "zs.json").read_text())["cover"]
+    # 3^30000000 cosets, from a file of a few hundred bytes
+    cover["w1"]["padic"] = [[3, 30_000_000]]
+    cover["padic"]["k1"] = [30_000_000]
+    path = tmp_path / "huge-level.json"
+    path.write_text(json.dumps(cover))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert time.perf_counter() - start < 1
+    assert "usage error: the window levels make prod p^|k| exceed" in capsys.readouterr().err
 
 
 def test_csv_is_built_only_when_written(tmp_path, monkeypatch):
