@@ -382,9 +382,12 @@ def cmd_pisot_polycover(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_patch(path: str, args=None) -> cps.Patch:
+def _load_patch(path: str, args) -> cps.Patch:
+    """The patch that the JSON or CSV file at `path` holds, which must be exactly
+    the points that its scheme, window and radius enumerate, in any order.  It
+    is returned as that enumeration, in canonical order."""
     if path.endswith(".csv"):
-        if args is None or not (args.scheme or args.field):
+        if not (args.scheme or args.field):
             raise UsageError("CSV patches need --scheme (or --field/--window for heis) metadata")
         rows = [line.strip() for line in serialize.read_text(path).splitlines() if line.strip()]
         _require(args, "window", "radius")
@@ -393,12 +396,19 @@ def _load_patch(path: str, args=None) -> cps.Patch:
         else:
             scheme = parse_scheme(args.scheme)
             window = parse_window(scheme, args.window)
-        pts = tuple(scheme.point_from_csv(row) for row in rows[1:])
-        return cps.Patch(scheme, window, str_frac(args.radius), pts)
-    data = serialize.load_json(path)
-    if type(data) is not dict or data.get("type") not in ("patch", "heis_patch"):
-        raise UsageError(f"{path} is not a patch file")
-    return cps.Patch.from_dict(data)
+        points = tuple(scheme.point_from_csv(row) for row in rows[1:])
+        patch = scheme.model_set(window, str_frac(args.radius))
+    else:
+        data = serialize.load_json(path)
+        if type(data) is not dict or data.get("type") not in ("patch", "heis_patch"):
+            raise UsageError(f"{path} is not a patch file")
+        points, patch = cps.read_patch(data)
+    if len(points) != len(patch.points) or set(points) != set(patch.points):
+        raise UsageError(
+            f"the points of {path} are not the {len(patch.points)} points "
+            "that its scheme, window and radius enumerate"
+        )
+    return patch
 
 
 def cmd_verify_delone(args) -> int:

@@ -171,6 +171,7 @@ class ZSScheme:
     kind = "zs"
     patch_type = "patch"
     cover_type = "global_cover"
+    physical_place = None  # the metric layer reads rational points as they are
 
     def __init__(self, primes: Sequence[int]):
         ps = tuple(sorted(set(int(p) for p in primes)))
@@ -290,7 +291,6 @@ class QuadraticScheme:
             identity=tuple(zero for _ in self.coords),
             sort_key=self.sort_key,
             coord_intervals=embedding_intervals(self.physical_place),
-            place=self.physical_place,
         )
 
 
@@ -394,10 +394,14 @@ def scheme_from_dict(data: dict, kind: str | None = None):
 class Patch(Record):
     """Complete exact fragment of a model set: all points in the R-ball.
 
-    `window` is None for a scheme that carries its own window (Heisenberg).
+    Every patch is built by enumeration (`model_set_patch`, `box_patch`), so
+    it keeps the 1-D lists it was enumerated from as `factors`: `points` is
+    their coordinate product in scheme order (a zs patch is its own single
+    factor).  `window` is None for a scheme that carries its own window
+    (Heisenberg).
     """
 
-    __slots__ = ("scheme", "window", "radius", "points")
+    __slots__ = ("scheme", "window", "radius", "points", "factors")
 
     def __len__(self):
         return len(self.points)
@@ -416,16 +420,19 @@ class Patch(Record):
             data["window"] = self.window.to_dict()
         return data
 
-    @staticmethod
-    def from_dict(data: dict) -> "Patch":
-        scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
-        if data["type"] != scheme.patch_type:
-            raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
-        window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
-        radius = str_frac(data["radius"])
-        points = json_list(data["points"], "the points of a patch are")
-        points = tuple(scheme.point_from_json(p) for p in points)
-        return Patch(scheme, window, radius, points)
+
+def read_patch(data: dict) -> tuple[tuple, Patch]:
+    """(the points of the patch file `data`, the patch that its scheme, window
+    and radius enumerate).  The points are decoded before anything is
+    enumerated, so a malformed point is a usage error whatever the radius."""
+    scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
+    if data["type"] != scheme.patch_type:
+        raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
+    window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
+    radius = str_frac(data["radius"])
+    points = json_list(data["points"], "the points of a patch are")
+    points = tuple(scheme.point_from_json(p) for p in points)
+    return points, scheme.model_set(window, radius)
 
 
 def enumerate_window_elements(
@@ -485,25 +492,26 @@ def model_set_patch(scheme, window: Window, radius) -> Patch:
     scheme.validate_window(window)
     if scheme.kind == "zs":
         points = _zs_patch_points(window, radius)
-    else:
-        points = box_points(scheme, window.real_halfwidths, radius)
-    return Patch(scheme, window, radius, tuple(points))
+        return Patch(scheme, window, radius, tuple(points), [points])
+    return box_patch(scheme, window, window.real_halfwidths, radius)
 
 
-def box_points(scheme: QuadraticScheme, halfwidths, radius) -> list:
-    """Points whose coordinates each lie in their window and the R-ball, in scheme order."""
-    per_dim = [
+def box_patch(scheme: QuadraticScheme, window, halfwidths, radius) -> Patch:
+    """The patch of points whose coordinates each lie in their window half-width
+    and the R-ball: the product of one window enumeration per axis."""
+    factors = [
         enumerate_window_elements(
             scheme.field, scheme.physical_place, scheme.internal_place, radius, c
         )
         for c in halfwidths
     ]
-    total = math.prod(len(lst) for lst in per_dim)
+    total = math.prod(len(lst) for lst in factors)
     if total > DEFAULT_CANDIDATE_LIMIT:
         raise ResourceLimit(
             f"the patch would hold more than the limit of {DEFAULT_CANDIDATE_LIMIT} points"
         )
-    return sorted(itertools.product(*per_dim), key=scheme.sort_key)
+    points = tuple(sorted(itertools.product(*factors), key=scheme.sort_key))
+    return Patch(scheme, window, radius, points, factors)
 
 
 def _zs_patch_points(window: Window, radius: Fraction):
@@ -814,7 +822,7 @@ def lattice_delone_report(scheme, window: Window, patch_radius) -> verify.Delone
     of the patch of radius R on the inner ball of radius R/2."""
     patch = model_set_patch(scheme, window, patch_radius)
     return verify.delone_certify(
-        patch.points, patch.group_ops(), patch.radius / 2, patch_radius=patch.radius
+        patch.factors, scheme.physical_place, patch.radius / 2, patch_radius=patch.radius
     )
 
 
@@ -851,20 +859,19 @@ def _entry_is_zero(e) -> bool:
     return Fraction(e) == 0
 
 
-def _square_intersection_points(patch: Patch, axes: tuple[int, ...], inner_radius: Fraction):
-    """Points of (patch + patch) ∩ N with coordinates restricted to `axes`.
+def _square_intersection_factors(patch: Patch, axes: tuple[int, ...], inner_radius: Fraction):
+    """The factors of (patch + patch) ∩ N, coordinates restricted to `axes`.
 
     The patch is the product of its factors, each symmetric about 0, so every
     p has partners q with q_i = -p_i off `axes`; the set is the product over
     `axes` of the factor sumsets P_i + P_i, cut to the inner ball.
     """
     place = patch.scheme.physical_place
-    sums = [
+    return [
         {a + b for a in xs for b in xs if abs_embedding_leq(a + b, place, inner_radius)}
-        for i, xs in enumerate(verify.factors(patch.points, patch.group_ops()))
+        for i, xs in enumerate(patch.factors)
         if i in axes
     ]
-    return sorted(itertools.product(*sums), key=patch.scheme.sort_key)
 
 
 class IntersectionResult(Record):
@@ -886,7 +893,10 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
         raise UnsupportedSubgroup("trivial subgroup has no induced scheme; use the patch directly")
     induced = GaloisScheme(scheme.field, dim=len(axes), physical_root_index=scheme.physical_root_index)
     patch = model_set_patch(scheme, window, radius)
-    inter_points = _square_intersection_points(patch, axes, radius)
+    inter_points = sorted(
+        itertools.product(*_square_intersection_factors(patch, axes, radius)),
+        key=scheme.sort_key,
+    )
     w_axes = Window.box(*(2 * window.real_halfwidths[i] for i in axes))
     induced_patch = model_set_patch(induced, w_axes, radius)
     ops = induced.group_ops()
@@ -926,25 +936,17 @@ def project_to_quotient(scheme, subgroup, window: Window, radius) -> ProjectionR
     patch = model_set_patch(scheme, window, radius)
     if not quotient_axes:
         return ProjectionResult((), [], None, None, True)
-    projected = sorted(
-        {tuple(p[i] for i in quotient_axes) for p in patch.points}, key=scheme.sort_key
-    )
-    qops = GaloisScheme(
-        scheme.field, dim=len(quotient_axes), physical_root_index=scheme.physical_root_index
-    ).group_ops()
+    place = scheme.physical_place
+    quotient = [patch.factors[i] for i in quotient_axes]
+    projected = sorted(itertools.product(*quotient), key=scheme.sort_key)
     min_sep = None
     if len(projected) >= 2:
-        min_sep = verify.min_separation(projected, qops)
+        min_sep = verify.min_separation(quotient, place)
     inter_report = None
     if axes:
-        inter_points = _square_intersection_points(patch, axes, radius)
-        iops = GaloisScheme(
-            scheme.field, dim=len(axes), physical_root_index=scheme.physical_root_index
-        ).group_ops()
-        if len(inter_points) >= 2:
-            inter_report = verify.delone_certify(
-                inter_points, iops, Fraction(radius) / 2, patch_radius=radius
-            )
+        inter = _square_intersection_factors(patch, axes, radius)
+        if math.prod(map(len, inter)) >= 2:
+            inter_report = verify.delone_certify(inter, place, radius / 2, patch_radius=radius)
     consistent = (min_sep is None or min_sep > 0) and (
         inter_report is None or inter_report.is_delone
     )

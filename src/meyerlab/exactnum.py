@@ -160,7 +160,7 @@ class NumberField:
     by `surd_sign`.
     """
 
-    def __init__(self, min_poly: Sequence[int], name: str | None = None):
+    def __init__(self, min_poly: Sequence[int]):
         coeffs = tuple(int(c) for c in min_poly)
         if len(coeffs) not in (2, 3):
             raise UsageError(
@@ -174,7 +174,6 @@ class NumberField:
             raise UsageError(f"minimal polynomial {list(coeffs)} has a rational root")
         self.min_poly: tuple[int, ...] = coeffs
         self.degree: int = len(coeffs) - 1
-        self.name = name
         real = 1 if self.degree == 1 else 2 if self.disc > 0 else 0
         self._real_roots = [RealEmbeddingInterval(self, i) for i in range(real)]
 
@@ -233,16 +232,16 @@ class NumberField:
         return NumberField([str_int(c) for c in json_list(min_poly, "a minimal polynomial is")])
 
 
-RATIONAL_FIELD = NumberField([0, 1], name="Q")
+RATIONAL_FIELD = NumberField([0, 1])
 
 
 def golden_field() -> NumberField:
     """Q(sqrt 5) generated by the golden ratio, X^2 - X - 1."""
-    return NumberField([-1, -1, 1], name="golden")
+    return NumberField([-1, -1, 1])
 
 
 def sqrt2_field() -> NumberField:
-    return NumberField([-2, 0, 1], name="sqrt2")
+    return NumberField([-2, 0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,7 @@ def heis_model_set(scheme: HeisScheme, radius) -> cps.Patch:
     radius = Fraction(radius)
     if radius <= 0:
         raise UsageError("radius must be positive")
-    return cps.Patch(scheme, None, radius, tuple(cps.box_points(scheme, scheme.window, radius)))
+    return cps.box_patch(scheme, None, scheme.window, radius)
 
 
 def symmetrize(points: Sequence[tuple]) -> list[tuple]:
@@ -242,11 +242,8 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     out = sorted((z for z in central if abs_embedding_leq(z, phys, radius)), key=lambda e: e.coeffs)
     report = None
     if len(out) >= 2:
-        # the centre is a line: its z-values are measured as 1-tuples
-        centre = cps.GaloisScheme(field, 1, scheme.physical_root_index)
-        report = verify.delone_certify(
-            [(z,) for z in out], centre.group_ops(), radius / 2, patch_radius=radius
-        )
+        # the centre is a line: its z-values are its one factor
+        report = verify.delone_certify([out], phys, radius / 2, patch_radius=radius)
     return CenterIntersection(scheme, radius, out, report)
 
 
@@ -273,9 +270,8 @@ def commutator_map(xi: tuple, patch: cps.Patch) -> CommutatorMapResult:
     trivial = all(e.is_zero for e in distinct)
     report = None
     if not trivial and len(distinct) >= 2:
-        scheme = patch.scheme
-        centre = cps.GaloisScheme(scheme.field, 1, scheme.physical_root_index)
-        report = verify.delone_certify([(e,) for e in distinct], centre.group_ops(), patch.radius / 2)
+        place = patch.scheme.physical_place
+        report = verify.delone_certify([distinct], place, patch.radius / 2)
     return CommutatorMapResult(hom_ok, trivial, report)
 
 
@@ -297,13 +293,13 @@ GROWTH_TOLERANCE = Fraction(11, 10)
 
 
 def _axis_kappas(patch: cps.Patch) -> list[tuple]:
-    """Per axis k of a product patch, exactly: (the largest |x_k| over the patch,
-    the covering radius of factor k on [-R/2, R/2])."""
-    ops = patch.group_ops()
-    key = verify.exact_key(ops.place)
+    """Per axis k of a patch, exactly: (the largest |x_k| over the patch, the
+    covering radius of factor k on [-R/2, R/2])."""
+    place = patch.scheme.physical_place
+    key = verify.exact_key(place)
     return [
-        (max(-xs[0], xs[-1], key=key), verify.axis_covering_radius(xs, patch.radius / 2, ops.place))
-        for xs in verify.factors(patch.points, ops)
+        (max(-xs[0], xs[-1], key=key), verify.axis_covering_radius(xs, patch.radius / 2, place))
+        for xs in (sorted(f, key=key) for f in patch.factors)
     ]
 
 
@@ -324,8 +320,8 @@ def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport
     kappa(U') bounds both the distance from every patch point to U' and the
     distance from every point of U' in the inner ball to the patch; U' is the
     smallest candidate whose kappa does not grow (factor 11/10, plus an
-    allowance) from the small patch to the large one.  Both patches must be
-    coordinate products, and every kappa is the NORM_BITS ceiling of its
+    allowance) from the small patch to the large one.  Both patches are read
+    through their factors, and every kappa is the NORM_BITS ceiling of its
     exact value.
     """
     if patch_small.scheme.field != patch_large.scheme.field:

@@ -26,16 +26,20 @@ def canonical_json(data) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meyerlab-")
+    """Write `text` to a temporary file beside `path`, then rename it to `path`;
+    a path that cannot be written is a usage error, and leaves no temporary file."""
+    directory, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meyerlab-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        # gone after a successful replace
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def save_json(path: str, data) -> None:
@@ -115,7 +119,7 @@ def patch_cover_artifact(cover: verify.GreedyCover, patch_a: cps.Patch, patch_b:
 def delone_artifact(patch: cps.Patch, inner_radius) -> dict:
     """A `delone_report` file: the patch's Delone report on the inner ball, with the patch."""
     report = verify.delone_certify(
-        patch.points, patch.group_ops(), inner_radius, patch_radius=patch.radius
+        patch.factors, patch.scheme.physical_place, inner_radius, patch_radius=patch.radius
     )
     return report.to_dict() | {"patch": patch.to_dict(), "inner_radius": frac_str(inner_radius)}
 
@@ -276,8 +280,7 @@ def cellcover_summary(x_values, coverings) -> dict:
 
 def _rebuilt_patch(data) -> cps.Patch:
     """The patch that the scheme, window and radius of the patch file `data` enumerate."""
-    patch = cps.Patch.from_dict(data)
-    return patch.scheme.model_set(patch.window, patch.radius)
+    return cps.read_patch(data)[1]
 
 
 def _membership(data) -> dict:

@@ -2,11 +2,12 @@
 
 Distances use the sup-norm on coordinates everywhere (for the Heisenberg
 group this is a documented proxy metric, bi-Lipschitz at patch scale).
-Every measured set is a coordinate product of sorted 1-D factors, so each
-Delone constant is an exact 1-D value, in Q or at the physical place of a
-real quadratic field, written as its NORM_BITS dyadic bound (the value
-itself when rational).  Floats only pick a greedy cover's nearest point and
-pre-screen `points_within`.
+Every measured set is given as the 1-D factors whose coordinate product it
+is (for a patch, the per-axis lists it was enumerated from), and is measured
+at a place: None for rationals, else the physical place of a real quadratic
+field.  Each Delone constant is then an exact 1-D value, written as its
+NORM_BITS dyadic bound (the value itself when rational).  Floats only pick a
+greedy cover's nearest point and pre-screen `points_within`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ NORM_BITS = 64  # dyadic precision of every written bound, of point_norm_hi and 
 class GroupOps(Record):
     """Exact group structure plus certified coordinate access for points.
 
-    coord_intervals maps (point, bits) to a list of (Fraction, Fraction).
-    place is the real place that coordinates embed by, or None when they are
-    rationals; a point is a tuple of coordinates, or a bare rational in 1-D.
+    coord_intervals maps (point, bits) to a list of (Fraction, Fraction); a
+    point is a tuple of coordinates, or a bare rational in 1-D.
     """
 
-    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals", "place")
+    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals")
 
 
 def rational_line_ops() -> GroupOps:
@@ -43,7 +43,6 @@ def rational_line_ops() -> GroupOps:
         identity=Fraction(0),
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(a, a)],
-        place=None,
     )
 
 
@@ -57,7 +56,6 @@ def intmod_ops(n: int) -> GroupOps:
         identity=0,
         sort_key=lambda a: (a,),
         coord_intervals=lambda a, bits: [(Fraction(a), Fraction(a))],
-        place=None,
     )
 
 
@@ -126,26 +124,6 @@ def dyadic_bounds(x, place) -> tuple[Fraction, Fraction]:
     return eval_embedding(x, place, NORM_BITS)
 
 
-def factors(points: Sequence, ops: GroupOps) -> list[list]:
-    """The per-axis factors pi_k(P) of a coordinate product P, each sorted by value.
-
-    P lies inside the product of its factors, so it equals it exactly when
-    |P| = prod |pi_k(P)|.  A point set that holds a duplicate point, or that is
-    not the product of its factors, is a usage error; the empty set has none.
-    """
-    coords = [p if type(p) is tuple else (p,) for p in points]
-    if len(set(coords)) != len(coords):
-        raise UsageError("duplicate points in the point set")
-    key = exact_key(ops.place)
-    out = [sorted(set(axis), key=key) for axis in zip(*coords)]
-    if coords and len(coords) != math.prod(map(len, out)):
-        sizes = " x ".join(str(len(xs)) for xs in out)
-        raise UsageError(
-            f"the point set is not a coordinate product: {len(coords)} points, factors {sizes}"
-        )
-    return out
-
-
 def axis_covering_radius(xs: Sequence, r: Fraction, place):
     """sup over t in [-r, r] of dist(t, xs), exactly, for a sorted nonempty factor xs.
 
@@ -163,19 +141,16 @@ def axis_covering_radius(xs: Sequence, r: Fraction, place):
     return max(values, key=key)
 
 
-def min_separation(points: Sequence, ops: GroupOps) -> Fraction:
+def min_separation(fs: Sequence[Sequence], place) -> Fraction:
     """Certified lower bound on the least sup-distance between two points of
-    a coordinate product: the least gap of any factor, as its NORM_BITS floor.
-    Two points that differ on axis k are at least a gap of factor k apart, and
-    two that differ only across the least gap attain it."""
-    return _least_gap(factors(points, ops), ops.place)
-
-
-def _least_gap(fs: list[list], place) -> Fraction:
-    gaps = [b - a for xs in fs for a, b in zip(xs, xs[1:])]
-    if not gaps:
+    the product of the 1-D factors `fs`: the least gap of any factor, as its
+    NORM_BITS floor.  Two points that differ on axis k are at least a gap of
+    factor k apart, and two that differ only across the least gap attain it."""
+    key = exact_key(place)
+    gaps = [b - a for xs in (sorted(f, key=key) for f in fs) for a, b in zip(xs, xs[1:])]
+    if not gaps or not all(fs):
         raise UsageError("min_separation needs at least 2 points")
-    return dyadic_bounds(min(gaps, key=exact_key(place)), place)[0]
+    return dyadic_bounds(min(gaps, key=key), place)[0]
 
 
 class CoveringRadiusResult(Record):
@@ -192,27 +167,21 @@ class CoveringRadiusResult(Record):
 
 
 def covering_radius(
-    points: Sequence,
-    ops: GroupOps,
-    inner_radius,
-    patch_radius=None,
+    fs: Sequence[Sequence], place, inner_radius, patch_radius=None
 ) -> CoveringRadiusResult:
-    """Certified upper bound on sup-distance from any inner-ball point to a
-    coordinate product P.  dist(x, P) = max_k dist(x_k, P_k), so it is the
-    largest `axis_covering_radius`, as its NORM_BITS ceiling.  Verdict
-    INFINITE when the bound is no better than the trivial inner_radius."""
-    return _covering(factors(points, ops), ops.place, inner_radius, patch_radius)
-
-
-def _covering(fs: list[list], place, inner_radius, patch_radius) -> CoveringRadiusResult:
-    """`covering_radius` of the product of the sorted factors `fs`; of none, the empty set."""
+    """Certified upper bound on sup-distance from any inner-ball point to the
+    product P of the 1-D factors `fs`.  dist(x, P) = max_k dist(x_k, P_k), so
+    it is the largest `axis_covering_radius`, as its NORM_BITS ceiling.
+    Verdict INFINITE when the bound is no better than the trivial
+    inner_radius, or when P is empty."""
     inner_radius = Fraction(inner_radius)
     if inner_radius <= 0:
         raise UsageError("inner_radius must be positive")
-    if not fs:
+    if not (fs and all(fs)):
         return CoveringRadiusResult(None, "INFINITE", inner_radius)
-    per_axis = [axis_covering_radius(xs, inner_radius, place) for xs in fs]
-    bound = dyadic_bounds(max(per_axis, key=exact_key(place)), place)[1]
+    key = exact_key(place)
+    per_axis = [axis_covering_radius(sorted(xs, key=key), inner_radius, place) for xs in fs]
+    bound = dyadic_bounds(max(per_axis, key=key), place)[1]
     if patch_radius is not None and inner_radius + bound > Fraction(patch_radius):
         raise UsageError(
             "inner radius plus covering bound exceeds patch radius; enlarge the patch"
@@ -239,12 +208,11 @@ class DeloneReport(Record):
 
 
 def delone_certify(
-    points: Sequence, ops: GroupOps, inner_radius, patch_radius=None
+    fs: Sequence[Sequence], place, inner_radius, patch_radius=None
 ) -> DeloneReport:
-    """Both Delone constants of a coordinate product, from one factoring."""
-    fs = factors(points, ops)
-    covering = _covering(fs, ops.place, inner_radius, patch_radius)
-    return DeloneReport(_least_gap(fs, ops.place), covering)
+    """Both Delone constants of the product of the 1-D factors `fs`."""
+    covering = covering_radius(fs, place, inner_radius, patch_radius)
+    return DeloneReport(min_separation(fs, place), covering)
 
 
 class NearestScan:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -244,23 +245,83 @@ def test_verify_delone_consumes_csv(tmp_path):
     assert code == 0
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda points: points.pop(len(points) // 2), "not a coordinate product"),
-    (lambda points: points.append(points[0]), "duplicate points"),
+# (generate arguments, the verify options that describe its CSV)
+PATCHES = {
+    "golden": (["cps", "generate", "--scheme", "galois:golden", "--window", "1", "--radius", "20"],
+               ["--scheme", "galois:golden", "--window", "1", "--radius", "20"]),
+    "heis": (["heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "2"],
+             ["--field", "sqrt2", "--window", "1,1,2", "--radius", "2"]),
+}
+
+
+def _verify_argv(command, path, good, csv_options):
+    """`verify delone` on the patch at `path`, or `verify cover` of the canonical
+    patch `good` by it."""
+    if command == "delone":
+        return ["verify", "delone", "--patch", str(path), "--inner", "1", *csv_options]
+    return ["verify", "cover", "--a", str(good), "--b", str(path), *csv_options]
+
+
+@pytest.mark.parametrize("command", ["delone", "cover"])
+@pytest.mark.parametrize("patch", sorted(PATCHES))
+@pytest.mark.parametrize("layout", ["shuffled-json", "reversed-csv"])
+def test_a_reordered_patch_is_measured_as_its_enumeration(tmp_path, command, patch, layout):
+    # a patch file may list its points in any order: the report holds the
+    # enumeration in canonical order, so it is the canonical input's, byte for byte
+    generate, csv_options = PATCHES[patch]
+    good, good_csv = tmp_path / "patch.json", tmp_path / "patch.csv"
+    assert run_cli(*generate, "--json", str(good), "--out", str(good_csv)) == 0
+    assert run_cli(*_verify_argv(command, good, good, []), "--json", str(tmp_path / "ref.json")) == 0
+    if layout == "shuffled-json":
+        data = json.loads(good.read_text())
+        random.Random(7).shuffle(data["points"])
+        path, options = tmp_path / "shuffled.json", []
+        path.write_text(json.dumps(data))
+    else:
+        header, *rows = good_csv.read_text().splitlines()
+        path, options = tmp_path / "reversed.csv", csv_options
+        path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    out = tmp_path / "out.json"
+    assert run_cli(*_verify_argv(command, path, good, options), "--json", str(out)) == 0
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert run_cli("verify", "replay", str(out)) == 0
+
+
+def _drop_physical_end(data):
+    # a golden point [[a, b]] lies at a + b * phi
+    phi = (1 + 5 ** 0.5) / 2
+    points = data["points"]
+    points.remove(max(points, key=lambda p: float(str_frac(p[0][0]) + str_frac(p[0][1]) * phi)))
+
+
+@pytest.mark.parametrize("command", ["delone", "cover"])
+@pytest.mark.parametrize("patch, edit", [
+    ("golden", "missing-end-point"),
+    ("golden", "radius-edited"),
+    ("heis", "repeated-point"),
+    ("heis", "dropped-point"),
 ])
-def test_verify_delone_needs_a_product_patch(tmp_path, capsys, edit, message):
-    # the metric layer reads a patch as the product of its per-axis factors, so
-    # a Heisenberg patch with one point dropped, or one point twice, is refused
-    path = tmp_path / "patch.json"
-    assert run_cli("heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "2",
-                   "--json", str(path)) == 0
-    data = json.loads(path.read_text())
-    edit(data["points"])
+def test_verify_needs_the_enumerated_patch(tmp_path, capsys, command, patch, edit):
+    # a patch file must hold exactly the points that its scheme, window and
+    # radius enumerate; any other point set is refused before it is measured
+    generate, _ = PATCHES[patch]
+    good, path = tmp_path / "patch.json", tmp_path / "edited.json"
+    assert run_cli(*generate, "--json", str(good)) == 0
+    data = json.loads(good.read_text())
+    if edit == "missing-end-point":
+        _drop_physical_end(data)
+    elif edit == "radius-edited":
+        data["radius"] = "25"
+    elif edit == "repeated-point":
+        data["points"].append(data["points"][0])
+    else:
+        data["points"].pop(len(data["points"]) // 2)
     path.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run_cli("verify", "delone", "--patch", str(path), "--inner", "1/2") == 1
+    assert run_cli(*_verify_argv(command, path, good, []), "--json", str(tmp_path / "out.json")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and message in err
+    assert err.startswith("usage error: ") and str(path) in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("scheme, window, rows", [
@@ -575,7 +636,7 @@ def test_replay_needs_one_index_per_covered_point(tmp_path, capsys, cover_artifa
 def _covered_points(data, key):
     """(scheme, covered points in canonical order, the set B they must land in)."""
     if key is None:
-        patch_a, patch_b = (cps.Patch.from_dict(data[k]) for k in ("patch_a", "patch_b"))
+        patch_a, patch_b = (cps.read_patch(data[k])[1] for k in ("patch_a", "patch_b"))
         return patch_a.scheme, list(patch_a.points), set(patch_b.points)
     scheme = cps.scheme_from_dict(data["scheme"])
     patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
@@ -773,9 +834,15 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
         # last accepted: the resource error below is raised after the window is taken)
         (["cps", "generate", "--scheme", "zs:3", "--window", "-15", "--radius", "5"],
          "the window levels make prod p^|k| exceed the limit 5000000"),
+        # an output path in a missing directory, or one that is a directory
+        (["cps", "generate", "--scheme", "zs:2", "--window", "0", "--radius", "2",
+          "--json", "{d}/missing/x.json"], "cannot write {d}/missing/x.json: No such file"),
+        (["cps", "generate", "--scheme", "zs:2", "--window", "0", "--radius", "2",
+          "--out", "{d}/a-dir"], "cannot write {d}/a-dir: Is a directory"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
+    (tmp_path / "a-dir").mkdir()
     (tmp_path / "not-json.json").write_text("points: 1, 2, 3\n")
     (tmp_path / "bare-patch.json").write_text(json.dumps({"type": "patch"}))
     golden = {"type": "patch", "radius": "2", "points": [[["0", "0"]]],
@@ -847,8 +914,10 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
             (tmp_path / f"{artifact}-padic-{key}-int.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and message in err
+    assert err.startswith("usage error: ") and message.format(d=tmp_path) in err
     assert "Traceback" not in err
+    # a failed write removes its temporary file
+    assert not list(tmp_path.glob(".meyerlab-*"))
 
 
 # a radius of 4,300 digits, the most that Python converts from a string: the

@@ -205,8 +205,8 @@ class TestGaloisPatches:
     def test_patch_roundtrip_through_dict(self):
         scheme = cps.GaloisScheme(golden_field())
         patch = cps.model_set_patch(scheme, cps.Window.box(1), 6)
-        again = cps.Patch.from_dict(json.loads(json.dumps(patch.to_dict())))
-        assert again.points == patch.points
+        points, again = cps.read_patch(json.loads(json.dumps(patch.to_dict())))
+        assert points == again.points == patch.points
         assert again.radius == patch.radius
 
 
@@ -377,8 +377,8 @@ class TestGlobalCovering:
 
         cold_patch = cps.model_set_patch(cold_scheme, cps.Window.box(1), 10)
         warm_patch = cps.model_set_patch(warm_scheme, cps.Window.box(1), 10)
-        r1 = verify.delone_certify(cold_patch.points, cold_patch.group_ops(), 5, patch_radius=10)
-        r2 = verify.delone_certify(warm_patch.points, warm_patch.group_ops(), 5, patch_radius=10)
+        r1 = verify.delone_certify(cold_patch.factors, cold_scheme.physical_place, 5, patch_radius=10)
+        r2 = verify.delone_certify(warm_patch.factors, warm_scheme.physical_place, 5, patch_radius=10)
         assert json.dumps(r1.to_dict(), sort_keys=True) == json.dumps(r2.to_dict(), sort_keys=True)
 
     def test_tampered_certificate_fails_replay(self):

@@ -164,8 +164,8 @@ class TestModelSet:
     def test_patch_roundtrip(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         patch = heis.heis_model_set(scheme, 3)
-        again = cps.Patch.from_dict(json.loads(json.dumps(patch.to_dict())))
-        assert again.points == patch.points
+        points, again = cps.read_patch(json.loads(json.dumps(patch.to_dict())))
+        assert points == again.points == patch.points
 
 
 class TestCoveringCertificate:
@@ -340,14 +340,13 @@ class TestCommutatorMap:
 
 
 def integer_axis_patch(field, radius, axis=0):
-    pts = []
-    zero = field.zero()
-    for n in range(-radius, radius + 1):
-        coords = [zero, zero, zero]
-        coords[axis] = field.from_rational(n)
-        pts.append(tuple(coords))
+    """The integers -R..R on one axis, as a patch with its factors; it is no
+    model set, so it is built by hand."""
+    factors = [[field.zero()] for _ in range(3)]
+    factors[axis] = [field.from_rational(n) for n in range(-radius, radius + 1)]
     scheme = heis.HeisScheme(field, (1, 1, 1))
-    return cps.Patch(scheme, None, Fraction(radius), tuple(sorted(pts, key=scheme.sort_key)))
+    pts = tuple(sorted(itertools.product(*factors), key=scheme.sort_key))
+    return cps.Patch(scheme, None, Fraction(radius), pts, factors)
 
 
 class TestSchreiberHull:

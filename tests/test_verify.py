@@ -28,32 +28,32 @@ def fib_patch(radius=10):
 
 class TestMinSeparation:
     def test_integer_patch(self):
-        assert verify.min_separation(frac_points(range(-4, 5)), line_ops()) == 1
+        assert verify.min_separation([frac_points(range(-4, 5))], None) == 1
 
     def test_half_integer_patch(self):
         pts = [Fraction(n, 2) for n in range(-6, 7)]
-        assert verify.min_separation(pts, line_ops()) == Fraction(1, 2)
+        assert verify.min_separation([pts], None) == Fraction(1, 2)
 
     def test_fibonacci_patch_positive(self):
         patch = fib_patch(10)
-        ops = patch.group_ops()
-        sep = verify.min_separation(patch.points, ops)
+        place = patch.scheme.physical_place
+        sep = verify.min_separation(patch.factors, place)
         assert sep > 0
         # the least gap is 1/phi = phi - 1, written as its 2^-64 floor
-        assert sep == all_pairs_min_separation(patch.points, ops)
+        assert sep == all_pairs_min_separation(patch.points, place)
         phi_minus_one = golden_field().gen() - 1
-        assert sep == exactnum.eval_embedding(phi_minus_one, ops.place, verify.NORM_BITS)[0]
+        assert sep == exactnum.eval_embedding(phi_minus_one, place, verify.NORM_BITS)[0]
 
     def test_nonincreasing_in_radius(self):
         seps = []
         for radius in (5, 10, 20):
             patch = fib_patch(radius)
-            seps.append(verify.min_separation(patch.points, patch.group_ops()))
+            seps.append(verify.min_separation(patch.factors, patch.scheme.physical_place))
         assert seps[0] >= seps[1] >= seps[2]
 
     def test_needs_two_points(self):
         with pytest.raises(UsageError):
-            verify.min_separation([Fraction(0)], line_ops())
+            verify.min_separation([[Fraction(0)]], None)
 
 
 def linear_nearest_index(scan, grid_point):
@@ -75,7 +75,6 @@ def rational_box_ops(dim):
         identity=(Fraction(0),) * dim,
         sort_key=lambda a: a,
         coord_intervals=lambda a, bits: [(x, x) for x in a],
-        place=None,
     )
 
 
@@ -99,10 +98,9 @@ def written(x, place):
     return exactnum.eval_embedding(x, place, verify.NORM_BITS)
 
 
-def all_pairs_min_separation(points, ops):
+def all_pairs_min_separation(points, place):
     """Reference: the least exact sup-distance over every pair of points, by
     brute force, written as its 2^-NORM_BITS floor."""
-    place = ops.place
     key = real_key(place)
     coords = [p if type(p) is tuple else (p,) for p in points]
     dists = []
@@ -220,41 +218,38 @@ class TestCells:
         # radius from below within delta/2; with half-integer points, distinct
         # distances to a grid point differ by far more than float rounding, so
         # the float scan picks a truly nearest point
-        pts = data.draw(products(HALVES, dim))
+        fs = data.draw(products(HALVES, dim))
         # at most 13^3 grid points in 3-D
         r = data.draw(st.integers(1, 8 if dim == 1 else 3).map(lambda k: Fraction(k, 2)))
         meshes = [Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 8)] * (dim == 1)
         mesh = data.draw(st.sampled_from(meshes))
-        ops = rational_box_ops(dim)
-        bound = verify.covering_radius(pts, ops, r).bound
-        grid = grid_maximum(pts, ops, r, mesh)
+        bound = verify.covering_radius(fs, None, r).bound
+        grid = grid_maximum(list(itertools.product(*fs)), rational_box_ops(dim), r, mesh)
         assert grid <= bound <= grid + mesh / 2
 
     def test_bulk_maximum_matches_grid_loop_on_a_heisenberg_patch(self):
         patch = heis.heis_model_set(heis.HeisScheme(sqrt2_field(), (1, 1, 2)), 2)
-        ops = patch.group_ops()
         mesh = Fraction(1, 8)
-        bound = verify.covering_radius(patch.points, ops, Fraction(1, 2)).bound
-        grid = grid_maximum(patch.points, ops, Fraction(1, 2), mesh)
+        bound = verify.covering_radius(patch.factors, patch.scheme.physical_place, Fraction(1, 2)).bound
+        grid = grid_maximum(patch.points, patch.group_ops(), Fraction(1, 2), mesh)
         # dist_hi and the written bound each round outward by less than 2^-64
         assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
 
     @settings(max_examples=100, deadline=None)
     @given(dim=st.sampled_from([1, 3]), data=st.data())
     def test_min_separation_matches_all_pairs(self, dim, data):
-        pts = data.draw(products(HAIR_HALVES, dim))
-        if len(pts) < 2:
+        fs = data.draw(products(HAIR_HALVES, dim))
+        if math.prod(map(len, fs)) < 2:
             return
-        ops = rational_box_ops(dim)
-        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+        pts = list(itertools.product(*fs))
+        assert verify.min_separation(fs, None) == all_pairs_min_separation(pts, None)
 
 
 def products(values, dim, max_factor=4):
-    """Shuffled coordinate products of `dim` factors drawn from `values`."""
+    """The `dim` factors of a coordinate product: lists of distinct values
+    drawn from `values`, in the order drawn, so not sorted."""
     factor = st.lists(values, min_size=1, max_size=max_factor, unique=True)
-    return st.tuples(st.lists(factor, min_size=dim, max_size=dim), st.randoms()).map(
-        lambda fr: fr[1].sample(list(itertools.product(*fr[0])), k=math.prod(map(len, fr[0])))
-    )
+    return st.lists(factor, min_size=dim, max_size=dim)
 
 
 def grid_1d(r, mesh):
@@ -274,7 +269,7 @@ def interval_ops():
     """Points are tuples of exact coordinate intervals."""
     return verify.GroupOps(
         mul=None, inv=None, identity=None, sort_key=None,
-        coord_intervals=lambda p, bits: list(p), place=None,
+        coord_intervals=lambda p, bits: list(p),
     )
 
 
@@ -308,8 +303,7 @@ class TestMinSeparationSweep:
     def test_rational_line_matches_all_pairs(self, values, scale):
         # consecutive integers give many equal gaps, so the witness tie-break matters
         pts = [scale * v for v in values]
-        ops = line_ops()
-        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+        assert verify.min_separation([pts], None) == all_pairs_min_separation(pts, None)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_golden_patches_match_all_pairs(self, seed):
@@ -321,10 +315,9 @@ class TestMinSeparationSweep:
             heis.heis_model_set(heis.HeisScheme(golden, (1, 1, 1)), 2),
         ]
         for patch in patches:
-            pts = list(patch.points)
-            rng.shuffle(pts)
-            ops = patch.group_ops()
-            assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+            fs = [rng.sample(xs, len(xs)) for xs in patch.factors]
+            place = patch.scheme.physical_place
+            assert verify.min_separation(fs, place) == all_pairs_min_separation(patch.points, place)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -335,16 +328,11 @@ class TestMinSeparationSweep:
         rnd=st.randoms(),
     )
     def test_product_set_with_few_first_coordinates(self, firsts, ys, zs, scale, rnd):
-        pts = [tuple(scale * v for v in p) for p in itertools.product(firsts, ys, zs)]
+        fs = [rnd.sample([scale * v for v in xs], len(xs)) for xs in (firsts, ys, zs)]
+        pts = list(itertools.product(*fs))
         if len(pts) < 2:
             return
-        rnd.shuffle(pts)
-        ops = rational_box_ops(3)
-        assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
-
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(UsageError, match="duplicate"):
-            verify.min_separation(frac_points([3, 0, 7, 0]), line_ops())
+        assert verify.min_separation(fs, None) == all_pairs_min_separation(pts, None)
 
 
 class TestMemoisedIntervals:
@@ -391,29 +379,29 @@ class TestMemoisedIntervals:
 
 class TestCoveringRadius:
     def test_integer_patch(self):
-        res = verify.covering_radius(frac_points(range(-8, 9)), line_ops(), 3)
+        res = verify.covering_radius([frac_points(range(-8, 9))], None, 3)
         assert res.verdict == "FINITE"
         # the covering radius of Z is 1/2, and rational values are written exactly
         assert res.bound == Fraction(1, 2)
 
     def test_single_point_is_infinite(self):
-        res = verify.covering_radius([Fraction(0)], line_ops(), 3)
+        res = verify.covering_radius([[Fraction(0)]], None, 3)
         assert res.verdict == "INFINITE"
 
     def test_empty_patch_is_infinite(self):
-        res = verify.covering_radius([], line_ops(), 3)
+        res = verify.covering_radius([[]], None, 3)
         assert res.verdict == "INFINITE"
         assert res.bound is None
 
     def test_fibonacci_patch_finite(self):
         patch = fib_patch(12)
-        res = verify.covering_radius(patch.points, patch.group_ops(), 5, patch_radius=12)
+        res = verify.covering_radius(patch.factors, patch.scheme.physical_place, 5, patch_radius=12)
         assert res.verdict == "FINITE"
         assert res.bound < 2
 
     def test_bound_is_sound_against_dense_probe(self):
         pts = frac_points(range(-8, 9))
-        res = verify.covering_radius(pts, line_ops(), 3)
+        res = verify.covering_radius([pts], None, 3)
         rng = random.Random(11)
         for _ in range(200):
             x = Fraction(rng.randint(-3000, 3000), 1000)
@@ -423,8 +411,9 @@ class TestCoveringRadius:
         scheme = cps.GaloisScheme(golden_field())
         small = cps.model_set_patch(scheme, cps.Window.box(1), 12)
         large = cps.model_set_patch(scheme, cps.Window.box(2), 12)
-        r_small = verify.covering_radius(small.points, small.group_ops(), 5, patch_radius=12)
-        r_large = verify.covering_radius(large.points, large.group_ops(), 5, patch_radius=12)
+        place = scheme.physical_place
+        r_small = verify.covering_radius(small.factors, place, 5, patch_radius=12)
+        r_large = verify.covering_radius(large.factors, place, 5, patch_radius=12)
         assert r_large.bound <= r_small.bound
 
 
@@ -437,44 +426,41 @@ class TestFactorwise:
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 3), data=st.data())
     def test_sqrt2_products_match_all_pairs_and_the_grid(self, dim, data):
-        pts = data.draw(products(SQRT2_VALUES, dim, max_factor=3))
-        ops = cps.GaloisScheme(SQRT2, dim=dim).group_ops()
+        fs = data.draw(products(SQRT2_VALUES, dim, max_factor=3))
+        pts = list(itertools.product(*fs))
+        scheme = cps.GaloisScheme(SQRT2, dim=dim)
+        place = scheme.physical_place
         if len(pts) >= 2:
-            assert verify.min_separation(pts, ops) == all_pairs_min_separation(pts, ops)
+            assert verify.min_separation(fs, place) == all_pairs_min_separation(pts, place)
         mesh = Fraction(1, 4)
-        bound = verify.covering_radius(pts, ops, 1).bound
-        grid = grid_maximum(pts, ops, Fraction(1), mesh)
+        bound = verify.covering_radius(fs, place, 1).bound
+        grid = grid_maximum(pts, scheme.group_ops(), Fraction(1), mesh)
         assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
 
     def test_factors_are_sorted_by_exact_value(self):
+        # the golden 1,9/8,2 patch of radius 4 is the product of its 7 x 7 x 15 factors
         patch = heis.heis_model_set(heis.HeisScheme(golden_field(), (1, Fraction(9, 8), 2)), 4)
-        ops = patch.group_ops()
-        factors = verify.factors(reversed(patch.points), ops)
-        # the golden 1,9/8,2 patch of radius 4 is 7 x 7 x 15 points
-        assert [len(xs) for xs in factors] == [7, 7, 15] and len(patch.points) == 735
-        for xs in factors:
-            assert all(exactnum.cmp_embedding(b - a, ops.place, 0) > 0 for a, b in zip(xs, xs[1:]))
-
-    @pytest.mark.parametrize("measure", [
-        lambda pts, ops: verify.min_separation(pts, ops),
-        lambda pts, ops: verify.covering_radius(pts, ops, 1),
-    ])
-    def test_a_set_that_is_not_a_product_is_a_usage_error(self, measure):
-        pts = [(Fraction(x), Fraction(y)) for x in range(3) for y in range(3)]
-        ops = rational_box_ops(2)
-        with pytest.raises(UsageError, match="not a coordinate product: 8 points, factors 3 x 3"):
-            measure(pts[:4] + pts[5:], ops)
-        with pytest.raises(UsageError, match="duplicate"):
-            measure(pts + pts[:1], ops)
+        assert [len(xs) for xs in patch.factors] == [7, 7, 15] and len(patch.points) == 735
+        assert set(itertools.product(*patch.factors)) == set(patch.points)
+        # the metric layer sorts each factor by exact value itself, so the
+        # enumeration order, its reverse and the sorted order agree
+        place = patch.scheme.physical_place
+        orders = [
+            patch.factors,
+            [xs[::-1] for xs in patch.factors],
+            [sorted(xs, key=real_key(place)) for xs in patch.factors],
+        ]
+        reports = [verify.delone_certify(fs, place, 1, patch_radius=4).to_dict() for fs in orders]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_readme_heisenberg_report_is_exact(self):
         # the 2,299-point sqrt2 1,1,2 patch of radius 6, on the inner ball of radius 3
         patch = heis.heis_model_set(heis.HeisScheme(SQRT2, (1, 1, 2)), 6)
-        ops = patch.group_ops()
-        report = verify.delone_certify(patch.points, ops, 3, patch_radius=6)
+        place = patch.scheme.physical_place
+        report = verify.delone_certify(patch.factors, place, 3, patch_radius=6)
         sqrt2 = SQRT2.gen()
-        assert report.min_separation == written(sqrt2 - 1, ops.place)[0]
-        assert report.covering.bound == written(sqrt2 / 2, ops.place)[1]
+        assert report.min_separation == written(sqrt2 - 1, place)[0]
+        assert report.covering.bound == written(sqrt2 / 2, place)[1]
         assert report.is_delone
 
 
