@@ -8,6 +8,7 @@ byte-identical for identical configs across runs and hash seeds.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from collections.abc import Callable
@@ -428,12 +429,17 @@ def cmd_verify_delone(args) -> int:
 def cmd_verify_cover(args) -> int:
     _require(args, "a", "b")
     pa, pb = _load_patch(args.a, args), _load_patch(args.b, args)
-    ops = pa.group_ops()
+    # zs patches of any primes lie in (Q, +), and heis patches of any windows in one H3
+    if any(getattr(pa.scheme, k, None) != getattr(pb.scheme, k, None) for k in ("kind", "field", "dim")):
+        raise UsageError(
+            f"{args.a} holds {pa.scheme!r} points and {args.b} {pb.scheme!r} points, not one group"
+        )
     cover, witness = verify.greedy_cover(
-        pa.points, pb.points, ops, max_translates=args.max_translates
+        pa.points, pb.points, pa.scheme, max_translates=args.max_translates
     )
     if cover is None:
-        print(f"cover infeasible under translate cap; witness = {witness!r}")
+        witness = json.dumps(pa.scheme.point_to_json(witness), separators=(",", ":"))
+        print(f"cover infeasible under translate cap; witness = {witness}")
         return EXIT_NEGATIVE
     data = serialize.patch_cover_artifact(cover, pa, pb)
     _emit(args, data, None, f"|F| = {len(cover.translates)} covering {cover.scope_points} points")

@@ -31,11 +31,11 @@ from .errors import (
 from .exactnum import (
     NFElem,
     NumberField,
+    RationalLine,
     RealEmbeddingInterval,
     Record,
     abs_embedding_leq,
     cmp_embedding,
-    embedding_intervals,
     eval_embedding,
     floor_surd,
     frac_str,
@@ -162,7 +162,7 @@ def _csv_cells(row: str, header: str) -> list[str]:
     return cells
 
 
-class ZSScheme:
+class ZSScheme(RationalLine):
     """Physical R, internal prod Q_p, lattice Z[1/(p_1...p_m)] diagonal.
 
     A point is the Fraction it embeds as.
@@ -171,7 +171,6 @@ class ZSScheme:
     kind = "zs"
     patch_type = "patch"
     cover_type = "global_cover"
-    physical_place = None  # the metric layer reads rational points as they are
 
     def __init__(self, primes: Sequence[int]):
         ps = tuple(sorted(set(int(p) for p in primes)))
@@ -202,9 +201,6 @@ class ZSScheme:
                 f"the window levels make prod p^|k| exceed the limit {DEFAULT_CANDIDATE_LIMIT}"
             )
 
-    def group_ops(self) -> verify.GroupOps:
-        return verify.rational_line_ops()
-
     def model_set(self, window: Window, radius) -> "Patch":
         return model_set_patch(self, window, radius)
 
@@ -227,9 +223,6 @@ class ZSScheme:
 
     def point_from_csv(self, row: str) -> Fraction:
         return str_frac(_csv_cells(row, self.csv_header())[0])
-
-    def sort_key(self, q: Fraction):
-        return (q,)
 
 
 class QuadraticScheme:
@@ -282,16 +275,6 @@ class QuadraticScheme:
         """The half-width that the cover of the next real axis must reach, given
         the covers of the axes before it; coordinatewise addition needs W1's."""
         return w1.real_halfwidths[len(covers)]
-
-    def group_ops(self) -> verify.GroupOps:
-        zero = self.field.zero()
-        return verify.GroupOps(
-            mul=self.mul,
-            inv=self.inv,
-            identity=tuple(zero for _ in self.coords),
-            sort_key=self.sort_key,
-            coord_intervals=embedding_intervals(self.physical_place),
-        )
 
 
 class GaloisScheme(QuadraticScheme):
@@ -405,9 +388,6 @@ class Patch(Record):
 
     def __len__(self):
         return len(self.points)
-
-    def group_ops(self) -> verify.GroupOps:
-        return self.scheme.group_ops()
 
     def to_dict(self) -> dict:
         data = {
@@ -899,12 +879,11 @@ def intersect_with_subgroup(scheme, subgroup, window: Window, radius) -> Interse
     )
     w_axes = Window.box(*(2 * window.real_halfwidths[i] for i in axes))
     induced_patch = model_set_patch(induced, w_axes, radius)
-    ops = induced.group_ops()
     inner = radius / 2
-    a_pts = verify.points_within(inter_points, ops, inner)
-    b_pts = verify.points_within(induced_patch.points, ops, inner)
-    cover_ab, _ = verify.greedy_cover(a_pts, induced_patch.points, ops)
-    cover_ba, _ = verify.greedy_cover(b_pts, inter_points, ops)
+    a_pts = verify.points_within(inter_points, induced, inner)
+    b_pts = verify.points_within(induced_patch.points, induced, inner)
+    cover_ab, _ = verify.greedy_cover(a_pts, induced_patch.points, induced)
+    cover_ba, _ = verify.greedy_cover(b_pts, inter_points, induced)
     return IntersectionResult(
         induced_scheme=induced,
         axes=axes,

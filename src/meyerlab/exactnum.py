@@ -14,6 +14,7 @@ import enum
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import add, neg
 
 from .errors import UsageError
 
@@ -83,6 +84,19 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class RationalLine:
+    """The group (Q, +): a point is a Fraction, read as it is.  It lives with
+    the arithmetic every command loads, so no command loads a module for it."""
+
+    physical_place = None
+    mul = staticmethod(add)
+    inv = staticmethod(neg)
+
+    @staticmethod
+    def sort_key(q: Fraction) -> Fraction:
+        return q
 
 
 def surd_sign(p, q, d: int) -> int:
@@ -444,29 +458,6 @@ def eval_embedding(
         return (q, q)
     k = floor_surd(u << precision_bits, v << precision_bits, place.field.disc, s)
     return (Fraction(k, 1 << precision_bits), Fraction(k + 1, 1 << precision_bits))
-
-
-def embedding_intervals(place: RealEmbeddingInterval):
-    """(elements, bits) -> their eval_embedding intervals at this place.
-
-    Each interval is computed once per (element, bits) and kept in a memo
-    owned by the returned function, so a point set built from a few distinct
-    coordinate values costs a few evaluations.  Elements must lie in the
-    place's field; the memo is keyed by coordinates alone.
-    """
-    memo = {}
-
-    def intervals(elements, bits):
-        out = []
-        for x in elements:
-            key = (x.a, x.b, x.den, bits)
-            iv = memo.get(key)
-            if iv is None:
-                iv = memo[key] = eval_embedding(x, place, bits)
-            out.append(iv)
-        return out
-
-    return intervals
 
 
 class Cmp(enum.Enum):

@@ -114,7 +114,7 @@ class HeisScheme(cps.QuadraticScheme):
         return f"HeisScheme({self.field!r}, window={tuple(map(str, self.window))})"
 
     # heis_mul and heis_inv are looked up when called, so a tracer that wraps
-    # them sees the calls made through group_ops
+    # them sees the calls made through the scheme
     def mul(self, p: tuple, q: tuple) -> tuple:
         return heis_mul(p, q)
 
@@ -367,7 +367,7 @@ class MeyerCommensurability(Record):
 def meyer_commensurability(
     points_a: Sequence[tuple],
     points_b: Sequence[tuple],
-    ops: verify.GroupOps,
+    scheme: HeisScheme,
     scope_radius,
     max_translates: int | None = None,
 ) -> MeyerCommensurability:
@@ -378,12 +378,12 @@ def meyer_commensurability(
     point that forced the excess.
     """
     scope_radius = Fraction(scope_radius)
-    a_in = verify.points_within(points_a, ops, scope_radius)
-    b_in = verify.points_within(points_b, ops, scope_radius)
-    cover_ab, witness = verify.greedy_cover(a_in, points_b, ops, max_translates)
+    a_in = verify.points_within(points_a, scheme, scope_radius)
+    b_in = verify.points_within(points_b, scheme, scope_radius)
+    cover_ab, witness = verify.greedy_cover(a_in, points_b, scheme, max_translates)
     if cover_ab is None:
         return MeyerCommensurability(None, None, scope_radius, "NOT-COMMENSURABLE-AT-SCALE", witness)
-    cover_ba, witness = verify.greedy_cover(b_in, points_a, ops, max_translates)
+    cover_ba, witness = verify.greedy_cover(b_in, points_a, scheme, max_translates)
     if cover_ba is None:
         return MeyerCommensurability(cover_ab, None, scope_radius, "NOT-COMMENSURABLE-AT-SCALE", witness)
     return MeyerCommensurability(cover_ab, cover_ba, scope_radius, "COMMENSURABLE-AT-SCALE", None)

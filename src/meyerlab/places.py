@@ -572,9 +572,8 @@ def shrink_for_polynomial(poly, ring: SIntegerRing, patch_radius=10) -> ShrinkCe
     scheme = cps.GaloisScheme(field, physical_root_index=ring.s_arch_indices[0])
     small = cps.model_set_patch(scheme, cps.Window.box(delta), patch_radius)
     unit = cps.model_set_patch(scheme, cps.Window.box(1), patch_radius)
-    ops = scheme.group_ops()
-    c1, _ = verify.greedy_cover(small.points, unit.points, ops)
-    c2, _ = verify.greedy_cover(unit.points, small.points, ops)
+    c1, _ = verify.greedy_cover(small.points, unit.points, scheme)
+    c2, _ = verify.greedy_cover(unit.points, small.points, scheme)
     return ShrinkCertificate(
         ring, coeffs, delta, his, value, Fraction(patch_radius), c1, c2
     )

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import cps, heis, places, verify
 from .errors import UsageError
-from .exactnum import frac_str, json_list, json_object, str_frac
+from .exactnum import RationalLine, frac_str, json_list, json_object, str_frac
 
 
 def canonical_json(data) -> str:
@@ -139,7 +139,7 @@ def meyer_artifact(
     res = heis.meyer_commensurability(
         _meyer_side_points(patch, side_a),
         _meyer_side_points(patch, side_b),
-        scheme.group_ops(),
+        scheme,
         radius / 2,
         max_translates,
     )
@@ -248,7 +248,6 @@ def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
 
 
 def cellcover_summary(x_values, coverings) -> dict:
-    ops = verify.rational_line_ops()
     x = [str_frac(v) for v in json_list(x_values, "the points x of a cell cover are")]
     cov = []
     for pair in json_list(coverings, "the coverings of a cell cover are"):
@@ -256,7 +255,7 @@ def cellcover_summary(x_values, coverings) -> dict:
             raise UsageError(f"a covering is an [F, Y] pair of point lists, not {pair!r}")
         f, y = (json_list(v, "the F and Y of a covering are") for v in pair)
         cov.append(([str_frac(v) for v in f], [str_frac(v) for v in y]))
-    witness = verify.cell_cover(x, cov, ops)
+    witness = verify.cell_cover(x, cov, RationalLine)
     return {
         "type": "cell_cover",
         "inputs": {
@@ -426,15 +425,14 @@ def _replay_meyer(data) -> tuple[bool, str]:
     patch = heis.heis_model_set(scheme, radius)
     a_points = _meyer_side_points(patch, data["side_a"])
     b_points = _meyer_side_points(patch, data["side_b"])
-    ops = scheme.group_ops()
     cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
     cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
     scope = str_frac(data["scope_radius"])
-    a_in = verify.points_within(a_points, ops, scope)
-    b_in = verify.points_within(b_points, ops, scope)
-    if not cover_ab.replay(a_in, b_points, ops):
+    a_in = verify.points_within(a_points, scheme, scope)
+    b_in = verify.points_within(b_points, scheme, scope)
+    if not cover_ab.replay(a_in, b_points, scheme):
         return False, "cover_ab does not carry each in-scope point of side_a into side_b"
-    if not cover_ba.replay(b_in, a_points, ops):
+    if not cover_ba.replay(b_in, a_points, scheme):
         return False, "cover_ba does not carry each in-scope point of side_b into side_a"
     return True, "two-way covers replayed on re-derived patches"
 
@@ -448,7 +446,7 @@ def _replay_patch_cover(data) -> tuple[bool, str]:
         patches.append(patch)
     patch_a, patch_b = patches
     cover = greedy_cover_from_dict(data, patch_a.scheme)
-    if not cover.replay(patch_a.points, patch_b.points, patch_a.group_ops()):
+    if not cover.replay(patch_a.points, patch_b.points, patch_a.scheme):
         return False, "the assignments do not carry each point of patch_a into patch_b"
     return True, "one translate index per point of patch_a re-verified"
 

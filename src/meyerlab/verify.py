@@ -6,8 +6,9 @@ Every measured set is given as the 1-D factors whose coordinate product it
 is (for a patch, the per-axis lists it was enumerated from), and is measured
 at a place: None for rationals, else the physical place of a real quadratic
 field.  Each Delone constant is then an exact 1-D value, written as its
-NORM_BITS dyadic bound (the value itself when rational).  Floats only pick a
-greedy cover's nearest point and pre-screen `points_within`.
+NORM_BITS dyadic bound (the value itself when rational).  Patch covers take
+the group of their points, a scheme, and `points_within` decides their scope
+exactly.  Floats only pick a greedy cover's nearest point.
 """
 
 from __future__ import annotations
@@ -19,57 +20,20 @@ from functools import cmp_to_key
 from operator import sub
 
 from .errors import UsageError
-from .exactnum import Record, cmp_embedding, eval_embedding, frac_str, iv_abs
+from .exactnum import Record, abs_embedding_leq, cmp_embedding, eval_embedding, frac_str, iv_abs
 
 SUP_NORM_METRIC = "sup-norm on coordinates"
-NORM_BITS = 64  # dyadic precision of every written bound, of point_norm_hi and of points_within
+NORM_BITS = 64  # dyadic precision of every written bound, of point_norm_hi and of NearestScan
 
 
-class GroupOps(Record):
-    """Exact group structure plus certified coordinate access for points.
-
-    coord_intervals maps (point, bits) to a list of (Fraction, Fraction); a
-    point is a tuple of coordinates, or a bare rational in 1-D.
-    """
-
-    __slots__ = ("mul", "inv", "identity", "sort_key", "coord_intervals")
+def _coords(point) -> tuple:
+    """The coordinates of a point: a tuple of them, or one bare rational."""
+    return point if type(point) is tuple else (point,)
 
 
-def rational_line_ops() -> GroupOps:
-    """(Q, +) with points stored as Fractions."""
-    return GroupOps(
-        mul=lambda a, b: a + b,
-        inv=lambda a: -a,
-        identity=Fraction(0),
-        sort_key=lambda a: (a,),
-        coord_intervals=lambda a, bits: [(a, a)],
-    )
-
-
-def intmod_ops(n: int) -> GroupOps:
-    """Z/nZ with points stored as ints in [0, n)."""
-    if n < 1:
-        raise UsageError("modulus must be positive")
-    return GroupOps(
-        mul=lambda a, b: (a + b) % n,
-        inv=lambda a: (-a) % n,
-        identity=0,
-        sort_key=lambda a: (a,),
-        coord_intervals=lambda a, bits: [(Fraction(a), Fraction(a))],
-    )
-
-
-def point_norm_hi(point, ops: GroupOps) -> Fraction:
-    """Certified upper bound on the sup-norm of a point."""
-    hi = Fraction(0)
-    for iv in ops.coord_intervals(point, NORM_BITS):
-        _, hi_a = iv_abs(iv)
-        hi = max(hi, hi_a)
-    return hi
-
-
-def canonical_sort(points, ops: GroupOps):
-    return sorted(points, key=ops.sort_key)
+def point_norm_hi(point, place) -> Fraction:
+    """Certified upper bound on the sup-norm of a point at `place`."""
+    return max(iv_abs(dyadic_bounds(x, place))[1] for x in _coords(point))
 
 
 def _float(x) -> float:
@@ -78,24 +42,16 @@ def _float(x) -> float:
     return n / d
 
 
-def points_within(points, ops: GroupOps, radius) -> list:
-    """The points p with point_norm_hi(p, ops) <= radius, in input order.
-
-    The float of the exact bound is the largest float of an interval end in
-    absolute value, because correct rounding is monotone and symmetric.  So
-    unequal floats already order the bound and the radius; only a point whose
-    float bound equals the float radius is decided by point_norm_hi.
-    """
-    radius = Fraction(radius)
-    r = _float(radius)
-    kept = []
-    for p in points:
-        norm = 0.0
-        for lo, hi in ops.coord_intervals(p, NORM_BITS):
-            norm = max(norm, abs(_float(lo)), abs(_float(hi)))
-        if norm < r or (norm == r and point_norm_hi(p, ops) <= radius):
-            kept.append(p)
-    return kept
+def points_within(points, group, radius) -> list:
+    """The points of `group` whose sup-norm at its physical place is at most
+    radius, decided exactly per distinct coordinate, in input order."""
+    radius, place = Fraction(radius), group.physical_place
+    distinct = {x for p in points for x in _coords(p)}
+    if place is None:
+        inside = {x: abs(x) <= radius for x in distinct}
+    else:
+        inside = {x: abs_embedding_leq(x, place, radius) for x in distinct}
+    return [p for p in points if all(inside[x] for x in _coords(p))]
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +174,35 @@ def delone_certify(
 class NearestScan:
     """The nearest of a list of points to a target, picked through floats.
 
-    Each point is stored by the float midpoints of its coordinate intervals,
-    each correctly rounded.  Floats only pick the candidate: a linear scan
-    returns the lowest index among the points at minimal float sup-distance
-    from the target.  dist_hi is the exact rational interval bound through
-    that candidate, hence always a sound upper bound on the true distance.
+    Each distinct coordinate is read once at `place`: its NORM_BITS dyadic
+    bounds, and the correctly rounded float of their midpoint.  Floats only
+    pick the candidate: a linear scan returns the lowest index among the
+    points at minimal float sup-distance from the target.  dist_hi is the
+    exact rational interval bound through that candidate, hence always a
+    sound upper bound on the true distance.
     """
 
-    __slots__ = ("ivs", "mids")
+    __slots__ = ("place", "memo", "ivs", "mids")
 
-    def __init__(self, coord_ivs_list):
-        self.ivs = list(coord_ivs_list)
-        self.mids = [tuple(_float((lo + hi) / 2) for lo, hi in ivs) for ivs in self.ivs]
+    def __init__(self, points, place):
+        self.place, self.memo = place, {}
+        rows = [self.read(p) for p in points]
+        self.ivs = [[iv for iv, _ in row] for row in rows]
+        self.mids = [tuple(mid for _, mid in row) for row in rows]
+
+    def read(self, point) -> list:
+        """(dyadic bounds, float midpoint) of each coordinate of `point`."""
+        out = []
+        for x in _coords(point):
+            got = self.memo.get(x)
+            if got is None:
+                lo, hi = dyadic_bounds(x, self.place)
+                got = self.memo[x] = ((lo, hi), _float((lo + hi) / 2))
+            out.append(got)
+        return out
 
     def nearest_index(self, target) -> int:
+        """The pick for a target given by its coordinates, exact or float."""
         gm = tuple(map(_float, target))
         best_i, best_d = 0, math.inf
         for i, m in enumerate(self.mids):
@@ -246,7 +217,9 @@ class NearestScan:
 
 
 # ---------------------------------------------------------------------------
-# Greedy patch covers and the appendix cardinality bounds.
+# Greedy patch covers and the appendix cardinality bounds.  Each takes the
+# group of its points: a scheme, whose mul, inv and sort_key are its group
+# law and canonical order, and whose physical_place reads its coordinates.
 # ---------------------------------------------------------------------------
 
 
@@ -259,16 +232,16 @@ class GreedyCover(Record):
 
     __slots__ = ("translates", "assignments", "scope_points")
 
-    def replay(self, a_points, b_points, ops: GroupOps) -> bool:
+    def replay(self, a_points, b_points, group) -> bool:
         """One index per point of A, each naming a translate f with f^-1 a in B."""
-        a_sorted = canonical_sort(a_points, ops)
+        a_sorted = sorted(a_points, key=group.sort_key)
         if len(a_sorted) != len(self.assignments):
             return False
         bset = set(b_points)
         for a, fi in zip(a_sorted, self.assignments):
             if type(fi) is not int or not 0 <= fi < len(self.translates):
                 return False
-            if ops.mul(ops.inv(self.translates[fi]), a) not in bset:
+            if group.mul(group.inv(self.translates[fi]), a) not in bset:
                 return False
         return True
 
@@ -276,7 +249,7 @@ class GreedyCover(Record):
 def greedy_cover(
     a_points: Sequence,
     b_points: Sequence,
-    ops: GroupOps,
+    group,
     max_translates: int | None = None,
 ):
     """Greedy F with A subset of F*B, scanning A in canonical order.
@@ -287,29 +260,28 @@ def greedy_cover(
     Always succeeds at patch scope unless max_translates caps |F|, in which
     case the offending point is reported.
     """
-    a_sorted = canonical_sort(a_points, ops)
-    b_list = canonical_sort(b_points, ops)
+    mul, inv = group.mul, group.inv
+    a_sorted = sorted(a_points, key=group.sort_key)
+    b_list = sorted(b_points, key=group.sort_key)
     if not b_list:
         raise UsageError("cannot cover with an empty patch")
     bset = set(b_list)
-    b_ivs = None  # computed once, only if a new translate is ever needed
+    scan = None  # built once, only if a new translate is ever needed
     translates: list = []
     assignments = []
     for a in a_sorted:
         chosen = None
         for fi, f in enumerate(translates):
-            if ops.mul(ops.inv(f), a) in bset:
+            if mul(inv(f), a) in bset:
                 chosen = fi
                 break
         if chosen is None:
             if max_translates is not None and len(translates) >= max_translates:
                 return None, a
-            if b_ivs is None:
-                b_ivs = NearestScan([ops.coord_intervals(b, 64) for b in b_list])
-            a_iv = ops.coord_intervals(a, 64)
-            a_mid = tuple((lo + hi) / 2 for lo, hi in a_iv)
-            best = b_ivs.nearest_index(a_mid)
-            translates.append(ops.mul(a, ops.inv(b_list[best])))
+            if scan is None:
+                scan = NearestScan(b_list, group.physical_place)
+            best = scan.nearest_index([mid for _, mid in scan.read(a)])
+            translates.append(mul(a, inv(b_list[best])))
             chosen = len(translates) - 1
         assignments.append(chosen)
     return GreedyCover(translates, assignments, len(a_sorted)), None
@@ -325,31 +297,26 @@ class CoverBoundWitness(Record):
         return len(self.representatives)
 
 
-def _in_quotient_set(z, y_points, yset, ops: GroupOps) -> bool:
+def _in_quotient_set(z, y_points, yset, group) -> bool:
     # z in Y^-1 Y  iff  y*z in Y for some y in Y
-    for y in y_points:
-        if ops.mul(y, z) in yset:
-            return True
-    return False
+    return any(group.mul(y, z) in yset for y in y_points)
 
 
-def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitness:
+def cell_cover(x_points: Sequence, coverings, group) -> CoverBoundWitness:
     """Finite F' with X subset of F'(Y1^-1 Y1 ∩ ... ∩ Yn^-1 Yn), |F'| <= prod |Fi|.
 
     coverings is a list of (F_i, Y_i); the precondition X subset of F_i*Y_i is
     checked pointwise and a violation names the pair (i, x).
     """
-    xs = canonical_sort(x_points, ops)
-    prepared = []
-    for f_i, y_i in coverings:
-        prepared.append((list(f_i), list(y_i), set(y_i)))
+    xs = sorted(x_points, key=group.sort_key)
+    prepared = [(list(f_i), list(y_i), set(y_i)) for f_i, y_i in coverings]
     cells: dict = {}
     for x in xs:
         key = []
         for i, (f_i, y_i, yset) in enumerate(prepared):
             hit = None
             for fi, f in enumerate(f_i):
-                if ops.mul(ops.inv(f), x) in yset:
+                if group.mul(group.inv(f), x) in yset:
                     hit = fi
                     break
             if hit is None:
@@ -361,13 +328,11 @@ def cell_cover(x_points: Sequence, coverings, ops: GroupOps) -> CoverBoundWitnes
         rep = cells[key][0]
         representatives.append(rep)
         for other in cells[key][1:]:
-            z = ops.mul(ops.inv(rep), other)
+            z = group.mul(group.inv(rep), other)
             for f_i, y_i, yset in prepared:
-                if not _in_quotient_set(z, y_i, yset, ops):
+                if not _in_quotient_set(z, y_i, yset, group):
                     raise AssertionError("cell representative check failed")
-    bound = 1
-    for f_i, _, _ in prepared:
-        bound *= len(f_i)
+    bound = math.prod(len(f_i) for f_i, _, _ in prepared)
     if len(representatives) > bound:
         raise AssertionError("cell cover exceeded the product bound")
     return CoverBoundWitness(representatives, bound, True)
@@ -385,7 +350,7 @@ def approx_power_cover(
     patch_points: Sequence,
     k: int,
     f_translates: Sequence,
-    ops: GroupOps,
+    group,
     patch_radius,
 ) -> PowerCoverResult:
     """F_k = F^(k-1) with Lambda^k subset F_k * Lambda, verified on the inner ball.
@@ -396,23 +361,25 @@ def approx_power_cover(
     """
     if k < 2:
         raise UsageError("power cover needs k >= 2")
-    base = canonical_sort(set(patch_points), ops)
-    fs = canonical_sort(set(f_translates), ops)
-    f_k = [ops.identity]
-    for _ in range(k - 1):
-        f_k = canonical_sort({ops.mul(f, g) for f in f_k for g in fs}, ops)
+    mul, inv, key = group.mul, group.inv, group.sort_key
+    base = sorted(set(patch_points), key=key)
+    fs = sorted(set(f_translates), key=key)
+    f_k = fs
+    for _ in range(k - 2):
+        f_k = sorted({mul(f, g) for f in f_k for g in fs}, key=key)
     bound = len(fs) ** (k - 1)
     if len(f_k) > bound:
         raise AssertionError("power cover exceeded |F|^(k-1)")
-    power = list(base)
+    power = base
     for _ in range(k - 1):
-        power = canonical_sort({ops.mul(p, q) for p in power for q in base}, ops)
-    margin = max((point_norm_hi(f, ops) for f in f_k), default=Fraction(0))
+        power = sorted({mul(p, q) for p in power for q in base}, key=key)
+    place = group.physical_place
+    margin = max((point_norm_hi(f, place) for f in f_k), default=Fraction(0))
     inner = Fraction(patch_radius) - margin
     patch_set = set(base)
     checked = 0
-    for x in points_within(power, ops, inner):
+    for x in points_within(power, group, inner):
         checked += 1
-        if not any(ops.mul(ops.inv(f), x) in patch_set for f in f_k):
+        if not any(mul(inv(f), x) in patch_set for f in f_k):
             return PowerCoverResult(f_k, bound, checked, x)
     return PowerCoverResult(f_k, bound, checked, None)

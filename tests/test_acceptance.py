@@ -18,7 +18,7 @@ import pytest
 import meyerlab
 from meyerlab import cli, cps, heis, places, serialize, verify
 from meyerlab.errors import UnsupportedSubgroup
-from meyerlab.exactnum import golden_field, sqrt2_field
+from meyerlab.exactnum import RationalLine, golden_field, sqrt2_field
 
 # Frozen bracketing constants, verified by squaring in criterion 2's oracle.
 SQRT5_LO = Fraction(2236067977, 10**9)
@@ -213,11 +213,11 @@ def test_criterion_5_heisenberg_suite():
 
     big = heis.heis_model_set(scheme, 8)
     sym = heis.symmetrize(big.points)
-    meyer = heis.meyer_commensurability(sym, big.points, big.group_ops(), 4)
+    meyer = heis.meyer_commensurability(sym, big.points, big.scheme, 4)
     assert meyer.verdict == "COMMENSURABLE-AT-SCALE"
-    ops = big.group_ops()
-    assert meyer.cover_ab.replay(verify.points_within(sym, ops, 4), big.points, ops)
-    assert meyer.cover_ba.replay(verify.points_within(big.points, ops, 4), sym, ops)
+    group = big.scheme
+    assert meyer.cover_ab.replay(verify.points_within(sym, group, 4), big.points, group)
+    assert meyer.cover_ba.replay(verify.points_within(big.points, group, 4), sym, group)
     _passed(
         5,
         f"1000 exp/log/bch identities exact; cover |F| = {len(cover.translates)}; "
@@ -226,11 +226,30 @@ def test_criterion_5_heisenberg_suite():
     )
 
 
-def brute_min_cover(xs, quotient, ops, cap):
+class IntMod:
+    """Z/nZ: a point is an int in [0, n)."""
+
+    physical_place = None
+
+    def __init__(self, n):
+        self.n = n
+
+    def mul(self, a, b):
+        return (a + b) % self.n
+
+    def inv(self, a):
+        return (-a) % self.n
+
+    @staticmethod
+    def sort_key(a):
+        return a
+
+
+def brute_min_cover(xs, quotient, group, cap):
     qs = set(quotient)
     for size in range(1, cap + 1):
         for combo in itertools.combinations(xs, size):
-            if all(any(ops.mul(ops.inv(f), x) in qs for f in combo) for x in xs):
+            if all(any(group.mul(group.inv(f), x) in qs for f in combo) for x in xs):
                 return size
     return cap
 
@@ -242,21 +261,21 @@ def test_criterion_6_appendix_lemmas():
         modular = instances % 2 == 0
         if modular:
             n = rng.randint(6, 12)
-            ops = verify.intmod_ops(n)
+            group = IntMod(n)
             y = sorted({rng.randint(0, n - 1) for _ in range(rng.randint(2, 3))})
             f = sorted({rng.randint(0, n - 1) for _ in range(rng.randint(2, 3))})
-            x = sorted({ops.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 30))})
+            x = sorted({group.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 30))})
         else:
-            ops = verify.rational_line_ops()
+            group = RationalLine
             y = sorted({Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(2, 4))})
             f = sorted({Fraction(rng.randint(-10, 10)) for _ in range(rng.randint(2, 4))})
-            x = sorted({ops.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 30))})
+            x = sorted({group.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 30))})
         if len(x) < 2:
             continue
-        witness = verify.cell_cover(x, [(f, y)], ops)
+        witness = verify.cell_cover(x, [(f, y)], group)
         assert witness.size <= len(f)
-        quotient = {ops.mul(ops.inv(a), b) for a in y for b in y}
-        minimal = brute_min_cover(x, quotient, ops, witness.size)
+        quotient = {group.mul(group.inv(a), b) for a in y for b in y}
+        minimal = brute_min_cover(x, quotient, group, witness.size)
         assert minimal <= witness.size <= len(f)
         instances += 1
 
@@ -264,10 +283,9 @@ def test_criterion_6_appendix_lemmas():
     window = cps.Window.box(1)
     cert = cps.approximate_lattice_certificate(scheme, window, patch_radius=12)
     patch = cps.model_set_patch(scheme, window, 12)
-    ops = scheme.group_ops()
     sizes = {}
     for k in (2, 3, 4):
-        res = verify.approx_power_cover(patch.points, k, cert.translates, ops, 12)
+        res = verify.approx_power_cover(patch.points, k, cert.translates, scheme, 12)
         assert res.verified, f"k={k} witness {res.witness}"
         assert len(res.translates) <= len(cert.translates) ** (k - 1)
         assert res.checked > 0

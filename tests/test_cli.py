@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from meyerlab import cli, cps, heis, places, serialize, verify
-from meyerlab.exactnum import golden_field, str_frac
+from meyerlab.exactnum import golden_field, sqrt2_field, str_frac
 
 
 def run_cli(*argv):
@@ -183,6 +183,39 @@ def test_verify_cover_between_patch_files(tmp_path):
     assert run_cli("verify", "cover", "--a", str(a_path), "--b", str(b_path),
                    "--json", str(cover_path)) == 0
     assert run_cli("verify", "replay", str(cover_path)) == 0
+
+
+# zs patches of any primes lie in (Q, +), and Heisenberg patches of any windows in one H3
+@pytest.mark.parametrize("a_argv, b_argv", [
+    (["cps", "generate", "--scheme", "zs:2", "--window", "z2:1", "--radius", "3"],
+     ["cps", "generate", "--scheme", "zs:3", "--window", "z3:0", "--radius", "3"]),
+    (["heis", "generate", "--field", "sqrt2", "--window", "1,1,2", "--radius", "3"],
+     ["heis", "generate", "--field", "sqrt2", "--window", "1,1,1", "--radius", "3"]),
+])
+def test_verify_cover_across_windows_replays(tmp_path, a_argv, b_argv):
+    for name, argv in (("a", a_argv), ("b", b_argv)):
+        assert run_cli(*argv, "--json", str(tmp_path / f"{name}.json")) == 0
+    cover_path = tmp_path / "cover.json"
+    assert run_cli("verify", "cover", "--a", str(tmp_path / "a.json"), "--b",
+                   str(tmp_path / "b.json"), "--json", str(cover_path)) == 0
+    assert run_cli("verify", "replay", str(cover_path)) == 0
+
+
+@pytest.mark.parametrize("scheme, window, witness", [
+    ("zs:2", "z2:0", '"-2"'),
+    ("galois:golden", "1", '[["-1","0"]]'),
+])
+def test_capped_verify_cover_prints_its_witness_as_a_json_point(tmp_path, capsys, scheme, window, witness):
+    # B is the one point 0, so the second point of A in canonical order is over the cap
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("cps", "generate", "--scheme", scheme, "--window", window, "--radius", "3",
+                   "--json", str(a_path)) == 0
+    assert run_cli("cps", "generate", "--scheme", scheme, "--window", window, "--radius", "1/2",
+                   "--json", str(b_path)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "cover", "--a", str(a_path), "--b", str(b_path),
+                   "--max-translates", "1") == 2
+    assert capsys.readouterr().out == f"cover infeasible under translate cap; witness = {witness}\n"
 
 
 def test_verify_cellcover(tmp_path):
@@ -642,9 +675,8 @@ def _covered_points(data, key):
     patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
     sides = [serialize._meyer_side_points(patch, data[s]) for s in ("side_a", "side_b")]
     covered, target = sides if key == "cover_ab" else sides[::-1]
-    ops = scheme.group_ops()
-    in_scope = verify.points_within(covered, ops, str_frac(data["scope_radius"]))
-    return scheme, verify.canonical_sort(in_scope, ops), set(target)
+    in_scope = verify.points_within(covered, scheme, str_frac(data["scope_radius"]))
+    return scheme, sorted(in_scope, key=scheme.sort_key), set(target)
 
 
 # cover_ab of the Meyer artifact has the one translate e, so no swap can break it
@@ -653,12 +685,11 @@ def test_replay_rejects_swapped_indices(tmp_path, capsys, cover_artifacts, artif
     data = json.loads(json.dumps(cover_artifacts[artifact]))
     cover = _cover(data, key)
     scheme, points, target = _covered_points(data, key)
-    ops = scheme.group_ops()
     translates = [scheme.point_from_json(t) for t in cover["translates"]]
     indices = cover["assignments"]
 
     def carries(i, p):
-        return ops.mul(ops.inv(translates[i]), p) in target
+        return scheme.mul(scheme.inv(translates[i]), p) in target
 
     assert all(carries(i, p) for i, p in zip(indices, points))
     i, j = next((i, j) for i in range(len(points)) for j in range(i)
@@ -759,6 +790,18 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
     assert code == 2 and "replay FAILED" in out
 
 
+def _one_patch_per_group():
+    """Small patches whose points lie in five different groups."""
+    golden, sqrt2 = golden_field(), sqrt2_field()
+    return {
+        "zs": cps.ZSScheme([2]).model_set(cps.Window.balls((2, 0)), 2),
+        "golden": cps.GaloisScheme(golden).model_set(cps.Window.box(1), 2),
+        "sqrt2": cps.GaloisScheme(sqrt2).model_set(cps.Window.box(1), 2),
+        "heis-golden": heis.heis_model_set(heis.HeisScheme(golden, (1, 1, 1)), 1),
+        "heis-sqrt2": heis.heis_model_set(heis.HeisScheme(sqrt2, (1, 1, 1)), 1),
+    }
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -839,9 +882,16 @@ def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts
           "--json", "{d}/missing/x.json"], "cannot write {d}/missing/x.json: No such file"),
         (["cps", "generate", "--scheme", "zs:2", "--window", "0", "--radius", "2",
           "--out", "{d}/a-dir"], "cannot write {d}/a-dir: Is a directory"),
+        # a cover of one patch by translates of another needs both in one group
+        *((["verify", "cover", "--a", f"{{d}}/{a}.json", "--b", f"{{d}}/{b}.json"],
+           f"{{d}}/{a}.json holds ")
+          for a, b in (("zs", "golden"), ("heis-golden", "golden"), ("golden", "sqrt2"),
+                       ("heis-sqrt2", "heis-golden"), ("golden", "heis-golden"))),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
+    for name, patch in _one_patch_per_group().items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(patch.to_dict()))
     (tmp_path / "a-dir").mkdir()
     (tmp_path / "not-json.json").write_text("points: 1, 2, 3\n")
     (tmp_path / "bare-patch.json").write_text(json.dumps({"type": "patch"}))
@@ -1019,6 +1069,15 @@ def test_heis_replay_loads_no_dataclasses_inspect_or_typing(tmp_path):
     assert _commensurate(path) == 0
     out = _run_python(CLI_MODULES_AT_EXIT, "verify", "replay", str(path))
     assert out.splitlines()[-2:] == ["['meyerlab.places']", "[]"]
+
+
+def test_cellcover_replay_leaves_cps_unexecuted(tmp_path):
+    # the cell cover's group (Q, +) lives in exactnum, which every command loads
+    spec, path = tmp_path / "spec.json", tmp_path / "cell.json"
+    spec.write_text(json.dumps({"x": ["0", "1", "2", "3"], "coverings": [[["0", "2"], ["0", "1"]]]}))
+    assert run_cli("verify", "cellcover", "--spec", str(spec), "--json", str(path)) == 0
+    out = _run_python(CLI_MODULES_AT_EXIT, "verify", "replay", str(path))
+    assert out.splitlines()[-2:] == ["['meyerlab.cps', 'meyerlab.heis', 'meyerlab.places']", "[]"]
 
 
 def test_every_submodule_is_registered_after_importing_cli():

@@ -474,11 +474,11 @@ class TestIntersectionProjection:
         res = cps.intersect_with_subgroup(scheme, [0], cps.Window.box(1, 1), 8)
         assert res.induced_scheme.dim == 1
         assert res.cover_to_induced is not None and res.cover_from_induced is not None
-        ops = res.induced_scheme.group_ops()
-        a_in = verify.points_within(res.intersection_points, ops, 4)
-        b_in = verify.points_within(res.induced_patch.points, ops, 4)
-        assert res.cover_to_induced.replay(a_in, res.induced_patch.points, ops)
-        assert res.cover_from_induced.replay(b_in, res.intersection_points, ops)
+        group = res.induced_scheme
+        a_in = verify.points_within(res.intersection_points, group, 4)
+        b_in = verify.points_within(res.induced_patch.points, group, 4)
+        assert res.cover_to_induced.replay(a_in, res.induced_patch.points, group)
+        assert res.cover_from_induced.replay(b_in, res.intersection_points, group)
 
     def test_whole_space_is_identity(self):
         scheme = cps.GaloisScheme(golden_field(), dim=2)
@@ -488,15 +488,15 @@ class TestIntersectionProjection:
         zero = (golden_field().zero(), golden_field().zero())
         assert zero in res.intersection_points
         # N = G: the intersection is the whole sumset restricted to the ball
-        ops = res.induced_scheme.group_ops()
+        group = res.induced_scheme
         sums = {
-            ops.mul(p, q)
+            group.mul(p, q)
             for p in patch.points
             for q in patch.points
         }
         expected = sorted(
             (s for s in sums if all(_certified_abs_leq(x, scheme.physical_place, 6) for x in s)),
-            key=ops.sort_key,
+            key=group.sort_key,
         )
         assert set(res.intersection_points) == set(expected)
 

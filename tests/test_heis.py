@@ -406,8 +406,8 @@ class TestMeyerCommensurability:
     def test_identical_patches(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         patch = heis.heis_model_set(scheme, 6)
-        ops = patch.group_ops()
-        res = heis.meyer_commensurability(patch.points, patch.points, ops, 3)
+        group = patch.scheme
+        res = heis.meyer_commensurability(patch.points, patch.points, group, 3)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
         assert res.cover_ab.translates == [heis.heis_identity(f2)]
         assert res.cover_ba.translates == [heis.heis_identity(f2)]
@@ -415,8 +415,8 @@ class TestMeyerCommensurability:
     def test_integer_vs_even_axis_patches(self, f2):
         a = integer_axis_patch(f2, 8)
         b_pts = tuple(p for p in a.points if p[0].coeffs[0] % 2 == 0)
-        ops = a.group_ops()
-        res = heis.meyer_commensurability(a.points, b_pts, ops, 4)
+        group = a.scheme
+        res = heis.meyer_commensurability(a.points, b_pts, group, 4)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
         xs = sorted(t[0].coeffs[0] for t in res.cover_ab.translates)
         assert xs == [0, 1]
@@ -426,17 +426,17 @@ class TestMeyerCommensurability:
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         patch = heis.heis_model_set(scheme, 6)
         sym = heis.symmetrize(patch.points)
-        ops = patch.group_ops()
-        res = heis.meyer_commensurability(sym, patch.points, ops, 3)
+        group = patch.scheme
+        res = heis.meyer_commensurability(sym, patch.points, group, 3)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
-        assert res.cover_ab.replay(verify.points_within(sym, ops, 3), patch.points, ops)
-        assert res.cover_ba.replay(verify.points_within(patch.points, ops, 3), sym, ops)
+        assert res.cover_ab.replay(verify.points_within(sym, group, 3), patch.points, group)
+        assert res.cover_ba.replay(verify.points_within(patch.points, group, 3), sym, group)
 
     def test_translate_cap_gives_negative_verdict(self, f2):
         a = integer_axis_patch(f2, 10)
         b = (heis.heis_identity(f2),)
-        ops = a.group_ops()
-        res = heis.meyer_commensurability(a.points, b, ops, 8, max_translates=2)
+        group = a.scheme
+        res = heis.meyer_commensurability(a.points, b, group, 8, max_translates=2)
         assert res.verdict == "NOT-COMMENSURABLE-AT-SCALE"
         assert res.witness is not None
 
@@ -447,9 +447,9 @@ class TestDilation:
         patch = heis.heis_model_set(scheme, 6)
         unit = f2.one() + f2.gen()  # 1 + sqrt2, norm -1
         alpha = heis.dilation_automorphism(scheme, unit, unit)
-        ops = patch.group_ops()
+        group = patch.scheme
         image = sorted((alpha(p) for p in patch.points), key=scheme.sort_key)
-        res = heis.meyer_commensurability(image, patch.points, ops, 3)
+        res = heis.meyer_commensurability(image, patch.points, group, 3)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
 
     def test_dilation_is_homomorphism(self, f2):

@@ -299,9 +299,8 @@ class TestShrinkForPolynomial:
         scheme = cps.GaloisScheme(field)
         small = cps.model_set_patch(scheme, cps.Window.box(cert.delta), 8)
         unit = cps.model_set_patch(scheme, cps.Window.box(1), 8)
-        ops = scheme.group_ops()
-        assert cert.cover_small_in_unit.replay(small.points, unit.points, ops)
-        assert cert.cover_unit_in_small.replay(unit.points, small.points, ops)
+        assert cert.cover_small_in_unit.replay(small.points, unit.points, scheme)
+        assert cert.cover_unit_in_small.replay(unit.points, small.points, scheme)
 
     def test_requires_zero_constant_term(self, golden_ring):
         with pytest.raises(UsageError):

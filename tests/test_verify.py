@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,46 @@ def frac_points(values):
     return [Fraction(v) for v in values]
 
 
-def line_ops():
-    return verify.rational_line_ops()
+LINE = exactnum.RationalLine
+GOLDEN = golden_field()
+GOLDEN_PLACE = cps.GaloisScheme(GOLDEN).physical_place
+
+
+class RationalBox:
+    """Q^dim under addition: a point is a tuple of Fractions."""
+
+    physical_place = None
+
+    @staticmethod
+    def mul(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    @staticmethod
+    def inv(a):
+        return tuple(-x for x in a)
+
+    @staticmethod
+    def sort_key(a):
+        return a
+
+
+class IntMod:
+    """Z/nZ: a point is an int in [0, n)."""
+
+    physical_place = None
+
+    def __init__(self, n):
+        self.n = n
+
+    def mul(self, a, b):
+        return (a + b) % self.n
+
+    def inv(self, a):
+        return (-a) % self.n
+
+    @staticmethod
+    def sort_key(a):
+        return a
 
 
 def fib_patch(radius=10):
@@ -67,17 +106,6 @@ def linear_nearest_index(scan, grid_point):
     return best_i
 
 
-def rational_box_ops(dim):
-    """Q^dim under addition, points stored as tuples of Fractions."""
-    return verify.GroupOps(
-        mul=lambda a, b: tuple(x + y for x, y in zip(a, b)),
-        inv=lambda a: tuple(-x for x in a),
-        identity=(Fraction(0),) * dim,
-        sort_key=lambda a: a,
-        coord_intervals=lambda a, bits: [(x, x) for x in a],
-    )
-
-
 def real_key(place):
     """Orders coordinates by exact real value: rationals as they are, field
     elements by the sign of their difference's embedding."""
@@ -116,21 +144,44 @@ def all_pairs_min_separation(points, place):
 # between them, so equal float distances (ties) are common.
 HALVES = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
 QUARTERS = st.integers(-10, 10).map(lambda k: Fraction(k, 4))
-WIDTHS = st.sampled_from([Fraction(0), Fraction(1, 8)])
+# (a + b phi)/2 for small a, b: their values at the physical place are irrational
+# unless b = 0, so the scan reads them as dyadic intervals of width 2^-64
+GOLDEN_HALVES = st.tuples(st.integers(-8, 8), st.integers(-3, 3)).map(
+    lambda ab: GOLDEN.elem([Fraction(ab[0], 2), Fraction(ab[1], 2)])
+)
 
 
-def interval_points(dim):
-    coord = st.tuples(HALVES, WIDTHS).map(lambda vw: (vw[0] - vw[1], vw[0] + vw[1]))
-    return st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=30)
+def placed_points(dim, rational, max_size=30):
+    """(points, place): points with `dim` coordinates, rational ones read as
+    they are or golden ones read at the physical place."""
+    coord, place = (HALVES, None) if rational else (GOLDEN_HALVES, GOLDEN_PLACE)
+    point = st.lists(coord, min_size=dim, max_size=dim).map(tuple)
+    return st.lists(point, min_size=1, max_size=max_size).map(lambda pts: (pts, place))
 
 
 class TestNearestScan:
     @settings(max_examples=200, deadline=None)
-    @given(dim=st.sampled_from([1, 3]), data=st.data())
-    def test_matches_linear_scan(self, dim, data):
-        scan = verify.NearestScan(data.draw(interval_points(dim)))
+    @given(dim=st.sampled_from([1, 3]), rational=st.booleans(), data=st.data())
+    def test_matches_linear_scan(self, dim, rational, data):
+        scan = verify.NearestScan(*data.draw(placed_points(dim, rational)))
         for g in data.draw(st.lists(st.tuples(*[QUARTERS] * dim), min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
+
+    def test_reads_each_distinct_coordinate_once(self, monkeypatch):
+        calls = []
+
+        def counting(x, place, bits):
+            calls.append(x)
+            return exactnum.eval_embedding(x, place, bits)
+
+        monkeypatch.setattr(verify, "eval_embedding", counting)
+        patch = heis.heis_model_set(heis.HeisScheme(sqrt2_field(), (1, 1, 1)), 2)
+        place = patch.scheme.physical_place
+        scan = verify.NearestScan(patch.points, place)
+        assert sorted(calls, key=lambda x: x.coeffs) == sorted(
+            {x for p in patch.points for x in p}, key=lambda x: x.coeffs
+        )
+        assert scan.ivs == [[exactnum.eval_embedding(x, place, verify.NORM_BITS) for x in p] for p in patch.points]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -140,9 +191,9 @@ class TestNearestScan:
         firsts = data.draw(st.lists(HALVES, min_size=1, max_size=3, unique=True))
         others = st.lists(HALVES, min_size=1, max_size=5, unique=True)
         ys, zs = data.draw(others), data.draw(others)
-        points = [[(x, x), (y, y), (z, z)] for x in firsts for y in ys for z in zs]
+        points = [(x, y, z) for x in firsts for y in ys for z in zs]
         data.draw(st.randoms()).shuffle(points)
-        scan = verify.NearestScan(points)
+        scan = verify.NearestScan(points, None)
         for g in data.draw(st.lists(st.tuples(*[QUARTERS] * 3), min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
 
@@ -159,7 +210,7 @@ class TestNearestScan:
         ],
     )
     def test_ties_pick_lowest_index(self, points, query, expected):
-        scan = verify.NearestScan([[(Fraction(v), Fraction(v)) for v in p] for p in points])
+        scan = verify.NearestScan([tuple(map(Fraction, p)) for p in points], None)
         assert scan.nearest_index(query) == expected == linear_nearest_index(scan, query)
 
 
@@ -170,15 +221,17 @@ HAIR_HALVES = st.tuples(HALVES, st.sampled_from([Fraction(0), HAIR])).map(sum)
 FAR = st.integers(-10**6, 10**6).map(lambda k: Fraction(k, 4))
 
 
-def hair_interval_points(dim, flat_axis=None):
-    # half-widths up to 3/8, so the exact bound can reorder float distances 1/4 apart
-    widths = st.sampled_from([Fraction(0), Fraction(1, 8), Fraction(3, 8)])
-    coord = st.tuples(HAIR_HALVES, widths).map(lambda vw: (vw[0] - vw[1], vw[0] + vw[1]))
-    point = st.lists(coord, min_size=dim, max_size=dim)
+def hair_points(dim, flat_axis=None):
+    point = st.lists(HAIR_HALVES, min_size=dim, max_size=dim)
     if flat_axis is not None:
         # every point shares this coordinate: an axis of zero span
-        point = point.map(lambda p: p[:flat_axis] + [(Fraction(1, 2), Fraction(1, 2))] + p[flat_axis + 1:])
-    return st.lists(point, min_size=1, max_size=30)
+        point = point.map(lambda p: p[:flat_axis] + [Fraction(1, 2)] + p[flat_axis + 1:])
+    return st.lists(point.map(tuple), min_size=1, max_size=30)
+
+
+def float_mid(x, place):
+    lo, hi = written(x, place)
+    return float((lo + hi) / 2)
 
 
 def reference_dist_hi(scan, grid_point):
@@ -191,22 +244,24 @@ class TestCells:
     @settings(max_examples=200, deadline=None)
     @given(dim=st.sampled_from([1, 2, 3]), flat=st.booleans(), data=st.data())
     def test_cells_match_linear_scan(self, dim, flat, data):
-        points = data.draw(hair_interval_points(dim, flat_axis=dim - 1 if flat else None))
-        scan = verify.NearestScan(points)
-        assert scan.mids == [tuple(float(lo + hi) / 2.0 for lo, hi in p) for p in points]
+        if data.draw(st.booleans(), label="golden"):
+            points, place = data.draw(placed_points(dim, rational=False))
+        else:
+            place, points = None, data.draw(hair_points(dim, flat_axis=dim - 1 if flat else None))
+        scan = verify.NearestScan(points, place)
+        assert scan.mids == [tuple(float_mid(x, place) for x in p) for p in points]
         queries = st.tuples(*[st.one_of(QUARTERS, FAR)] * dim)
         for g in data.draw(st.lists(queries, min_size=1, max_size=10)):
             assert scan.nearest_index(g) == linear_nearest_index(scan, g)
 
     @pytest.mark.parametrize("query", [(0,), (1,), (-10**9,), (10**9,)])
     def test_single_point(self, query):
-        scan = verify.NearestScan([[(Fraction(1, 3), Fraction(1, 3))]])
+        scan = verify.NearestScan([Fraction(1, 3)], None)
         assert scan.nearest_index(query) == 0
         assert scan.dist_hi(query) == abs(Fraction(query[0]) - Fraction(1, 3))
 
     def test_equal_float_midpoints_pick_lowest_index(self):
-        points = [[(Fraction(1) + HAIR, Fraction(1) + HAIR)], [(Fraction(1), Fraction(1))]]
-        scan = verify.NearestScan(points)
+        scan = verify.NearestScan([1 + HAIR, Fraction(1)], None)
         assert scan.mids[0] == scan.mids[1]
         assert scan.nearest_index((Fraction(0),)) == 0
         assert scan.dist_hi((Fraction(0),)) == 1 + HAIR
@@ -224,14 +279,14 @@ class TestCells:
         meshes = [Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 8)] * (dim == 1)
         mesh = data.draw(st.sampled_from(meshes))
         bound = verify.covering_radius(fs, None, r).bound
-        grid = grid_maximum(list(itertools.product(*fs)), rational_box_ops(dim), r, mesh)
+        grid = grid_maximum(list(itertools.product(*fs)), None, r, mesh)
         assert grid <= bound <= grid + mesh / 2
 
     def test_bulk_maximum_matches_grid_loop_on_a_heisenberg_patch(self):
         patch = heis.heis_model_set(heis.HeisScheme(sqrt2_field(), (1, 1, 2)), 2)
         mesh = Fraction(1, 8)
         bound = verify.covering_radius(patch.factors, patch.scheme.physical_place, Fraction(1, 2)).bound
-        grid = grid_maximum(patch.points, patch.group_ops(), Fraction(1, 2), mesh)
+        grid = grid_maximum(patch.points, patch.scheme.physical_place, Fraction(1, 2), mesh)
         # dist_hi and the written bound each round outward by less than 2^-64
         assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
 
@@ -258,37 +313,67 @@ def grid_1d(r, mesh):
     return [-r + 2 * r * Fraction(k, steps) for k in range(steps + 1)]
 
 
-def grid_maximum(points, ops, r, mesh):
+def grid_maximum(points, place, r, mesh):
     """The largest `reference_dist_hi` over a grid of step at most mesh on [-r, r]^dim."""
-    scan = verify.NearestScan([ops.coord_intervals(p, verify.NORM_BITS) for p in points])
+    scan = verify.NearestScan(points, place)
     dim = len(scan.ivs[0])
     return max(reference_dist_hi(scan, g) for g in itertools.product(*[grid_1d(r, mesh)] * dim))
 
 
-def interval_ops():
-    """Points are tuples of exact coordinate intervals."""
-    return verify.GroupOps(
-        mul=None, inv=None, identity=None, sort_key=None,
-        coord_intervals=lambda p, bits: list(p),
-    )
+def golden_value(x) -> Decimal:
+    """The value of x = a + b*phi at the physical place, to 60 digits, computed
+    from phi = (1 + sqrt 5)/2 apart from the package's exact arithmetic."""
+    a, b = x.coeffs
+    with localcontext() as ctx:
+        ctx.prec = 60
+        phi = (1 + Decimal(5).sqrt()) / 2
+        return Decimal(a.numerator) / a.denominator + Decimal(b.numerator) / b.denominator * phi
+
+
+def golden_near(radius):
+    """Elements a + b*phi whose value is within 1 of +-radius: a is the integer
+    nearest to +-radius - b*phi, for |b| <= 40, so some values fall very close."""
+    phi = (1 + 5**0.5) / 2
+
+    def near(sign_b):
+        sign, b = sign_b
+        return GOLDEN.elem([round(sign * radius - b * phi), b])
+
+    return st.tuples(st.sampled_from([1, -1]), st.integers(-40, 40)).map(near)
 
 
 class TestPointsWithin:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        radius=st.integers(1, 8).map(lambda k: Fraction(k, 2)),
-        data=st.data(),
-    )
-    def test_matches_point_norm_hi(self, radius, data):
+    @settings(max_examples=100, deadline=None)
+    @given(radius=st.integers(1, 8).map(lambda k: Fraction(k, 2)), data=st.data())
+    def test_rational_points_match_their_absolute_values(self, radius, data):
         # coordinates at the radius, a hair (2^-60) either side of it, or anywhere
         offsets = st.sampled_from([0, Fraction(1, 2**60), -Fraction(1, 2**60)])
         near = st.tuples(st.sampled_from([1, -1]), offsets).map(lambda so: so[0] * (radius + so[1]))
         value = st.one_of(near, HALVES)
-        coord = st.tuples(value, value).map(lambda ab: (min(ab), max(ab)))
-        pts = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=20))
-        ops = interval_ops()
-        expected = [p for p in pts if verify.point_norm_hi(p, ops) <= radius]
-        assert verify.points_within(pts, ops, radius) == expected
+        pts = data.draw(st.lists(st.tuples(value, value, value), max_size=20))
+        expected = [p for p in pts if max(map(abs, p)) <= radius]
+        assert verify.points_within(pts, RationalBox, radius) == expected
+        line = [p[0] for p in pts]
+        assert verify.points_within(line, LINE, radius) == [q for q in line if abs(q) <= radius]
+
+    @settings(max_examples=100, deadline=None)
+    @given(radius=st.integers(1, 16).map(lambda k: Fraction(k, 2)), data=st.data())
+    def test_golden_points_match_a_decimal_reference(self, radius, data):
+        value = st.one_of(golden_near(radius), GOLDEN_HALVES)
+        pts = data.draw(st.lists(st.tuples(value, value), max_size=20))
+        # no value a + b*phi with b != 0 equals a rational, and these stay 1e-3
+        # away from it, far above the reference's 60 digits
+        expected = [p for p in pts if all(abs(golden_value(x)) <= radius for x in p)]
+        assert verify.points_within(pts, cps.GaloisScheme(GOLDEN, dim=2), radius) == expected
+
+    def test_a_value_just_below_the_radius_is_in_scope(self):
+        # r is sigma(theta) rounded up at 2^-200, far inside the 2^-64 interval
+        # that a float or a NORM_BITS bound would read sigma(theta) as
+        scheme = cps.GaloisScheme(GOLDEN)
+        theta = (GOLDEN.gen(),)
+        r = exactnum.eval_embedding(theta[0], scheme.physical_place, 200)[1]
+        assert verify.points_within([theta], scheme, r) == [theta]
+        assert verify.points_within([theta], scheme, r - Fraction(1, 2**199)) == []
 
 
 class TestMinSeparationSweep:
@@ -333,48 +418,6 @@ class TestMinSeparationSweep:
         if len(pts) < 2:
             return
         assert verify.min_separation(fs, None) == all_pairs_min_separation(pts, None)
-
-
-class TestMemoisedIntervals:
-    def _cases(self):
-        golden, f2 = golden_field(), sqrt2_field()
-        hscheme = heis.HeisScheme(f2, (1, 1, 1))
-        gscheme = cps.GaloisScheme(golden, dim=2)
-        hpoints = heis.heis_model_set(hscheme, 2).points
-        gpoints = cps.model_set_patch(gscheme, cps.Window.box(1, 1), 3).points
-        return [
-            (hscheme.group_ops, hscheme.physical_place, hpoints),
-            (gscheme.group_ops, gscheme.physical_place, gpoints),
-        ]
-
-    @pytest.mark.parametrize("bits", [64, 96, 128])
-    def test_equal_eval_embedding(self, bits):
-        for make_ops, place, points in self._cases():
-            ops = make_ops()
-            for _ in range(2):  # second round is served from the memo
-                for p in points:
-                    expected = [exactnum.eval_embedding(x, place, bits) for x in p]
-                    assert ops.coord_intervals(p, bits) == expected
-
-    def test_separately_built_ops_share_no_memo(self, monkeypatch):
-        calls = []
-        original = exactnum.eval_embedding
-
-        def counting(x, place, bits):
-            calls.append(x)
-            return original(x, place, bits)
-
-        monkeypatch.setattr(exactnum, "eval_embedding", counting)
-        for make_ops, _place, points in self._cases():
-            p = points[-1]
-            distinct = len({x.coeffs for x in p})
-            first, second = make_ops(), make_ops()
-            del calls[:]
-            first.coord_intervals(p, 64)
-            first.coord_intervals(p, 64)
-            assert len(calls) == distinct
-            second.coord_intervals(p, 64)
-            assert len(calls) == 2 * distinct
 
 
 class TestCoveringRadius:
@@ -434,7 +477,7 @@ class TestFactorwise:
             assert verify.min_separation(fs, place) == all_pairs_min_separation(pts, place)
         mesh = Fraction(1, 4)
         bound = verify.covering_radius(fs, place, 1).bound
-        grid = grid_maximum(pts, scheme.group_ops(), Fraction(1), mesh)
+        grid = grid_maximum(pts, place, Fraction(1), mesh)
         assert grid - Fraction(1, 2**64) <= bound <= grid + mesh / 2 + Fraction(1, 2**64)
 
     def test_factors_are_sorted_by_exact_value(self):
@@ -467,53 +510,52 @@ class TestFactorwise:
 class TestGreedyCover:
     def test_identical_patches_single_identity(self):
         pts = frac_points(range(-4, 5))
-        cover, _ = verify.greedy_cover(pts, pts, line_ops())
+        cover, _ = verify.greedy_cover(pts, pts, LINE)
         assert cover.translates == [Fraction(0)]
-        assert cover.replay(pts, pts, line_ops())
+        assert cover.replay(pts, pts, LINE)
 
     def test_integers_by_even_integers(self):
         a = frac_points(range(-4, 5))
         b = frac_points(range(-4, 5, 2))
-        cover, _ = verify.greedy_cover(a, b, line_ops())
+        cover, _ = verify.greedy_cover(a, b, LINE)
         assert sorted(cover.translates) == [Fraction(0), Fraction(1)]
-        assert cover.replay(a, b, line_ops())
+        assert cover.replay(a, b, LINE)
 
     def test_translate_cap_reports_witness(self):
         a = frac_points(range(0, 12))
         b = frac_points([0])
-        cover, witness = verify.greedy_cover(a, b, line_ops(), max_translates=3)
+        cover, witness = verify.greedy_cover(a, b, LINE, max_translates=3)
         assert cover is None and witness is not None
 
     def test_fibonacci_two_windows(self):
         scheme = cps.GaloisScheme(golden_field())
         big = cps.model_set_patch(scheme, cps.Window.box(2), 10)
         small = cps.model_set_patch(scheme, cps.Window.box(1), 10)
-        ops = scheme.group_ops()
-        cover, _ = verify.greedy_cover(big.points, small.points, ops)
+        cover, _ = verify.greedy_cover(big.points, small.points, scheme)
         assert cover is not None
-        assert cover.replay(big.points, small.points, ops)
+        assert cover.replay(big.points, small.points, scheme)
 
 
-def brute_force_min_cover_size(x_points, quotient_set, ops, cap):
+def brute_force_min_cover_size(x_points, quotient_set, group, cap):
     """Smallest F' in X with X ⊂ F'·quotient_set, by exhaustive subset search."""
     xs = list(x_points)
     qs = set(quotient_set)
     for size in range(1, cap + 1):
         for combo in itertools.combinations(xs, size):
-            if all(any(ops.mul(ops.inv(f), x) in qs for f in combo) for x in xs):
+            if all(any(group.mul(group.inv(f), x) in qs for f in combo) for x in xs):
                 return size
     return cap + 1
 
 
-def quotient_set(y_points, ops):
+def quotient_set(y_points, group):
     ys = list(y_points)
-    return {ops.mul(ops.inv(a), b) for a in ys for b in ys}
+    return {group.mul(group.inv(a), b) for a in ys for b in ys}
 
 
 class TestCellCover:
     def test_single_trivial_covering(self):
         pts = frac_points(range(0, 5))
-        witness = verify.cell_cover(pts, [([Fraction(0)], pts)], line_ops())
+        witness = verify.cell_cover(pts, [([Fraction(0)], pts)], LINE)
         assert witness.size == 1
         assert witness.bound == 1
 
@@ -521,20 +563,19 @@ class TestCellCover:
         x = frac_points([0, 1, 2, 3])
         y1 = frac_points([0, 1])
         f1 = frac_points([0, 2])
-        witness = verify.cell_cover(x, [(f1, y1)], line_ops())
+        witness = verify.cell_cover(x, [(f1, y1)], LINE)
         assert witness.size <= 2
         # the true minimum matches the brute-force oracle
-        ops = line_ops()
-        assert witness.size >= brute_force_min_cover_size(x, quotient_set(y1, ops), ops, 4)
+        assert witness.size >= brute_force_min_cover_size(x, quotient_set(y1, LINE), LINE, 4)
 
     def test_precondition_violation_named(self):
         x = frac_points([0, 10])
         with pytest.raises(UsageError):
-            verify.cell_cover(x, [([Fraction(0)], frac_points([0, 1]))], line_ops())
+            verify.cell_cover(x, [([Fraction(0)], frac_points([0, 1]))], LINE)
 
     def test_random_small_abelian_instances(self):
         rng = random.Random(23)
-        ops = line_ops()
+        group = LINE
         for _ in range(30):
             y1 = sorted({Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(2, 4))})
             y2 = sorted({Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(2, 4))})
@@ -542,40 +583,40 @@ class TestCellCover:
             f2 = sorted({Fraction(rng.randint(-12, 12)) for _ in range(rng.randint(2, 5))})
             x = sorted(
                 {
-                    ops.mul(rng.choice(f1), rng.choice(y1))
+                    group.mul(rng.choice(f1), rng.choice(y1))
                     for _ in range(rng.randint(3, 12))
                 }
             )
-            x = [p for p in x if any(ops.mul(ops.inv(f), p) in set(y2) for f in f2)]
+            x = [p for p in x if any(group.mul(group.inv(f), p) in set(y2) for f in f2)]
             if not x:
                 continue
-            witness = verify.cell_cover(x, [(f1, y1), (f2, y2)], ops)
+            witness = verify.cell_cover(x, [(f1, y1), (f2, y2)], group)
             assert witness.size <= len(f1) * len(f2)
 
     def test_modular_instances(self):
         rng = random.Random(5)
         for _ in range(20):
             n = rng.randint(6, 12)
-            ops = verify.intmod_ops(n)
+            group = IntMod(n)
             y = sorted({rng.randint(0, n - 1) for _ in range(rng.randint(2, 3))})
             f = sorted({rng.randint(0, n - 1) for _ in range(rng.randint(2, 3))})
-            x = sorted({ops.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 10))})
-            witness = verify.cell_cover(x, [(f, y)], ops)
+            x = sorted({group.mul(rng.choice(f), rng.choice(y)) for _ in range(rng.randint(2, 10))})
+            witness = verify.cell_cover(x, [(f, y)], group)
             assert witness.size <= len(f)
-            assert witness.size >= brute_force_min_cover_size(x, quotient_set(y, ops), ops, len(f))
+            assert witness.size >= brute_force_min_cover_size(x, quotient_set(y, group), group, len(f))
 
 
 class TestApproxPowerCover:
     def test_k2_returns_f_itself(self):
         pts = frac_points(range(-6, 7))
         f = frac_points([0])
-        res = verify.approx_power_cover(pts, 2, f, line_ops(), 6)
+        res = verify.approx_power_cover(pts, 2, f, LINE, 6)
         assert res.translates == f
         assert res.verified
 
     def test_integers_are_a_group(self):
         pts = frac_points(range(-10, 11))
-        res = verify.approx_power_cover(pts, 3, frac_points([0]), line_ops(), 10)
+        res = verify.approx_power_cover(pts, 3, frac_points([0]), LINE, 10)
         assert res.verified
         assert res.translates == [Fraction(0)]
 
@@ -584,8 +625,7 @@ class TestApproxPowerCover:
         window = cps.Window.box(1)
         cert = cps.approximate_lattice_certificate(scheme, window, patch_radius=12)
         patch = cps.model_set_patch(scheme, window, 12)
-        ops = scheme.group_ops()
-        res = verify.approx_power_cover(patch.points, 3, cert.translates, ops, 12)
+        res = verify.approx_power_cover(patch.points, 3, cert.translates, scheme, 12)
         assert res.verified
         assert len(res.translates) <= len(cert.translates) ** 2
         assert res.checked > 0
