@@ -122,8 +122,9 @@ def parse_elements(path: str, field: NumberField):
     data = serialize.load_json(path)
     if isinstance(data, dict):
         data = data.get("elements", [])
+    # a bare rational string is the element with that one coordinate
     return [
-        field.from_rational(str_frac(e)) if isinstance(e, str) else field.elem_from_json(e)
+        field.elem_from_json([e] if isinstance(e, str) else e)
         for e in json_list(data, "the elements of an elements file are")
     ]
 

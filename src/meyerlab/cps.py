@@ -35,6 +35,7 @@ from .exactnum import (
     RealEmbeddingInterval,
     Record,
     abs_embedding_leq,
+    check_rational,
     cmp_embedding,
     eval_embedding,
     floor_surd,
@@ -210,10 +211,18 @@ class ZSScheme(RationalLine):
     def point_to_json(self, q: Fraction) -> str:
         return frac_str(q)
 
-    def point_from_json(self, data) -> Fraction:
+    @staticmethod
+    def _point_json(data):
         if type(data) not in (str, int):
             raise UsageError(f"a zs point is a rational string, not {data!r}")
-        return str_frac(data)
+        return data
+
+    def point_from_json(self, data) -> Fraction:
+        return str_frac(self._point_json(data))
+
+    def check_point_json(self, data) -> None:
+        """Raise the usage error that `point_from_json(data)` raises, if any, and build nothing."""
+        check_rational(self._point_json(data))
 
     def csv_header(self) -> str:
         return "x"
@@ -245,13 +254,21 @@ class QuadraticScheme:
     def point_to_json(self, p) -> list:
         return [x.to_list() for x in p]
 
-    def point_from_json(self, data):
+    def _point_json(self, data) -> list:
         n = len(self.coords)
         if not (type(data) is list and len(data) == n and all(type(x) is list for x in data)):
             raise UsageError(
                 f"a {self.kind} point is one coefficient list per coordinate, not {data!r}"
             )
-        return tuple(self.field.elem_from_json(x) for x in data)
+        return data
+
+    def point_from_json(self, data):
+        return tuple(self.field.elem_from_json(x) for x in self._point_json(data))
+
+    def check_point_json(self, data) -> None:
+        """Raise the usage error that `point_from_json(data)` raises, if any, and build nothing."""
+        for x in self._point_json(data):
+            self.field.check_elem_json(x)
 
     def csv_header(self) -> str:
         return ",".join(f"{name}_c{i}" for name in self.coords for i in (0, 1))
@@ -262,8 +279,7 @@ class QuadraticScheme:
     def point_from_csv(self, row: str):
         cells = _csv_cells(row, self.csv_header())
         return tuple(
-            self.field.elem([str_frac(c) for c in cells[i : i + 2]])
-            for i in range(0, 2 * len(self.coords), 2)
+            self.field.elem_from_json(cells[i : i + 2]) for i in range(0, 2 * len(self.coords), 2)
         )
 
     @staticmethod
@@ -389,29 +405,45 @@ class Patch(Record):
     def __len__(self):
         return len(self.points)
 
-    def to_dict(self) -> dict:
+    def inputs_dict(self) -> dict:
+        """What `to_dict` writes but the points: the type, scheme, window
+        (unless the scheme carries it) and radius, which enumerate the patch."""
         data = {
             "type": self.scheme.patch_type,
             "scheme": self.scheme.to_dict(),
             "radius": frac_str(self.radius),
-            "points": [self.scheme.point_to_json(p) for p in self.points],
         }
         if self.window is not None:
             data["window"] = self.window.to_dict()
         return data
+
+    def to_dict(self) -> dict:
+        return self.inputs_dict() | {
+            "points": [self.scheme.point_to_json(p) for p in self.points]
+        }
+
+
+def patch_inputs(data: dict) -> tuple:
+    """(scheme, window, radius) of the patch dict `data`, as `Patch.inputs_dict`
+    writes them; the window is None for a scheme that carries its own."""
+    scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
+    if data["type"] != scheme.patch_type:
+        raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
+    window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
+    return scheme, window, str_frac(data["radius"])
+
+
+def patch_points_json(data: dict) -> list:
+    """The JSON list of points of the patch file `data`."""
+    return json_list(data["points"], "the points of a patch are")
 
 
 def read_patch(data: dict) -> tuple[tuple, Patch]:
     """(the points of the patch file `data`, the patch that its scheme, window
     and radius enumerate).  The points are decoded before anything is
     enumerated, so a malformed point is a usage error whatever the radius."""
-    scheme = scheme_from_dict(json_object(data, "a patch is")["scheme"])
-    if data["type"] != scheme.patch_type:
-        raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
-    window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
-    radius = str_frac(data["radius"])
-    points = json_list(data["points"], "the points of a patch are")
-    points = tuple(scheme.point_from_json(p) for p in points)
+    scheme, window, radius = patch_inputs(data)
+    points = tuple(scheme.point_from_json(p) for p in patch_points_json(data))
     return points, scheme.model_set(window, radius)
 
 

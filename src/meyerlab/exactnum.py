@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 from operator import add, neg
@@ -31,6 +32,36 @@ def str_frac(s: str) -> Fraction:
     except (TypeError, ValueError, ZeroDivisionError):
         pass
     raise UsageError(f"not a rational number: {s!r}")
+
+
+# the strings `frac_str` writes: an optional "-", ASCII digits with no leading
+# zero (but "0" itself, unsigned), and an optional "/" with a denominator above 1
+_FRAC_STR = re.compile(r"(-?[1-9][0-9]*|0)(?:/([1-9][0-9]*))?")
+
+
+def rational_parts(s) -> tuple[int, int]:
+    """(numerator, denominator) of a rational string or an int, in lowest terms.
+
+    A string in the exact form `frac_str` writes is split at "/" into
+    integers, and builds no Fraction.  Anything else goes through `str_frac`,
+    so it is read, or refused with the same usage error, as there.
+    """
+    m = _FRAC_STR.fullmatch(s) if type(s) is str else None
+    if m is not None:
+        num, den = m.groups()
+        if den is None:
+            return int(num), 1
+        n, d = int(num), int(den)
+        if d > 1 and math.gcd(n, d) == 1:
+            return n, d
+    q = str_frac(s)
+    return q.numerator, q.denominator
+
+
+def check_rational(s) -> None:
+    """Raise the usage error that `str_frac(s)` raises, if any, and build nothing."""
+    if type(s) is not str or _FRAC_STR.fullmatch(s) is None:
+        str_frac(s)
 
 
 def str_int(s: str) -> int:
@@ -202,18 +233,33 @@ class NumberField:
 
     def elem(self, coeffs) -> "NFElem":
         """The element with power-basis coordinates `coeffs` (missing ones are 0)."""
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
+        return self._elem_from_parts([Fraction(c).as_integer_ratio() for c in coeffs])
+
+    def _elem_from_parts(self, parts: list[tuple[int, int]]) -> "NFElem":
+        """The element whose coordinates are the (numerator, denominator) pairs `parts`."""
+        self._check_length(parts)
+        (a, da), (b, db) = parts + [(0, 1)] * (2 - len(parts))
+        den = math.lcm(da, db)
+        return NFElem(self, a * (den // da), b * (den // db), den)
+
+    def _check_length(self, coeffs: list) -> None:
+        if len(coeffs) > self.degree:
             raise UsageError("coefficient vector longer than field degree")
-        a, b = cs + [Fraction(0)] * (2 - len(cs))
-        den = math.lcm(a.denominator, b.denominator)
-        return NFElem(
-            self, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-        )
 
     def elem_from_json(self, data) -> "NFElem":
-        """The element `NFElem.to_list` wrote: a JSON list of rational strings."""
-        return self.elem([str_frac(c) for c in json_list(data, "a field element is")])
+        """The element `NFElem.to_list` wrote: a list of rational strings, each
+        read by `rational_parts`, so no Fraction is built for the strings it writes."""
+        return self._elem_from_parts(
+            [rational_parts(c) for c in json_list(data, "a field element is")]
+        )
+
+    def check_elem_json(self, data) -> None:
+        """Raise the usage error that `elem_from_json(data)` raises, if any, and
+        build nothing."""
+        coeffs = json_list(data, "a field element is")
+        for c in coeffs:
+            check_rational(c)
+        self._check_length(coeffs)
 
     def zero(self) -> "NFElem":
         return NFElem(self, 0)
@@ -403,7 +449,13 @@ class NFElem:
         return Fraction(a * a - c1 * a * b + c0 * b * b, self.den * self.den)
 
     def to_list(self) -> list[str]:
-        return [frac_str(c) for c in self.coeffs]
+        """The coordinates as `frac_str` writes them, from the stored integers."""
+        den = self.den
+        out = []
+        for n in (self.a, self.b)[: self.field.degree]:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
 
 
 def nf_mul(x: NFElem, y: NFElem) -> NFElem:

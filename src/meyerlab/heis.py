@@ -227,6 +227,8 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
     {w+w'} - {uv}, computed on deduplicated exact values.
     """
     radius = Fraction(radius)
+    if radius <= 0:
+        raise UsageError("radius must be positive")
     cx, cy, cz = scheme.window
     field = scheme.field
     phys, internal = scheme.physical_place, scheme.internal_place

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import cps, verify
-from .errors import UsageError
+from .errors import ResourceLimit, UsageError
 from .exactnum import (
     Cmp,
     NFElem,
@@ -490,6 +490,11 @@ def polynomial_translate_cover(
     field = ring.field
     coeffs = _coerce_poly(field, poly) or [field.zero()]
     constant, m, reps = _translate_frame(coeffs, ring)
+    # one coset per representative: count them before any is made
+    if m**field.degree > cps.DEFAULT_CANDIDATE_LIMIT:
+        raise ResourceLimit(
+            f"the translate cover needs more than the limit of {cps.DEFAULT_CANDIDATE_LIMIT} cosets"
+        )
     if field.degree == 1:
         if 0 not in ring.s_arch_indices:
             raise UsageError("rational rings here must contain the archimedean place in S")

@@ -102,11 +102,12 @@ def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
 
 
 def patch_cover_artifact(cover: verify.GreedyCover, patch_a: cps.Patch, patch_b: cps.Patch) -> dict:
-    """A `patch_cover` file: the cover of patch_a by translates of patch_b, with both patches."""
+    """A `patch_cover` file: the cover of patch_a by translates of patch_b, with
+    both patches named by their inputs, which replay enumerates again."""
     return greedy_cover_to_dict(cover, patch_a.scheme) | {
         "type": "patch_cover",
-        "patch_a": patch_a.to_dict(),
-        "patch_b": patch_b.to_dict(),
+        "patch_a": patch_a.inputs_dict(),
+        "patch_b": patch_b.inputs_dict(),
     }
 
 
@@ -278,8 +279,14 @@ def cellcover_summary(x_values, coverings) -> dict:
 
 
 def _rebuilt_patch(data) -> cps.Patch:
-    """The patch that the scheme, window and radius of the patch file `data` enumerate."""
-    return cps.read_patch(data)[1]
+    """The patch that the scheme, window and radius of the patch file `data`
+    enumerate.  The file's points are checked for shape but not decoded: the
+    caller compares the whole rebuild with the file, so a malformed point is
+    still a usage error, and any other difference fails replay."""
+    scheme, window, radius = cps.patch_inputs(data)
+    for p in cps.patch_points_json(data):
+        scheme.check_point_json(p)
+    return scheme.model_set(window, radius)
 
 
 def _membership(data) -> dict:
@@ -440,9 +447,17 @@ def _replay_meyer(data) -> tuple[bool, str]:
 def _replay_patch_cover(data) -> tuple[bool, str]:
     patches = []
     for key in ("patch_a", "patch_b"):
-        patch = _rebuilt_patch(data[key])
-        if canonical_json(patch.to_dict()) != canonical_json(data[key]):
-            return False, f"{key} differs from its re-enumeration"
+        inputs = json_object(data[key], "a patch is")
+        if "points" in inputs:
+            # the older layout embedded whole patches; replay reads no point of them
+            raise UsageError(
+                f"{key} lists its points, as in the older patch_cover layout; "
+                "write the file again with verify cover"
+            )
+        scheme, window, radius = cps.patch_inputs(inputs)
+        patch = scheme.model_set(window, radius)
+        if canonical_json(patch.inputs_dict()) != canonical_json(inputs):
+            return False, f"{key} differs from the inputs of its re-enumeration"
         patches.append(patch)
     patch_a, patch_b = patches
     cover = greedy_cover_from_dict(data, patch_a.scheme)

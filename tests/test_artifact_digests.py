@@ -65,9 +65,9 @@ JOBS = (
 
 DIGESTS = {
     "cert.json": "12f5dc8f3f922ab70af67743cdde81ed8c14e579b98ed2d2f021403624df66bb",
-    "cover-heis.json": "9b5fa148ba13bbcf4ec5e91a6a606a5d78dee7f5ff55a943bccf17190cabfcd7",
-    "cover-zs.json": "e6edc1ddba78fac56820165a2a159601c80eb14ac5f0421f0c861c412d9ead6e",
-    "cover.json": "babee0f701fd5409eef51fa90620a54ac2cdf501ef0229faad505c2f992e07ba",
+    "cover-heis.json": "64a03254a9cc5633eee1770f1da56d4a009f0c362932fe312a5e3f5fd551f69d",
+    "cover-zs.json": "4e67e2e3642a8c535e6f2852be55eff382679d85eeca710be34592a39680253c",
+    "cover.json": "b4b4f9eb90f936352c6c93a29e9c0fb2ddd186838930bd95885ffa9906a855ee",
     "delone-heis.json": "3a334070fda4c86769280a42a77874578acc95fdb81e5fe51bae3857b8c5e6c2",
     "delone-sqrt2-2d.json": "032a58c1e12b352b6f708e715a2d9527d20743263edc110a4bd89795dd5f1a10",
     "delone-zs.json": "f837f1bcaf6ab3979883177ea810f09ab6a5afc4b773a0807e838aeefd6adb78",

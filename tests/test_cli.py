@@ -634,10 +634,18 @@ def test_replay_of_a_malformed_cover_is_usage_error(tmp_path, capsys, cover_arti
     assert err.startswith("usage error: ") and message in err
 
 
+def _embedded_patch(data, key):
+    """The patch that the inputs of the embedded `key` of a patch_cover enumerate."""
+    scheme, window, radius = cps.patch_inputs(data[key])
+    return scheme.model_set(window, radius)
+
+
 def test_patch_cover_replay_checks_every_point_of_patch_a(tmp_path, capsys, cover_artifacts):
     data = cover_artifacts["cover"]
-    # one translate index per point of patch_a, and no point restated
-    assert len(data["assignments"]) == len(data["patch_a"]["points"]) == 53
+    # one translate index per point of patch_a, and no point restated: the
+    # patches are named by their inputs alone
+    assert "points" not in data["patch_a"] and "points" not in data["patch_b"]
+    assert len(data["assignments"]) == len(_embedded_patch(data, "patch_a")) == 53
     assert all(type(i) is int for i in data["assignments"])
     assert "kind" not in data
     assert _replay_data(tmp_path, capsys, data)[0] == 0
@@ -669,7 +677,7 @@ def test_replay_needs_one_index_per_covered_point(tmp_path, capsys, cover_artifa
 def _covered_points(data, key):
     """(scheme, covered points in canonical order, the set B they must land in)."""
     if key is None:
-        patch_a, patch_b = (cps.read_patch(data[k])[1] for k in ("patch_a", "patch_b"))
+        patch_a, patch_b = (_embedded_patch(data, k) for k in ("patch_a", "patch_b"))
         return patch_a.scheme, list(patch_a.points), set(patch_b.points)
     scheme = cps.scheme_from_dict(data["scheme"])
     patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
@@ -702,7 +710,8 @@ def test_replay_rejects_swapped_indices(tmp_path, capsys, cover_artifacts, artif
 def test_replay_of_a_point_index_pair_cover_is_usage_error(tmp_path, capsys, cover_artifacts):
     # the format before index lists: each entry restated its point of patch_a
     data = json.loads(json.dumps(cover_artifacts["cover"]))
-    data["assignments"] = [[p, i] for p, i in zip(data["patch_a"]["points"], data["assignments"])]
+    points = _embedded_patch(data, "patch_a").to_dict()["points"]
+    data["assignments"] = [[p, i] for p, i in zip(points, data["assignments"])]
     data["kind"] = "galois"
     path = tmp_path / "old-cover.json"
     path.write_text(json.dumps(data))
@@ -714,10 +723,53 @@ def test_replay_of_a_point_index_pair_cover_is_usage_error(tmp_path, capsys, cov
 
 @pytest.mark.parametrize("key", ["patch_a", "patch_b"])
 def test_patch_cover_replay_checks_the_embedded_patches(tmp_path, capsys, cover_artifacts, key):
+    # inputs that enumerate the same patch but are not what its writer writes
     data = json.loads(json.dumps(cover_artifacts["cover"]))
-    data[key]["points"].append([["1000", "0"]])
+    data[key]["radius"] = "60/2"
     code, out = _replay_data(tmp_path, capsys, data)
-    assert code == 2 and "replay FAILED" in out
+    assert code == 2 and f"replay FAILED: {key} differs from the inputs" in out
+
+
+def _golden_cover_mutations():
+    """(name, change to an embedded patch of the golden R = 30 patch_cover); after
+    each, the file's claim is false, or its patch is not one replay reads."""
+    sqrt2 = {"min_poly": [-2, 0, 1]}
+    return [
+        ("field", lambda p: p["scheme"].update(field=sqrt2)),
+        ("dim", lambda p: p["scheme"].update(dim=2)),
+        ("root", lambda p: p["scheme"].update(physical_root_index=0)),
+        ("zs", lambda p: p.update(scheme={"kind": "zs", "primes": [2]})),
+        ("heis", lambda p: p.update(scheme={"kind": "heis", "field": sqrt2,
+                                            "window": ["1", "1", "1"]})),
+        ("window", lambda p: p.update(window={"real": ["1/8"], "padic": []})),
+        ("window-2d", lambda p: p.update(window={"real": ["1", "1"], "padic": []})),
+        ("radius-half", lambda p: p.update(radius="15")),
+        ("radius-huge", lambda p: p.update(radius="1" + "0" * 4299)),
+        ("radius-zero", lambda p: p.update(radius="0")),
+        ("extra-key", lambda p: p.update(factors=[])),
+        ("points", None),
+    ]
+
+
+@pytest.mark.parametrize("key", ["patch_a", "patch_b"])
+@pytest.mark.parametrize("name, change", _golden_cover_mutations())
+def test_a_changed_embedded_patch_never_replays_ok(tmp_path, capsys, cover_artifacts, key, name,
+                                                   change):
+    data = json.loads(json.dumps(cover_artifacts["cover"]))
+    if change is None:
+        # the older layout: the whole patch, points included
+        data[key] = _embedded_patch(data, key).to_dict()
+    else:
+        change(data[key])
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run_cli("verify", "replay", str(path))
+    out, err = capsys.readouterr()
+    assert code in (1, 2) and "Traceback" not in err, (out, err)
+    if change is None:
+        assert code == 1 and err == (f"usage error: {key} lists its points, as in the older "
+                                     "patch_cover layout; write the file again with verify cover\n")
 
 
 def test_delone_replay_checks_the_embedded_patch(tmp_path, capsys, cover_artifacts):
@@ -887,6 +939,12 @@ def _one_patch_per_group():
            f"{{d}}/{a}.json holds ")
           for a, b in (("zs", "golden"), ("heis-golden", "golden"), ("golden", "sqrt2"),
                        ("heis-sqrt2", "heis-golden"), ("golden", "heis-golden"))),
+        # as for every sibling command; a center summary of such a radius fails its replay too
+        (["heis", "center", "--field", "sqrt2", "--window", "1,1,2", "--radius", "0"],
+         "radius must be positive"),
+        (["heis", "center", "--field", "sqrt2", "--window", "1,1,2", "--radius", "-1"],
+         "radius must be positive"),
+        (["verify", "replay", "{d}/center-radius-zero.json"], "radius must be positive"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -948,6 +1006,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("root-index-float",
                         golden | {"scheme": golden["scheme"] | {"physical_root_index": 1.0}}),
                        ("lattice-min-poly-float", float_lattice),
+                       ("center-radius-zero", {"type": "center_intersection", "z_values": [],
+                                               "report": None, "conclusive": False,
+                                               "inputs": {"scheme": heis["scheme"], "radius": "0"}}),
                        ("spec-no-x", {"y": 1}),
                        ("spec-list", [1, 2]),
                        ("heis-cover-old", {"type": "heis_cover", "scheme": heis["scheme"],
@@ -990,6 +1051,15 @@ def test_oversized_input_is_resource_error(capsys, argv, message):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and message in err
+
+
+def test_a_polycover_of_too_many_cosets_is_refused_before_any_is_built(capsys):
+    # m = 10000 gives m^2 = 10^8 coset covers over the golden ring
+    start = time.perf_counter()
+    assert run_cli("pisot", "polycover", "--ring", "pvs:golden", "--poly", "0,1/10000") == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == "resource error: the translate cover needs more than the limit of 5000000 cosets\n"
 
 
 def test_replay_refuses_a_huge_zs_level_at_once(tmp_path, capsys):

@@ -690,3 +690,88 @@ def test_no_constructor_only_copies_its_parameters():
             ):
                 copying.append(f"{path.name}:{node.lineno}")
     assert not copying, f"constructors that only copy their parameters: {copying}"
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-free codec: elem_from_json splits the strings frac_str writes,
+# and sends every other value through str_frac.
+# ---------------------------------------------------------------------------
+
+FRACTIONS = st.fractions(max_denominator=10**30).filter(lambda q: abs(q.numerator) < 10**40)
+
+
+def _slow_elem(field, coords):
+    """The element of `coords` read through str_frac, as before the fast path."""
+    return field.elem([en.str_frac(c) for c in coords])
+
+
+def _outcome(read):
+    try:
+        return read()
+    except UsageError as exc:
+        return f"usage error: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTIONS, FRACTIONS)
+def test_fast_decoder_agrees_with_str_frac_on_every_written_string(a, b):
+    for field, coords in ((en.golden_field(), [a, b]), (en.RATIONAL_FIELD, [a])):
+        written = [en.frac_str(c) for c in coords]
+        assert en.rational_parts(written[0]) == (a.numerator, a.denominator)
+        got = field.elem_from_json(written)
+        assert got == _slow_elem(field, written)
+        field.check_elem_json(written)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FRACTIONS, FRACTIONS)
+def test_to_list_writes_what_frac_str_writes(a, b):
+    for field, coords in ((en.golden_field(), [a, b]), (en.sqrt2_field(), [b, a]),
+                          (en.RATIONAL_FIELD, [a])):
+        x = field.elem(coords)
+        assert x.to_list() == [en.frac_str(c) for c in x.coeffs]
+
+
+def test_to_list_with_a_common_denominator():
+    # (3 + 2 theta)/6: the coordinates reduce to 1/2 and 1/3 separately
+    x = en.NFElem(en.golden_field(), 3, 2, 6)
+    assert x.den == 6 and x.to_list() == ["1/2", "1/3"]
+    assert en.NFElem(en.golden_field(), 0, -5, 10).to_list() == ["0", "-1/2"]
+
+
+# strings that frac_str never writes: each is read by str_frac, or refused by it
+NON_CANONICAL = ["1.5", " 1", "+1", "1_0", "01", "2/4", "1/1", "-0", "٣", "0/5", "-0/3", "3/-4",
+                 "1/0", "x", "", "1e3", "1/01", "00", "-", "/2", "1 ", "١/2", "-1/2/3",
+                 "７"]
+
+
+@pytest.mark.parametrize("s", NON_CANONICAL)
+def test_fast_and_slow_decoders_agree_off_the_written_form(s):
+    field = en.golden_field()
+    for coords in ([s], [s, "1/3"], ["-2", s]):
+        fast = _outcome(lambda: field.elem_from_json(coords))
+        slow = _outcome(lambda: _slow_elem(field, coords))
+        assert fast == slow, (coords, fast, slow)
+        checked = _outcome(lambda: field.check_elem_json(coords))
+        assert checked == (fast if isinstance(fast, str) else None)
+    slow = _outcome(lambda: en.str_frac(s))
+    if isinstance(slow, Fraction):
+        slow = (slow.numerator, slow.denominator)
+    assert _outcome(lambda: en.rational_parts(s)) == slow
+
+
+@pytest.mark.parametrize("value", [1, -7, 0, 1.5, True, None, [], {}])
+def test_non_string_coordinates_read_as_str_frac_reads_them(value):
+    field = en.golden_field()
+    fast = _outcome(lambda: field.elem_from_json([value]))
+    assert fast == _outcome(lambda: _slow_elem(field, [value]))
+    assert _outcome(lambda: field.check_elem_json([value])) == (fast if isinstance(fast, str) else None)
+
+
+def test_a_coefficient_list_longer_than_the_degree_is_refused_after_its_strings():
+    field = en.RATIONAL_FIELD
+    for coords, message in ((["1", "2"], "coefficient vector longer than field degree"),
+                            (["1", "x"], "not a rational number: 'x'")):
+        for read in (field.elem_from_json, field.check_elem_json):
+            with pytest.raises(UsageError, match=message):
+                read(coords)
