@@ -7,10 +7,11 @@ byte-identical for identical configs across runs and hash seeds.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+import types
 from collections.abc import Callable
 from fractions import Fraction
 
@@ -36,11 +37,6 @@ from .exactnum import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +132,7 @@ def parse_elements(path: str, field: NumberField):
 CONFIG_KEYS = ("scheme", "window", "radius", "out", "json", "field", "ring")
 
 
-def apply_config(path: str, args: argparse.Namespace) -> None:
+def apply_config(path: str, args: types.SimpleNamespace) -> None:
     """Set each option the command line left unset from a key=value file."""
     values = {}
     for line_no, raw in enumerate(serialize.read_text(path).splitlines(), start=1):
@@ -494,56 +490,151 @@ COMMANDS = {
     },
 }
 
-# options every command of a group accepts, besides --out, --json and --config;
+# options every command of a group accepts, besides COMMON_OPTIONS;
 # `verify replay` takes a file instead of the verify options (see parse_args)
 GROUP_OPTIONS = {
     "cps": ("--scheme", "--window", "--radius", "--axes"),
-    "heis": ("--field", "--window", "--radius", "--radius-small", "--radius-large"),
+    "heis": ("--field", "--window", "--radius", "--radius-small", "--radius-large", "--side-a",
+             "--side-b", "--max-translates"),
     "pisot": ("--ring", "--field", "--elements", "--radius", "--window", "--poly", "--scale"),
     "verify": ("--patch", "--a", "--b", "--inner", "--spec", "--scheme", "--field", "--window",
-               "--radius"),
+               "--radius", "--max-translates"),
 }
+COMMON_OPTIONS = ("--out", "--json", "--config")
+HELP_OPTIONS = ("-h", "--help")
 SIDES = ("model_set", "symmetrized")
+SIDE_DEFAULTS = {"side_a": "symmetrized", "side_b": "model_set"}
+# a token that reads as a negative number is a value, not an option
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def build_parser() -> _Parser:
-    """One parser per command group: a `command` positional and the group's options."""
-    parser = _Parser(prog="meyerlab")
-    sub = parser.add_subparsers(dest="group", required=True)
-    for group, options in GROUP_OPTIONS.items():
-        p = sub.add_parser(group)
-        if group == "verify":
-            p.epilog = "verify replay FILE takes no option but --out, --json and --config"
-        p.add_argument("command", choices=COMMANDS[group])
-        for option in options:
-            p.add_argument(option)
-        if group == "heis":
-            p.add_argument("--side-a", default="symmetrized", choices=SIDES)
-            p.add_argument("--side-b", default="model_set", choices=SIDES)
-        if group in ("heis", "verify"):
-            p.add_argument("--max-translates", type=int)
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--json", help="JSON artifact path")
-        p.add_argument("--config", help="key=value config file (CLI flags win)")
-    return parser
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
-def parse_args(argv) -> argparse.Namespace:
-    args, extra = build_parser().parse_known_args(argv)
+def _usage(group: str | None) -> str:
+    if group is None:
+        return f"usage: meyerlab [-h] {{{','.join(COMMANDS)}}} ...\n"
+    options = " ".join(f"[{o} {_dest(o).upper()}]" for o in GROUP_OPTIONS[group] + COMMON_OPTIONS)
+    usage = f"usage: meyerlab {group} [-h] {{{','.join(COMMANDS[group])}}} {options}\n"
+    if group == "verify":
+        usage += "verify replay FILE takes no option but --out, --json and --config\n"
+    return usage
+
+
+def _choice(name: str, value: str, choices) -> str:
+    if value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+    return value
+
+
+def _option(token: str, options: tuple) -> tuple | None:
+    """(the option `token` names, its `=value` or None), ("", None) for an
+    option not in `options`, or None for a value.  A unique prefix names its
+    option, as with argparse."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in options:
+        return token, None
+    key, eq, value = token.partition("=")
+    if eq and key in options:
+        return key, value
+    if token.startswith("--"):
+        matches = [o for o in options if o.startswith(key)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _read(tokens: list, group: str | None, args, extras: list) -> list:
+    """Read `tokens` into `args` as the top parser (`group` None) or a group's
+    parser: options, and one positional that names the group or the command.
+    Unknown tokens go to `extras`; the top parser returns the tokens after the
+    group, which its group's parser reads."""
+    options = HELP_OPTIONS + (() if group is None else GROUP_OPTIONS[group] + COMMON_OPTIONS)
+    name, choices = ("group", COMMANDS) if group is None else ("command", COMMANDS[group])
+    # every token is classified first, so an ambiguous prefix is reported first;
+    # in a group, "--" makes every later token a value (before the group it is one)
+    kinds, ended = [], False
+    for token in tokens:
+        if ended or (token == "--" and group is None):
+            kinds.append(None)
+        else:
+            kinds.append("--" if token == "--" else _option(token, options))
+            ended = token == "--"
+    i = 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind == "--":
+            continue
+        if kind is None:
+            if getattr(args, name) is not None:
+                extras.append(token)
+                continue
+            setattr(args, name, _choice(name, token, choices))
+            if group is None:
+                return tokens[i:]
+            continue
+        option, value = kind
+        if not option:
+            extras.append(token)
+        elif option in HELP_OPTIONS:
+            if value is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_usage(group))
+            raise SystemExit(0)
+        else:
+            if value is None:
+                if i == len(tokens) or kinds[i] is not None:
+                    raise UsageError(f"argument {option}: expected one argument")
+                value, i = tokens[i], i + 1
+            if option == "--max-translates":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise UsageError(f"argument {option}: invalid int value: {value!r}") from None
+            elif option in ("--side-a", "--side-b"):
+                _choice(option, value, SIDES)
+            setattr(args, _dest(option), value)
+    if getattr(args, name) is None:
+        raise UsageError(f"the following arguments are required: {name}")
+    return []
+
+
+def parse_args(argv) -> types.SimpleNamespace:
+    """The group, the command and every option of the group, None where unset.
+
+    argv is read as the argparse parsers of earlier versions read it, one per
+    command group; `-h` prints the usage and exits."""
+    args, extras = types.SimpleNamespace(group=None), []
+    rest = _read(list(argv), None, args, extras)
+    options = GROUP_OPTIONS[args.group] + COMMON_OPTIONS
+    vars(args).update(command=None, **dict.fromkeys(map(_dest, options)))
+    if args.group == "heis":
+        vars(args).update(SIDE_DEFAULTS)
+    _read(rest, args.group, args, extras)
     if args.command == "replay":
         # replay reads one file and takes none of the verify options
-        files = [a for a in extra if a == "-" or not a.startswith("-")]
+        files = [a for a in extras if a == "-" or not a.startswith("-")]
         if not files:
             raise UsageError("the following arguments are required: file")
         args.file = files[0]
-        extra.remove(args.file)
-        extra[:0] = [
+        extras.remove(args.file)
+        extras[:0] = [
             f"--{key.replace('_', '-')} {value}"
             for key, value in vars(args).items()
             if key not in ("group", "command", "file", "out", "json", "config") and value is not None
         ]
-    if extra:
-        raise UsageError("unrecognized arguments: " + " ".join(extra))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
     # a cap below 1 would certify a vacuous negative
     if getattr(args, "max_translates", None) is not None and args.max_translates < 1:
         raise UsageError(f"--max-translates must be at least 1, not {args.max_translates}")

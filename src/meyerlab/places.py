@@ -192,25 +192,10 @@ class MembershipRejection(Record):
 
 
 class PisotCertificate(Record):
-    """Per-place evidence that an element lies in O_{K,S}.
+    """x lies in O_{K,S}: the decision |sigma(x)| <= 1 at each real place outside S."""
 
-    finite_valuations holds (p, v_p) for the decisive primes only.
-    """
-
-    __slots__ = ("element", "ring", "conjugate_bounds", "finite_valuations")
+    __slots__ = ("element", "ring", "conjugate_bounds")
     is_member = True
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "pisot_membership",
-            "ring": self.ring.to_dict(),
-            "element": self.element.to_list(),
-            "conjugate_bounds": [
-                {"place": b.place.to_dict(), "decision": b.decision.value}
-                for b in self.conjugate_bounds
-            ],
-            "finite_valuations": [[p, v] for p, v in self.finite_valuations],
-        }
 
 
 def _rational_is_integral(q: Fraction) -> int | None:
@@ -223,26 +208,20 @@ def _rational_is_integral(q: Fraction) -> int | None:
 def s_integer_membership(x, ring: SIntegerRing):
     """Certify x in O_{K,S}, or reject with a witness place.
 
-    Q: decisive finite places are the primes of the numerator and denominator;
-    all others automatically satisfy |x|_p <= 1.  Quadratic K: integrality at
-    every finite place is the integer trace/norm test; then each real place
-    outside S is bounded by exact comparison in Q(sqrt D).
+    Q: the decisive finite places are the primes of the denominator; all
+    others satisfy |x|_p <= 1.  Quadratic K: integrality at every finite
+    place is the integer trace/norm test; then each real place outside S is
+    bounded by exact comparison in Q(sqrt D).
     """
     x = ring.coerce(x)
     field = ring.field
-    finite_vals: list[tuple[int, int]] = []
     if field.degree == 1:
         q = x.coeffs[0]
         s_primes = set(ring.s_primes)
-        if q != 0:
-            for p in sorted(set(prime_factors(q.numerator)) | set(prime_factors(q.denominator))):
+        for p in prime_factors(q.denominator):
+            if p not in s_primes:
                 v = padic_valuation(q, p)
-                if p not in s_primes:
-                    if v < 0:
-                        return MembershipRejection(
-                            x, ring, Place.finite(p), f"|x|_{p} = {p}^{-v} > 1"
-                        )
-                    finite_vals.append((p, v))
+                return MembershipRejection(x, ring, Place.finite(p), f"|x|_{p} = {p}^{-v} > 1")
     else:
         if x.is_rational:
             bad = _rational_is_integral(x.coeffs[0])
@@ -263,7 +242,7 @@ def s_integer_membership(x, ring: SIntegerRing):
                 x, ring, place, f"|sigma_{place.root_index}(x)| > 1"
             )
         bounds.append(ConjugateBound(place, decision))
-    return PisotCertificate(x, ring, bounds, finite_vals)
+    return PisotCertificate(x, ring, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +453,11 @@ def _conj_bound(coeffs: Sequence[NFElem], internal, window_scale: Fraction) -> F
     return sum((hi * window_scale**i for i, hi in enumerate(his, start=1)), Fraction(0))
 
 
+# each coset costs about 0.3 ms and 210 bytes of certificate, so the largest
+# cover admitted takes about half a minute and writes about 21 MB
+MAX_COSETS = 100_000
+
+
 def polynomial_translate_cover(
     poly, ring: SIntegerRing, window_scale=1
 ) -> TranslateCoverCertificate:
@@ -491,10 +475,8 @@ def polynomial_translate_cover(
     coeffs = _coerce_poly(field, poly) or [field.zero()]
     constant, m, reps = _translate_frame(coeffs, ring)
     # one coset per representative: count them before any is made
-    if m**field.degree > cps.DEFAULT_CANDIDATE_LIMIT:
-        raise ResourceLimit(
-            f"the translate cover needs more than the limit of {cps.DEFAULT_CANDIDATE_LIMIT} cosets"
-        )
+    if m**field.degree > MAX_COSETS:
+        raise ResourceLimit(f"the translate cover needs more than the limit of {MAX_COSETS} cosets")
     if field.degree == 1:
         if 0 not in ring.s_arch_indices:
             raise UsageError("rational rings here must contain the archimedean place in S")
@@ -598,8 +580,8 @@ class SumProductCertificate(Record):
     """
 
     __slots__ = (
-        "ring", "elements", "patch_bound", "member_certificates", "closed_pairs",
-        "out_of_patch_pairs", "flagged_products",
+        "ring", "elements", "patch_bound", "closed_pairs", "out_of_patch_pairs",
+        "flagged_products",
     )
 
     certified = True
@@ -614,7 +596,6 @@ class SumProductCertificate(Record):
             "ring": self.ring.to_dict(),
             "elements": [e.to_list() for e in self.elements],
             "patch_bound": frac_str(self.patch_bound),
-            "members": [c.to_dict() for c in self.member_certificates],
             "closed_pairs": self.closed_pairs,
             "out_of_patch_pairs": self.out_of_patch_pairs,
             "flagged_products": [e.to_list() for e in self.flagged_products],
@@ -649,13 +630,11 @@ def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
                 bound = max(bound, hi)
         patch_bound = bound
     patch_bound = Fraction(patch_bound)
-    member_certs = []
-    for e in sorted(elems, key=lambda x: x.coeffs):
+    ordered = sorted(elems, key=lambda x: x.coeffs)
+    for e in ordered:
         result = s_integer_membership(e, ring)
         if not result.is_member:
             return result
-        member_certs.append(result)
-    ordered = sorted(elems, key=lambda x: x.coeffs)
     closed = 0
     out_of_patch = 0
     flagged = []
@@ -676,7 +655,6 @@ def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
         ring,
         ordered,
         patch_bound,
-        member_certs,
         closed,
         out_of_patch,
         flagged,

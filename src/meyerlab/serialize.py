@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from fractions import Fraction
 
 from . import cps, heis, places, verify
@@ -26,11 +25,15 @@ def canonical_json(data) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it to `path`;
-    a path that cannot be written is a usage error, and leaves no temporary file."""
-    directory, tmp = os.path.dirname(os.path.abspath(path)), None
+    """Write `text` to a temporary file beside `path`, then rename it to `path`.
+
+    The file is created with mode 0666 less the umask.  A path that cannot be
+    written is a usage error, and leaves no temporary file."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".meyerlab-{os.getpid()}.tmp")
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".meyerlab-")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
@@ -38,7 +41,7 @@ def write_text_atomic(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         # gone after a successful replace
-        if tmp is not None and os.path.exists(tmp):
+        if created and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -289,9 +292,24 @@ def _rebuilt_patch(data) -> cps.Patch:
     return scheme.model_set(window, radius)
 
 
-def _membership(data) -> dict:
+def _rejection(data) -> dict:
     ring = places.SIntegerRing.from_dict(data["ring"])
-    return places.s_integer_membership(ring.field.elem_from_json(data["element"]), ring).to_dict()
+    result = places.s_integer_membership(ring.field.elem_from_json(data["element"]), ring)
+    # an element of O_{K,S} has no rejection, so no rebuild can match the file
+    return {} if result.is_member else result.to_dict()
+
+
+def _sum_product(data) -> dict:
+    if "members" in data:
+        # replay never read the per-element records that the older layout carried
+        raise UsageError(
+            "the file lists members, as in the older sum_product layout; "
+            "write the file again with pisot certify"
+        )
+    return places.pvs_certify_set(
+        *_ring_elements(data, "elements", "the elements of a sum-product set are"),
+        patch_bound=str_frac(data["patch_bound"]),
+    ).to_dict()
 
 
 def _ring_elements(data, key: str, what: str) -> tuple:
@@ -327,11 +345,8 @@ REBUILDERS = {
     "delone_report": lambda d: delone_artifact(
         _rebuilt_patch(d["patch"]), str_frac(d["inner_radius"])
     ),
-    **dict.fromkeys(("pisot_membership", "sum_product_rejection"), _membership),
-    "sum_product": lambda d: places.pvs_certify_set(
-        *_ring_elements(d, "elements", "the elements of a sum-product set are"),
-        patch_bound=str_frac(d["patch_bound"]),
-    ).to_dict(),
+    "sum_product_rejection": _rejection,
+    "sum_product": _sum_product,
     "poly_shrink": lambda d: places.shrink_for_polynomial(
         *_ring_elements(d, "poly", "a polynomial is"), patch_radius=str_frac(d["patch_radius"])
     ).to_dict(),

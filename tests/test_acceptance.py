@@ -116,13 +116,12 @@ def test_criterion_2_model_sets_are_approximate_lattices(name, field_fn):
 
 def test_criterion_3_pvs_certification():
     golden_ring = places.ring_pvs(golden_field(), 1)
-    cert = places.s_integer_membership(golden_field().gen(), golden_ring)
-    assert cert.is_member and serialize.replay(cert.to_dict())[0]
-
     sqrt2_ring = places.ring_pvs(sqrt2_field(), 1)
-    x = sqrt2_field().one() + sqrt2_field().gen()
-    cert2 = places.s_integer_membership(x, sqrt2_ring)
-    assert cert2.is_member and serialize.replay(cert2.to_dict())[0]
+    for x, ring in ((golden_field().gen(), golden_ring),
+                    (sqrt2_field().one() + sqrt2_field().gen(), sqrt2_ring)):
+        assert places.s_integer_membership(x, ring).is_member
+        # the membership replays inside the sum-product certificate of {0, x, -x}
+        assert serialize.replay(places.pvs_certify_set([0, x, -x], ring).to_dict())[0]
 
     rej = places.s_integer_membership(Fraction(1, 3), places.ring_zs([2]))
     assert not rej.is_member

@@ -95,7 +95,7 @@ DIGESTS = {
     "heis-hull.json": "e5fdb89c2f7b30bcaae840865772e7aebdf68cc7f3ead73acc993cc409259a88",
     "heis-meyer.json": "c1e5c50391fa884812ab76786e36e832e304b5ee0a13bdb4e1e48d75b44551c9",
     "intersect.json": "d35699534a228c409a0dbcd5df285118e99bc5598dc0381a971a7210ce45f752",
-    "pisot.json": "15becdf5201ccaf443b7b61c2fa09387cec8986a6b52ecc29b76eaca3214e5e4",
+    "pisot.json": "43be2d37e8de1d41924eacbceded778d1dd1382e66f80c06159e9c49b59cac5d",
     "polycover.json": "867ce21ca5a5904401b446d518795e36fef1b9b3b64d8d32948df190c87657b2",
     "project.json": "dd92a76426671cc52d1dd59dd67ce1768b4807a116ae06dc1dc079bfda81dd46",
 }

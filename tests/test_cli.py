@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from meyerlab import cli, cps, heis, places, serialize, verify
+from meyerlab.errors import UsageError
 from meyerlab.exactnum import golden_field, sqrt2_field, str_frac
 
 
@@ -102,6 +104,77 @@ def test_replay_rebuilds_the_whole_rejection(tmp_path, capsys):
     for key, value in (("reason", "|x|_3 = 3^7 > 1"), ("element", ["1/9"])):
         code, out = _replay_data(tmp_path, capsys, data | {key: value})
         assert code == 2 and "replay FAILED: sum_product_rejection rebuilt" in out, key
+
+
+@pytest.fixture
+def sum_product_file(tmp_path):
+    """A sum_product over Z[1/2] whose products include the flagged -1/4 and 1/4."""
+    elems_path = tmp_path / "elements.json"
+    elems_path.write_text(json.dumps(["0", "1/2", "-1/2", "1", "-1"]))
+    path = tmp_path / "sum-product.json"
+    assert run_cli("pisot", "certify", "--ring", "zs:2", "--elements", str(elems_path),
+                   "--json", str(path)) == 0
+    data = json.loads(path.read_text())
+    assert data["flagged_products"] == [["-1/4"], ["1/4"]] and "members" not in data
+    return data
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d["elements"].__setitem__(0, ["3"]),
+    lambda d: d["elements"].__setitem__(1, ["-1/4"]),
+    lambda d: d.update(patch_bound="1/2"),
+    lambda d: d.update(closed_pairs=d["closed_pairs"] + 1),
+    lambda d: d.update(out_of_patch_pairs=d["out_of_patch_pairs"] + 1),
+    lambda d: d["flagged_products"].__setitem__(0, ["1/8"]),
+    lambda d: d["flagged_products"].clear(),
+    lambda d: d["ring"].update(s_places=[{"kind": "arch", "root_index": 0},
+                                         {"kind": "finite", "p": 3}]),
+    lambda d: d["ring"].update(s_places=[{"kind": "arch", "root_index": 0}]),
+])
+def test_a_changed_sum_product_never_replays_ok(tmp_path, capsys, sum_product_file, change):
+    data = copy.deepcopy(sum_product_file)
+    change(data)
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = run_cli("verify", "replay", str(path))
+    out, err = capsys.readouterr()
+    assert code in (1, 2) and "Traceback" not in err, (out, err)
+
+
+def test_a_sum_product_in_the_older_layout_is_a_usage_error(tmp_path, capsys, sum_product_file):
+    # the per-element records the older layout listed beside the set
+    ring = places.SIntegerRing.from_dict(sum_product_file["ring"])
+    members = []
+    for e in sum_product_file["elements"]:
+        cert = places.s_integer_membership(ring.field.elem_from_json(e), ring)
+        members.append({
+            "type": "pisot_membership", "ring": sum_product_file["ring"], "element": e,
+            "conjugate_bounds": [{"place": b.place.to_dict(), "decision": b.decision.value}
+                                 for b in cert.conjugate_bounds],
+            "finite_valuations": [],
+        })
+    path = tmp_path / "older.json"
+    path.write_text(json.dumps(sum_product_file | {"members": members}))
+    capsys.readouterr()
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the file lists members, as in the older sum_product layout; "
+        "write the file again with pisot certify\n")
+
+
+def test_a_membership_record_has_no_replay(tmp_path, capsys):
+    path = tmp_path / "membership.json"
+    path.write_text(json.dumps({
+        "type": "pisot_membership",
+        "ring": {"field": {"min_poly": [-1, -1, 1]}, "s_places": [{"kind": "arch", "root_index": 1}]},
+        "element": ["0", "1"],
+        "conjugate_bounds": [{"place": {"kind": "arch", "root_index": 0}, "decision": "LESS"}],
+        "finite_valuations": [],
+    }))
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "usage error: no replay handler for certificate type 'pisot_membership'\n")
 
 
 def test_pisot_polycover_replay(tmp_path):
@@ -1054,12 +1127,14 @@ def test_oversized_input_is_resource_error(capsys, argv, message):
 
 
 def test_a_polycover_of_too_many_cosets_is_refused_before_any_is_built(capsys):
-    # m = 10000 gives m^2 = 10^8 coset covers over the golden ring
-    start = time.perf_counter()
-    assert run_cli("pisot", "polycover", "--ring", "pvs:golden", "--poly", "0,1/10000") == 1
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert err == "resource error: the translate cover needs more than the limit of 5000000 cosets\n"
+    # m = 10000 gives m^2 = 10^8 coset covers over the golden ring, and
+    # m = 317 gives 100,489, just above the limit
+    for poly in ("0,1/10000", "0,1/317"):
+        start = time.perf_counter()
+        assert run_cli("pisot", "polycover", "--ring", "pvs:golden", "--poly", poly) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == "resource error: the translate cover needs more than the limit of 100000 cosets\n"
 
 
 def test_replay_refuses_a_huge_zs_level_at_once(tmp_path, capsys):
@@ -1114,31 +1189,33 @@ def _run_python(script, *argv):
     return proc.stdout
 
 
-# Run one CLI command, then print the meyerlab submodules left unexecuted and
-# which of dataclasses, inspect and typing it loaded: every CLI job is a fresh
-# process, so it pays for each import again.
+# Run one CLI command, then print the meyerlab submodules left unexecuted,
+# which of dataclasses, inspect and typing it loaded, and which of the argument
+# parser's and the temporary file's modules it loaded beside its exit code:
+# every CLI job is a fresh process, so it pays for each import again.
 CLI_MODULES_AT_EXIT = """
     import sys, types
     from meyerlab import cli
-    assert cli.run(sys.argv[1:]) == 0
+    code = cli.run(sys.argv[1:])
     executed = {n for n, m in sys.modules.items() if type(m) is types.ModuleType}
     print(sorted(n for n in sys.modules if n.startswith("meyerlab.") and n not in executed))
     print([n for n in ("dataclasses", "inspect", "typing") if n in sys.modules])
+    print([n for n in ("argparse", "gettext", "locale", "tempfile") if n in sys.modules], code)
 """
 
 
 def test_cps_generate_leaves_unused_submodules_unexecuted(tmp_path):
     out = _run_python(CLI_MODULES_AT_EXIT, "cps", "generate", "--scheme", "galois:golden",
                       "--window", "1", "--radius", "6", "--json", str(tmp_path / "patch.json"))
-    assert out.splitlines()[-2:] == ["['meyerlab.heis', 'meyerlab.places', 'meyerlab.verify']",
-                                     "[]"]
+    assert out.splitlines()[-3:] == ["['meyerlab.heis', 'meyerlab.places', 'meyerlab.verify']",
+                                     "[]", "[] 0"]
 
 
 def test_heis_replay_loads_no_dataclasses_inspect_or_typing(tmp_path):
     path = tmp_path / "meyer.json"
     assert _commensurate(path) == 0
     out = _run_python(CLI_MODULES_AT_EXIT, "verify", "replay", str(path))
-    assert out.splitlines()[-2:] == ["['meyerlab.places']", "[]"]
+    assert out.splitlines()[-3:] == ["['meyerlab.places']", "[]", "[] 0"]
 
 
 def test_cellcover_replay_leaves_cps_unexecuted(tmp_path):
@@ -1147,7 +1224,33 @@ def test_cellcover_replay_leaves_cps_unexecuted(tmp_path):
     spec.write_text(json.dumps({"x": ["0", "1", "2", "3"], "coverings": [[["0", "2"], ["0", "1"]]]}))
     assert run_cli("verify", "cellcover", "--spec", str(spec), "--json", str(path)) == 0
     out = _run_python(CLI_MODULES_AT_EXIT, "verify", "replay", str(path))
-    assert out.splitlines()[-2:] == ["['meyerlab.cps', 'meyerlab.heis', 'meyerlab.places']", "[]"]
+    assert out.splitlines()[-3:] == ["['meyerlab.cps', 'meyerlab.heis', 'meyerlab.places']", "[]",
+                                     "[] 0"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["heis", "certify", "--field", "sqrt2", "--window", "1,1,2"], 0),
+    (["pisot", "certify", "--ring", "pvs:golden", "--elements", "{d}/elements.json"], 0),
+    (["cps", "generate", "--radius"], 1),
+])
+def test_no_command_loads_argparse_or_tempfile(tmp_path, argv, code):
+    (tmp_path / "elements.json").write_text(json.dumps(["0", "1", "-1"]))
+    argv = [a.format(d=tmp_path) for a in argv] + ["--json", str(tmp_path / "out.json")]
+    out = _run_python(CLI_MODULES_AT_EXIT, *argv)
+    assert out.splitlines()[-1] == f"[] {code}"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    json_path, csv_path = tmp_path / "patch.json", tmp_path / "patch.csv"
+    old = os.umask(umask)
+    try:
+        assert run_cli("cps", "generate", "--scheme", "zs:2", "--window", "0", "--radius", "3",
+                       "--json", str(json_path), "--out", str(csv_path)) == 0
+    finally:
+        os.umask(old)
+    assert [p.stat().st_mode & 0o777 for p in (json_path, csv_path)] == [mode, mode]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["patch.csv", "patch.json"]
 
 
 def test_every_submodule_is_registered_after_importing_cli():
@@ -1253,6 +1356,70 @@ def test_cli_surface_is_unchanged(group, command, tmp_path, capsys, record_args)
 def test_cli_usage_errors_are_unchanged(argv, message, capsys):
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+# argv -> the options it sets (the rest are None, but for the side defaults)
+# or the usage error it gives; every row reads as the argparse parsers of
+# earlier versions read it
+HEIS_SIDES = {"side_a": "symmetrized", "side_b": "model_set"}
+PARSES = [
+    (["cps", "generate", "--radius=3"], {"radius": "3"}),
+    (["cps", "--scheme", "zs:2", "generate"], {"scheme": "zs:2"}),
+    (["cps", "--scheme=zs:2", "generate", "--scheme", "zs:3"], {"scheme": "zs:3"}),
+    (["heis", "generate", "--radius", "3", "--radius", "4"], {"radius": "4", **HEIS_SIDES}),
+    (["cps", "generate", "--sch", "zs:2", "--win=1"], {"scheme": "zs:2", "window": "1"}),
+    (["heis", "generate", "--radius-s", "1", "--radius-l", "2"],
+     {"radius_small": "1", "radius_large": "2", **HEIS_SIDES}),
+    (["heis", "generate", "--rad", "3"],
+     "ambiguous option: --rad could match --radius, --radius-small, --radius-large"),
+    (["cps", "generate", "--radius", "-1"], {"radius": "-1"}),
+    (["cps", "generate", "--radius", "-1.5"], {"radius": "-1.5"}),
+    (["cps", "generate", "--window", "-1/2"], "argument --window: expected one argument"),
+    (["cps", "generate", "--radius"], "argument --radius: expected one argument"),
+    (["cps", "generate", "--radius", "--window", "1"], "argument --radius: expected one argument"),
+    (["heis", "generate"], HEIS_SIDES),
+    (["heis", "commensurate", "--max-translates", "3", "--side-a=model_set"],
+     {"max_translates": 3, "side_a": "model_set", "side_b": "model_set"}),
+    (["heis", "commensurate", "--max-translates", "0"], "--max-translates must be at least 1, not 0"),
+    (["heis", "commensurate", "--side-b", "x"],
+     "argument --side-b: invalid choice: 'x' (choose from 'model_set', 'symmetrized')"),
+    (["verify", "replay", "a.json"], {"file": "a.json"}),
+    (["verify", "--json", "o.json", "replay", "a.json"], {"file": "a.json", "json": "o.json"}),
+    (["cps", "generate", "--bogus", "v"], "unrecognized arguments: --bogus v"),
+    (["nope"], "argument group: invalid choice: 'nope' (choose from 'cps', 'heis', 'pisot', 'verify')"),
+    ([], "the following arguments are required: group"),
+    (["cps", "generate", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSES)
+def test_argv_parses_as_the_argparse_parsers_did(argv, expected):
+    if isinstance(expected, str):
+        with pytest.raises(UsageError) as exc:
+            cli.parse_args(argv)
+        assert str(exc.value) == expected
+        return
+    args = vars(cli.parse_args(argv))
+    assert args["group"] == argv[0] and args["command"] in cli.COMMANDS[argv[0]]
+    # every option of the group is set, to None where argv leaves it unset
+    options = cli.GROUP_OPTIONS[argv[0]] + ("--out", "--json", "--config")
+    assert {o[2:].replace("-", "_") for o in options} <= set(args)
+    assert {k: v for k, v in args.items()
+            if v is not None and k not in ("group", "command")} == expected
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["cps", "--help"], ["verify", "cover", "-h", "--bogus"]])
+def test_help_prints_a_usage_built_from_the_tables(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: meyerlab ")
+    group = argv[0] if argv[0] in cli.COMMANDS else None
+    names = cli.COMMANDS if group is None else cli.COMMANDS[group]
+    assert "{" + ",".join(names) + "}" in out
+    for option in () if group is None else cli.GROUP_OPTIONS[group]:
+        assert option in out
 
 
 @pytest.mark.parametrize("group", sorted({g for g, _ in SURFACE}))
