@@ -155,10 +155,6 @@ def floor_surd(p: int, q: int, d: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def iv_abs(a):
     lo, hi = a
     if lo >= 0:
@@ -230,10 +226,6 @@ class NumberField:
 
     def __hash__(self):
         return hash(self.min_poly)
-
-    def elem(self, coeffs) -> "NFElem":
-        """The element with power-basis coordinates `coeffs` (missing ones are 0)."""
-        return self._elem_from_parts([Fraction(c).as_integer_ratio() for c in coeffs])
 
     def _elem_from_parts(self, parts: list[tuple[int, int]]) -> "NFElem":
         """The element whose coordinates are the (numerator, denominator) pairs `parts`."""
@@ -359,11 +351,6 @@ class NFElem:
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def as_rational(self) -> Fraction:
-        if self.b:
-            raise UsageError("element is not rational")
-        return Fraction(self.a, self.den)
 
     def __add__(self, other):
         other = self._coerce(other)

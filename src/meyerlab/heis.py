@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import cps, verify
 from .errors import UsageError
 from .exactnum import (
-    NFElem,
     NumberField,
     Record,
     abs_embedding_leq,
@@ -23,11 +22,6 @@ from .exactnum import (
     frac_str,
     iv_abs,
 )
-
-
-def point(field: NumberField, x, y, z) -> tuple:
-    """(x, y, z) as elements of `field`; rationals are coerced."""
-    return tuple(v if isinstance(v, NFElem) else field.from_rational(Fraction(v)) for v in (x, y, z))
 
 
 def heis_mul(p: tuple, q: tuple) -> tuple:
@@ -39,41 +33,6 @@ def heis_mul(p: tuple, q: tuple) -> tuple:
 def heis_inv(p: tuple) -> tuple:
     x, y, z = p
     return (-x, -y, -z + x * y)
-
-
-def heis_identity(field: NumberField) -> tuple:
-    zero = field.zero()
-    return (zero, zero, zero)
-
-
-def commutator(p: tuple, q: tuple) -> tuple:
-    return heis_mul(heis_mul(heis_mul(p, q), heis_inv(p)), heis_inv(q))
-
-
-# ---------------------------------------------------------------------------
-# Lie algebra, exp/log, degree-2 BCH (exact for a 2-step group).  An algebra
-# element a X + b Y + c Z is the tuple (a, b, c).
-# ---------------------------------------------------------------------------
-
-
-def bracket(u: tuple, v: tuple) -> tuple:
-    zero = u[0].field.zero()
-    return (zero, zero, u[0] * v[1] - v[0] * u[1])
-
-
-def heis_exp(v: tuple) -> tuple:
-    a, b, c = v
-    return (a, b, c + a * b * Fraction(1, 2))
-
-
-def heis_log(p: tuple) -> tuple:
-    x, y, z = p
-    return (x, y, z - x * y * Fraction(1, 2))
-
-
-def bch2(u: tuple, v: tuple) -> tuple:
-    """u + v + [u,v]/2; exact (all higher brackets vanish in a 2-step algebra)."""
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2] + bracket(u, v)[2] * Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +117,6 @@ class HeisScheme(cps.QuadraticScheme):
         shear = max(iv_abs(eval_embedding(t, self.internal_place, 96))[1] for t in xs)
         return w1.real_halfwidths[2] + shear * w2.real_halfwidths[1]
 
-    def window_contains_internal(self, p: tuple) -> bool:
-        place = self.internal_place
-        return all(abs_embedding_leq(v, place, c) for v, c in zip(p, self.window))
-
     def to_dict(self) -> dict:
         return {
             "kind": "heis",
@@ -206,7 +161,7 @@ def heis_covering_certificate(scheme: HeisScheme) -> cps.GlobalCoverCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Centre intersection and commutator maps.
+# Centre intersection.
 # ---------------------------------------------------------------------------
 
 
@@ -247,34 +202,6 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
         # the centre is a line: its z-values are its one factor
         report = verify.delone_certify([out], phys, radius / 2, patch_radius=radius)
     return CenterIntersection(scheme, radius, out, report)
-
-
-class CommutatorMapResult(Record):
-    __slots__ = ("homomorphism_exact", "trivial", "report")
-
-
-def commutator_map(xi: tuple, patch: cps.Patch) -> CommutatorMapResult:
-    """phi_xi(u) = [xi, u] = (0, 0, x_xi y_u - y_xi x_u) over the patch.
-
-    The z-component is bilinear, so phi_xi is a homomorphism into the centre;
-    the identity phi_xi(uv) = phi_xi(u) phi_xi(v) is checked exactly on every
-    pair of patch points.
-    """
-    if xi[0].field != patch.scheme.field:
-        raise UsageError("xi and patch from different fields")
-    images = [xi[0] * u[1] - xi[1] * u[0] for u in patch.points]
-    hom_ok = all(
-        commutator(xi, heis_mul(u, v)) == heis_mul(commutator(xi, u), commutator(xi, v))
-        for u in patch.points
-        for v in patch.points
-    )
-    distinct = sorted(set(images), key=lambda e: e.coeffs)
-    trivial = all(e.is_zero for e in distinct)
-    report = None
-    if not trivial and len(distinct) >= 2:
-        place = patch.scheme.physical_place
-        report = verify.delone_certify([distinct], place, patch.radius / 2)
-    return CommutatorMapResult(hom_ok, trivial, report)
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +316,3 @@ def meyer_commensurability(
     if cover_ba is None:
         return MeyerCommensurability(cover_ab, None, scope_radius, "NOT-COMMENSURABLE-AT-SCALE", witness)
     return MeyerCommensurability(cover_ab, cover_ba, scope_radius, "COMMENSURABLE-AT-SCALE", None)
-
-
-# ---------------------------------------------------------------------------
-# Coordinate dilation automorphisms.
-# ---------------------------------------------------------------------------
-
-
-def dilation_automorphism(scheme: HeisScheme, u: NFElem, v: NFElem):
-    """(x, y, z) -> (u x, v y, u v z) for units u, v of O_K; maps H3(O_K) onto itself."""
-    for w in (u, v):
-        if w.field != scheme.field:
-            raise UsageError("unit from a different field")
-        if w.trace().denominator != 1 or w.norm().denominator != 1 or abs(w.norm()) != 1:
-            raise UsageError("dilation parameters must be units of O_K")
-
-    def apply(p: tuple) -> tuple:
-        x, y, z = p
-        return (u * x, v * y, u * v * z)
-
-    return apply

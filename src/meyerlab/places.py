@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from . import cps, verify
+from . import cps
 from .errors import ResourceLimit, UsageError
 from .exactnum import (
     Cmp,
@@ -246,61 +246,7 @@ def s_integer_membership(x, ring: SIntegerRing):
 
 
 # ---------------------------------------------------------------------------
-# Product formula.
-# ---------------------------------------------------------------------------
-
-
-class ProductFormulaReport(Record):
-    __slots__ = ("element", "contributions", "exact_product", "norm_abs", "holds")
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "product_formula",
-            "element": self.element.to_list(),
-            "contributions": [[lbl, frac_str(v)] for lbl, v in self.contributions],
-            "exact_product": None if self.exact_product is None else frac_str(self.exact_product),
-            "norm_abs": None if self.norm_abs is None else frac_str(self.norm_abs),
-            "holds": self.holds,
-        }
-
-
-def product_formula_check(x, field: NumberField | None = None) -> ProductFormulaReport:
-    """Over Q: exact product of |x|_v over the relevant places equals 1.
-
-    Over a quadratic field: |N(x)| is the exact product of the archimedean
-    absolute values; x is a unit (the multiplicative-group obstruction) iff
-    |N(x)| = 1, and the embedding intervals must bracket |N(x)|.
-    """
-    if isinstance(x, NFElem):
-        field = x.field
-    else:
-        field = field or RATIONAL_FIELD
-        x = field.from_rational(Fraction(x))
-    if x.is_zero:
-        raise UsageError("product formula needs a nonzero element")
-    if field.degree == 1:
-        q = x.coeffs[0]
-        contributions = [("arch:0", abs(q))]
-        prod = abs(q)
-        for p in sorted(set(prime_factors(q.numerator)) | set(prime_factors(q.denominator))):
-            value = Fraction(p) ** (-padic_valuation(q, p))
-            contributions.append((f"p:{p}", value))
-            prod *= value
-        return ProductFormulaReport(x, contributions, prod, abs(q), prod == 1)
-    norm_abs = abs(x.norm())
-    contributions = []
-    lo_prod, hi_prod = Fraction(1), Fraction(1)
-    for i, root in enumerate(field.real_roots()):
-        lo, hi = iv_abs(eval_embedding(x, root, 64))
-        contributions.append((f"arch:{i}", (lo + hi) / 2))
-        lo_prod *= lo
-        hi_prod *= hi
-    holds = lo_prod <= norm_abs <= hi_prod
-    return ProductFormulaReport(x, contributions, None, norm_abs, holds)
-
-
-# ---------------------------------------------------------------------------
-# The polynomial lemma, parts (1) and (2), as constructive covers.
+# The polynomial lemma, part (1), as a constructive cover.
 # ---------------------------------------------------------------------------
 
 
@@ -500,72 +446,6 @@ def polynomial_translate_cover(
     return TranslateCoverCertificate(ring, coeffs, window_scale, bound, m, constant, reps, covers)
 
 
-def poly_apply(poly: Sequence[NFElem], x: NFElem) -> NFElem:
-    acc = x.field.zero()
-    for c in reversed(list(poly)):
-        acc = acc * x + c
-    return acc
-
-
-class ShrinkCertificate(Record):
-    """Window scale delta with the conjugate polynomial bounded by 1 on [-delta, delta].
-
-    bound_value is the sum of hi_i * delta^i, certified <= 1.
-    """
-
-    __slots__ = (
-        "ring", "poly", "delta", "coeff_bounds", "bound_value", "patch_radius",
-        "cover_small_in_unit", "cover_unit_in_small",
-    )
-
-    def replay(self) -> bool:
-        value = sum(
-            hi * self.delta**i for i, hi in enumerate(self.coeff_bounds, start=1)
-        )
-        return value == self.bound_value and value <= 1
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "poly_shrink",
-            "ring": self.ring.to_dict(),
-            "poly": [c.to_list() for c in self.poly],
-            "delta": frac_str(self.delta),
-            "coeff_bounds": [frac_str(b) for b in self.coeff_bounds],
-            "bound_value": frac_str(self.bound_value),
-            "patch_radius": frac_str(self.patch_radius),
-        }
-
-
-def shrink_for_polynomial(poly, ring: SIntegerRing, patch_radius=10) -> ShrinkCertificate:
-    """Rational delta in (0, 1] with P(delta-window set) inside the unit-window set.
-
-    Uses the conservative bound sum |sigma(a_i)| delta^i <= delta * sum <= 1,
-    then certifies commensurability of the delta-window and unit-window model
-    sets by a two-way patch cover.
-    """
-    _require_single_arch_ring(ring)
-    field = ring.field
-    coeffs = _coerce_poly(field, poly)
-    if coeffs and not coeffs[0].is_zero:
-        raise UsageError("shrink_for_polynomial needs P(0) = 0")
-    rest = coeffs[1:]
-    internal, _physical = _internal_place(ring)
-    his = [iv_abs(eval_embedding(c, internal, 96))[1] for c in rest]
-    total = sum(his, Fraction(0))
-    delta = Fraction(1) if total <= 1 else Fraction(1, math.ceil(total))
-    value = sum(hi * delta**i for i, hi in enumerate(his, start=1))
-    if value > 1:
-        raise AssertionError("conservative shrink bound failed its own inequality")
-    scheme = cps.GaloisScheme(field, physical_root_index=ring.s_arch_indices[0])
-    small = cps.model_set_patch(scheme, cps.Window.box(delta), patch_radius)
-    unit = cps.model_set_patch(scheme, cps.Window.box(1), patch_radius)
-    c1, _ = verify.greedy_cover(small.points, unit.points, scheme)
-    c2, _ = verify.greedy_cover(unit.points, small.points, scheme)
-    return ShrinkCertificate(
-        ring, coeffs, delta, his, value, Fraction(patch_radius), c1, c2
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sum-product certification at patch scale.
 # ---------------------------------------------------------------------------
@@ -585,10 +465,6 @@ class SumProductCertificate(Record):
     )
 
     certified = True
-
-    @property
-    def multiplicatively_closed(self) -> bool:
-        return not self.flagged_products
 
     def to_dict(self) -> dict:
         return {

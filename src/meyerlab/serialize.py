@@ -63,7 +63,7 @@ def load_json(path: str):
     text = read_text(path)
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{path} is not a JSON file: {exc}") from exc
 
 
@@ -147,6 +147,11 @@ def meyer_artifact(
         radius / 2,
         max_translates,
     )
+    return _meyer_dict(scheme, radius, side_a, side_b, res, max_translates)
+
+
+def _meyer_dict(scheme, radius, side_a, side_b, res, max_translates) -> dict:
+    """The `meyer_commensurability` file of the result `res`."""
     data = {
         "type": "meyer_commensurability",
         "scheme": scheme.to_dict(),
@@ -306,16 +311,11 @@ def _sum_product(data) -> dict:
             "the file lists members, as in the older sum_product layout; "
             "write the file again with pisot certify"
         )
-    return places.pvs_certify_set(
-        *_ring_elements(data, "elements", "the elements of a sum-product set are"),
-        patch_bound=str_frac(data["patch_bound"]),
-    ).to_dict()
-
-
-def _ring_elements(data, key: str, what: str) -> tuple:
-    """(the field elements listed under `key`, the ring of `data`)."""
     ring = places.SIntegerRing.from_dict(data["ring"])
-    return [ring.field.elem_from_json(e) for e in json_list(data[key], what)], ring
+    elements = json_list(data["elements"], "the elements of a sum-product set are")
+    elements = [ring.field.elem_from_json(e) for e in elements]
+    bound = str_frac(data["patch_bound"])
+    return places.pvs_certify_set(elements, ring, patch_bound=bound).to_dict()
 
 
 def _inputs(data, *keys) -> tuple:
@@ -347,15 +347,43 @@ REBUILDERS = {
     ),
     "sum_product_rejection": _rejection,
     "sum_product": _sum_product,
-    "poly_shrink": lambda d: places.shrink_for_polynomial(
-        *_ring_elements(d, "poly", "a polynomial is"), patch_radius=str_frac(d["patch_radius"])
-    ).to_dict(),
     "intersection": lambda d: intersection_summary(*_subgroup_inputs(d)),
     "projection": lambda d: projection_summary(*_subgroup_inputs(d)),
     "center_intersection": lambda d: center_summary(*_heis_inputs(d, "radius")),
     "schreiber_hull": lambda d: hull_summary(*_heis_inputs(d, "radius_small", "radius_large")),
     "cell_cover": lambda d: cellcover_summary(*_inputs(d, "x", "coverings")),
 }
+
+
+def _first_difference(data, written, path: str = "") -> str | None:
+    """The dotted path of the first key or value of `data` that is not the one
+    in `written`, or None when the two are the same JSON."""
+    if type(data) is dict and type(written) is dict:
+        for key in sorted(data.keys() | written.keys()):
+            if key not in data or key not in written:
+                return path + key
+            where = _first_difference(data[key], written[key], f"{path}{key}.")
+            if where is not None:
+                return where
+        return None
+    if type(data) is list and type(written) is list and len(data) == len(written):
+        for i, (a, b) in enumerate(zip(data, written)):
+            where = _first_difference(a, b, f"{path}{i}.")
+            if where is not None:
+                return where
+        return None
+    # a leaf, compared with its type, so that true is not 1
+    return None if (type(data), data) == (type(written), written) else path.rstrip(".")
+
+
+def _as_written(data, written: dict, detail: str) -> tuple[bool, str]:
+    """(ok, detail) when the file `data` is what its writer writes for the
+    content replay checked, `written`; else the failure names where it is not,
+    so that a file never carries a key or a value that replay did not check."""
+    where = _first_difference(data, written)
+    if where is not None:
+        return False, f"{where} is not what the writer writes for the checked content"
+    return True, detail
 
 
 def _replay_rebuilt(data) -> tuple[bool, str]:
@@ -414,6 +442,8 @@ def _replay_certificate(data) -> tuple[bool, str]:
         ok, why = False, "the windows are not box(W * W) and the scheme's W"
     else:
         ok, why = cert.replay()
+    if ok:
+        ok, why = _as_written(data, cert.to_dict(), why)
     return ok, f"{tag} checked: {why}" if ok else f"{tag}: {why}"
 
 
@@ -427,10 +457,11 @@ def _replay_approximate_lattice(data) -> tuple[bool, str]:
     ok, why = cover.replay()
     if not ok:
         return False, "window cover failed: " + why
-    report = cps.lattice_delone_report(scheme, window, str_frac(data["patch_radius"]))
-    if canonical_json(report.to_dict()) != canonical_json(data["delone"]):
-        return False, "the Delone report differs from its rebuild"
-    return True, f"|F| = {len(cover.translates)}, Delone report rebuilt"
+    radius = str_frac(data["patch_radius"])
+    report = cps.lattice_delone_report(scheme, window, radius)
+    # the written file holds the rebuilt report, so a changed report differs from it
+    written = cps.ApproximateLatticeCertificate(scheme, window, cover, report, radius).to_dict()
+    return _as_written(data, written, f"|F| = {len(cover.translates)}, Delone report rebuilt")
 
 
 def _replay_meyer(data) -> tuple[bool, str]:
@@ -449,14 +480,17 @@ def _replay_meyer(data) -> tuple[bool, str]:
     b_points = _meyer_side_points(patch, data["side_b"])
     cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
     cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
-    scope = str_frac(data["scope_radius"])
+    # the writer's scope, so a file that claims less fails as not what it writes
+    scope = radius / 2
     a_in = verify.points_within(a_points, scheme, scope)
     b_in = verify.points_within(b_points, scheme, scope)
     if not cover_ab.replay(a_in, b_points, scheme):
         return False, "cover_ab does not carry each in-scope point of side_a into side_b"
     if not cover_ba.replay(b_in, a_points, scheme):
         return False, "cover_ba does not carry each in-scope point of side_b into side_a"
-    return True, "two-way covers replayed on re-derived patches"
+    res = heis.MeyerCommensurability(cover_ab, cover_ba, scope, data["verdict"], None)
+    written = _meyer_dict(scheme, radius, data["side_a"], data["side_b"], res, None)
+    return _as_written(data, written, "two-way covers replayed on re-derived patches")
 
 
 def _replay_patch_cover(data) -> tuple[bool, str]:
@@ -471,14 +505,16 @@ def _replay_patch_cover(data) -> tuple[bool, str]:
             )
         scheme, window, radius = cps.patch_inputs(inputs)
         patch = scheme.model_set(window, radius)
-        if canonical_json(patch.inputs_dict()) != canonical_json(inputs):
-            return False, f"{key} differs from the inputs of its re-enumeration"
+        where = _first_difference(inputs, patch.inputs_dict())
+        if where is not None:
+            return False, f"{key} differs from the inputs of its re-enumeration at {where}"
         patches.append(patch)
     patch_a, patch_b = patches
     cover = greedy_cover_from_dict(data, patch_a.scheme)
     if not cover.replay(patch_a.points, patch_b.points, patch_a.scheme):
         return False, "the assignments do not carry each point of patch_a into patch_b"
-    return True, "one translate index per point of patch_a re-verified"
+    written = patch_cover_artifact(cover, patch_a, patch_b)
+    return _as_written(data, written, "one translate index per point of patch_a re-verified")
 
 
 REPLAYERS = {
@@ -493,10 +529,16 @@ REPLAYERS = {
 
 def replay(data: dict) -> tuple[bool, str]:
     """Re-verify a serialized certificate; (ok, human-readable detail)."""
-    tag = data.get("type") if isinstance(data, dict) else None
+    if type(data) is not dict:
+        raise UsageError("the file is not an artifact: a JSON object with a type is expected")
+    tag = data.get("type")
     if type(tag) is not str or tag not in REPLAYERS:
         raise UsageError(f"no replay handler for certificate type {tag!r}")
     try:
         return REPLAYERS[tag](data)
     except KeyError as exc:
         raise UsageError(f"{tag} artifact lacks the key {exc}") from exc
+    except RecursionError as exc:
+        # no writer nests past a few levels; a file that loads just under the
+        # decoder's limit can still exceed it when replay encodes the file
+        raise UsageError(f"{tag} artifact is nested too deeply: {exc}") from exc

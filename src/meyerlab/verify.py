@@ -336,50 +336,3 @@ def cell_cover(x_points: Sequence, coverings, group) -> CoverBoundWitness:
     if len(representatives) > bound:
         raise AssertionError("cell cover exceeded the product bound")
     return CoverBoundWitness(representatives, bound, True)
-
-
-class PowerCoverResult(Record):
-    __slots__ = ("translates", "bound", "checked", "witness")
-
-    @property
-    def verified(self) -> bool:
-        return self.witness is None
-
-
-def approx_power_cover(
-    patch_points: Sequence,
-    k: int,
-    f_translates: Sequence,
-    group,
-    patch_radius,
-) -> PowerCoverResult:
-    """F_k = F^(k-1) with Lambda^k subset F_k * Lambda, verified on the inner ball.
-
-    |F_k| <= |F|^(k-1) holds by construction and is asserted.  The patch-scope
-    Lambda^k is the set of k-fold products of patch points; inclusion is
-    checked for every such point inside the boundary-safe inner ball.
-    """
-    if k < 2:
-        raise UsageError("power cover needs k >= 2")
-    mul, inv, key = group.mul, group.inv, group.sort_key
-    base = sorted(set(patch_points), key=key)
-    fs = sorted(set(f_translates), key=key)
-    f_k = fs
-    for _ in range(k - 2):
-        f_k = sorted({mul(f, g) for f in f_k for g in fs}, key=key)
-    bound = len(fs) ** (k - 1)
-    if len(f_k) > bound:
-        raise AssertionError("power cover exceeded |F|^(k-1)")
-    power = base
-    for _ in range(k - 1):
-        power = sorted({mul(p, q) for p in power for q in base}, key=key)
-    place = group.physical_place
-    margin = max((point_norm_hi(f, place) for f in f_k), default=Fraction(0))
-    inner = Fraction(patch_radius) - margin
-    patch_set = set(base)
-    checked = 0
-    for x in points_within(power, group, inner):
-        checked += 1
-        if not any(mul(inv(f), x) in patch_set for f in f_k):
-            return PowerCoverResult(f_k, bound, checked, x)
-    return PowerCoverResult(f_k, bound, checked, None)

@@ -210,6 +210,43 @@ def test_replay_of_a_mutated_deep_field_never_raises(fuzz_corpus, tmp_path, caps
     assert raised == []
 
 
+# A key that no writer writes, added to a file: it claims what replay never
+# checked, so no file with it replays ok.
+ADDED_KEY = "certifies_the_whole_model_set"
+
+
+def _objects_one_level_down(data):
+    """The path of each object that is a top-level value, or the first or last
+    entry of a top-level list."""
+    for key in sorted(data):
+        value = data[key]
+        if type(value) is dict:
+            yield (key,)
+        elif type(value) is list and value:
+            yield from ((key, i) for i in sorted({0, len(value) - 1}) if type(value[i]) is dict)
+
+
+@pytest.mark.parametrize("name, level", [(name, 0) for name in FUZZ_CORPUS] + [
+    (name, 1) for name in DEEP_FUZZ_CORPUS + ("heis-meyer.json",)])
+def test_a_file_with_an_added_key_never_replays_ok(fuzz_corpus, tmp_path, capsys, name, level):
+    data = json.loads((fuzz_corpus / name).read_text())
+    paths = [()] if level == 0 else list(_objects_one_level_down(data))
+    assert paths
+    for path in paths:
+        mutated = copy.deepcopy(data)
+        target = mutated
+        for step in path:
+            target = target[step]
+        target[ADDED_KEY] = True
+        (tmp_path / name).write_text(json.dumps(mutated))
+        capsys.readouterr()
+        code = cli.run(["verify", "replay", str(tmp_path / name)])
+        out = capsys.readouterr().out
+        assert code != 0, path
+        # a checked file names the key; a rebuilt one differs from its rebuild as a whole
+        assert code == 1 or ADDED_KEY in out or "rebuilt from its inputs differs" in out, out
+
+
 # ---------------------------------------------------------------------------
 # Layout: a file is one canonical line, and a file in the indented layout of
 # earlier versions replays as its canonical original does.

@@ -647,6 +647,19 @@ def test_replay_rejects_forged_negative_meyer_verdict(tmp_path, capsys):
     assert "replay FAILED" in capsys.readouterr().out
 
 
+def test_replay_rejects_a_meyer_scope_below_the_writers(tmp_path, capsys):
+    # covers of the origin alone claim less than the writer's scope R/2
+    path = tmp_path / "meyer.json"
+    assert _commensurate(path) == 0
+    data = json.loads(path.read_text())
+    zero = [["0", "0"], ["0", "0"], ["0", "0"]]
+    for key in ("cover_ab", "cover_ba"):
+        data[key] = {"translates": [zero], "assignments": [0]}
+    data["scope_radius"] = "0"
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and "replay FAILED" in out
+
+
 def test_capped_negative_meyer_verdict_replays(tmp_path, capsys):
     path = tmp_path / "meyer.json"
     assert _commensurate(path, "--max-translates", "1") == 2
@@ -891,15 +904,29 @@ def test_replay_of_a_cover_with_mismatched_window_shapes_is_usage_error(tmp_path
     assert "usage error: window dimension must match" in capsys.readouterr().err
 
 
-def test_shrink_replay_checks_every_field(tmp_path, capsys):
-    ring = places.ring_pvs(golden_field(), 1)
-    data = places.shrink_for_polynomial([0, 1, 3], ring, patch_radius=8).to_dict()
+def test_replay_of_an_artifact_nested_too_deeply_is_usage_error(sum_product_file):
+    # a file that the decoder reads near its depth limit, which replay encodes again
+    data = sum_product_file | {"key": []}
+    inner = data["key"]
+    for _ in range(sys.getrecursionlimit()):
+        inner.append([])
+        inner = inner[0]
+    with pytest.raises(UsageError, match="sum_product artifact is nested too deeply"):
+        serialize.replay(data)
+
+
+def test_a_poly_shrink_file_has_no_replay(tmp_path, capsys):
+    # the layout that earlier versions wrote; no command writes the type
     path = tmp_path / "shrink.json"
-    serialize.save_json(path, data)
-    assert run_cli("verify", "replay", str(path)) == 0
-    for key, value in (("delta", "1/5"), ("bound_value", "1/2"), ("coeff_bounds", ["0", "0"])):
-        code, out = _replay_data(tmp_path, capsys, data | {key: value})
-        assert code == 2 and "replay FAILED" in out, key
+    path.write_text(json.dumps({
+        "type": "poly_shrink",
+        "ring": {"field": {"min_poly": [-1, -1, 1]}, "s_places": [{"kind": "arch", "root_index": 1}]},
+        "poly": [["0", "0"], ["1", "0"], ["3", "0"]],
+        "delta": "1/4", "coeff_bounds": ["1", "3"], "bound_value": "7/16", "patch_radius": "8",
+    }))
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "usage error: no replay handler for certificate type 'poly_shrink'\n")
 
 
 @pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab")])
@@ -1018,6 +1045,12 @@ def _one_patch_per_group():
         (["heis", "center", "--field", "sqrt2", "--window", "1,1,2", "--radius", "-1"],
          "radius must be positive"),
         (["verify", "replay", "{d}/center-radius-zero.json"], "radius must be positive"),
+        # JSON nested deeper than the decoder recurses, and JSON that is not an object
+        (["verify", "replay", "{d}/deep.json"], "{d}/deep.json is not a JSON file: "),
+        (["verify", "delone", "--patch", "{d}/deep.json"], "{d}/deep.json is not a JSON file: "),
+        (["verify", "replay", "{d}/deep-key.json"], "{d}/deep-key.json is not a JSON file: "),
+        (["verify", "replay", "{d}/spec-list.json"],
+         "the file is not an artifact: a JSON object with a type is expected"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -1026,6 +1059,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     (tmp_path / "a-dir").mkdir()
     (tmp_path / "not-json.json").write_text("points: 1, 2, 3\n")
     (tmp_path / "bare-patch.json").write_text(json.dumps({"type": "patch"}))
+    (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
+    (tmp_path / "deep-key.json").write_text(
+        '{"type": "patch", "key": ' + '{"key": ' * 994 + "0" + "}" * 995 + "}")
     golden = {"type": "patch", "radius": "2", "points": [[["0", "0"]]],
               "scheme": {"kind": "galois", "field": {"min_poly": [-1, -1, 1]}, "dim": 1,
                          "physical_root_index": 1},

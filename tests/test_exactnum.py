@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from meyerlab import exactnum as en
 from meyerlab.errors import UsageError
+from oracles import elem
 
 # Frozen bracketing constants, verified by squaring (independent of the library):
 #   2.236067977 < sqrt(5) < 2.236067978
@@ -39,9 +40,8 @@ def sqrt2():
 
 
 def random_elem(field, rng, span=10):
-    return field.elem(
-        [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(field.degree)]
-    )
+    coeffs = [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(field.degree)]
+    return elem(field, coeffs)
 
 
 class TestNumberField:
@@ -71,7 +71,7 @@ class TestNumberField:
     def test_rational_field_degree_one(self):
         q = en.RATIONAL_FIELD
         assert q.degree == 1
-        assert q.from_rational(Fraction(3, 2)).as_rational() == Fraction(3, 2)
+        assert as_rational(q.from_rational(Fraction(3, 2))) == Fraction(3, 2)
 
 
 class TestNFMul:
@@ -206,12 +206,12 @@ class TestEvalEmbedding:
             ix = en.eval_embedding(x, place, 24)
             iy = en.eval_embedding(y, place, 24)
             is_ = en.eval_embedding(x + y, place, 24)
-            outer = en.iv_add(ix, iy)
+            outer = iv_add(ix, iy)
             assert outer[0] <= is_[1] and is_[0] <= outer[1]
 
     def test_width_postcondition(self, golden):
         place = golden.real_roots()[1]
-        x = golden.elem([Fraction(9, 7), Fraction(22, 3)])
+        x = elem(golden, [Fraction(9, 7), Fraction(22, 3)])
         for bits in (8, 16, 48):
             lo, hi = en.eval_embedding(x, place, bits)
             mid = (lo + hi) / 2
@@ -219,7 +219,7 @@ class TestEvalEmbedding:
 
     def test_shrinks_monotonically_and_contains_reference(self, golden):
         place = golden.real_roots()[1]
-        x = golden.elem([Fraction(7, 3), Fraction(-5, 2)])
+        x = elem(golden, [Fraction(7, 3), Fraction(-5, 2)])
         ref_lo, ref_hi = en.eval_embedding(x, place, 160)
         widths = []
         for bits in (8, 16, 32, 64):
@@ -325,7 +325,7 @@ SMALL_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=200)
 )
 def test_cmp_embedding_agrees_with_every_excluding_interval(field, root, a, b, r, offset):
     place = field.real_roots()[root]
-    x = field.elem([a, b])
+    x = elem(field, [a, b])
     if offset is not None:
         # a comparison point within about 2^-40 of sigma(x)
         lo, hi = en.eval_embedding(x, place, 40)
@@ -427,6 +427,15 @@ def ref_trace_norm(x):
     return m00 + m11, m00 * m11 - m01 * m10
 
 
+def as_rational(x) -> Fraction:
+    assert x.is_rational
+    return x.coeffs[0]
+
+
+def iv_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
 def iv_mul(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(ps), max(ps))
@@ -435,7 +444,7 @@ def iv_mul(a, b):
 def sign_at(x, place, r):
     """Sign of sigma(x) - r, by squaring from sigma(theta) = (-c1 -+ sqrt(disc))/2."""
     if x.is_rational:
-        d = x.as_rational() - r
+        d = as_rational(x) - r
         return (d > 0) - (d < 0)
     c0, c1, _ = x.field.min_poly
     # sigma(x) - r = p + q*sqrt(disc)
@@ -471,7 +480,7 @@ def ref_eval_embedding(x, place, precision_bits):
     theta = ref_dyadic_cell(x.field.gen(), place, precision_bits + extra)
     iv = (Fraction(0), Fraction(0))
     for c in reversed(coeffs):
-        iv = en.iv_add(iv_mul(iv, theta), (c, c))
+        iv = iv_add(iv_mul(iv, theta), (c, c))
     return iv
 
 
@@ -485,7 +494,7 @@ COEFFS = st.one_of(
 @st.composite
 def field_elements(draw, field=None, count=1):
     field = draw(st.sampled_from(KERNEL_FIELDS)) if field is None else field
-    out = [field.elem(draw(st.lists(COEFFS, min_size=field.degree, max_size=field.degree)))
+    out = [elem(field, draw(st.lists(COEFFS, min_size=field.degree, max_size=field.degree)))
            for _ in range(count)]
     return field, out
 
@@ -504,7 +513,7 @@ def decimal_embedding(x, place):
 def decimal_sign(x, place, r):
     """Sign of sigma(x) - r; exact for rational x, else decided at 80 digits."""
     if x.is_rational:
-        diff = x.as_rational() - r
+        diff = as_rational(x) - r
         return (diff > 0) - (diff < 0)
     with localcontext() as ctx:
         ctx.prec = 80
@@ -533,9 +542,9 @@ class TestIntegerKernel:
         assert x.den >= 1 and math.gcd(x.a, x.b, x.den) == 1
         assert x.coeffs == tuple(Fraction(v, x.den) for v in (x.a, x.b)[: field.degree])
         assert hash(x) == hash((field, x.coeffs))
-        assert x == field.elem(x.coeffs) and hash(x) == hash(field.elem(x.coeffs))
+        assert x == elem(field, x.coeffs) and hash(x) == hash(elem(field, x.coeffs))
         if x.is_rational:
-            assert x == x.as_rational() and hash(x) == hash(field.from_rational(x.as_rational()))
+            assert x == as_rational(x) and hash(x) == hash(field.from_rational(as_rational(x)))
         else:
             assert x != x.coeffs[0]
 
@@ -611,7 +620,7 @@ class TestClosedFormRefinement:
         bits=st.integers(1, 300),
     )
     def test_eval_embedding_matches_bisection(self, field, root, coeffs, bits):
-        x = field.elem(coeffs)
+        x = elem(field, coeffs)
         assume(not x.is_rational)
         place = field.real_roots()[root]
         assert en.eval_embedding(x, place, bits) == ref_dyadic_cell(x, place, bits)
@@ -625,11 +634,11 @@ class TestClosedFormRefinement:
     p=st.integers(1, 512),
 )
 def test_eval_embedding_is_the_dyadic_cell_of_the_value(field, root, coeffs, p):
-    x = field.elem(coeffs[: field.degree])
+    x = elem(field, coeffs[: field.degree])
     place = field.real_roots()[min(root, field.real_root_count() - 1)]
     lo, hi = en.eval_embedding(x, place, p)
     if x.is_rational:
-        assert lo == hi == x.as_rational()
+        assert lo == hi == as_rational(x)
         return
     assert (lo * 2**p).denominator == 1 and hi - lo == Fraction(1, 2**p)
     # lo <= sigma(x) < hi; sigma(x) is irrational, so it equals neither end
@@ -702,7 +711,7 @@ FRACTIONS = st.fractions(max_denominator=10**30).filter(lambda q: abs(q.numerato
 
 def _slow_elem(field, coords):
     """The element of `coords` read through str_frac, as before the fast path."""
-    return field.elem([en.str_frac(c) for c in coords])
+    return elem(field, [en.str_frac(c) for c in coords])
 
 
 def _outcome(read):
@@ -728,7 +737,7 @@ def test_fast_decoder_agrees_with_str_frac_on_every_written_string(a, b):
 def test_to_list_writes_what_frac_str_writes(a, b):
     for field, coords in ((en.golden_field(), [a, b]), (en.sqrt2_field(), [b, a]),
                           (en.RATIONAL_FIELD, [a])):
-        x = field.elem(coords)
+        x = elem(field, coords)
         assert x.to_list() == [en.frac_str(c) for c in x.coeffs]
 
 

