@@ -290,8 +290,8 @@ def cmd_heis_hull(args) -> int:
     data = serialize.hull_summary(
         scheme, str_frac(args.radius_small), str_frac(args.radius_large)
     )
-    _emit(args, data, None, f"hull: {data['subgroup'] or 'not aligned'}")
-    return EXIT_OK if data["aligned"] else EXIT_NEGATIVE
+    _emit(args, data, None, f"hull: {data['subgroup']}")
+    return EXIT_OK
 
 
 def cmd_heis_commensurate(args) -> int:
@@ -338,28 +338,6 @@ def cmd_pisot_certify(args) -> int:
         f"certified {len(result.elements)} elements in O_K_S; "
         f"closed pairs {result.closed_pairs}, out of patch {result.out_of_patch_pairs}, "
         f"flagged {len(result.flagged_products)}",
-    )
-    return EXIT_OK
-
-
-def cmd_pisot_enumerate(args) -> int:
-    _require(args, "ring", "radius")
-    ring = parse_ring(args.ring)
-    radius = str_frac(args.radius)
-    if ring.field.degree == 1:
-        scheme = cps.ZSScheme(ring.s_primes or [2])
-        if not ring.s_primes:
-            raise UsageError("enumerate needs at least one finite prime for rational rings")
-        window = cps.Window.balls(*((p, 0) for p in scheme.primes))
-    else:
-        scheme = cps.GaloisScheme(ring.field, physical_root_index=ring.s_arch_indices[0])
-        window = cps.Window.box(str_frac(args.window) if args.window else Fraction(1))
-    patch = cps.model_set_patch(scheme, window, radius)
-    _emit(
-        args,
-        patch.to_dict(),
-        lambda: serialize.patch_to_csv(patch),
-        f"{len(patch.points)} ring points",
     )
     return EXIT_OK
 
@@ -479,7 +457,6 @@ COMMANDS = {
     },
     "pisot": {
         "certify": cmd_pisot_certify,
-        "enumerate": cmd_pisot_enumerate,
         "polycover": cmd_pisot_polycover,
     },
     "verify": {
@@ -496,7 +473,7 @@ GROUP_OPTIONS = {
     "cps": ("--scheme", "--window", "--radius", "--axes"),
     "heis": ("--field", "--window", "--radius", "--radius-small", "--radius-large", "--side-a",
              "--side-b", "--max-translates"),
-    "pisot": ("--ring", "--field", "--elements", "--radius", "--window", "--poly", "--scale"),
+    "pisot": ("--ring", "--field", "--elements", "--poly", "--scale"),
     "verify": ("--patch", "--a", "--b", "--inner", "--spec", "--scheme", "--field", "--window",
                "--radius", "--max-translates"),
 }

@@ -205,81 +205,33 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
 
 
 # ---------------------------------------------------------------------------
-# Schreiber hull search over coordinate subgroups.
+# Schreiber hull.
 # ---------------------------------------------------------------------------
 
-HULL_CANDIDATES: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("trivial", ()),
-    ("center", (2,)),
-    ("x-axis", (0,)),
-    ("y-axis", (1,)),
-    ("x-center", (0, 2)),
-    ("y-center", (1, 2)),
-    ("full", (0, 1, 2)),
-)
-
-GROWTH_TOLERANCE = Fraction(11, 10)
+# the coordinate subgroups that can be a hull, by their axes; c_z > 0, so each
+# holds the centre
+HULL_NAMES = {(0, 1, 2): "full", (0, 2): "x-center", (1, 2): "y-center", (2,): "center"}
 
 
-def _axis_kappas(patch: cps.Patch) -> list[tuple]:
-    """Per axis k of a patch, exactly: (the largest |x_k| over the patch, the
-    covering radius of factor k on [-R/2, R/2])."""
-    place = patch.scheme.physical_place
-    key = verify.exact_key(place)
-    return [
-        (max(-xs[0], xs[-1], key=key), verify.axis_covering_radius(xs, patch.radius / 2, place))
-        for xs in (sorted(f, key=key) for f in patch.factors)
-    ]
+def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> tuple:
+    """(the hull U_W of Lambda(W), kappa of the small patch, kappa of the large).
 
-
-class HullReport(Record):
-    """subgroup is the chosen candidate, or None when no candidate is stable;
-    table maps each candidate to its (kappa_small, kappa_large)."""
-
-    __slots__ = ("subgroup", "table")
-
-    @property
-    def aligned(self) -> bool:
-        return self.subgroup is not None
-
-
-def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> HullReport:
-    """Minimal coordinate subgroup U' with a stable patch bound kappa.
-
-    kappa(U') bounds both the distance from every patch point to U' and the
-    distance from every point of U' in the inner ball to the patch; U' is the
-    smallest candidate whose kappa does not grow (factor 11/10, plus an
-    allowance) from the small patch to the large one.  Both patches are read
-    through their factors, and every kappa is the NORM_BITS ceiling of its
-    exact value.
+    U_W is spanned by the axes of positive half-width: an axis of half-width 0
+    has the factor {0}, since |sigma_int(x)| <= 0 forces x = 0, and inside U_W
+    the window has interior, so Lambda(W) is relatively dense there.  A
+    patch's kappa is the distance from U_W's points in the inner ball [-R/2,
+    R/2] to the patch (the patch lies in U_W): the covering radius of its
+    factors on U_W's axes, as its NORM_BITS ceiling.
     """
-    if patch_small.scheme.field != patch_large.scheme.field:
-        raise UsageError("patches from different fields")
-    if patch_large.radius < 2 * patch_small.radius:
-        raise UsageError("need R2 >= 2 R1 to test stabilisation")
-    place = patch_small.scheme.physical_place
-    key = verify.exact_key(place)
-    per_axis = [_axis_kappas(patch) for patch in (patch_small, patch_large)]
-    table = {}
-    for name, axes in sorted(HULL_CANDIDATES, key=lambda c: (len(c[1]), c[0])):
-        # kappa(U') is the larger of the patch-to-U' distance, max |x_k| off U',
-        # and the U'-ball-to-patch distance: the covering radius on the axes of
-        # U', and dist(0, P_k) <= max |x_k| off them
-        table[name] = tuple(
-            verify.dyadic_bounds(
-                max((cov if k in axes else end for k, (end, cov) in enumerate(kappas)), key=key),
-                place,
-            )[1]
-            for kappas in per_axis
-        )
-    # kappa grows from one radius to the next by more than the factor wherever
-    # a larger ball meets a larger gap of a factor, which is a bounded change;
-    # on the README hull (sqrt2 1,1,1, R1 = 3, R2 = 6) kappa(full) grows from
-    # 1/2 to sqrt2/2.  So the test also allows a quarter of the small radius,
-    # while the distance to a subgroup that misses the set grows with R.
-    allowance = patch_small.radius / 4
-    stable = (name for name, (k1, k2) in table.items() if k2 <= GROWTH_TOLERANCE * k1 + allowance)
-    return HullReport(next(stable, None), table)
+    scheme = patch_small.scheme
+    axes = tuple(k for k, c in enumerate(scheme.window) if c > 0)
+    kappas = (
+        verify.covering_radius(
+            [patch.factors[k] for k in axes], scheme.physical_place, patch.radius / 2
+        ).bound
+        for patch in (patch_small, patch_large)
+    )
+    return (HULL_NAMES[axes], *kappas)
 
 
 # ---------------------------------------------------------------------------

@@ -235,10 +235,9 @@ def center_summary(scheme: heis.HeisScheme, radius) -> dict:
 
 
 def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
-    small = heis.heis_model_set(scheme, radius_small)
-    large = heis.heis_model_set(scheme, radius_large)
-    report = heis.schreiber_hull(small, large)
-    kappa_small, kappa_large = report.table.get(report.subgroup, (None, None))
+    subgroup, kappa_small, kappa_large = heis.schreiber_hull(
+        heis.heis_model_set(scheme, radius_small), heis.heis_model_set(scheme, radius_large)
+    )
     return {
         "type": "schreiber_hull",
         "inputs": {
@@ -246,13 +245,11 @@ def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
             "radius_small": frac_str(Fraction(radius_small)),
             "radius_large": frac_str(Fraction(radius_large)),
         },
-        "subgroup": report.subgroup,
-        "aligned": report.aligned,
-        "kappa_small": None if kappa_small is None else frac_str(kappa_small),
-        "kappa_large": None if kappa_large is None else frac_str(kappa_large),
-        "table": {
-            name: [frac_str(k1), frac_str(k2)] for name, (k1, k2) in sorted(report.table.items())
-        },
+        "subgroup": subgroup,
+        # the hull is read from the window, so every file is aligned
+        "aligned": True,
+        "kappa_small": frac_str(kappa_small),
+        "kappa_large": frac_str(kappa_large),
     }
 
 

@@ -4,8 +4,10 @@ None of these is reached by a command or a replay, so they live with the
 tests: the Heisenberg Lie-algebra maps and commutators (oracles of `heis_mul`
 and `heis_inv`), the product formula over `padic_valuation` and
 `eval_embedding`, the patch-scope power cover (an oracle of the translates
-that `cps certify` writes), polynomial evaluation, and builders of field
-elements and Heisenberg points.
+that `cps certify` writes), the seven-candidate patch kappa of the growth
+search that `heis hull` once ran (an oracle of the hull it reads from the
+window), polynomial evaluation, and builders of field elements and
+Heisenberg points.
 """
 
 from collections import namedtuple
@@ -182,3 +184,40 @@ def approx_power_cover(patch_points, k, f_translates, group, patch_radius) -> Po
         if not any(mul(inv(f), x) in patch_set for f in f_k):
             return PowerCover(f_k, bound, checked, x)
     return PowerCover(f_k, bound, checked, None)
+
+
+# ---------------------------------------------------------------------------
+# Patch kappa of every coordinate subgroup.
+# ---------------------------------------------------------------------------
+
+HULL_CANDIDATES = {
+    "trivial": (),
+    "center": (2,),
+    "x-axis": (0,),
+    "y-axis": (1,),
+    "x-center": (0, 2),
+    "y-center": (1, 2),
+    "full": (0, 1, 2),
+}
+
+
+def candidate_kappas(factors, radius, place) -> dict:
+    """Per coordinate subgroup U', the patch bound kappa(U') of the product of
+    the 1-D `factors` of a patch of this radius, as its NORM_BITS ceiling.
+
+    kappa(U') is the larger of the patch-to-U' distance, max |x_k| off U', and
+    the distance from the points of U' in [-R/2, R/2] to the patch: the
+    covering radius on the axes of U', and dist(0, P_k) <= max |x_k| off them.
+    """
+    key = verify.exact_key(place)
+    r = Fraction(radius) / 2
+    ends, covs = [], []
+    for xs in (sorted(f, key=key) for f in factors):
+        ends.append(max(-xs[0], xs[-1], key=key))
+        covs.append(verify.axis_covering_radius(xs, r, place))
+    return {
+        name: verify.dyadic_bounds(
+            max((covs[k] if k in axes else ends[k] for k in range(3)), key=key), place
+        )[1]
+        for name, axes in HULL_CANDIDATES.items()
+    }

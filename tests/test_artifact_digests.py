@@ -56,7 +56,7 @@ JOBS = (
      "--json {d}/delone-zs.json", 0),
     ("verify delone --patch {d}/gen-sqrt2-2d.csv --scheme galois:sqrt2:2 --window 1,7/8 "
      "--radius 4 --inner 2 --json {d}/delone-sqrt2-2d.json", 0),
-    # the 3-D metric path: a Heisenberg Delone report and a golden hull search
+    # the 3-D metric path: a Heisenberg Delone report and a golden hull
     ("heis generate --field sqrt2 --window 1,1,2 --radius 2 --json {d}/heis-gen-r2.json", 0),
     ("verify delone --patch {d}/heis-gen-r2.json --inner 1/2 --json {d}/delone-heis.json", 2),
     ("heis hull --field golden --window 9/8,7/8,2 --radius-small 3/2 --radius-large 3 "
@@ -91,8 +91,8 @@ DIGESTS = {
     "heis-gen-r2.json": "bc2b117f53cb5ce99c7f23625fae3161ffb82ce7ff4a8b5bc640d85d7c96c3a6",
     "heis-gen.csv": "419602b9a71863149631b66511fea1a9403b9a659854b222b12022dbb79e2fe3",
     "heis-gen.json": "6d39092f96bcea2aaa04138f768cd4662ba8b9c1be5674399f7b4d540cd62c4a",
-    "heis-hull-golden.json": "9996da34ea23b017e860da227906ec4c26f9060d3f02989477ab5fc72e7a3f92",
-    "heis-hull.json": "e5fdb89c2f7b30bcaae840865772e7aebdf68cc7f3ead73acc993cc409259a88",
+    "heis-hull-golden.json": "28d697973c6d5e3f43f36823fc0307da7da67641c3e2391bf969cf1e04a94c3b",
+    "heis-hull.json": "e914f51a95712ceed08fc693f17071afb8010d40c78a5efc5de6dc58f8eb894f",
     "heis-meyer.json": "c1e5c50391fa884812ab76786e36e832e304b5ee0a13bdb4e1e48d75b44551c9",
     "intersect.json": "d35699534a228c409a0dbcd5df285118e99bc5598dc0381a971a7210ce45f752",
     "pisot.json": "43be2d37e8de1d41924eacbceded778d1dd1382e66f80c06159e9c49b59cac5d",

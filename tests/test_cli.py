@@ -185,12 +185,6 @@ def test_pisot_polycover_replay(tmp_path):
     assert run_cli("verify", "replay", str(path)) == 0
 
 
-def test_pisot_enumerate(capsys):
-    assert run_cli("pisot", "enumerate", "--ring", "zs:2", "--radius", "2") == 0
-    out = capsys.readouterr().out
-    assert "-2" in out and "2" in out
-
-
 def test_heis_certify_center_and_hull(tmp_path):
     cert = tmp_path / "heis_cover.json"
     assert run_cli("heis", "certify", "--field", "sqrt2", "--window", "1,1,2",
@@ -206,6 +200,48 @@ def test_heis_certify_center_and_hull(tmp_path):
     assert run_cli("heis", "hull", "--field", "sqrt2", "--window", "1,1,1",
                    "--radius-small", "3", "--radius-large", "6", "--json", str(hull)) == 0
     assert run_cli("verify", "replay", str(hull)) == 0
+
+
+@pytest.mark.parametrize("window, radii", [
+    # sqrt2 windows on which the growth search answered `trivial`, `center` or
+    # exited 2 with "not aligned"
+    ("1,1,1", ("1", "2")),
+    ("1/4,1/4,1/4", ("2", "4")),
+    ("1,9/8,2", ("1", "2")),
+    ("1,1,1/4", ("3", "6")),
+])
+def test_heis_hull_of_a_full_window_is_full(window, radii, tmp_path, capsys):
+    hull = tmp_path / "hull.json"
+    assert run_cli("heis", "hull", "--field", "sqrt2", "--window", window, "--radius-small",
+                   radii[0], "--radius-large", radii[1], "--json", str(hull)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "hull: full"
+    assert json.loads(hull.read_text())["subgroup"] == "full"
+    assert run_cli("verify", "replay", str(hull)) == 0
+
+
+def test_hull_file_of_the_growth_search_does_not_replay(tmp_path, capsys):
+    # what the seven-candidate growth search wrote for this window: `center`,
+    # its kappas and the table of every candidate
+    old = {
+        "aligned": True,
+        "inputs": {
+            "radius_large": "2",
+            "radius_small": "1",
+            "scheme": {"field": {"min_poly": [-2, 0, 1]}, "kind": "heis",
+                       "physical_root_index": 1, "window": ["1", "9/8", "2"]},
+        },
+        "kappa_large": "1",
+        "kappa_small": "1",
+        "subgroup": "center",
+        "table": {"center": ["1", "1"], "full": ["1/2", "1/2"], "trivial": ["1", "2"],
+                  "x-axis": ["1", "2"], "x-center": ["1", "1"], "y-axis": ["1", "2"],
+                  "y-center": ["1", "1"]},
+        "type": "schreiber_hull",
+    }
+    path = tmp_path / "old-hull.json"
+    path.write_text(json.dumps(old))
+    assert run_cli("verify", "replay", str(path)) == 2
+    assert capsys.readouterr().out.startswith("replay FAILED")
 
 
 @pytest.mark.parametrize("key, real", [
@@ -974,7 +1010,7 @@ def _one_patch_per_group():
          "not an integer: 'x'"),
         (["cps", "intersect", "--scheme", "galois:golden:2", "--window", "1,1", "--radius", "4",
           "--axes", "x"], "not an integer: 'x'"),
-        (["pisot", "enumerate", "--ring", "zs:x", "--radius", "2"], "not an integer: 'x'"),
+        (["pisot", "certify", "--ring", "zs:x", "--elements", "1"], "not an integer: 'x'"),
         (["verify", "replay", "{d}/point-shape.json"],
          "a galois point is one coefficient list per coordinate, not [1, 0]"),
         (["verify", "replay", "{d}/points-int.json"], "the points of a patch are a JSON list"),
@@ -1198,8 +1234,6 @@ def test_csv_is_built_only_when_written(tmp_path, monkeypatch):
                    "--radius", "6", "--json", str(json_path)) == 0
     assert run_cli("heis", "generate", "--field", "golden", "--window", "1,1,1",
                    "--radius", "3", "--json", str(json_path)) == 0
-    assert run_cli("pisot", "enumerate", "--ring", "pvs:golden", "--radius", "6",
-                   "--json", str(json_path)) == 0
 
 
 # one function per submodule that the traced benchmark child wraps
@@ -1310,14 +1344,14 @@ def test_every_submodule_is_registered_after_importing_cli():
 CPS_OPTIONS = ("--scheme", "--window", "--radius", "--axes")
 HEIS_OPTIONS = ("--field", "--window", "--radius", "--radius-small", "--radius-large",
                 "--side-a", "--side-b", "--max-translates")
-PISOT_OPTIONS = ("--ring", "--field", "--elements", "--radius", "--window", "--poly", "--scale")
+PISOT_OPTIONS = ("--ring", "--field", "--elements", "--poly", "--scale")
 VERIFY_OPTIONS = ("--patch", "--a", "--b", "--inner", "--spec", "--scheme", "--field", "--window",
                   "--radius", "--max-translates")
 COMMON_OPTIONS = ("--out", "--json", "--config")
 SURFACE = {
     **{("cps", c): CPS_OPTIONS for c in ("generate", "certify", "intersect", "project")},
     **{("heis", c): HEIS_OPTIONS for c in ("generate", "certify", "center", "hull", "commensurate")},
-    **{("pisot", c): PISOT_OPTIONS for c in ("certify", "enumerate", "polycover")},
+    **{("pisot", c): PISOT_OPTIONS for c in ("certify", "polycover")},
     **{("verify", c): VERIFY_OPTIONS for c in ("delone", "cover", "cellcover")},
     ("verify", "replay"): (),
 }
