@@ -278,7 +278,7 @@ def cmd_heis_center(args) -> int:
         args,
         data,
         None,
-        f"center intersection: {len(data['z_values'])} points, "
+        f"center intersection: {data['central_size']} points, "
         f"min_gap = {data['report']['min_separation']}",
     )
     return EXIT_OK if data["report"]["delone"] else EXIT_NEGATIVE

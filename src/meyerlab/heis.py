@@ -213,24 +213,29 @@ def center_intersection(scheme: HeisScheme, radius) -> CenterIntersection:
 HULL_NAMES = {(0, 1, 2): "full", (0, 2): "x-center", (1, 2): "y-center", (2,): "center"}
 
 
-def schreiber_hull(patch_small: cps.Patch, patch_large: cps.Patch) -> tuple:
-    """(the hull U_W of Lambda(W), kappa of the small patch, kappa of the large).
+def schreiber_hull(scheme: HeisScheme, radius_small, radius_large) -> tuple:
+    """(the hull U_W of Lambda(W), kappa at radius_small, kappa at radius_large).
 
     U_W is spanned by the axes of positive half-width: an axis of half-width 0
     has the factor {0}, since |sigma_int(x)| <= 0 forces x = 0, and inside U_W
-    the window has interior, so Lambda(W) is relatively dense there.  A
-    patch's kappa is the distance from U_W's points in the inner ball [-R/2,
-    R/2] to the patch (the patch lies in U_W): the covering radius of its
-    factors on U_W's axes, as its NORM_BITS ceiling.
+    the window has interior, so Lambda(W) is relatively dense there.  kappa at
+    R is the distance from U_W's points in the inner ball [-R/2, R/2] to the
+    radius-R patch (the patch lies in U_W): the covering radius of the patch's
+    1-D factors on U_W's axes, as its NORM_BITS ceiling.  Only those factors
+    are enumerated, never their product.
     """
-    scheme = patch_small.scheme
+    radii = [Fraction(radius_small), Fraction(radius_large)]
+    if min(radii) <= 0:
+        raise UsageError("radius must be positive")
     axes = tuple(k for k, c in enumerate(scheme.window) if c > 0)
-    kappas = (
-        verify.covering_radius(
-            [patch.factors[k] for k in axes], scheme.physical_place, patch.radius / 2
-        ).bound
-        for patch in (patch_small, patch_large)
-    )
+    field, phys, internal = scheme.field, scheme.physical_place, scheme.internal_place
+    kappas = []
+    for radius in radii:
+        factors = [
+            cps.enumerate_window_elements(field, phys, internal, radius, scheme.window[k])
+            for k in axes
+        ]
+        kappas.append(verify.covering_radius(factors, phys, radius / 2).bound)
     return (HULL_NAMES[axes], *kappas)
 
 

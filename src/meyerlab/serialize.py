@@ -84,24 +84,23 @@ def patch_to_csv(patch) -> str:
 
 
 def greedy_cover_to_dict(cover: verify.GreedyCover, scheme) -> dict:
-    return {
-        "translates": [scheme.point_to_json(f) for f in cover.translates],
-        "assignments": cover.assignments,
-    }
+    """A greedy cover is its translates: replay finds the translate of each
+    covered point itself."""
+    return {"translates": [scheme.point_to_json(f) for f in cover.translates]}
 
 
-def greedy_cover_from_dict(data: dict, scheme) -> verify.GreedyCover:
-    """The cover `greedy_cover_to_dict` wrote; its translates are in `scheme`'s format.
-
-    A `bool` or out-of-range index decodes, and fails `GreedyCover.replay`."""
+def greedy_cover_from_dict(data: dict, scheme, scope_points: int) -> verify.GreedyCover:
+    """The cover of `scope_points` points that `greedy_cover_to_dict` wrote;
+    its translates are in `scheme`'s format."""
     json_object(data, "a cover is")
     translates = json_list(data["translates"], "the translates of a cover are")
-    assignments = json_list(data["assignments"], "the assignments of a cover are")
-    for entry in assignments:
-        if not isinstance(entry, int):
-            raise UsageError(f"a cover assignment is a translate index, not {entry!r}")
-    translates = [scheme.point_from_json(t) for t in translates]
-    return verify.GreedyCover(translates, assignments, len(assignments))
+    return verify.GreedyCover([scheme.point_from_json(t) for t in translates], scope_points)
+
+
+def _carried(cover: verify.GreedyCover, points: str) -> str:
+    """What a replayed greedy cover checked, with its counts."""
+    n = len(cover.translates)
+    return f"{cover.scope_points} {points} carried by {n} translate{'' if n == 1 else 's'}"
 
 
 def patch_cover_artifact(cover: verify.GreedyCover, patch_a: cps.Patch, patch_b: cps.Patch) -> dict:
@@ -228,16 +227,14 @@ def center_summary(scheme: heis.HeisScheme, radius) -> dict:
     return {
         "type": "center_intersection",
         "inputs": {"scheme": scheme.to_dict(), "radius": frac_str(Fraction(radius))},
-        "z_values": [z.to_list() for z in res.z_values],
+        "central_size": len(res.z_values),
         "report": None if res.report is None else res.report.to_dict(),
         "conclusive": res.conclusive,
     }
 
 
 def hull_summary(scheme: heis.HeisScheme, radius_small, radius_large) -> dict:
-    subgroup, kappa_small, kappa_large = heis.schreiber_hull(
-        heis.heis_model_set(scheme, radius_small), heis.heis_model_set(scheme, radius_large)
-    )
+    subgroup, kappa_small, kappa_large = heis.schreiber_hull(scheme, radius_small, radius_large)
     return {
         "type": "schreiber_hull",
         "inputs": {
@@ -475,19 +472,26 @@ def _replay_meyer(data) -> tuple[bool, str]:
     patch = heis.heis_model_set(scheme, radius)
     a_points = _meyer_side_points(patch, data["side_a"])
     b_points = _meyer_side_points(patch, data["side_b"])
-    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme)
-    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme)
     # the writer's scope, so a file that claims less fails as not what it writes
     scope = radius / 2
     a_in = verify.points_within(a_points, scheme, scope)
     b_in = verify.points_within(b_points, scheme, scope)
-    if not cover_ab.replay(a_in, b_points, scheme):
-        return False, "cover_ab does not carry each in-scope point of side_a into side_b"
-    if not cover_ba.replay(b_in, a_points, scheme):
-        return False, "cover_ba does not carry each in-scope point of side_b into side_a"
+    cover_ab = greedy_cover_from_dict(data["cover_ab"], scheme, len(a_in))
+    cover_ba = greedy_cover_from_dict(data["cover_ba"], scheme, len(b_in))
+    checks = (
+        ("cover_ab", cover_ab, a_in, b_points, "side_a", "side_b"),
+        ("cover_ba", cover_ba, b_in, a_points, "side_b", "side_a"),
+    )
+    for key, cover, covered, target, a, b in checks:
+        why = cover.failure(covered, target, scheme, f"in-scope point of {a} into {b}")
+        if why is not None:
+            return False, f"{key} {why}"
     res = heis.MeyerCommensurability(cover_ab, cover_ba, scope, data["verdict"], None)
     written = _meyer_dict(scheme, radius, data["side_a"], data["side_b"], res, None)
-    return _as_written(data, written, "two-way covers replayed on re-derived patches")
+    checked = ", ".join(
+        f"{_carried(cover, f'in-scope points of {a}')} into {b}" for _, cover, _, _, a, b in checks
+    )
+    return _as_written(data, written, f"meyer_commensurability: {checked}")
 
 
 def _replay_patch_cover(data) -> tuple[bool, str]:
@@ -507,11 +511,14 @@ def _replay_patch_cover(data) -> tuple[bool, str]:
             return False, f"{key} differs from the inputs of its re-enumeration at {where}"
         patches.append(patch)
     patch_a, patch_b = patches
-    cover = greedy_cover_from_dict(data, patch_a.scheme)
-    if not cover.replay(patch_a.points, patch_b.points, patch_a.scheme):
-        return False, "the assignments do not carry each point of patch_a into patch_b"
+    cover = greedy_cover_from_dict(data, patch_a.scheme, len(patch_a.points))
+    why = cover.failure(
+        patch_a.points, patch_b.points, patch_a.scheme, "point of patch_a into patch_b"
+    )
+    if why is not None:
+        return False, f"the cover {why}"
     written = patch_cover_artifact(cover, patch_a, patch_b)
-    return _as_written(data, written, "one translate index per point of patch_a re-verified")
+    return _as_written(data, written, f"patch_cover: {_carried(cover, 'points of patch_a')}")
 
 
 REPLAYERS = {

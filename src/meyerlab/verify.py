@@ -224,26 +224,29 @@ class NearestScan:
 
 
 class GreedyCover(Record):
-    """F with A subset of F*B at patch scope, as the file stores it.
+    """F with A subset of F*B at patch scope: the translates, in the order the
+    greedy appended them, which are all that a file stores; scope_points is |A|."""
 
-    assignments[i] is the index into translates of the translate that covers
-    the i-th point of A in canonical order; scope_points is |A|.
-    """
+    __slots__ = ("translates", "scope_points")
 
-    __slots__ = ("translates", "assignments", "scope_points")
-
-    def replay(self, a_points, b_points, group) -> bool:
-        """One index per point of A, each naming a translate f with f^-1 a in B."""
-        a_sorted = sorted(a_points, key=group.sort_key)
-        if len(a_sorted) != len(self.assignments):
-            return False
-        bset = set(b_points)
-        for a, fi in zip(a_sorted, self.assignments):
-            if type(fi) is not int or not 0 <= fi < len(self.translates):
-                return False
-            if group.mul(group.inv(self.translates[fi]), a) not in bset:
-                return False
-        return True
+    def failure(self, a_points, b_points, group, what: str) -> str | None:
+        """Why the translates are not a cover of A by B that the greedy could
+        have written, or None; `what` names a point of A and the set B.  Each
+        point a needs a translate f with f^-1 a in B, and each translate must
+        be the first to carry some point, since the greedy appends one only
+        then: a repeated or appended translate fails."""
+        mul, bset = group.mul, set(b_points)
+        inverses = [group.inv(f) for f in self.translates]
+        first = set()
+        for a in a_points:
+            i = next((i for i, g in enumerate(inverses) if mul(g, a) in bset), None)
+            if i is None:
+                return f"does not carry each {what}"
+            first.add(i)
+        for j in range(len(inverses)):
+            if j not in first:
+                return f"has translate {j}, which is the first to carry no {what}"
+        return None
 
 
 def greedy_cover(
@@ -268,23 +271,16 @@ def greedy_cover(
     bset = set(b_list)
     scan = None  # built once, only if a new translate is ever needed
     translates: list = []
-    assignments = []
     for a in a_sorted:
-        chosen = None
-        for fi, f in enumerate(translates):
-            if mul(inv(f), a) in bset:
-                chosen = fi
-                break
-        if chosen is None:
-            if max_translates is not None and len(translates) >= max_translates:
-                return None, a
-            if scan is None:
-                scan = NearestScan(b_list, group.physical_place)
-            best = scan.nearest_index([mid for _, mid in scan.read(a)])
-            translates.append(mul(a, inv(b_list[best])))
-            chosen = len(translates) - 1
-        assignments.append(chosen)
-    return GreedyCover(translates, assignments, len(a_sorted)), None
+        if any(mul(inv(f), a) in bset for f in translates):
+            continue
+        if max_translates is not None and len(translates) >= max_translates:
+            return None, a
+        if scan is None:
+            scan = NearestScan(b_list, group.physical_place)
+        best = scan.nearest_index([mid for _, mid in scan.read(a)])
+        translates.append(mul(a, inv(b_list[best])))
+    return GreedyCover(translates, len(a_sorted)), None
 
 
 class CoverBoundWitness(Record):

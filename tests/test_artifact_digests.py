@@ -65,9 +65,9 @@ JOBS = (
 
 DIGESTS = {
     "cert.json": "12f5dc8f3f922ab70af67743cdde81ed8c14e579b98ed2d2f021403624df66bb",
-    "cover-heis.json": "64a03254a9cc5633eee1770f1da56d4a009f0c362932fe312a5e3f5fd551f69d",
-    "cover-zs.json": "4e67e2e3642a8c535e6f2852be55eff382679d85eeca710be34592a39680253c",
-    "cover.json": "b4b4f9eb90f936352c6c93a29e9c0fb2ddd186838930bd95885ffa9906a855ee",
+    "cover-heis.json": "3d79431fee76e146ff77bfa3e5f2a464c33ca2242493835d0042fca9001d9b34",
+    "cover-zs.json": "f1eae03dfe553b4ac7b04af8490b69528943fa5fc42c19c4c8db8783fa7fc0db",
+    "cover.json": "5c76e4b13c130fe69798982697870113d3a4ca880168a69fe516b0d254491e62",
     "delone-heis.json": "3a334070fda4c86769280a42a77874578acc95fdb81e5fe51bae3857b8c5e6c2",
     "delone-sqrt2-2d.json": "032a58c1e12b352b6f708e715a2d9527d20743263edc110a4bd89795dd5f1a10",
     "delone-zs.json": "f837f1bcaf6ab3979883177ea810f09ab6a5afc4b773a0807e838aeefd6adb78",
@@ -82,8 +82,8 @@ DIGESTS = {
     "gen-zs-b.json": "289bf0eeb66625a7d68eb15784ddc4d38e9b140fee9033b84fdf4ba486f3e170",
     "gen-zs.csv": "d0d689f9236a57522a2b1ea1bb1ba84e51f532090e3512d205df4e937f4f0678",
     "gen-zs.json": "955d55881da3d77106a01a62fa8511542c92ea23f2db3e24859268df16ffda66",
-    "heis-center-golden.json": "8b89c5b190b21a5185c15f3845d91a7d1a273dc505c3a6a37d6e577ca0323b19",
-    "heis-center.json": "bf4246094bdd19e8e4b2506f01e9cd3b1d2d96a331011fa3ac23f5f1f31ca581",
+    "heis-center-golden.json": "b3159658e427199ad74927b1068680a120bf600631670368033d1e39c1788bed",
+    "heis-center.json": "0ea5dacf38046fc92610c50a0f6da31581175fe0308861b21f0d1fa70c4b6e5a",
     "heis-cert-golden.json": "2942e02566d3c629e55d08c5c0de86b4810a2c43c0196db956a1ccaec29b859b",
     "heis-cert.json": "41639fe53d4baa5ca8d5ad21331463a6f92122b144a1633b951a4b80803b5ed5",
     "heis-gen-golden.json": "4338086516da1be54022a1a5867b6361713a9644521bbdae1d2676cbfc1d5f92",
@@ -93,7 +93,7 @@ DIGESTS = {
     "heis-gen.json": "6d39092f96bcea2aaa04138f768cd4662ba8b9c1be5674399f7b4d540cd62c4a",
     "heis-hull-golden.json": "28d697973c6d5e3f43f36823fc0307da7da67641c3e2391bf969cf1e04a94c3b",
     "heis-hull.json": "e914f51a95712ceed08fc693f17071afb8010d40c78a5efc5de6dc58f8eb894f",
-    "heis-meyer.json": "c1e5c50391fa884812ab76786e36e832e304b5ee0a13bdb4e1e48d75b44551c9",
+    "heis-meyer.json": "239c0be564fd980d21162039d5cc5eb41ba3d2686209cb8eae0baf6c9059aaeb",
     "intersect.json": "d35699534a228c409a0dbcd5df285118e99bc5598dc0381a971a7210ce45f752",
     "pisot.json": "43be2d37e8de1d41924eacbceded778d1dd1382e66f80c06159e9c49b59cac5d",
     "polycover.json": "867ce21ca5a5904401b446d518795e36fef1b9b3b64d8d32948df190c87657b2",

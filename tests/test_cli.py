@@ -202,6 +202,41 @@ def test_heis_certify_center_and_hull(tmp_path):
     assert run_cli("verify", "replay", str(hull)) == 0
 
 
+def _center_file(path):
+    assert run_cli("heis", "center", "--field", "sqrt2", "--window", "1,1,2",
+                   "--radius", "6", "--json", str(path)) == 0
+    return json.loads(path.read_text())
+
+
+def test_a_center_file_is_its_report(tmp_path, capsys):
+    data = _center_file(tmp_path / "center.json")
+    out = capsys.readouterr().out
+    assert sorted(data) == ["central_size", "conclusive", "inputs", "report", "type"]
+    assert out.startswith(f"center intersection: {data['central_size']} points, min_gap = ")
+    assert data["central_size"] == 43
+
+
+@pytest.mark.parametrize("change", ["z_values-added", "older-layout", "size-plus-one",
+                                    "size-true"])
+def test_replay_of_a_changed_center_file_fails(tmp_path, capsys, change):
+    data = _center_file(tmp_path / "center.json")
+    scheme = heis.HeisScheme(sqrt2_field(), (1, 1, 2))
+    z_values = [z.to_list() for z in heis.center_intersection(scheme, 6).z_values]
+    if change == "z_values-added":
+        data["z_values"] = z_values
+    elif change == "older-layout":
+        # the whole central set, which replay rebuilt and compared anyway
+        del data["central_size"]
+        data["z_values"] = z_values
+    elif change == "size-plus-one":
+        data["central_size"] += 1
+    else:
+        data["central_size"] = True
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert (code, out) == (
+        2, "replay FAILED: center_intersection rebuilt from its inputs differs from the file\n")
+
+
 @pytest.mark.parametrize("window, radii", [
     # sqrt2 windows on which the growth search answered `trivial`, `center` or
     # exited 2 with "not aligned"
@@ -690,7 +725,7 @@ def test_replay_rejects_a_meyer_scope_below_the_writers(tmp_path, capsys):
     data = json.loads(path.read_text())
     zero = [["0", "0"], ["0", "0"], ["0", "0"]]
     for key in ("cover_ab", "cover_ba"):
-        data[key] = {"translates": [zero], "assignments": [0]}
+        data[key] = {"translates": [zero]}
     data["scope_radius"] = "0"
     code, out = _replay_data(tmp_path, capsys, data)
     assert code == 2 and "replay FAILED" in out
@@ -735,27 +770,6 @@ def _replay_data(tmp_path, capsys, data):
     return code, capsys.readouterr().out
 
 
-def _cut_assignment(cover):
-    # a translate index cut down to an empty list
-    cover["assignments"][0] = []
-    return "a cover assignment is a translate index, not []"
-
-
-@pytest.mark.parametrize("tamper", [_cut_assignment])
-@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab"),
-                                           ("meyer", "cover_ba")])
-def test_replay_of_a_malformed_cover_is_usage_error(tmp_path, capsys, cover_artifacts, artifact,
-                                                    key, tamper):
-    data = json.loads(json.dumps(cover_artifacts[artifact]))
-    message = tamper(data[key] if key else data)
-    path = tmp_path / "artifact.json"
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run_cli("verify", "replay", str(path)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and message in err
-
-
 def _embedded_patch(data, key):
     """The patch that the inputs of the embedded `key` of a patch_cover enumerate."""
     scheme, window, radius = cps.patch_inputs(data[key])
@@ -764,15 +778,13 @@ def _embedded_patch(data, key):
 
 def test_patch_cover_replay_checks_every_point_of_patch_a(tmp_path, capsys, cover_artifacts):
     data = cover_artifacts["cover"]
-    # one translate index per point of patch_a, and no point restated: the
-    # patches are named by their inputs alone
+    # the translates alone, and no point restated: the patches are named by
+    # their inputs, and replay finds the translate of each point of patch_a
+    assert sorted(data) == ["patch_a", "patch_b", "translates", "type"]
     assert "points" not in data["patch_a"] and "points" not in data["patch_b"]
-    assert len(data["assignments"]) == len(_embedded_patch(data, "patch_a")) == 53
-    assert all(type(i) is int for i in data["assignments"])
-    assert "kind" not in data
-    assert _replay_data(tmp_path, capsys, data)[0] == 0
-    code, out = _replay_data(tmp_path, capsys, data | {"assignments": data["assignments"][:1]})
-    assert code == 2 and "replay FAILED" in out
+    assert len(_embedded_patch(data, "patch_a").points) == 53 and len(data["translates"]) == 3
+    assert _replay_data(tmp_path, capsys, data) == (
+        0, "replay ok: patch_cover: 53 points of patch_a carried by 3 translates\n")
 
 
 def _cover(data, key):
@@ -782,65 +794,68 @@ def _cover(data, key):
 COVERS = [("cover", None), ("meyer", "cover_ab"), ("meyer", "cover_ba")]
 
 
+def _moved(translate):
+    """A copy of a translate moved by 1000 on its first coordinate: it carries
+    no covered point into a patch of radius below 500."""
+    moved = copy.deepcopy(translate)
+    moved[0][0] = str(Fraction(moved[0][0]) + 1000)
+    return moved
+
+
+# (change to a cover's translate list, what the failure names or None)
+TRANSLATE_CHANGES = {
+    "moved": (lambda ts: ts.__setitem__(0, _moved(ts[0])), None),
+    "dropped": (lambda ts: ts.pop(), "does not carry each"),
+    "duplicated": (lambda ts: ts.append(ts[0]), "which is the first to carry no"),
+    "appended": (lambda ts: ts.append(_moved(ts[-1])), "which is the first to carry no"),
+}
+
+
 @pytest.mark.parametrize("artifact, key", COVERS)
-@pytest.mark.parametrize("change", ["short", "long"])
-def test_replay_needs_one_index_per_covered_point(tmp_path, capsys, cover_artifacts, artifact,
-                                                  key, change):
+@pytest.mark.parametrize("change", TRANSLATE_CHANGES)
+def test_replay_rejects_a_changed_translate_list(tmp_path, capsys, cover_artifacts, artifact, key,
+                                                 change):
+    # a dropped translate leaves a point uncarried, and a padded list has a
+    # translate that the greedy would never have appended
     data = json.loads(json.dumps(cover_artifacts[artifact]))
-    indices = _cover(data, key)["assignments"]
-    if change == "short":
-        indices.pop()
-    else:
-        indices.append(indices[-1])
+    edit, named = TRANSLATE_CHANGES[change]
+    edit(_cover(data, key)["translates"])
     code, out = _replay_data(tmp_path, capsys, data)
-    assert code == 2 and "replay FAILED" in out
+    assert code == 2 and out.startswith("replay FAILED: "), out
+    assert named is None or named in out, out
 
 
-def _covered_points(data, key):
-    """(scheme, covered points in canonical order, the set B they must land in)."""
+def _first_carrying_indices(data, key):
+    """The translate index of each covered point, in canonical order, that the
+    greedy's rule picks: the first translate that carries the point."""
     if key is None:
         patch_a, patch_b = (_embedded_patch(data, k) for k in ("patch_a", "patch_b"))
-        return patch_a.scheme, list(patch_a.points), set(patch_b.points)
-    scheme = cps.scheme_from_dict(data["scheme"])
-    patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
-    sides = [serialize._meyer_side_points(patch, data[s]) for s in ("side_a", "side_b")]
-    covered, target = sides if key == "cover_ab" else sides[::-1]
-    in_scope = verify.points_within(covered, scheme, str_frac(data["scope_radius"]))
-    return scheme, sorted(in_scope, key=scheme.sort_key), set(target)
+        scheme, covered, target = patch_a.scheme, patch_a.points, set(patch_b.points)
+    else:
+        scheme = cps.scheme_from_dict(data["scheme"])
+        patch = heis.heis_model_set(scheme, str_frac(data["radius"]))
+        sides = [serialize._meyer_side_points(patch, data[s]) for s in ("side_a", "side_b")]
+        covered, target = sides if key == "cover_ab" else sides[::-1]
+        covered = verify.points_within(covered, scheme, str_frac(data["scope_radius"]))
+        target = set(target)
+    translates = [scheme.point_from_json(t) for t in _cover(data, key)["translates"]]
+    return [
+        next(i for i, f in enumerate(translates) if scheme.mul(scheme.inv(f), a) in target)
+        for a in sorted(covered, key=scheme.sort_key)
+    ]
 
 
-# cover_ab of the Meyer artifact has the one translate e, so no swap can break it
-@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ba")])
-def test_replay_rejects_swapped_indices(tmp_path, capsys, cover_artifacts, artifact, key):
+@pytest.mark.parametrize("artifact, key", COVERS)
+def test_replay_of_a_cover_with_assignments_fails_and_names_them(tmp_path, capsys, cover_artifacts,
+                                                                 artifact, key):
+    # the layout that wrote one translate index per covered point, as replay
+    # derives them: the file holds a key that its writer no longer writes
     data = json.loads(json.dumps(cover_artifacts[artifact]))
-    cover = _cover(data, key)
-    scheme, points, target = _covered_points(data, key)
-    translates = [scheme.point_from_json(t) for t in cover["translates"]]
-    indices = cover["assignments"]
-
-    def carries(i, p):
-        return scheme.mul(scheme.inv(translates[i]), p) in target
-
-    assert all(carries(i, p) for i, p in zip(indices, points))
-    i, j = next((i, j) for i in range(len(points)) for j in range(i)
-                if not carries(indices[j], points[i]) and not carries(indices[i], points[j]))
-    indices[i], indices[j] = indices[j], indices[i]
+    _cover(data, key)["assignments"] = _first_carrying_indices(data, key)
     code, out = _replay_data(tmp_path, capsys, data)
-    assert code == 2 and "replay FAILED" in out
-
-
-def test_replay_of_a_point_index_pair_cover_is_usage_error(tmp_path, capsys, cover_artifacts):
-    # the format before index lists: each entry restated its point of patch_a
-    data = json.loads(json.dumps(cover_artifacts["cover"]))
-    points = _embedded_patch(data, "patch_a").to_dict()["points"]
-    data["assignments"] = [[p, i] for p, i in zip(points, data["assignments"])]
-    data["kind"] = "galois"
-    path = tmp_path / "old-cover.json"
-    path.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run_cli("verify", "replay", str(path)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: a cover assignment is a translate index, not [[[")
+    where = "assignments" if key is None else f"{key}.assignments"
+    assert (code, out) == (
+        2, f"replay FAILED: {where} is not what the writer writes for the checked content\n")
 
 
 @pytest.mark.parametrize("key", ["patch_a", "patch_b"])
@@ -865,7 +880,6 @@ def _golden_cover_mutations():
                                             "window": ["1", "1", "1"]})),
         ("window", lambda p: p.update(window={"real": ["1/8"], "padic": []})),
         ("window-2d", lambda p: p.update(window={"real": ["1", "1"], "padic": []})),
-        ("radius-half", lambda p: p.update(radius="15")),
         ("radius-huge", lambda p: p.update(radius="1" + "0" * 4299)),
         ("radius-zero", lambda p: p.update(radius="0")),
         ("extra-key", lambda p: p.update(factors=[])),
@@ -892,6 +906,35 @@ def test_a_changed_embedded_patch_never_replays_ok(tmp_path, capsys, cover_artif
     if change is None:
         assert code == 1 and err == (f"usage error: {key} lists its points, as in the older "
                                      "patch_cover layout; write the file again with verify cover\n")
+
+
+@pytest.mark.parametrize("key, radius, claim", [
+    ("patch_a", "60", False),  # the covered patch grows past F * patch_b
+    ("patch_b", "15", False),  # the covering patch shrinks
+    ("patch_a", "15", True),
+    ("patch_b", "60", True),
+])
+def test_a_cover_with_a_changed_radius_replays_as_its_claim(tmp_path, capsys, cover_artifacts,
+                                                            key, radius, claim):
+    data = json.loads(json.dumps(cover_artifacts["cover"]))
+    data[key]["radius"] = radius
+    code, out = _replay_data(tmp_path, capsys, data)
+    if not claim:
+        assert (code, out) == (2, "replay FAILED: the cover does not carry each point of "
+                                  "patch_a into patch_b\n")
+        return
+    # the claim holds, and verify cover on those inputs writes the same
+    # translates, though its greedy may append them in another order
+    assert code == 0 and out.startswith("replay ok: patch_cover: "), out
+    windows = {"patch_a": "1", "patch_b": "15/16"}
+    for name in windows:
+        assert run_cli("cps", "generate", "--scheme", "galois:golden", "--window", windows[name],
+                       "--radius", data[name]["radius"], "--json", str(tmp_path / name)) == 0
+    assert run_cli("verify", "cover", "--a", str(tmp_path / "patch_a"), "--b",
+                   str(tmp_path / "patch_b"), "--json", str(tmp_path / "cover.json")) == 0
+    written = json.loads((tmp_path / "cover.json").read_text())
+    assert sorted(written.pop("translates")) == sorted(data.pop("translates"))
+    assert written == data
 
 
 def test_delone_replay_checks_the_embedded_patch(tmp_path, capsys, cover_artifacts):
@@ -963,19 +1006,6 @@ def test_a_poly_shrink_file_has_no_replay(tmp_path, capsys):
     assert run_cli("verify", "replay", str(path)) == 1
     assert capsys.readouterr().err == (
         "usage error: no replay handler for certificate type 'poly_shrink'\n")
-
-
-@pytest.mark.parametrize("artifact, key", [("cover", None), ("meyer", "cover_ab")])
-@pytest.mark.parametrize("index", [99, -1, True])
-def test_replay_rejects_a_bad_assignment_index(tmp_path, capsys, cover_artifacts, artifact, key,
-                                               index):
-    data = json.loads(json.dumps(cover_artifacts[artifact]))
-    cover = data[key] if key else data
-    # the entry whose translate a list lookup with `index` would alias
-    indices = cover["assignments"]
-    indices[indices.index(int(index) % len(cover["translates"]))] = index
-    code, out = _replay_data(tmp_path, capsys, data)
-    assert code == 2 and "replay FAILED" in out
 
 
 def _one_patch_per_group():
@@ -1107,7 +1137,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     heis = {"type": "heis_patch", "radius": "1", "points": [],
             "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
                        "window": ["1", "1", "1"], "physical_root_index": 1}}
-    cover = {"translates": 5, "assignments": []}
+    cover = {"translates": 5}
     dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
     heis_cover = {"type": "heis_cover", "scheme": heis["scheme"],
                   "w1": {"real": ["2", "2", "3"], "padic": []},
@@ -1151,7 +1181,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                        ("root-index-float",
                         golden | {"scheme": golden["scheme"] | {"physical_root_index": 1.0}}),
                        ("lattice-min-poly-float", float_lattice),
-                       ("center-radius-zero", {"type": "center_intersection", "z_values": [],
+                       ("center-radius-zero", {"type": "center_intersection", "central_size": 0,
                                                "report": None, "conclusive": False,
                                                "inputs": {"scheme": heis["scheme"], "radius": "0"}}),
                        ("spec-no-x", {"y": 1}),
@@ -1196,6 +1226,16 @@ def test_oversized_input_is_resource_error(capsys, argv, message):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("resource error: ") and message in err
+
+
+def test_heis_hull_enumerates_factors_not_the_patch(tmp_path, capsys):
+    # at R = 200 the sqrt2 1,1,1 patch would hold about 283^3 points, past the
+    # patch limit, but the hull reads only its three 1-D factors
+    hull = tmp_path / "hull.json"
+    assert run_cli("heis", "hull", "--field", "sqrt2", "--window", "1,1,1", "--radius-small",
+                   "100", "--radius-large", "200", "--json", str(hull)) == 0
+    assert capsys.readouterr().out == "hull: full\n"
+    assert run_cli("verify", "replay", str(hull)) == 0
 
 
 def test_a_polycover_of_too_many_cosets_is_refused_before_any_is_built(capsys):

@@ -477,8 +477,12 @@ class TestIntersectionProjection:
         group = res.induced_scheme
         a_in = verify.points_within(res.intersection_points, group, 4)
         b_in = verify.points_within(res.induced_patch.points, group, 4)
-        assert res.cover_to_induced.replay(a_in, res.induced_patch.points, group)
-        assert res.cover_from_induced.replay(b_in, res.intersection_points, group)
+        assert res.cover_to_induced.failure(
+            a_in, res.induced_patch.points, group, "point"
+        ) is None
+        assert res.cover_from_induced.failure(
+            b_in, res.intersection_points, group, "point"
+        ) is None
 
     def test_whole_space_is_identity(self):
         scheme = cps.GaloisScheme(golden_field(), dim=2)

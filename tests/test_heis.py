@@ -392,7 +392,7 @@ class TestSchreiberHull:
         scheme = heis.HeisScheme(f2, (1, 1, 1))
         small = heis.heis_model_set(scheme, 4)
         large = heis.heis_model_set(scheme, 5)
-        subgroup, k1, k2 = heis.schreiber_hull(small, large)
+        subgroup, k1, k2 = heis.schreiber_hull(scheme, 4, 5)
         assert subgroup == "full"
         assert (k1, k2) == (oracle_kappas(small)["full"], oracle_kappas(large)["full"])
 
@@ -411,13 +411,13 @@ class TestSchreiberHull:
     def test_chosen_subgroups_are_pinned(self, field, window, radii, subgroup):
         scheme = hull_scheme(field, window)
         small, large = (heis.heis_model_set(scheme, Fraction(r)) for r in radii)
-        assert heis.schreiber_hull(small, large) == (
+        assert heis.schreiber_hull(scheme, *radii) == (
             subgroup, oracle_kappas(small)[subgroup], oracle_kappas(large)[subgroup]
         )
 
     def test_readme_hull_needs_the_allowance(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 1))
-        _, k1, k2 = heis.schreiber_hull(heis.heis_model_set(scheme, 3), heis.heis_model_set(scheme, 6))
+        _, k1, k2 = heis.schreiber_hull(scheme, 3, 6)
         # exact kappas 1/2 and sqrt2/2; the second is written as its 2^-64 ceiling
         assert k1 == Fraction(1, 2)
         assert (k2 - Fraction(1, 2**64)) ** 2 < Fraction(1, 2) < k2**2
@@ -481,8 +481,12 @@ class TestMeyerCommensurability:
         group = patch.scheme
         res = heis.meyer_commensurability(sym, patch.points, group, 3)
         assert res.verdict == "COMMENSURABLE-AT-SCALE"
-        assert res.cover_ab.replay(verify.points_within(sym, group, 3), patch.points, group)
-        assert res.cover_ba.replay(verify.points_within(patch.points, group, 3), sym, group)
+        assert res.cover_ab.failure(
+            verify.points_within(sym, group, 3), patch.points, group, "point"
+        ) is None
+        assert res.cover_ba.failure(
+            verify.points_within(patch.points, group, 3), sym, group, "point"
+        ) is None
 
     def test_translate_cap_gives_negative_verdict(self, f2):
         a = integer_axis_patch(f2, 10)

@@ -513,14 +513,28 @@ class TestGreedyCover:
         pts = frac_points(range(-4, 5))
         cover, _ = verify.greedy_cover(pts, pts, LINE)
         assert cover.translates == [Fraction(0)]
-        assert cover.replay(pts, pts, LINE)
+        assert cover.failure(pts, pts, LINE, "point") is None
 
     def test_integers_by_even_integers(self):
         a = frac_points(range(-4, 5))
         b = frac_points(range(-4, 5, 2))
         cover, _ = verify.greedy_cover(a, b, LINE)
         assert sorted(cover.translates) == [Fraction(0), Fraction(1)]
-        assert cover.replay(a, b, LINE)
+        assert cover.failure(a, b, LINE, "point") is None
+
+    @pytest.mark.parametrize("translates, why", [
+        ([0], "does not carry each point"),
+        ([0, 1, 0], "has translate 2, which is the first to carry no point"),
+        ([0, 1, 2], "has translate 2, which is the first to carry no point"),
+        ([1, 0, 3], "has translate 2, which is the first to carry no point"),
+    ])
+    def test_a_cover_is_its_first_carrying_translates(self, translates, why):
+        # the integers by the even integers: 0 carries the even points and 1
+        # the odd ones; a translate after both carries no point first
+        a = frac_points(range(-4, 5))
+        b = frac_points(range(-6, 7, 2))
+        cover = verify.GreedyCover(frac_points(translates), len(a))
+        assert cover.failure(a, b, LINE, "point") == why
 
     def test_translate_cap_reports_witness(self):
         a = frac_points(range(0, 12))
@@ -534,7 +548,7 @@ class TestGreedyCover:
         small = cps.model_set_patch(scheme, cps.Window.box(1), 10)
         cover, _ = verify.greedy_cover(big.points, small.points, scheme)
         assert cover is not None
-        assert cover.replay(big.points, small.points, scheme)
+        assert cover.failure(big.points, small.points, scheme, "point") is None
 
 
 def brute_force_min_cover_size(x_points, quotient_set, group, cap):
