@@ -669,77 +669,56 @@ def cover_dimension(
 # ---------------------------------------------------------------------------
 
 
-def _coset_count(primes, k1, k2) -> int:
-    """The number of cosets of the W2 ball in the W1 ball: prod p^max(0, k1 - k2)."""
-    return math.prod(p ** max(0, a - b) for p, a, b in zip(primes, k1, k2))
+# a coset of a polynomial cover costs about 0.3 ms and 210 bytes, so the
+# largest cover admitted takes about half a minute and writes about 21 MB
+MAX_COSETS = 100_000
 
 
-def _coset_residues(primes, k1, count: int) -> tuple:
-    """j * step for j < count, step = prod p^-k1: one representative per coset,
-    since j * step and j' * step differ by an element of the W2 ball exactly
-    when count divides j - j'."""
+def _coset_residues(primes, k1, k2) -> tuple:
+    """j * step for j below the count of cosets of the W2 ball in the W1 ball,
+    prod p^max(0, k1 - k2), step = prod p^-k1: one per coset, since j * step
+    and j' * step differ by an element of the W2 ball exactly when the count
+    divides j - j'.  The count is checked before any residue is made."""
+    count = math.prod(p ** max(0, a - b) for p, a, b in zip(primes, k1, k2))
+    if count > MAX_COSETS:
+        raise ResourceLimit(f"the window cover needs more than the limit of {MAX_COSETS} cosets")
     step = math.prod((Fraction(p) ** -a for p, a in zip(primes, k1)), start=Fraction(1))
     return tuple(j * step for j in range(count))
 
 
-class PadicCosetCover(Record):
-    """Residues j * prod p^-k1 representing the cosets of the W2 ball in the W1 ball."""
-
-    __slots__ = ("primes", "k1", "k2", "residues")
-
-    def to_dict(self) -> dict:
-        return {
-            "primes": list(self.primes),
-            "k1": list(self.k1),
-            "k2": list(self.k2),
-            "residues": [frac_str(q) for q in self.residues],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "PadicCosetCover":
-        json_object(data, "a p-adic cover is")
-        ints = {}
-        for key in ("primes", "k1", "k2"):
-            values = json_list(data[key], f"the {key} of a p-adic cover are")
-            if any(type(v) is not int for v in values):
-                raise UsageError(f"the {key} of a p-adic cover are integers, not {values!r}")
-            ints[key] = tuple(values)
-        residues = json_list(data["residues"], "the residues of a p-adic cover are")
-        return PadicCosetCover(residues=tuple(str_frac(q) for q in residues), **ints)
+def check_built(cert) -> None:
+    """Fail loudly if a freshly built certificate does not replay."""
+    ok, why = cert.replay()
+    if not ok:
+        raise AssertionError(f"freshly built {type(cert).__name__} failed to replay: {why}")
 
 
 class GlobalCoverCertificate(Record):
     """Evidence that Lambda(W1) is inside F Lambda(W2), globally: W1 is covered
     by the tiles t W2 of lattice translates t, p-adic balls by coset
-    representatives, and each real axis by one interval chain that reaches the
-    scheme's `cover_target`.  The file's type is the scheme's `cover_type`.
+    residues, and each real axis by one interval chain that reaches the
+    scheme's `cover_target`.  The scheme's `cover_type` tags the file, which
+    holds the residues too; they follow from the windows, so none is read.
     """
 
-    __slots__ = ("scheme", "w1", "w2", "dim_covers", "padic_cover")
+    __slots__ = ("scheme", "w1", "w2", "dim_covers")
+
+    def _levels(self) -> tuple:
+        """The p-adic levels of W1 and of W2."""
+        return tuple(tuple(k for _, k in w.padic_balls) for w in (self.w1, self.w2))
 
     @property
     def translates(self) -> list:
-        if self.padic_cover is not None:
-            return list(self.padic_cover.residues)
+        if self.w1.padic_balls:
+            return list(_coset_residues(self.scheme.primes, *self._levels()))
         pools = [list(dc.elements) for dc in self.dim_covers]
         return sorted(itertools.product(*pools), key=self.scheme.sort_key)
 
     def replay(self) -> tuple[bool, str]:
-        """Check that the stored cover covers W1 by tiles of W2;
+        """Check that the stored chains cover W1 by tiles of W2;
         (ok, what was checked or which check failed)."""
         c2s = self.w2.real_halfwidths
-        if self.padic_cover is not None:
-            padic = self.padic_cover
-            levels = tuple(tuple(k for _, k in w.padic_balls) for w in (self.w1, self.w2))
-            if (padic.primes, (padic.k1, padic.k2)) != (self.scheme.primes, levels):
-                return False, "the p-adic cover's primes or levels are not those of W1 and W2"
-            count = _coset_count(padic.primes, padic.k1, padic.k2)
-            # the count first: the representatives are only made once they are few
-            if len(padic.residues) != count or padic.residues != _coset_residues(
-                padic.primes, padic.k1, count
-            ):
-                return False, "the residues are not j * prod p^-k1 for j below the coset count"
-        elif len(self.dim_covers) != len(c2s):
+        if len(self.dim_covers) != len(c2s):
             return False, f"{len(self.dim_covers)} interval covers for {len(c2s)} window axes"
         for k, (dc, c2) in enumerate(zip(self.dim_covers, c2s)):
             needed = self.scheme.cover_target(self.w1, self.w2, self.dim_covers[:k])
@@ -749,13 +728,18 @@ class GlobalCoverCertificate(Record):
         return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
+        padic = None
+        if self.w1.padic_balls:
+            k1, k2 = self._levels()
+            padic = {"primes": list(self.scheme.primes), "k1": list(k1), "k2": list(k2),
+                     "residues": [frac_str(q) for q in self.translates]}
         return {
             "type": self.scheme.cover_type,
             "scheme": self.scheme.to_dict(),
             "w1": self.w1.to_dict(),
             "w2": self.w2.to_dict(),
             "dim_covers": [dc.to_dict() for dc in self.dim_covers],
-            "padic": None if self.padic_cover is None else self.padic_cover.to_dict(),
+            "padic": padic,
         }
 
     @staticmethod
@@ -765,33 +749,24 @@ class GlobalCoverCertificate(Record):
             raise UsageError("a global cover needs a zs or galois scheme, a heis cover a heis one")
         w1, w2 = (Window.from_dict(data[key], scheme) for key in ("w1", "w2"))
         if w1.padic_balls:
-            padic = PadicCosetCover.from_dict(data["padic"])
-            return GlobalCoverCertificate(scheme, w1, w2, (), padic)
+            return GlobalCoverCertificate(scheme, w1, w2, ())
         dim_covers = json_list(data["dim_covers"], "the dim_covers of a global cover are")
         dim_covers = tuple(DimCover.from_dict(d, scheme.field) for d in dim_covers)
-        return GlobalCoverCertificate(scheme, w1, w2, dim_covers, None)
+        return GlobalCoverCertificate(scheme, w1, w2, dim_covers)
 
 
 def global_covering_certificate(scheme, w1: Window, w2: Window) -> GlobalCoverCertificate:
     """F finite with Lambda(W1) inside F Lambda(W2), by covering W1 with W2-tiles."""
     scheme.validate_window(w1)
     scheme.validate_window(w2)
-    if w1.padic_balls:
-        k1, k2 = (tuple(k for _, k in w.padic_balls) for w in (w1, w2))
-        residues = _coset_residues(scheme.primes, k1, _coset_count(scheme.primes, k1, k2))
-        padic = PadicCosetCover(scheme.primes, k1, k2, residues)
-        cert = GlobalCoverCertificate(scheme, w1, w2, (), padic)
-    else:
-        covers = []
-        for c2 in w2.real_halfwidths:
-            target = scheme.cover_target(w1, w2, covers)
-            covers.append(cover_dimension(
-                scheme.field, scheme.physical_place, scheme.internal_place, target, c2
-            ))
-        cert = GlobalCoverCertificate(scheme, w1, w2, tuple(covers), None)
-    ok, why = cert.replay()
-    if not ok:
-        raise AssertionError(f"freshly built covering certificate failed to replay: {why}")
+    covers = []
+    for c2 in w2.real_halfwidths:
+        target = scheme.cover_target(w1, w2, covers)
+        covers.append(cover_dimension(
+            scheme.field, scheme.physical_place, scheme.internal_place, target, c2
+        ))
+    cert = GlobalCoverCertificate(scheme, w1, w2, tuple(covers))
+    check_built(cert)
     return cert
 
 

@@ -10,7 +10,6 @@ on Q are exact.  No float ever enters a value that feeds a certificate.
 
 from __future__ import annotations
 
-import enum
 import math
 import re
 from collections.abc import Sequence
@@ -499,12 +498,6 @@ def eval_embedding(
     return (Fraction(k, 1 << precision_bits), Fraction(k + 1, 1 << precision_bits))
 
 
-class Cmp(enum.Enum):
-    LESS = "LESS"
-    EQUAL = "EQUAL"
-    GREATER = "GREATER"
-
-
 def _embedding_surd(x: NFElem, place: RealEmbeddingInterval) -> tuple[int, int, int]:
     """Integers (u, v, s), s > 0, with sigma(x) = (u + v*sqrt(disc))/s at this place.
 
@@ -539,14 +532,9 @@ def abs_embedding_leq(x: NFElem, place: RealEmbeddingInterval, bound) -> bool:
     return surd_sign(u - sn, v, disc) <= 0 and surd_sign(u + sn, v, disc) >= 0
 
 
-def compare_abs_to_one(x: NFElem, place: RealEmbeddingInterval) -> Cmp:
-    """Exact comparison of |sigma(x)| against 1.
-
-    A real embedding is injective, so |sigma(x)| = 1 only for x = 1 or x = -1.
-    """
-    if x == 1 or x == -1:
-        return Cmp.EQUAL
-    return Cmp.LESS if abs_embedding_leq(x, place, 1) else Cmp.GREATER
+def compare_abs_to_one(x: NFElem, place: RealEmbeddingInterval) -> bool:
+    """Exact decision of |sigma(x)| <= 1."""
+    return abs_embedding_leq(x, place, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import cps
 from .errors import ResourceLimit, UsageError
 from .exactnum import (
-    Cmp,
     NFElem,
     NumberField,
     RATIONAL_FIELD,
@@ -169,10 +168,6 @@ def ring_pvs(field: NumberField, arch_root_index: int) -> SIntegerRing:
 # ---------------------------------------------------------------------------
 
 
-class ConjugateBound(Record):
-    __slots__ = ("place", "decision")
-
-
 class MembershipRejection(Record):
     """x is not in O_{K,S}: the place where |x|_v > 1, and why.
 
@@ -192,9 +187,9 @@ class MembershipRejection(Record):
 
 
 class PisotCertificate(Record):
-    """x lies in O_{K,S}: the decision |sigma(x)| <= 1 at each real place outside S."""
+    """x lies in O_{K,S}: |sigma(x)| <= 1 at each real place outside S."""
 
-    __slots__ = ("element", "ring", "conjugate_bounds")
+    __slots__ = ("element", "ring")
     is_member = True
 
 
@@ -234,15 +229,12 @@ def s_integer_membership(x, ring: SIntegerRing):
                 Place.finite(bad),
                 f"not an algebraic integer: finite places over {bad} exceed 1",
             )
-    bounds = []
     for place in ring.complement_arch_places():
-        decision = compare_abs_to_one(x, place.interval)
-        if decision is Cmp.GREATER:
+        if not compare_abs_to_one(x, place.interval):
             return MembershipRejection(
                 x, ring, place, f"|sigma_{place.root_index}(x)| > 1"
             )
-        bounds.append(ConjugateBound(place, decision))
-    return PisotCertificate(x, ring, bounds)
+    return PisotCertificate(x, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +262,16 @@ def _coeff_denominator_lcm(coeffs: Sequence[NFElem]) -> int:
     return m
 
 
-def _require_single_arch_ring(ring: SIntegerRing) -> None:
-    if ring.field.degree != 2:
-        raise UsageError("this operation needs a real quadratic ring")
-    if ring.s_primes or len(ring.s_arch_indices) != 1:
-        raise UsageError("this operation needs S = one real place")
+def _ring_fault(ring: SIntegerRing) -> str | None:
+    """Why no translate cover is built over `ring`, or None when one is:
+    over Q, S must hold the real place; over a quadratic field, whose S holds
+    no finite place, S must be one real place."""
+    if ring.field.degree == 1:
+        if 0 not in ring.s_arch_indices:
+            return "a translate cover over Q needs the real place in S"
+    elif len(ring.s_arch_indices) != 1:
+        return "a translate cover over a quadratic field needs S = one real place"
+    return None
 
 
 def _internal_place(ring: SIntegerRing):
@@ -285,67 +282,58 @@ def _internal_place(ring: SIntegerRing):
 class TranslateCoverCertificate(Record):
     """T finite with P(window patch of O_{K,S}) inside T + unit-window O_{K,S}.
 
-    conj_bound is a certified bound B on |sigma_int(P - P(0))| over the window;
-    coset_covers holds None per coset for K = Q (coset arithmetic only).
-    Every field but the covers follows from `ring`, `poly` and `window_scale`,
-    and replay derives each of them again.
+    coset_covers holds one interval cover per coset of (1/m) O_K modulo O_K,
+    or None per coset for K = Q (coset arithmetic only).  Every other field
+    that `to_dict` writes follows from `ring`, `poly` and `window_scale`
+    (`frame`), so replay compares it as written.
     """
 
-    __slots__ = (
-        "ring", "poly", "window_scale", "conj_bound", "modulus", "constant", "coset_reps",
-        "coset_covers",
-    )
+    __slots__ = ("ring", "poly", "window_scale", "coset_covers")
+
+    def frame(self) -> tuple:
+        """(P(0), m, the coset representatives, B), as `_translate_frame` gives them."""
+        return _translate_frame(self.poly, self.ring, self.window_scale)
 
     @property
     def translates(self) -> list[NFElem]:
+        constant, _, reps, _ = self.frame()
         if self.ring.field.degree == 1:
-            return [self.constant + rep for rep in self.coset_reps]
-        pairs = zip(self.coset_reps, self.coset_covers)
-        return [self.constant + rep + w for rep, cover in pairs for w in cover.elements]
+            return [constant + rep for rep in reps]
+        pairs = zip(reps, self.coset_covers)
+        return [constant + rep + w for rep, cover in pairs for w in cover.elements]
 
     def replay(self) -> tuple[bool, str]:
-        """Derive every field but the covers again, and check each coset's
-        cover; (ok, what was checked or which check failed)."""
-        ring = self.ring
-        constant, m, reps = _translate_frame(self.poly, ring)
-        count = m**ring.field.degree
-        if (self.constant, self.modulus) != (constant, m):
-            return False, "the constant or the modulus is not the one the polynomial gives"
-        # counts first: the representatives are only made once they are few
-        for name, entries in (("representatives", self.coset_reps), ("covers", self.coset_covers)):
-            if len(entries) != count:
-                return False, f"{len(entries)} coset {name} for {count} cosets"
-        if list(reps) != list(self.coset_reps):
-            return False, "the coset representatives are not the derived ones"
-        if ring.field.degree == 1:
-            if 0 not in ring.s_arch_indices or self.conj_bound != 0:
-                return False, "over Q the ring needs the real place and a zero conjugate bound"
-            return True, f"{len(self.translates)} translates"
-        if ring.s_primes or len(ring.s_arch_indices) != 1:
-            # the ring polynomial_translate_cover accepts: S = one real place
-            return False, "the ring's S is not one real place"
-        internal, _ = _internal_place(ring)
-        bound = _conj_bound(self.poly, internal, self.window_scale)
-        if bound != self.conj_bound:
-            return False, f"the conjugate bound is not {bound}"
-        for i, (rep, cover) in enumerate(zip(self.coset_reps, self.coset_covers)):
-            # the stored target must dominate the band this coset really needs
-            _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
-            why = cover.failure(internal, bound + rep_hi, 1)
-            if why is not None:
-                return False, f"coset cover {i} {why}"
+        """Check each coset's cover against the derived frame;
+        (ok, what was checked or which check failed)."""
+        fault = _ring_fault(self.ring)
+        if fault is not None:
+            return False, fault
+        _, m, reps, bound = self.frame()
+        count = m**self.ring.field.degree
+        # the count first: the representatives are only made once they are few
+        if len(self.coset_covers) != count:
+            return False, f"{len(self.coset_covers)} coset covers for {count} cosets"
+        if self.ring.field.degree == 2:
+            internal, _ = _internal_place(self.ring)
+            for i, (rep, cover) in enumerate(zip(reps, self.coset_covers)):
+                # the stored target must dominate the band this coset really needs
+                _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
+                why = cover.failure(internal, bound + rep_hi, 1)
+                if why is not None:
+                    return False, f"coset cover {i} {why}"
         return True, f"{len(self.translates)} translates"
 
     def to_dict(self) -> dict:
+        constant, m, reps, bound = self.frame()
         return {
             "type": "poly_translate_cover",
             "ring": self.ring.to_dict(),
             "poly": [c.to_list() for c in self.poly],
             "window_scale": frac_str(self.window_scale),
-            "conj_bound": frac_str(self.conj_bound),
-            "modulus": self.modulus,
-            "constant": self.constant.to_list(),
-            "coset_reps": [r.to_list() for r in self.coset_reps],
+            "conj_bound": frac_str(bound),
+            "modulus": m,
+            "constant": constant.to_list(),
+            "coset_reps": [r.to_list() for r in reps],
             "coset_covers": [None if c is None else c.to_dict() for c in self.coset_covers],
         }
 
@@ -356,29 +344,23 @@ class TranslateCoverCertificate(Record):
         covers = json_list(data["coset_covers"], "the coset_covers are")
         if any((c is None) != (field.degree == 1) for c in covers):
             raise UsageError("a coset cover is null over Q and an interval cover over a quadratic field")
-
-        def elems(key):
-            return [field.elem_from_json(e) for e in json_list(data[key], f"the {key} are")]
-
         return TranslateCoverCertificate(
             ring=ring,
-            poly=elems("poly"),
+            poly=[field.elem_from_json(e) for e in json_list(data["poly"], "the poly are")],
             window_scale=str_frac(data["window_scale"]),
-            conj_bound=str_frac(data["conj_bound"]),
-            modulus=str_int(data["modulus"]),
-            constant=field.elem_from_json(data["constant"]),
-            coset_reps=elems("coset_reps"),
             coset_covers=[None if c is None else cps.DimCover.from_dict(c, field) for c in covers],
         )
 
 
-def _translate_frame(coeffs: Sequence[NFElem], ring: SIntegerRing):
-    """(P(0), m, the coset representatives) of a translate cover of P over `ring`.
+def _translate_frame(coeffs: Sequence[NFElem], ring: SIntegerRing, window_scale: Fraction):
+    """(P(0), m, the coset representatives, B) of a translate cover of P over `ring`.
 
     P - P(0) maps the window into (1/m) O_{K,S}.  Over Q, m is the part of the
-    coefficient denominators prime to S and the representatives are j/m; over
-    a quadratic field they are the m^2 elements (i + j theta)/m.  They are
-    yielded lazily, so their number can be checked before they are made.
+    coefficient denominators prime to S, the representatives are j/m and B is
+    0; over a quadratic field they are the m^2 elements (i + j theta)/m and B
+    is a certified bound on |sigma_int(P - P(0))| over the window.  The
+    representatives are yielded lazily, so their number can be checked before
+    they are made.
     """
     field = ring.field
     constant = coeffs[0] if coeffs else field.zero()
@@ -387,21 +369,15 @@ def _translate_frame(coeffs: Sequence[NFElem], ring: SIntegerRing):
         for p in ring.s_primes:
             while m % p == 0:
                 m //= p
-        return constant, m, (field.from_rational(Fraction(j, m)) for j in range(m))
-    theta = field.gen()
-    reps = ((field.from_rational(i) + theta * j) * Fraction(1, m) for i in range(m) for j in range(m))
-    return constant, m, reps
+        return constant, m, (NFElem(field, j, 0, m) for j in range(m)), Fraction(0)
+    reps = (NFElem(field, i, j, m) for i in range(m) for j in range(m))
+    return constant, m, reps, _conj_bound(coeffs, _internal_place(ring)[0], window_scale)
 
 
 def _conj_bound(coeffs: Sequence[NFElem], internal, window_scale: Fraction) -> Fraction:
     """Certified bound on |sigma_int(P - P(0))| over the window [-s, s]."""
     his = (iv_abs(eval_embedding(c, internal, 96))[1] for c in coeffs[1:])
     return sum((hi * window_scale**i for i, hi in enumerate(his, start=1)), Fraction(0))
-
-
-# each coset costs about 0.3 ms and 210 bytes of certificate, so the largest
-# cover admitted takes about half a minute and writes about 21 MB
-MAX_COSETS = 100_000
 
 
 def polynomial_translate_cover(
@@ -417,33 +393,29 @@ def polynomial_translate_cover(
     window_scale = Fraction(window_scale)
     if window_scale <= 0:
         raise UsageError("window scale must be positive")
+    fault = _ring_fault(ring)
+    if fault is not None:
+        raise UsageError(fault)
     field = ring.field
     coeffs = _coerce_poly(field, poly) or [field.zero()]
-    constant, m, reps = _translate_frame(coeffs, ring)
+    _, m, reps, bound = _translate_frame(coeffs, ring, window_scale)
     # one coset per representative: count them before any is made
-    if m**field.degree > MAX_COSETS:
-        raise ResourceLimit(f"the translate cover needs more than the limit of {MAX_COSETS} cosets")
+    if m**field.degree > cps.MAX_COSETS:
+        raise ResourceLimit(f"the translate cover needs more than the limit of {cps.MAX_COSETS} cosets")
     if field.degree == 1:
-        if 0 not in ring.s_arch_indices:
-            raise UsageError("rational rings here must contain the archimedean place in S")
-        return TranslateCoverCertificate(
-            ring, coeffs, window_scale, Fraction(0), m, constant, list(reps), [None] * m
-        )
-    _require_single_arch_ring(ring)
-    reps = list(reps)
-    internal, physical = _internal_place(ring)
-    bound = _conj_bound(coeffs, internal, window_scale)
-    if len(coeffs) == 1:
+        covers = [None] * m
+    elif len(coeffs) == 1:
         # constant polynomial: the image is {P(0)}, one translate and no search
-        zero_cover = cps.DimCover((field.zero(),), Fraction(1), Fraction(0), Fraction(0))
-        return TranslateCoverCertificate(
-            ring, coeffs, window_scale, bound, m, constant, reps, [zero_cover]
-        )
-    covers = []
-    for rep in reps:
-        _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
-        covers.append(cps.cover_dimension(field, physical, internal, bound + rep_hi, Fraction(1)))
-    return TranslateCoverCertificate(ring, coeffs, window_scale, bound, m, constant, reps, covers)
+        covers = [cps.DimCover((field.zero(),), Fraction(1), Fraction(0), Fraction(0))]
+    else:
+        internal, physical = _internal_place(ring)
+        covers = []
+        for rep in reps:
+            _, rep_hi = iv_abs(eval_embedding(rep, internal, 96))
+            covers.append(cps.cover_dimension(field, physical, internal, bound + rep_hi, Fraction(1)))
+    cert = TranslateCoverCertificate(ring, coeffs, window_scale, covers)
+    cps.check_built(cert)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +451,9 @@ class SumProductCertificate(Record):
         }
 
 
-def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
-    """Certify a finite symmetric set containing 0 as a subset of O_{K,S}.
+def pvs_certify_set(elements, ring: SIntegerRing):
+    """Certify a finite symmetric set containing 0 as a subset of O_{K,S}, with
+    the largest physical size of an element as the patch bound.
 
     Returns a SumProductCertificate, or the MembershipRejection of the first
     failing element.
@@ -496,16 +469,13 @@ def pvs_certify_set(elements, ring: SIntegerRing, patch_bound=None):
             raise UsageError("the set must be symmetric (closed under negation)")
     arch_index = ring.s_arch_indices[0] if ring.s_arch_indices else 0
     physical = ring.field.real_roots()[arch_index] if ring.field.real_root_count() else None
-    if patch_bound is None:
-        bound = Fraction(0)
-        for e in elems:
-            if physical is None:
-                bound = max(bound, abs(e.coeffs[0]))
-            else:
-                _, hi = iv_abs(eval_embedding(e, physical, 64))
-                bound = max(bound, hi)
-        patch_bound = bound
-    patch_bound = Fraction(patch_bound)
+    patch_bound = Fraction(0)
+    for e in elems:
+        if physical is None:
+            patch_bound = max(patch_bound, abs(e.coeffs[0]))
+        else:
+            _, hi = iv_abs(eval_embedding(e, physical, 64))
+            patch_bound = max(patch_bound, hi)
     ordered = sorted(elems, key=lambda x: x.coeffs)
     for e in ordered:
         result = s_integer_membership(e, ring)

@@ -308,8 +308,7 @@ def _sum_product(data) -> dict:
     ring = places.SIntegerRing.from_dict(data["ring"])
     elements = json_list(data["elements"], "the elements of a sum-product set are")
     elements = [ring.field.elem_from_json(e) for e in elements]
-    bound = str_frac(data["patch_bound"])
-    return places.pvs_certify_set(elements, ring, patch_bound=bound).to_dict()
+    return places.pvs_certify_set(elements, ring).to_dict()
 
 
 def _inputs(data, *keys) -> tuple:

@@ -170,7 +170,7 @@ def test_criterion_4_polynomial_lemma():
         ok, why = again.replay()
         assert ok, why
         assert serialize.canonical_json(again.to_dict()) == blob
-        oracle = oracle_cover_count(cert.conj_bound)
+        oracle = oracle_cover_count(cert.frame()[3])
         size = len(cert.translates)
         assert size <= 2 * oracle and oracle <= 2 * size, (label, size, oracle)
         sizes[label] = size

@@ -143,17 +143,11 @@ def test_a_changed_sum_product_never_replays_ok(tmp_path, capsys, sum_product_fi
 
 
 def test_a_sum_product_in_the_older_layout_is_a_usage_error(tmp_path, capsys, sum_product_file):
-    # the per-element records the older layout listed beside the set
-    ring = places.SIntegerRing.from_dict(sum_product_file["ring"])
-    members = []
-    for e in sum_product_file["elements"]:
-        cert = places.s_integer_membership(ring.field.elem_from_json(e), ring)
-        members.append({
-            "type": "pisot_membership", "ring": sum_product_file["ring"], "element": e,
-            "conjugate_bounds": [{"place": b.place.to_dict(), "decision": b.decision.value}
-                                 for b in cert.conjugate_bounds],
-            "finite_valuations": [],
-        })
+    # the per-element records the older layout listed beside the set: over Z[1/2], whose S
+    # holds the real place, no conjugate is bounded
+    members = [{"type": "pisot_membership", "ring": sum_product_file["ring"], "element": e,
+                "conjugate_bounds": [], "finite_valuations": []}
+               for e in sum_product_file["elements"]]
     path = tmp_path / "older.json"
     path.write_text(json.dumps(sum_product_file | {"members": members}))
     capsys.readouterr()
@@ -1066,9 +1060,20 @@ def _one_patch_per_group():
          "the target of a cover is a [lo, hi] pair, not 5"),
         (["verify", "replay", "{d}/heis-global-cover.json"],
          "a global cover needs a zs or galois scheme"),
-        *((["verify", "replay", f"{{d}}/{artifact}-padic-{key}-int.json"],
-           f"the {key} of a p-adic cover are a JSON list, not 5")
-          for artifact in ("global", "lattice") for key in ("primes", "k1", "k2", "residues")),
+        # the fields a window or translate cover still reads; its derived fields fail
+        # replay as not written (test_a_changed_derived_cover_field_fails_replay_and_is_named)
+        (["verify", "replay", "{d}/global-dim-covers-int.json"],
+         "the dim_covers of a global cover are a JSON list, not 5"),
+        (["verify", "replay", "{d}/lattice-dim-covers-int.json"],
+         "the dim_covers of a global cover are a JSON list, not 5"),
+        (["verify", "replay", "{d}/poly-covers-int.json"], "the coset_covers are a JSON list, not 5"),
+        (["verify", "replay", "{d}/poly-poly-int.json"], "the poly are a JSON list, not 5"),
+        (["verify", "replay", "{d}/poly-ring-int.json"], "a ring is a JSON object, not 5"),
+        (["verify", "replay", "{d}/poly-scale-float.json"], "not a rational number: 0.5"),
+        (["verify", "replay", "{d}/poly-zs-interval-cover.json"],
+         "a coset cover is null over Q and an interval cover over a quadratic field"),
+        (["verify", "replay", "{d}/poly-cover-elements-int.json"],
+         "the elements of a cover are coefficient lists, not 5"),
         # a float or bool literal where the file holds an integer or a rational string
         (["verify", "replay", "{d}/min-poly-float.json"], "not an integer: -1.9"),
         (["verify", "replay", "{d}/zs-level-float.json"], "not an integer: 1.7"),
@@ -1190,20 +1195,95 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
                                            "x_cover": dim_cover, "y_cover": dim_cover,
                                            "z_cover": dim_cover, "shear_bound": "0"})):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    padic = {"primes": [2], "k1": [0], "k2": [0], "residues": ["0"]}
-    for key in padic:
-        zs_cover = {"type": "global_cover", "scheme": zs["scheme"], "w1": zs["window"],
-                    "w2": zs["window"], "dim_covers": [], "padic": padic | {key: 5}}
-        lattice = {"type": "approximate_lattice", "scheme": zs["scheme"], "window": zs["window"],
-                   "cover": zs_cover, "patch_radius": "1", "delone": {}}
-        for artifact, data in (("global", zs_cover), ("lattice", lattice)):
-            (tmp_path / f"{artifact}-padic-{key}-int.json").write_text(json.dumps(data))
+    golden_cover = {"type": "global_cover", "scheme": golden["scheme"],
+                    "w1": {"real": ["2"], "padic": []}, "w2": golden["window"], "dim_covers": 5,
+                    "padic": None}
+    golden_poly, zs_poly = _poly_covers()
+    for name, data in (("global-dim-covers-int", golden_cover),
+                       ("lattice-dim-covers-int", float_lattice | {"scheme": golden["scheme"],
+                                                                   "cover": golden_cover}),
+                       ("poly-covers-int", golden_poly | {"coset_covers": 5}),
+                       ("poly-poly-int", golden_poly | {"poly": 5}),
+                       ("poly-ring-int", golden_poly | {"ring": 5}),
+                       ("poly-scale-float", golden_poly | {"window_scale": 0.5}),
+                       ("poly-zs-interval-cover", zs_poly | {"coset_covers": [dim_cover] * 3}),
+                       ("poly-cover-elements-int",
+                        golden_poly | {"coset_covers": [dim_cover | {"elements": 5}] * 4})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     assert run_cli(*(a.format(d=tmp_path) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and message.format(d=tmp_path) in err
     assert "Traceback" not in err
     # a failed write removes its temporary file
     assert not list(tmp_path.glob(".meyerlab-*"))
+
+
+def _poly_covers() -> tuple[dict, dict]:
+    """The translate covers of (1/2)X + 1/3 over the golden PVS ring, 4 cosets,
+    and of X/3 over Z[1/2], 3 cosets."""
+    golden = places.polynomial_translate_cover(
+        [Fraction(1, 3), Fraction(1, 2)], places.ring_pvs(golden_field(), 1))
+    zs = places.polynomial_translate_cover([0, Fraction(1, 3)], places.ring_zs([2]))
+    return golden.to_dict(), zs.to_dict()
+
+
+def _changed(value):
+    """A value of the same JSON type that differs from `value`."""
+    if type(value) is int:
+        return value + 1
+    if type(value) is str:
+        return str(2 * str_frac(value) + 1)
+    return value + value[:1]
+
+
+@pytest.mark.parametrize("artifact, key, change", [
+    # the padic object of a zs cover: the scheme's primes, the windows' levels, the residues
+    *((artifact, key, "int") for artifact in ("global", "lattice")
+      for key in ("primes", "k1", "k2", "residues")),
+    # P(0), m, the representatives and B of a translate cover
+    *((artifact, key, change) for artifact in ("poly-golden", "poly-zs")
+      for key in ("constant", "modulus", "coset_reps", "conj_bound") for change in ("value", "type")),
+])
+def test_a_changed_derived_cover_field_fails_replay_and_is_named(tmp_path, capsys, artifact, key,
+                                                                  change):
+    # a field that replay derives is compared as written, not decoded, so a change of its
+    # value or JSON type fails replay (exit 2) and its line names the field
+    if artifact.startswith("poly"):
+        data = dict(zip(("poly-golden", "poly-zs"), _poly_covers()))[artifact]
+        data[key] = _changed(data[key]) if change == "value" else (
+            str(data[key]) if type(data[key]) is int else 5)
+        named = f"replay FAILED: poly_translate_cover: {key}"
+    else:
+        zs = {"kind": "zs", "primes": [2]}
+        window = {"real": [], "padic": [[2, 0]]}
+        padic = {"primes": [2], "k1": [0], "k2": [0], "residues": ["0"]}
+        data = {"type": "global_cover", "scheme": zs, "w1": window, "w2": window,
+                "dim_covers": [], "padic": padic | {key: 5}}
+        named = f"replay FAILED: global_cover: padic.{key}"
+        if artifact == "lattice":
+            data = {"type": "approximate_lattice", "scheme": zs, "window": window, "cover": data,
+                    "patch_radius": "1", "delone": {}}
+            named = f"replay FAILED: cover.padic.{key}"
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert code == 2 and out.startswith(named + " is not what the writer writes"), out
+
+
+def test_replay_of_a_zs_cover_of_too_many_cosets_is_refused_before_any_residue_is_made(
+        tmp_path, capsys):
+    # W1 at 2-adic level 22 over W2 at level 0 has 2^22 cosets: a window the scheme takes, but
+    # a cover past the coset limit, refused from the file of a few hundred bytes at once
+    window = {"real": [], "padic": [[2, 0]]}
+    data = {"type": "global_cover", "scheme": {"kind": "zs", "primes": [2]},
+            "w1": {"real": [], "padic": [[2, 22]]}, "w2": window, "dim_covers": [],
+            "padic": {"primes": [2], "k1": [22], "k2": [0], "residues": ["0"]}}
+    path = tmp_path / "many-cosets.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli("verify", "replay", str(path)) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"resource error: the window cover needs more than the limit of {cps.MAX_COSETS} cosets\n")
 
 
 # a radius of 4,300 digits, the most that Python converts from a string: the

@@ -6,7 +6,7 @@ import pytest
 
 from meyerlab import cps, places, serialize
 from meyerlab.errors import UsageError
-from meyerlab.exactnum import Cmp, golden_field, sqrt2_field
+from meyerlab.exactnum import golden_field, sqrt2_field
 from oracles import elem, poly_apply, product_formula
 
 
@@ -49,7 +49,6 @@ class TestMembership:
     def test_golden_ratio_is_pvs(self, golden_ring):
         cert = places.s_integer_membership(golden_field().gen(), golden_ring)
         assert cert.is_member
-        assert [b.decision for b in cert.conjugate_bounds] == [Cmp.LESS]
         # membership replays through the set {0, x, -x} that holds it
         x = golden_field().gen()
         assert serialize.replay(places.pvs_certify_set([0, x, -x], golden_ring).to_dict())[0]
@@ -59,7 +58,6 @@ class TestMembership:
         x = field.one() + field.gen()
         cert = places.s_integer_membership(x, sqrt2_ring)
         assert cert.is_member
-        assert [b.decision for b in cert.conjugate_bounds] == [Cmp.LESS]
 
     def test_non_integral_quadratic_rejected(self, golden_ring):
         x = elem(golden_field(), [Fraction(1, 2), 0])
@@ -197,6 +195,22 @@ class TestPolynomialTranslateCover:
         ok, why = cert.replay()
         assert ok, why
 
+    @pytest.mark.parametrize("ring, message", [
+        (places.SIntegerRing(places.RATIONAL_FIELD, [places.Place.finite(2)]),
+         "a translate cover over Q needs the real place in S"),
+        (places.SIntegerRing(golden_field(), [places.Place.archimedean(golden_field(), i)
+                                              for i in (0, 1)]),
+         "a translate cover over a quadratic field needs S = one real place"),
+    ])
+    def test_one_ring_rule_for_the_builder_and_replay(self, ring, message):
+        # the builder refuses the ring, and replay fails a file over it, with one reason
+        with pytest.raises(UsageError, match=message):
+            places.polynomial_translate_cover([0, Fraction(1, 3)], ring)
+        base = places.ring_zs([2]) if ring.field.degree == 1 else places.ring_pvs(ring.field, 1)
+        data = places.polynomial_translate_cover([0, Fraction(1, 3)], base).to_dict()
+        data["ring"] = ring.to_dict()
+        assert places.TranslateCoverCertificate.from_dict(data).replay() == (False, message)
+
     def test_constant_polynomial(self, golden_ring):
         q = elem(golden_field(), [Fraction(5, 3), Fraction(1, 2)])
         cert = places.polynomial_translate_cover([q], golden_ring)
@@ -206,7 +220,8 @@ class TestPolynomialTranslateCover:
 
     def test_doubling_map_over_golden(self, golden_ring):
         cert = places.polynomial_translate_cover([0, 2], golden_ring, window_scale=1)
-        assert cert.conj_bound == 2 or (Fraction(2) <= cert.conj_bound <= Fraction(201, 100))
+        bound = cert.frame()[3]
+        assert bound == 2 or (Fraction(2) <= bound <= Fraction(201, 100))
         size = len(cert.translates)
         oracle = oracle_greedy_cover_size(2)
         assert size <= 2 * oracle and oracle <= 2 * size
@@ -217,7 +232,7 @@ class TestPolynomialTranslateCover:
         ring = places.ring_zs([2])
         # P(X) = X/3 over Z_{2}: denominators 3 stay, so three cosets
         cert = places.polynomial_translate_cover([0, Fraction(1, 3)], ring)
-        assert cert.modulus == 3
+        assert cert.frame()[1] == 3
         assert len(cert.translates) == 3
         ok, why = cert.replay()
         assert ok, why
@@ -225,14 +240,15 @@ class TestPolynomialTranslateCover:
     def test_s_prime_denominators_absorbed(self):
         ring = places.ring_zs([2])
         cert = places.polynomial_translate_cover([0, Fraction(1, 4)], ring)
-        assert cert.modulus == 1
+        assert cert.frame()[1] == 1
 
     def test_fractional_coefficients_use_cosets(self, golden_ring):
         cert = places.polynomial_translate_cover(
             [Fraction(1, 3), Fraction(1, 2)], golden_ring, window_scale=1
         )
-        assert cert.modulus == 2
-        assert len(cert.coset_reps) == 4
+        _, m, reps, _ = cert.frame()
+        assert m == 2
+        assert len(list(reps)) == 4
         ok, why = cert.replay()
         assert ok, why
 
