@@ -54,7 +54,11 @@ def parse_field(spec: str) -> NumberField:
     if spec in FIELD_NAMES:
         return FIELD_NAMES[spec]()
     if os.path.exists(spec):
-        return NumberField.from_dict(serialize.load_json(spec))
+        data = serialize.load_json(spec)
+        try:
+            return NumberField.from_dict(data)
+        except KeyError as exc:
+            raise UsageError(f"{spec} lacks the key {exc}") from exc
     raise UsageError(f"unknown field {spec!r} (named field or JSON file path)")
 
 
@@ -105,13 +109,13 @@ def parse_ring(spec: str) -> places.SIntegerRing:
     parts = spec.split(":")
     if parts[0] == "z":
         return places.ring_of_integers()
-    if parts[0] == "zs":
+    if parts[0] == "zs" and len(parts) > 1:
         return places.ring_zs([str_int(p) for p in parts[1].split(",")])
-    if parts[0] == "pvs":
+    if parts[0] == "pvs" and len(parts) > 1:
         field = parse_field(parts[1])
         index = str_int(parts[2]) if len(parts) > 2 else 1
         return places.ring_pvs(field, index)
-    raise UsageError(f"unknown ring spec {spec!r} (z | zs:<primes> | pvs:<field>[:<root>])")
+    raise UsageError(f"ring spec {spec!r} is not z, zs:<primes> or pvs:<field>[:<root>]")
 
 
 def parse_elements(path: str, field: NumberField):
@@ -359,8 +363,9 @@ def cmd_pisot_polycover(args) -> int:
 
 def _load_patch(path: str, args) -> cps.Patch:
     """The patch that the JSON or CSV file at `path` holds, which must be exactly
-    the points that its scheme, window and radius enumerate, in any order.  It
-    is returned as that enumeration, in canonical order."""
+    the points that its scheme, window and radius enumerate, in any order, each
+    written as its writer writes it.  It is returned as that enumeration, in
+    canonical order; no point of the file is decoded."""
     if path.endswith(".csv"):
         if not (args.scheme or args.field):
             raise UsageError("CSV patches need --scheme (or --field/--window for heis) metadata")
@@ -371,14 +376,22 @@ def _load_patch(path: str, args) -> cps.Patch:
         else:
             scheme = parse_scheme(args.scheme)
             window = parse_window(scheme, args.window)
-        points = tuple(scheme.point_from_csv(row) for row in rows[1:])
         patch = scheme.model_set(window, str_frac(args.radius))
+        written = rows[1:]
+        expected = [scheme.csv_row(p) for p in patch.points]
     else:
         data = serialize.load_json(path)
         if type(data) is not dict or data.get("type") not in ("patch", "heis_patch"):
             raise UsageError(f"{path} is not a patch file")
-        points, patch = cps.read_patch(data)
-    if len(points) != len(patch.points) or set(points) != set(patch.points):
+        try:
+            scheme, window, radius = cps.patch_inputs(data)
+            points = json_list(data["points"], f"the points of {path} are")
+        except KeyError as exc:
+            raise UsageError(f"{path} lacks the key {exc}") from exc
+        patch = scheme.model_set(window, radius)
+        written = [json.dumps(p) for p in points]
+        expected = [json.dumps(scheme.point_to_json(p)) for p in patch.points]
+    if len(written) != len(expected) or set(written) != set(expected):
         raise UsageError(
             f"the points of {path} are not the {len(patch.points)} points "
             "that its scheme, window and radius enumerate"

@@ -35,7 +35,6 @@ from .exactnum import (
     RealEmbeddingInterval,
     Record,
     abs_embedding_leq,
-    check_rational,
     cmp_embedding,
     eval_embedding,
     floor_surd,
@@ -145,22 +144,12 @@ def window_product(w1: Window, w2: Window) -> Window:
 # Schemes
 #
 # Each scheme owns the format of its points: `patch_type` tags its patch
-# artifacts, and point_to_json/point_from_json, csv_header/csv_row/
-# point_from_csv and sort_key write, read and order one point.  `model_set`
-# builds the complete patch for a window and radius.  `cover_type` tags its
-# window covers, and a scheme over a quadratic field gives each real axis's
-# cover target by `cover_target`.
+# artifacts, and point_to_json/point_from_json, csv_header/csv_row and
+# sort_key write, read and order one point.  `model_set` builds the complete
+# patch for a window and radius.  `cover_type` tags its window covers, and a
+# scheme over a quadratic field gives each real axis's cover target by
+# `cover_target`.
 # ---------------------------------------------------------------------------
-
-
-def _csv_cells(row: str, header: str) -> list[str]:
-    """The cells of a CSV row, one per column of `header`."""
-    cells, columns = row.split(","), header.count(",") + 1
-    if len(cells) != columns:
-        raise UsageError(
-            f"the CSV row {row!r} has {len(cells)} cells, not the {columns} of {header!r}"
-        )
-    return cells
 
 
 class ZSScheme(RationalLine):
@@ -211,27 +200,16 @@ class ZSScheme(RationalLine):
     def point_to_json(self, q: Fraction) -> str:
         return frac_str(q)
 
-    @staticmethod
-    def _point_json(data):
+    def point_from_json(self, data) -> Fraction:
         if type(data) not in (str, int):
             raise UsageError(f"a zs point is a rational string, not {data!r}")
-        return data
-
-    def point_from_json(self, data) -> Fraction:
-        return str_frac(self._point_json(data))
-
-    def check_point_json(self, data) -> None:
-        """Raise the usage error that `point_from_json(data)` raises, if any, and build nothing."""
-        check_rational(self._point_json(data))
+        return str_frac(data)
 
     def csv_header(self) -> str:
         return "x"
 
     def csv_row(self, q: Fraction) -> str:
         return frac_str(q)
-
-    def point_from_csv(self, row: str) -> Fraction:
-        return str_frac(_csv_cells(row, self.csv_header())[0])
 
 
 class QuadraticScheme:
@@ -254,33 +232,19 @@ class QuadraticScheme:
     def point_to_json(self, p) -> list:
         return [x.to_list() for x in p]
 
-    def _point_json(self, data) -> list:
+    def point_from_json(self, data):
         n = len(self.coords)
         if not (type(data) is list and len(data) == n and all(type(x) is list for x in data)):
             raise UsageError(
                 f"a {self.kind} point is one coefficient list per coordinate, not {data!r}"
             )
-        return data
-
-    def point_from_json(self, data):
-        return tuple(self.field.elem_from_json(x) for x in self._point_json(data))
-
-    def check_point_json(self, data) -> None:
-        """Raise the usage error that `point_from_json(data)` raises, if any, and build nothing."""
-        for x in self._point_json(data):
-            self.field.check_elem_json(x)
+        return tuple(self.field.elem_from_json(x) for x in data)
 
     def csv_header(self) -> str:
         return ",".join(f"{name}_c{i}" for name in self.coords for i in (0, 1))
 
     def csv_row(self, p) -> str:
         return ",".join(frac_str(c) for x in p for c in x.coeffs)
-
-    def point_from_csv(self, row: str):
-        cells = _csv_cells(row, self.csv_header())
-        return tuple(
-            self.field.elem_from_json(cells[i : i + 2]) for i in range(0, 2 * len(self.coords), 2)
-        )
 
     @staticmethod
     def sort_key(p):
@@ -431,20 +395,6 @@ def patch_inputs(data: dict) -> tuple:
         raise UsageError(f"a {data['type']} artifact cannot hold a {scheme.kind} scheme")
     window = None if hasattr(scheme, "window") else Window.from_dict(data["window"], scheme)
     return scheme, window, str_frac(data["radius"])
-
-
-def patch_points_json(data: dict) -> list:
-    """The JSON list of points of the patch file `data`."""
-    return json_list(data["points"], "the points of a patch are")
-
-
-def read_patch(data: dict) -> tuple[tuple, Patch]:
-    """(the points of the patch file `data`, the patch that its scheme, window
-    and radius enumerate).  The points are decoded before anything is
-    enumerated, so a malformed point is a usage error whatever the radius."""
-    scheme, window, radius = patch_inputs(data)
-    points = tuple(scheme.point_from_json(p) for p in patch_points_json(data))
-    return points, scheme.model_set(window, radius)
 
 
 def enumerate_window_elements(

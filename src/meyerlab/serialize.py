@@ -281,13 +281,11 @@ def cellcover_summary(x_values, coverings) -> dict:
 
 
 def _rebuilt_patch(data) -> cps.Patch:
-    """The patch that the scheme, window and radius of the patch file `data`
-    enumerate.  The file's points are checked for shape but not decoded: the
-    caller compares the whole rebuild with the file, so a malformed point is
-    still a usage error, and any other difference fails replay."""
+    """The patch that the scheme, window and radius of the patch dict `data`
+    enumerate.  No point of the file is read: where the caller compares the
+    rebuild with the file, a point that is not as its writer writes it fails
+    replay like any other difference."""
     scheme, window, radius = cps.patch_inputs(data)
-    for p in cps.patch_points_json(data):
-        scheme.check_point_json(p)
     return scheme.model_set(window, radius)
 
 
@@ -383,7 +381,8 @@ def _replay_rebuilt(data) -> tuple[bool, str]:
     tag = data["type"]
     again = canonical_json(REBUILDERS[tag](data))
     if again != canonical_json(data):
-        return False, f"{tag} rebuilt from its inputs differs from the file"
+        where = _first_difference(data, json.loads(again))
+        return False, f"{tag} rebuilt from its inputs differs from the file at {where}"
     return True, f"{tag} rebuilt from its inputs: {len(again)} bytes identical"
 
 
@@ -503,8 +502,7 @@ def _replay_patch_cover(data) -> tuple[bool, str]:
                 f"{key} lists its points, as in the older patch_cover layout; "
                 "write the file again with verify cover"
             )
-        scheme, window, radius = cps.patch_inputs(inputs)
-        patch = scheme.model_set(window, radius)
+        patch = _rebuilt_patch(inputs)
         where = _first_difference(inputs, patch.inputs_dict())
         if where is not None:
             return False, f"{key} differs from the inputs of its re-enumeration at {where}"

@@ -227,8 +227,10 @@ def test_replay_of_a_changed_center_file_fails(tmp_path, capsys, change):
     else:
         data["central_size"] = True
     code, out = _replay_data(tmp_path, capsys, data)
+    # the line names the first key, in sorted order, that is not what the writer writes
+    where = "z_values" if change == "z_values-added" else "central_size"
     assert (code, out) == (
-        2, "replay FAILED: center_intersection rebuilt from its inputs differs from the file\n")
+        2, f"replay FAILED: center_intersection rebuilt from its inputs differs from the file at {where}\n")
 
 
 @pytest.mark.parametrize("window, radii", [
@@ -471,10 +473,13 @@ def _drop_physical_end(data):
     ("golden", "radius-edited"),
     ("heis", "repeated-point"),
     ("heis", "dropped-point"),
+    ("golden", "integer-coordinates"),
+    ("heis", "unreduced-coordinate"),
 ])
 def test_verify_needs_the_enumerated_patch(tmp_path, capsys, command, patch, edit):
     # a patch file must hold exactly the points that its scheme, window and
-    # radius enumerate; any other point set is refused before it is measured
+    # radius enumerate, each as its writer writes it; any other point set is
+    # refused before it is measured
     generate, _ = PATCHES[patch]
     good, path = tmp_path / "patch.json", tmp_path / "edited.json"
     assert run_cli(*generate, "--json", str(good)) == 0
@@ -485,8 +490,15 @@ def test_verify_needs_the_enumerated_patch(tmp_path, capsys, command, patch, edi
         data["radius"] = "25"
     elif edit == "repeated-point":
         data["points"].append(data["points"][0])
-    else:
+    elif edit == "dropped-point":
         data["points"].pop(len(data["points"]) // 2)
+    elif edit == "integer-coordinates":
+        # the same point of Z[phi], its coordinates JSON integers and not strings
+        data["points"][0] = [[int(c) for c in x] for x in data["points"][0]]
+    else:
+        # the same value as the first coordinate, as "2/4" is the value of "1/2"
+        q = str_frac(data["points"][0][0][0])
+        data["points"][0][0][0] = f"{2 * q.numerator}/{2 * q.denominator}"
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert run_cli(*_verify_argv(command, path, good, []), "--json", str(tmp_path / "out.json")) == 1
@@ -501,6 +513,8 @@ def test_verify_needs_the_enumerated_patch(tmp_path, capsys, command, patch, edi
     ("zs:2", "0", ["1,2"]),
 ])
 def test_csv_rows_need_one_cell_per_column(tmp_path, capsys, scheme, window, rows):
+    # a row is compared with the rows its writer writes, so a row of any other
+    # cell count is a point the enumeration does not hold
     path = tmp_path / "patch.csv"
     assert run_cli("cps", "generate", "--scheme", scheme, "--window", window, "--radius", "2",
                    "--out", str(path)) == 0
@@ -511,7 +525,7 @@ def test_csv_rows_need_one_cell_per_column(tmp_path, capsys, scheme, window, row
         assert run_cli("verify", "delone", "--patch", str(path), "--scheme", scheme,
                        "--window", window, "--radius", "2") == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: the CSV row ") and repr(row) in err
+        assert err.startswith(f"usage error: the points of {path} are not the ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1002,6 +1016,20 @@ def test_a_poly_shrink_file_has_no_replay(tmp_path, capsys):
         "usage error: no replay handler for certificate type 'poly_shrink'\n")
 
 
+def _hand_patches() -> tuple[dict, dict, dict]:
+    """A golden, a zs and a heis patch file, written by hand with few points."""
+    golden = {"type": "patch", "radius": "2", "points": [[["0", "0"]]],
+              "scheme": {"kind": "galois", "field": {"min_poly": [-1, -1, 1]}, "dim": 1,
+                         "physical_root_index": 1},
+              "window": {"real": ["1"], "padic": []}}
+    zs = {"type": "patch", "radius": "1", "points": ["0"], "scheme": {"kind": "zs", "primes": [2]},
+          "window": {"real": [], "padic": [[2, 0]]}}
+    heis = {"type": "heis_patch", "radius": "1", "points": [],
+            "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
+                       "window": ["1", "1", "1"], "physical_root_index": 1}}
+    return golden, zs, heis
+
+
 def _one_patch_per_group():
     """Small patches whose points lie in five different groups."""
     golden, sqrt2 = golden_field(), sqrt2_field()
@@ -1035,13 +1063,16 @@ def _one_patch_per_group():
         (["cps", "intersect", "--scheme", "galois:golden:2", "--window", "1,1", "--radius", "4",
           "--axes", "x"], "not an integer: 'x'"),
         (["pisot", "certify", "--ring", "zs:x", "--elements", "1"], "not an integer: 'x'"),
-        (["verify", "replay", "{d}/point-shape.json"],
-         "a galois point is one coefficient list per coordinate, not [1, 0]"),
-        (["verify", "replay", "{d}/points-int.json"], "the points of a patch are a JSON list"),
+        # a patch file or a field file without a key that the command reads
+        (["verify", "delone", "--patch", "{d}/bare-patch.json"],
+         "{d}/bare-patch.json lacks the key 'scheme'"),
+        (["verify", "cover", "--a", "{d}/golden.json", "--b", "{d}/no-points.json"],
+         "{d}/no-points.json lacks the key 'points'"),
         (["verify", "replay", "{d}/scheme-str.json"], "a scheme is a JSON object, not 'x'"),
-        (["verify", "replay", "{d}/zs-point-float.json"], "a zs point is a rational string"),
-        (["verify", "replay", "{d}/heis-point-2d.json"],
-         "a heis point is one coefficient list per coordinate"),
+        (["heis", "certify", "--field", "{d}/no-min-poly.json", "--window", "1,1,1"],
+         "{d}/no-min-poly.json lacks the key 'min_poly'"),
+        (["cps", "generate", "--scheme", "galois:{d}/no-min-poly.json", "--window", "1",
+          "--radius", "2"], "{d}/no-min-poly.json lacks the key 'min_poly'"),
         (["verify", "replay", "{d}/window-int.json"], "a window is a JSON object, not 5"),
         (["verify", "replay", "{d}/window-real-int.json"],
          "the real half-widths of a window are a JSON list, not 5"),
@@ -1122,6 +1153,17 @@ def _one_patch_per_group():
         (["verify", "replay", "{d}/deep-key.json"], "{d}/deep-key.json is not a JSON file: "),
         (["verify", "replay", "{d}/spec-list.json"],
          "the file is not an artifact: a JSON object with a type is expected"),
+        # a patch file without its points (a malformed point fails replay instead:
+        # test_a_malformed_point_fails_replay_and_is_named), a ring's field file without
+        # min_poly, and a zs or pvs ring spec with nothing after it
+        (["verify", "delone", "--patch", "{d}/no-points.json"],
+         "{d}/no-points.json lacks the key 'points'"),
+        (["pisot", "certify", "--ring", "pvs:{d}/no-min-poly.json", "--elements", "{d}/x.json"],
+         "{d}/no-min-poly.json lacks the key 'min_poly'"),
+        (["pisot", "polycover", "--ring", "zs", "--poly", "0,1"],
+         "ring spec 'zs' is not z, zs:<primes> or pvs:<field>[:<root>]"),
+        (["pisot", "polycover", "--ring", "pvs", "--poly", "0,1"],
+         "ring spec 'pvs' is not z, zs:<primes> or pvs:<field>[:<root>]"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
@@ -1133,15 +1175,7 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     (tmp_path / "deep.json").write_text("[" * 200000 + "]" * 200000)
     (tmp_path / "deep-key.json").write_text(
         '{"type": "patch", "key": ' + '{"key": ' * 994 + "0" + "}" * 995 + "}")
-    golden = {"type": "patch", "radius": "2", "points": [[["0", "0"]]],
-              "scheme": {"kind": "galois", "field": {"min_poly": [-1, -1, 1]}, "dim": 1,
-                         "physical_root_index": 1},
-              "window": {"real": ["1"], "padic": []}}
-    zs = {"type": "patch", "radius": "1", "points": ["0"], "scheme": {"kind": "zs", "primes": [2]},
-          "window": {"real": [], "padic": [[2, 0]]}}
-    heis = {"type": "heis_patch", "radius": "1", "points": [],
-            "scheme": {"kind": "heis", "field": {"min_poly": [-1, -1, 1]},
-                       "window": ["1", "1", "1"], "physical_root_index": 1}}
+    golden, zs, heis = _hand_patches()
     cover = {"translates": 5}
     dim_cover = {"elements": [["0", "0"]], "tile_halfwidth": "1", "target": ["-1", "1"]}
     heis_cover = {"type": "heis_cover", "scheme": heis["scheme"],
@@ -1156,11 +1190,9 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, argv, message):
     meyer = {"type": "meyer_commensurability", "scheme": heis["scheme"], "radius": "1",
              "side_a": "model_set", "side_b": "model_set", "scope_radius": "1/2",
              "verdict": "COMMENSURABLE-AT-SCALE", "cover_ab": cover, "cover_ba": cover}
-    for name, data in (("point-shape", golden | {"points": [[1, 0]]}),
-                       ("points-int", golden | {"points": 5}),
+    for name, data in (("no-points", {key: golden[key] for key in golden if key != "points"}),
+                       ("no-min-poly", {"degree": 2}),
                        ("scheme-str", golden | {"scheme": "x"}),
-                       ("zs-point-float", zs | {"points": [0.5]}),
-                       ("heis-point-2d", heis | {"points": [[["0", "0"], ["0", "0"]]]}),
                        ("window-int", golden | {"window": 5}),
                        ("window-real-int", golden | {"window": {"real": 5, "padic": []}}),
                        ("field-int", golden | {"scheme": golden["scheme"] | {"field": 5}}),
@@ -1266,6 +1298,30 @@ def test_a_changed_derived_cover_field_fails_replay_and_is_named(tmp_path, capsy
             named = f"replay FAILED: cover.padic.{key}"
     code, out = _replay_data(tmp_path, capsys, data)
     assert code == 2 and out.startswith(named + " is not what the writer writes"), out
+
+
+@pytest.mark.parametrize("name", ["point-shape", "points-int", "zs-point-float", "heis-point-2d",
+                                  "zs-point-int", "delone-patch-point"])
+def test_a_malformed_point_fails_replay_and_is_named(tmp_path, capsys, name):
+    # the points of a patch follow from its scheme, window and radius, so replay decodes
+    # none: a point of another shape or JSON type fails replay (exit 2), and the line
+    # names where the file first differs from the rebuild
+    golden, zs, heis_patch = _hand_patches()
+    delone = serialize.delone_artifact(
+        cps.GaloisScheme(golden_field()).model_set(cps.Window.box(1), 2), 1)
+    delone["patch"]["points"][0] = [[1, 0]]
+    data, where = {
+        "point-shape": (golden | {"points": [[1, 0]]}, "points"),
+        "points-int": (golden | {"points": 5}, "points"),
+        "zs-point-float": (zs | {"points": [0.5]}, "points"),
+        "heis-point-2d": (heis_patch | {"points": [[["0", "0"], ["0", "0"]]]}, "points"),
+        # the three points of the patch, one of them a JSON integer
+        "zs-point-int": (zs | {"points": ["-1", 0, "1"]}, "points.1"),
+        "delone-patch-point": (delone, "patch.points.0.0.0"),
+    }[name]
+    code, out = _replay_data(tmp_path, capsys, data)
+    assert (code, out) == (
+        2, f"replay FAILED: {data['type']} rebuilt from its inputs differs from the file at {where}\n")
 
 
 def test_replay_of_a_zs_cover_of_too_many_cosets_is_refused_before_any_residue_is_made(

@@ -205,8 +205,10 @@ class TestGaloisPatches:
     def test_patch_roundtrip_through_dict(self):
         scheme = cps.GaloisScheme(golden_field())
         patch = cps.model_set_patch(scheme, cps.Window.box(1), 6)
-        points, again = cps.read_patch(json.loads(json.dumps(patch.to_dict())))
-        assert points == again.points == patch.points
+        data = json.loads(json.dumps(patch.to_dict()))
+        scheme_again, window, radius = cps.patch_inputs(data)
+        again = scheme_again.model_set(window, radius)
+        assert again.to_dict() == data == patch.to_dict()
         assert again.radius == patch.radius
 
 

@@ -700,15 +700,15 @@ def test_no_constructor_only_copies_its_parameters():
 
 
 # ---------------------------------------------------------------------------
-# The Fraction-free codec: elem_from_json splits the strings frac_str writes,
-# and sends every other value through str_frac.
+# elem_from_json reads each coordinate with str_frac: the strings frac_str
+# writes, and every other value, are read or refused as there.
 # ---------------------------------------------------------------------------
 
 FRACTIONS = st.fractions(max_denominator=10**30).filter(lambda q: abs(q.numerator) < 10**40)
 
 
 def _slow_elem(field, coords):
-    """The element of `coords` read through str_frac, as before the fast path."""
+    """The element of `coords`, each coordinate read by str_frac on its own."""
     return elem(field, [en.str_frac(c) for c in coords])
 
 
@@ -724,10 +724,8 @@ def _outcome(read):
 def test_fast_decoder_agrees_with_str_frac_on_every_written_string(a, b):
     for field, coords in ((en.golden_field(), [a, b]), (en.RATIONAL_FIELD, [a])):
         written = [en.frac_str(c) for c in coords]
-        assert en.rational_parts(written[0]) == (a.numerator, a.denominator)
         got = field.elem_from_json(written)
-        assert got == _slow_elem(field, written)
-        field.check_elem_json(written)
+        assert got == _slow_elem(field, written) == elem(field, coords)
 
 
 @settings(max_examples=300, deadline=None)
@@ -759,12 +757,6 @@ def test_fast_and_slow_decoders_agree_off_the_written_form(s):
         fast = _outcome(lambda: field.elem_from_json(coords))
         slow = _outcome(lambda: _slow_elem(field, coords))
         assert fast == slow, (coords, fast, slow)
-        checked = _outcome(lambda: field.check_elem_json(coords))
-        assert checked == (fast if isinstance(fast, str) else None)
-    slow = _outcome(lambda: en.str_frac(s))
-    if isinstance(slow, Fraction):
-        slow = (slow.numerator, slow.denominator)
-    assert _outcome(lambda: en.rational_parts(s)) == slow
 
 
 @pytest.mark.parametrize("value", [1, -7, 0, 1.5, True, None, [], {}])
@@ -772,13 +764,11 @@ def test_non_string_coordinates_read_as_str_frac_reads_them(value):
     field = en.golden_field()
     fast = _outcome(lambda: field.elem_from_json([value]))
     assert fast == _outcome(lambda: _slow_elem(field, [value]))
-    assert _outcome(lambda: field.check_elem_json([value])) == (fast if isinstance(fast, str) else None)
 
 
 def test_a_coefficient_list_longer_than_the_degree_is_refused_after_its_strings():
     field = en.RATIONAL_FIELD
     for coords, message in ((["1", "2"], "coefficient vector longer than field degree"),
                             (["1", "x"], "not a rational number: 'x'")):
-        for read in (field.elem_from_json, field.check_elem_json):
-            with pytest.raises(UsageError, match=message):
-                read(coords)
+        with pytest.raises(UsageError, match=message):
+            field.elem_from_json(coords)

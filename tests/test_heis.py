@@ -175,8 +175,10 @@ class TestModelSet:
     def test_patch_roundtrip(self, f2):
         scheme = heis.HeisScheme(f2, (1, 1, 2))
         patch = heis.heis_model_set(scheme, 3)
-        points, again = cps.read_patch(json.loads(json.dumps(patch.to_dict())))
-        assert points == again.points == patch.points
+        data = json.loads(json.dumps(patch.to_dict()))
+        scheme_again, window, radius = cps.patch_inputs(data)
+        again = scheme_again.model_set(window, radius)
+        assert again.to_dict() == data == patch.to_dict()
 
 
 class TestCoveringCertificate:
